@@ -37,8 +37,8 @@
 //!
 //! Identical seeds give identical searches either way; mapped entries
 //! (whole-graph static SA) still price their annealing moves through
-//! `anneal-core`'s shared evaluator layer, and the `--evaluator`
-//! toggle cannot change a ratio (only how fast it is computed).
+//! `anneal-core`'s shared evaluator layer, and the evaluator kind
+//! cannot change a ratio (only how fast it is computed).
 
 use std::collections::BTreeMap;
 
@@ -363,12 +363,12 @@ mod tests {
 
     #[test]
     fn ratio_is_evaluator_kind_invariant() {
-        use anneal_core::EvaluatorKind;
+        use anneal_core::{EvaluatorKind, SaLane};
         let inst = &smoke_instances(3)[0];
         let with_static = |kind| {
             let mut p = duel_portfolio();
             p.register(
-                Portfolio::standard_with(kind)
+                Portfolio::standard_with_lanes(kind, SaLane::default())
                     .get("static-sa")
                     .unwrap()
                     .clone(),

@@ -19,7 +19,10 @@
 //! * [`regression_seed`] derives the evaluation seed for a
 //!   `(scheduler, instance)` pair from the *names* alone, so baseline
 //!   makespans recorded in `corpus/baseline.csv` stay comparable when
-//!   the portfolio grows or reorders.
+//!   the portfolio grows or reorders;
+//! * the turbo-vs-exact lane equivalence gate ([`LANE_CORPUS_MEAN_MAX`],
+//!   [`lane_instance_gate`], [`lane_study_seed`]) is defined here once,
+//!   for both the `lane_study` bin and `tests/sa_lane_turbo.rs`.
 //!
 //! `tests/corpus_regression.rs` is the enforcement point: it re-runs
 //! every portfolio scheduler on every frozen instance and fails if any
@@ -264,6 +267,33 @@ pub fn regression_seed(scheduler: &str, instance: &str) -> u64 {
     h
 }
 
+/// Lane equivalence gate: ceiling on the corpus mean of per-instance
+/// makespan ratios (`mean(turbo) / mean(exact)` over the seed set) — no
+/// systematic regression beyond 0.5%.
+pub const LANE_CORPUS_MEAN_MAX: f64 = 1.005;
+
+/// Lane equivalence gate: per-instance makespan-ratio ceiling at
+/// [`LANE_GATE_SEEDS`] seeds — no instance regresses beyond 2%.
+pub const LANE_INSTANCE_MEAN_MAX: f64 = 1.02;
+
+/// Seed count the per-instance lane gate is calibrated for.
+pub const LANE_GATE_SEEDS: u64 = 32;
+
+/// Per-instance lane-gate ceiling at `seeds` seeds: the calibrated ±2%
+/// widened by `sqrt(32/seeds)` when fewer seeds shrink the sample
+/// (never tightened beyond the calibrated bound for larger samples).
+pub fn lane_instance_gate(seeds: u64) -> f64 {
+    let scale = (LANE_GATE_SEEDS as f64 / seeds as f64).sqrt().max(1.0);
+    1.0 + (LANE_INSTANCE_MEAN_MAX - 1.0) * scale
+}
+
+/// Seed `k` of the lane equivalence study for instance `name`
+/// (name-derived like [`regression_seed`], so the study is stable under
+/// reordering).
+pub fn lane_study_seed(name: &str, k: u64) -> u64 {
+    regression_seed("lane-equiv", name).wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,6 +422,18 @@ mod tests {
     #[should_panic(expected = "unreplayable topology")]
     fn freezing_with_bad_spec_panics() {
         let _ = FrozenInstance::new("x", "warp 9", sample_graph());
+    }
+
+    #[test]
+    fn lane_gate_widens_below_its_calibration_only() {
+        assert_eq!(lane_instance_gate(LANE_GATE_SEEDS), LANE_INSTANCE_MEAN_MAX);
+        assert_eq!(
+            lane_instance_gate(4 * LANE_GATE_SEEDS),
+            LANE_INSTANCE_MEAN_MAX
+        );
+        assert!((lane_instance_gate(LANE_GATE_SEEDS / 4) - 1.04).abs() < 1e-12);
+        assert_ne!(lane_study_seed("x", 0), lane_study_seed("x", 1));
+        assert_eq!(lane_study_seed("x", 0), regression_seed("lane-equiv", "x"));
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   evaluates the full portfolio × instance matrix in parallel with a
 //!   deterministic seed per cell. Mapping-producing entries (static SA)
 //!   are evaluated through `anneal-core`'s shared evaluation layer —
-//!   [`Portfolio::standard_with`] picks the
+//!   [`Portfolio::standard_with_lanes`] pins the
 //!   [`EvaluatorKind`](anneal_core::EvaluatorKind) (full replay vs the
-//!   incremental kernel; bit-identical results, very different cost).
+//!   incremental kernel; bit-identical results, very different cost)
+//!   and the [`SaLane`](anneal_core::SaLane).
 //!   Results feed `anneal-report`: a head-to-head CSV table and an SVG
 //!   win/loss matrix.
 //! * **Adversarial instance search** ([`adversary`]) — PISA-style
@@ -86,9 +87,10 @@ pub use campaign::{
     ShardResult,
 };
 pub use corpus::{
-    load_corpus_dir, parse_params, parse_topology, regression_seed, CorpusError, FrozenInstance,
-    CORPUS_EXTENSION, REGRESSION_TOLERANCE,
+    lane_instance_gate, lane_study_seed, load_corpus_dir, parse_params, parse_topology,
+    regression_seed, CorpusError, FrozenInstance, CORPUS_EXTENSION, LANE_CORPUS_MEAN_MAX,
+    LANE_GATE_SEEDS, LANE_INSTANCE_MEAN_MAX, REGRESSION_TOLERANCE,
 };
 pub use instance::{paper_instances, smoke_instances, standard_instances, ArenaInstance};
-pub use portfolio::{MappedSchedule, Portfolio, PortfolioEntry};
+pub use portfolio::{static_sa_cell_config, MappedSchedule, Portfolio, PortfolioEntry};
 pub use tournament::{run_tournament, run_tournament_observed, TournamentConfig, TournamentResult};

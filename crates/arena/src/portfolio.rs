@@ -17,10 +17,10 @@
 //!   one "replay a mapping through the engine" implementation in the
 //!   workspace.
 //!
-//! [`Portfolio::standard`] registers every scheduler in the workspace;
-//! [`Portfolio::standard_with`] selects which
-//! [`EvaluatorKind`] static SA prices its annealing moves with (the
-//! results are bit-identical either way — the kind only changes speed).
+//! [`Portfolio::standard`] registers every scheduler in the workspace on
+//! the production lane ([`SaLane::default`]) and the default
+//! [`EvaluatorKind`]; [`Portfolio::standard_with_lanes`] pins either
+//! (the evaluator kind never changes a result, only its cost).
 
 use std::sync::Arc;
 
@@ -275,25 +275,20 @@ impl Portfolio {
     /// The cheap deterministic-and-light subset: the full list-scheduler
     /// family, greedy, MCT, HEFT, CPOP and staged SA. Suitable as the
     /// adversary's reference field, where every candidate instance costs
-    /// one simulation per entry.
+    /// one simulation per entry. What `campaign` runs by default.
     ///
-    /// Runs the staged-SA entry on the **turbo** lane: the
-    /// certified-lossy configuration whose final-makespan distribution
+    /// Runs the staged-SA entry on the production lane
+    /// ([`SaLane::default`], turbo), whose final-makespan distribution
     /// is gated against the exact engine by the corpus-scale
     /// equivalence study (`lane_study` → `results/LANE_EQUIV.json`,
-    /// enforced in `tests/sa_lane_turbo.rs`). Deterministic per seed,
-    /// but **not** bit-identical to the lossless lanes — callers that
-    /// need the frozen delta-table stream (the corpus baseline, the CI
-    /// byte-compare contracts) must pin a lane through
-    /// [`Portfolio::fast_with_lane`].
+    /// enforced in `tests/sa_lane_turbo.rs`).
     pub fn fast() -> Self {
-        Self::fast_with_lane(SaLane::Turbo)
+        Self::fast_with_lane(SaLane::default())
     }
 
     /// [`Portfolio::fast`] with an explicit [`SaLane`] for the staged-SA
-    /// entry. `Exact` and `DeltaTable` produce bit-identical cells (the
-    /// CI arena smoke byte-compares the CSVs); `Quantized` and `Turbo`
-    /// are the opt-in lossy configurations.
+    /// entry. [`SaLane::Exact`] is the oracle configuration (the corpus
+    /// baseline is recorded under it).
     pub fn fast_with_lane(lane: SaLane) -> Self {
         let mut p = Portfolio::new();
         p.register(PortfolioEntry::new("greedy", |_, _| {
@@ -342,39 +337,23 @@ impl Portfolio {
     /// whole-graph static SA as a *mapped* entry (each cell anneals a
     /// complete mapping with simulated-makespan cost, then replays it
     /// through the shared evaluation layer). Uses the default
-    /// (incremental) move evaluator and the default (delta-table) SA
-    /// lane; see [`Portfolio::standard_with`].
+    /// (incremental) move evaluator and the production SA lane; what
+    /// `campaign --full` and `arena` run.
     pub fn standard() -> Self {
-        Self::standard_with(EvaluatorKind::default())
+        Self::standard_with_lanes(EvaluatorKind::default(), SaLane::default())
     }
 
     /// [`Portfolio::standard`] with an explicit [`EvaluatorKind`] for
-    /// static SA's move pricing. `Full` and `Incremental` produce
-    /// bit-identical cells (asserted by tests and the CI arena smoke);
-    /// only the evaluation speed differs.
-    pub fn standard_with(evaluator: EvaluatorKind) -> Self {
-        Self::standard_with_lanes(evaluator, SaLane::default())
-    }
-
-    /// [`Portfolio::standard_with`] with an explicit [`SaLane`] for
-    /// both annealing entries (`sa` and `static-sa`). Lossless lanes
-    /// produce bit-identical tournaments; the lane and evaluator only
-    /// change where the time goes.
+    /// static SA's move pricing and an explicit [`SaLane`] for both
+    /// annealing entries (`sa` and `static-sa`). `Full` and
+    /// `Incremental` produce bit-identical cells; only the evaluation
+    /// speed differs.
     pub fn standard_with_lanes(evaluator: EvaluatorKind, lane: SaLane) -> Self {
         let mut p = Self::fast_with_lane(lane);
         p.register(PortfolioEntry::new_mapped(
             "static-sa",
             move |inst, seed| {
-                let cfg = StaticSaConfig {
-                    // Light settings: a tournament cell is one scheduler
-                    // evaluation, not a tuning study.
-                    max_iters: 40,
-                    stable_iters: 6,
-                    seed,
-                    evaluator,
-                    lane,
-                    ..StaticSaConfig::default()
-                };
+                let cfg = static_sa_cell_config(seed, evaluator, lane);
                 let outcome = static_sa(
                     &inst.graph,
                     &inst.topology,
@@ -392,6 +371,19 @@ impl Portfolio {
             },
         ));
         p
+    }
+}
+
+/// The static-SA settings of a portfolio cell: light, because a
+/// tournament cell is one scheduler evaluation, not a tuning study.
+pub fn static_sa_cell_config(seed: u64, evaluator: EvaluatorKind, lane: SaLane) -> StaticSaConfig {
+    StaticSaConfig {
+        max_iters: 40,
+        stable_iters: 6,
+        seed,
+        evaluator,
+        lane,
+        ..StaticSaConfig::default()
     }
 }
 
@@ -460,11 +452,10 @@ mod tests {
 
     #[test]
     fn static_sa_cells_are_evaluator_kind_invariant() {
-        // The `--evaluator {full,incremental}` toggle must never change
-        // a result, only its cost.
+        // The evaluator kind must never change a result, only its cost.
         let insts = smoke_instances(4);
-        let full = Portfolio::standard_with(EvaluatorKind::Full);
-        let incr = Portfolio::standard_with(EvaluatorKind::Incremental);
+        let full = Portfolio::standard_with_lanes(EvaluatorKind::Full, SaLane::default());
+        let incr = Portfolio::standard_with_lanes(EvaluatorKind::Incremental, SaLane::default());
         for inst in &insts {
             for seed in [3, 11] {
                 let a = full.get("static-sa").unwrap().evaluate(inst, seed).unwrap();
@@ -476,36 +467,39 @@ mod tests {
         }
     }
 
+    /// The bins build their portfolios through `fast()`/`standard()`;
+    /// both must be exactly the default-lane, default-evaluator
+    /// configuration, so docs and binaries cannot drift apart.
     #[test]
-    fn annealing_cells_are_lane_invariant_on_lossless_lanes() {
-        // The `--sa-lane {exact,delta-table}` toggle must never change
-        // a result, only its cost. (`quantized` is exempt: lossy.)
+    fn fast_and_standard_run_the_default_lane_and_evaluator() {
         let insts = smoke_instances(4);
-        let exact = Portfolio::standard_with_lanes(EvaluatorKind::default(), SaLane::Exact);
-        let fast = Portfolio::standard_with_lanes(EvaluatorKind::default(), SaLane::DeltaTable);
-        for name in ["sa", "static-sa"] {
-            for inst in &insts {
-                for seed in [3, 11] {
-                    let a = exact.get(name).unwrap().evaluate(inst, seed).unwrap();
-                    let b = fast.get(name).unwrap().evaluate(inst, seed).unwrap();
-                    assert_eq!(a.makespan, b.makespan, "{name} {} seed {seed}", inst.name);
-                    assert_eq!(a.placement, b.placement, "{name} {} seed {seed}", inst.name);
-                    assert_eq!(a.finish, b.finish, "{name} {} seed {seed}", inst.name);
+        let pairs = [
+            (
+                Portfolio::fast(),
+                Portfolio::fast_with_lane(SaLane::default()),
+            ),
+            (
+                Portfolio::standard(),
+                Portfolio::standard_with_lanes(EvaluatorKind::default(), SaLane::default()),
+            ),
+        ];
+        for (built, pinned) in &pairs {
+            assert_eq!(built.names(), pinned.names());
+            for (a, b) in built.entries().iter().zip(pinned.entries()) {
+                for inst in &insts {
+                    for seed in [3, 11] {
+                        let x = a.evaluate(inst, seed).unwrap();
+                        let y = b.evaluate(inst, seed).unwrap();
+                        assert_eq!(x.makespan, y.makespan, "{} {} {seed}", a.name(), inst.name);
+                        assert_eq!(
+                            x.placement,
+                            y.placement,
+                            "{} {} {seed}",
+                            a.name(),
+                            inst.name
+                        );
+                    }
                 }
-            }
-        }
-        // The lossy lanes still yield valid, auditable, per-seed
-        // deterministic schedules.
-        for lane in [SaLane::Quantized, SaLane::Turbo] {
-            let lossy = Portfolio::standard_with_lanes(EvaluatorKind::default(), lane);
-            for name in ["sa", "static-sa"] {
-                let r = lossy.get(name).unwrap().evaluate(&insts[0], 42).unwrap();
-                r.audit(&insts[0].graph).unwrap();
-                let again = lossy.get(name).unwrap().evaluate(&insts[0], 42).unwrap();
-                assert_eq!(
-                    r.makespan, again.makespan,
-                    "{lane} {name} not deterministic"
-                );
             }
         }
     }

@@ -1,14 +1,13 @@
 //! Per-packet annealing loop: the paper's inner optimization, across
 //! packet shapes (the NE average is ~15 candidates for ~1.5 idle
-//! processors; MM packets reach 100 candidates), and across the SA
-//! lanes that run it (`exact` — the original `anneal_packet`;
-//! `delta-table` — the lossless fast lane; `turbo` — the lossy lane on
-//! counter-based RNG streams).
+//! processors; MM packets reach 100 candidates), and across the two SA
+//! lanes that run it (`exact` — the paper-literal `anneal_packet`, the
+//! oracle; `turbo` — the production lane on counter-based RNG streams).
 
 use anneal_core::annealer::{anneal_packet, AnnealParams};
 use anneal_core::cost::{BalanceRange, CostModel};
 use anneal_core::packet::AnnealingPacket;
-use anneal_core::{CounterRng, LaneCounters, SaScratch, TurboTuning};
+use anneal_core::{CounterRng, LaneCounters, SaScratch};
 use anneal_graph::TaskId;
 use anneal_topology::ProcId;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -53,24 +52,6 @@ fn bench_anneal(c: &mut Criterion) {
                 ))
             })
         });
-        group.bench_function(
-            BenchmarkId::new("delta-table", format!("{tasks}x{procs}")),
-            |b| {
-                let mut rng = StdRng::seed_from_u64(7);
-                let mut scratch = SaScratch::new();
-                let mut counters = LaneCounters::default();
-                b.iter(|| {
-                    scratch.load_packet(&packet, 0.5, 0.5, BalanceRange::Full);
-                    black_box(scratch.anneal_loaded(
-                        &AnnealParams::default(),
-                        &mut rng,
-                        false,
-                        false,
-                        &mut counters,
-                    ))
-                })
-            },
-        );
         group.bench_function(BenchmarkId::new("turbo", format!("{tasks}x{procs}")), |b| {
             let mut scratch = SaScratch::new();
             let mut counters = LaneCounters::default();
@@ -82,7 +63,6 @@ fn bench_anneal(c: &mut Criterion) {
                 black_box(scratch.anneal_turbo(
                     &AnnealParams::default(),
                     &mut rng,
-                    TurboTuning::default(),
                     false,
                     &mut counters,
                 ))

@@ -4,37 +4,32 @@
 //! whole portfolio subsystem (tournaments, 1000-instance campaigns,
 //! adversarial-search ratio pricing) is throughput-bound on exactly
 //! that operation. This bench measures **cells per second** over the
-//! full fast portfolio (`Portfolio::fast()` — what campaigns run by
-//! default) on one instance per campaign shape at each size tier, via
-//! both evaluation paths:
+//! full fast portfolio on one instance per campaign shape at each size
+//! tier, two ways:
 //!
 //! * `general` — [`PortfolioEntry::evaluate`] on the **exact SA
 //!   lane**: the full engine with route-table build, Gantt recording,
 //!   statistics, an allocated `SimResult` per cell, and the original
 //!   per-move `exp()` annealing loop (what every cell paid before the
-//!   fast path and the delta-table lane existed);
-//! * `fast` — [`PortfolioEntry::evaluate_makespan`] on the
-//!   **delta-table SA lane**: the shared fast-path kernel out of one
-//!   reused `SimScratch` per sweep, with the staged-SA inner loop
-//!   priced from flat cost tables and the quantized-lossless
-//!   acceptance table (`anneal_core::lane`);
-//! * `turbo` — the fast path on the **turbo SA lane** (what
-//!   `Portfolio::fast()` now defaults to): counter-based RNG streams,
-//!   no-fallback midpoint acceptance and `f32` cost tables — lossy,
-//!   certified statistically by `lane_study` instead of bit-for-bit.
+//!   fast path and the turbo lane existed);
+//! * `turbo` — [`PortfolioEntry::evaluate_makespan`] on
+//!   `Portfolio::fast()`, what campaigns run: the shared fast-path
+//!   kernel out of one reused `SimScratch` per sweep, with staged SA on
+//!   the production turbo lane (flat cost tables, counter-based RNG
+//!   streams, midpoint-table acceptance; certified statistically by
+//!   `lane_study`).
 //!
-//! Every cell is asserted **bit-identical** between the two lossless
-//! paths before anything is timed; in smoke mode this doubles as the
-//! CI equality gate. Two rows carry regression asserts: the
-//! delta-table `sa` row must keep beating the pre-lane committed
-//! baseline, and the turbo `sa` row must beat the delta-table row on
-//! every tier (the turbo lane's whole reason to exist). Besides the
-//! Criterion report, the bench writes `results/BENCH_portfolio.json`:
-//! per-tier cells/sec for all three paths, the throughput speedups,
-//! and a per-scheduler breakdown (the staged SA scheduler's cells are
-//! dominated by its own annealing logic, so its speedup bounds the
-//! portfolio-wide number — the JSON shows both the aggregate and the
-//! per-entry picture).
+//! Before anything is timed, every cell of `Portfolio::fast()` is
+//! asserted **bit-identical** between the general engine and the fast
+//! path on the same lane; in smoke mode this doubles as the CI
+//! equality gate. The `sa` row carries a regression assert: it must
+//! keep beating the pre-lane committed baseline against the exact
+//! engine on every tier. Besides the Criterion report, the bench writes
+//! `results/BENCH_portfolio.json`: per-tier cells/sec for both paths,
+//! the throughput speedup, and a per-scheduler breakdown (the staged SA
+//! scheduler's cells are dominated by its own annealing logic, so its
+//! speedup bounds the portfolio-wide number — the JSON shows both the
+//! aggregate and the per-entry picture).
 //!
 //! Set `PORTFOLIO_BENCH_SMOKE=1` for a fast CI pass: fewer repetitions,
 //! same equality assertions, same JSON artifact.
@@ -134,42 +129,33 @@ fn sweep_fast(portfolio: &Portfolio, insts: &[ArenaInstance], scratch: &mut SimS
 fn bench_portfolio(c: &mut Criterion) {
     let smoke = std::env::var("PORTFOLIO_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let reps = if smoke { 2 } else { 7 };
-    // "Before" portfolio: exact SA lane, general evaluation. "After"
-    // portfolios: delta-table (lossless) and turbo (lossy, the
-    // `Portfolio::fast()` default) SA lanes on the fast path. Only the
-    // `sa` entry differs across the three — every other factory is
+    // "Before": the exact SA lane on the general engine. "After": the
+    // production portfolio on the fast path. Only the `sa` entry
+    // differs between the two portfolios — every other factory is
     // lane-independent.
     let portfolio = Portfolio::fast_with_lane(SaLane::Exact);
-    let portfolio_fast = Portfolio::fast_with_lane(SaLane::DeltaTable);
-    let portfolio_turbo = Portfolio::fast_with_lane(SaLane::Turbo);
+    let portfolio_turbo = Portfolio::fast();
 
     let mut group = c.benchmark_group("portfolio_throughput");
     let mut tier_rows = Vec::new();
     let mut sa_speedups = Vec::new();
-    let mut sa_turbo_speedups = Vec::new();
     for (tier, scale) in [("small", 1usize), ("medium", 2), ("large", 3)] {
         let insts = tier_instances(scale, 100 + scale as u64);
         let cells = portfolio.len() * insts.len();
 
-        // Equality gate: every cell bit-identical between the paths —
-        // which, because the paths run different lanes, is also the
-        // exact-vs-delta-table lossless oracle on every cell.
+        // Equality gate: every production cell bit-identical between
+        // the general engine and the fast path.
         let mut scratch = SimScratch::new();
-        for (e, (entry, fast_entry)) in portfolio
-            .entries()
-            .iter()
-            .zip(portfolio_fast.entries())
-            .enumerate()
-        {
+        for (e, entry) in portfolio_turbo.entries().iter().enumerate() {
             for (j, inst) in insts.iter().enumerate() {
                 let full = entry.evaluate(inst, seed_of(e, j)).unwrap().makespan;
-                let fast = fast_entry
+                let fast = entry
                     .evaluate_makespan(inst, seed_of(e, j), &mut scratch)
                     .unwrap();
                 assert_eq!(
                     fast,
                     full,
-                    "fast path / delta-table lane diverged: {} on {tier}/{}",
+                    "fast path diverged from the general engine: {} on {tier}/{}",
                     entry.name(),
                     inst.name
                 );
@@ -179,15 +165,13 @@ fn bench_portfolio(c: &mut Criterion) {
         // Per-scheduler breakdown at this tier (best of `reps` sweeps
         // of that scheduler's row).
         let mut entry_rows = Vec::new();
-        for (e, ((entry, fast_entry), turbo_entry)) in portfolio
+        for (e, (entry, turbo_entry)) in portfolio
             .entries()
             .iter()
-            .zip(portfolio_fast.entries())
             .zip(portfolio_turbo.entries())
             .enumerate()
         {
             let mut best_general = f64::MAX;
-            let mut best_fast = f64::MAX;
             let mut best_turbo = f64::MAX;
             for _ in 0..reps {
                 let start = Instant::now();
@@ -195,15 +179,6 @@ fn bench_portfolio(c: &mut Criterion) {
                     std::hint::black_box(entry.evaluate(inst, seed_of(e, j)).unwrap().makespan);
                 }
                 best_general = best_general.min(start.elapsed().as_nanos() as f64);
-                let start = Instant::now();
-                for (j, inst) in insts.iter().enumerate() {
-                    std::hint::black_box(
-                        fast_entry
-                            .evaluate_makespan(inst, seed_of(e, j), &mut scratch)
-                            .unwrap(),
-                    );
-                }
-                best_fast = best_fast.min(start.elapsed().as_nanos() as f64);
                 let start = Instant::now();
                 for (j, inst) in insts.iter().enumerate() {
                     std::hint::black_box(
@@ -215,18 +190,14 @@ fn bench_portfolio(c: &mut Criterion) {
                 best_turbo = best_turbo.min(start.elapsed().as_nanos() as f64);
             }
             if entry.name() == "sa" {
-                sa_speedups.push(best_general / best_fast);
-                sa_turbo_speedups.push((best_general / best_turbo, best_fast / best_turbo));
+                sa_speedups.push(best_general / best_turbo);
             }
             entry_rows.push(format!(
                 "        {{\"scheduler\": \"{}\", \"general_ns_per_cell\": {:.0}, \
-                 \"fast_ns_per_cell\": {:.0}, \"turbo_ns_per_cell\": {:.0}, \
-                 \"speedup\": {:.2}, \"turbo_speedup\": {:.2}}}",
+                 \"turbo_ns_per_cell\": {:.0}, \"turbo_speedup\": {:.2}}}",
                 entry.name(),
                 best_general / insts.len() as f64,
-                best_fast / insts.len() as f64,
                 best_turbo / insts.len() as f64,
-                best_general / best_fast,
                 best_general / best_turbo
             ));
         }
@@ -235,42 +206,34 @@ fn bench_portfolio(c: &mut Criterion) {
         // over the full campaign portfolio and over its heuristic
         // sub-portfolio (everything but the staged SA scheduler):
         // staged-SA cells are dominated by the scheduler's *own*
-        // annealing arithmetic — per-move RNG + Boltzmann acceptance,
-        // which no engine change can touch — so the full-portfolio
-        // number is structurally bounded by sa's share of the sweep.
+        // annealing arithmetic, so the full-portfolio number is
+        // structurally bounded by sa's share of the sweep.
         let heuristics = portfolio.without("sa");
+        let heuristics_turbo = portfolio_turbo.without("sa");
         let h_cells = heuristics.len() * insts.len();
         let mut best_general = f64::MAX;
-        let mut best_fast = f64::MAX;
         let mut best_turbo = f64::MAX;
         let mut h_best_general = f64::MAX;
-        let mut h_best_fast = f64::MAX;
-        let heuristics_fast = portfolio_fast.without("sa");
+        let mut h_best_turbo = f64::MAX;
         for _ in 0..reps {
             best_general = best_general.min(sweep_general(&portfolio, &insts));
-            best_fast = best_fast.min(sweep_fast(&portfolio_fast, &insts, &mut scratch));
             best_turbo = best_turbo.min(sweep_fast(&portfolio_turbo, &insts, &mut scratch));
             h_best_general = h_best_general.min(sweep_general(&heuristics, &insts));
-            h_best_fast = h_best_fast.min(sweep_fast(&heuristics_fast, &insts, &mut scratch));
+            h_best_turbo = h_best_turbo.min(sweep_fast(&heuristics_turbo, &insts, &mut scratch));
         }
         let general_cps = cells as f64 / (best_general * 1e-9);
-        let fast_cps = cells as f64 / (best_fast * 1e-9);
         let turbo_cps = cells as f64 / (best_turbo * 1e-9);
-        let speedup = best_general / best_fast;
         let turbo_speedup = best_general / best_turbo;
-        let h_speedup = h_best_general / h_best_fast;
+        let h_speedup = h_best_general / h_best_turbo;
         println!(
             "portfolio_throughput/{tier}: general {general_cps:.0} cells/s, \
-             fast {fast_cps:.0} cells/s, turbo {turbo_cps:.0} cells/s, \
-             speedup {speedup:.2}x / turbo {turbo_speedup:.2}x over {cells} cells \
+             turbo {turbo_cps:.0} cells/s, speedup {turbo_speedup:.2}x over {cells} cells \
              ({h_speedup:.2}x over the {h_cells} heuristic cells)"
         );
         tier_rows.push(format!(
             "    {{\"tier\": \"{tier}\", \"cells\": {cells}, \
              \"general_cells_per_sec\": {general_cps:.0}, \
-             \"fast_cells_per_sec\": {fast_cps:.0}, \
              \"turbo_cells_per_sec\": {turbo_cps:.0}, \
-             \"throughput_speedup\": {speedup:.2}, \
              \"turbo_throughput_speedup\": {turbo_speedup:.2}, \
              \"heuristic_cells\": {h_cells}, \
              \"heuristic_general_cells_per_sec\": {:.0}, \
@@ -278,15 +241,14 @@ fn bench_portfolio(c: &mut Criterion) {
              \"heuristic_throughput_speedup\": {h_speedup:.2}, \
              \"schedulers\": [\n{}\n    ]}}",
             h_cells as f64 / (h_best_general * 1e-9),
-            h_cells as f64 / (h_best_fast * 1e-9),
+            h_cells as f64 / (h_best_turbo * 1e-9),
             entry_rows.join(",\n")
         ));
 
-        for name in ["general", "fast", "turbo"] {
+        for name in ["general", "turbo"] {
             group.bench_function(BenchmarkId::new(name, tier), |b| {
                 let mut scratch = SimScratch::new();
                 b.iter(|| match name {
-                    "fast" => sweep_fast(&portfolio_fast, &insts, &mut scratch),
                     "turbo" => sweep_fast(&portfolio_turbo, &insts, &mut scratch),
                     _ => sweep_general(&portfolio, &insts),
                 })
@@ -295,29 +257,16 @@ fn bench_portfolio(c: &mut Criterion) {
     }
     group.finish();
 
-    // Regression gate on the tentpole row: before the delta-table lane
-    // the committed `sa` speedup was 1.04x (fast path alone — the
-    // annealing arithmetic dominated and the engine change could not
-    // touch it). The lane must clear that with real margin on every
-    // tier, even under smoke-mode timing noise.
+    // Regression gate on the sa row: before the SA lanes the committed
+    // `sa` speedup was 1.04x (fast path alone — the annealing
+    // arithmetic dominated and the engine change could not touch it).
+    // The production lane must clear that against the exact engine
+    // with real margin on every tier, even under smoke-mode timing
+    // noise.
     for (tier, s) in ["small", "medium", "large"].iter().zip(&sa_speedups) {
         assert!(
             *s > 1.3,
             "sa row speedup regressed on tier {tier}: {s:.2}x (pre-lane baseline 1.04x)"
-        );
-    }
-
-    // The turbo lane's regression gate: on every tier, the turbo `sa`
-    // row must be strictly faster than the delta-table row it replaced
-    // as the `Portfolio::fast()` default — otherwise the lossy
-    // contract buys nothing and the lane should not exist.
-    for (tier, (vs_general, vs_delta)) in
-        ["small", "medium", "large"].iter().zip(&sa_turbo_speedups)
-    {
-        assert!(
-            *vs_delta > 1.0,
-            "turbo sa row does not beat the delta-table row on tier {tier}: \
-             {vs_delta:.2}x vs delta-table ({vs_general:.2}x vs the exact engine)"
         );
     }
 

@@ -8,8 +8,8 @@
 //! of the arguments — two runs with the same arguments are
 //! byte-identical, which CI asserts.
 //!
-//! Usage: `arena [random_instances] [seed] [--paper]
-//! [--threads T] [--evaluator {full,incremental}]`
+//! Usage: `arena [random_instances] [seed] [--paper] [--threads T]
+//! [--metrics PATH] [--null-clock]`
 //!
 //! * `random_instances` — size of the synthetic family (default 6).
 //! * `seed` — base seed for instance generation and every cell
@@ -20,16 +20,6 @@
 //! * `--threads T` — cap the tournament's worker threads (default `0`
 //!   = available parallelism). Never changes results; makes throughput
 //!   measurements reproducible on shared CI runners.
-//! * `--evaluator` — how static SA prices its annealing moves
-//!   (default `incremental`). Both kinds produce byte-identical
-//!   artifacts — CI runs the tournament under each and diffs the CSVs.
-//! * `--sa-lane {exact,delta-table,quantized,turbo}` — which
-//!   inner-loop implementation the annealing entries run (default
-//!   `delta-table`; case-insensitive). The lossless lanes produce
-//!   byte-identical artifacts — CI runs the tournament under `exact`
-//!   and `delta-table` and diffs the CSVs; `quantized` and `turbo` are
-//!   the opt-in lossy configurations (turbo is certified by the
-//!   corpus-scale equivalence study, `lane_study`).
 //! * `--metrics PATH` — additionally write the tournament's
 //!   `anneal-obs` registry (JSON) to `PATH` and its
 //!   deterministic-class view to `PATH.det.json`. Observation never
@@ -37,72 +27,101 @@
 //! * `--null-clock` — record metrics with the deterministic
 //!   `NullClock` (every `time.*` value 0), making the metrics files
 //!   byte-reproducible too.
+//!
+//! Both annealing entries run the production SA lane
+//! (`SaLane::default()`, turbo) and static SA the incremental move
+//! evaluator. An unknown flag, a missing flag value, an unparsable
+//! count or seed, or a third positional argument prints the usage on
+//! stderr and exits 2.
+
+use std::path::PathBuf;
 
 use anneal_arena::{
     paper_instances, run_tournament_observed, standard_instances, Portfolio, TournamentConfig,
 };
-use anneal_core::{EvaluatorKind, SaLane};
 use anneal_obs::{Clock, NullClock, WallClock};
 use anneal_report::csv::f;
 use anneal_report::Table;
 
-fn usage() -> String {
-    format!(
-        "arena [random_instances] [seed] [--paper] [--threads T]\n\
-         \x20     [--evaluator {{full,incremental}}] [--sa-lane LANE]\n\
-         \x20     [--metrics PATH] [--null-clock]\n\
-         \n\
-         valid --sa-lane values (case-insensitive): {}",
-        SaLane::name_list()
-    )
+const USAGE: &str = "usage: arena [random_instances] [seed] [--paper] [--threads T] \
+                     [--metrics PATH] [--null-clock]";
+
+/// Prints `msg` and the usage on stderr and exits 2.
+fn bad_args(msg: &str) -> ! {
+    eprintln!("arena: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+struct Args {
+    count: usize,
+    seed: u64,
+    with_paper: bool,
+    threads: usize,
+    metrics: Option<PathBuf>,
+    null_clock: bool,
+}
+
+fn parse_args() -> Args {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
+    let mut args = Args {
+        count: 6,
+        seed: 42,
+        with_paper: false,
+        threads: 0,
+        metrics: None,
+        null_clock: false,
+    };
+    let mut positional = 0;
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--paper" => args.with_paper = true,
+            "--null-clock" => args.null_clock = true,
+            "--threads" => {
+                let v = it
+                    .next()
+                    .unwrap_or_else(|| bad_args("--threads needs a count"));
+                args.threads = v
+                    .parse()
+                    .unwrap_or_else(|_| bad_args(&format!("bad --threads value {v:?}")));
+            }
+            "--metrics" => {
+                let v = it
+                    .next()
+                    .unwrap_or_else(|| bad_args("--metrics needs a path"));
+                args.metrics = Some(PathBuf::from(v));
+            }
+            flag if flag.starts_with('-') => bad_args(&format!("unknown flag {flag:?}")),
+            value => {
+                let parsed = match positional {
+                    0 => value.parse().map(|v| args.count = v).is_ok(),
+                    1 => value.parse().map(|v| args.seed = v).is_ok(),
+                    _ => bad_args(&format!("unexpected argument {value:?}")),
+                };
+                if !parsed {
+                    bad_args(&format!("bad positional argument {value:?}"));
+                }
+                positional += 1;
+            }
+        }
+    }
+    args
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return;
-    }
-    let mut evaluator = EvaluatorKind::default();
-    let mut lane = SaLane::default();
-    let mut threads = 0usize;
-    let mut metrics: Option<std::path::PathBuf> = None;
-    let mut null_clock = false;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args[1..].iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--evaluator" => {
-                let v = it
-                    .next()
-                    .expect("--evaluator needs 'full' or 'incremental'");
-                evaluator = v.parse().unwrap_or_else(|e| panic!("{e}"));
-            }
-            "--sa-lane" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| panic!("--sa-lane needs one of: {}", SaLane::name_list()));
-                lane = v.parse().unwrap_or_else(|e| panic!("{e}\n{}", usage()));
-            }
-            "--threads" => {
-                let t = it.next().and_then(|v| v.parse().ok());
-                threads = t.expect("--threads needs a thread count");
-            }
-            "--metrics" => {
-                metrics = Some(std::path::PathBuf::from(
-                    it.next().expect("--metrics needs a path"),
-                ));
-            }
-            "--null-clock" => null_clock = true,
-            a if a.starts_with("--") => {} // handled below
-            _ => positional.push(arg),
-        }
-    }
-    let count: usize = positional.first().and_then(|s| s.parse().ok()).unwrap_or(6);
-    let seed: u64 = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(42);
-    let with_paper = args.iter().any(|a| a == "--paper");
-
-    let portfolio = Portfolio::standard_with_lanes(evaluator, lane);
+    let Args {
+        count,
+        seed,
+        with_paper,
+        threads,
+        metrics,
+        null_clock,
+    } = parse_args();
+    let portfolio = Portfolio::standard();
     let mut instances = standard_instances(seed, count);
     if with_paper {
         instances.extend(paper_instances());

@@ -36,16 +36,18 @@
 //!
 //! Usage: `campaign [instances] [shards] [seed] [--full] [--shard K]
 //! [--procs N] [--join DIR] [--threads T] [--merge-only] [--no-merge]
-//! [--dir PATH] [--evaluator {full,incremental}]
-//! [--sa-lane {exact,delta-table,quantized,turbo}] [--metrics PATH]
-//! [--null-clock] [--progress] [--chaos SPEC] [--max-attempts N]
-//! [--lease-ms MS] [--poll-ms MS] [--stall-timeout-ms MS]`
+//! [--dir PATH] [--metrics PATH] [--null-clock] [--progress]
+//! [--chaos SPEC] [--max-attempts N] [--lease-ms MS] [--poll-ms MS]
+//! [--stall-timeout-ms MS]`
 //!
 //! * `instances` — family size (default 1000).
 //! * `shards` — shard count (default 8).
 //! * `seed` — base seed for generation and evaluation (default 42).
 //! * `--full` — use `Portfolio::standard()` including whole-graph
-//!   static SA (slower; default is `Portfolio::fast()`).
+//!   static SA (slower; default is `Portfolio::fast()`). Both run the
+//!   production SA lane (`SaLane::default()`, turbo), stamped into
+//!   `campaign.meta` as `sa-lane=`, so a directory written under
+//!   another lane is refused on resume.
 //! * `--shard K` — restrict this invocation to shard `K`.
 //! * `--procs N` — supervised multi-worker driver: spawn `N` `--join`
 //!   workers over the campaign directory, respawn dead ones, restart
@@ -59,10 +61,6 @@
 //! * `--merge-only` — skip running, only validate + merge artifacts.
 //! * `--no-merge` — run shards but never merge.
 //! * `--dir PATH` — campaign directory (default `results/campaign`).
-//! * `--evaluator` — how static SA prices its annealing moves (default
-//!   `incremental`); stamped into `campaign.meta` for provenance.
-//! * `--sa-lane` — inner-loop lane (default `delta-table`); stamped
-//!   into `campaign.meta`, mixing lanes in one directory is refused.
 //! * `--metrics PATH` — observe through `anneal-obs`: shards write
 //!   sealed `metrics-<k>.jsonl`, the merge combines them into `PATH`
 //!   plus its deterministic-class view `PATH.det.json` and a summary
@@ -89,7 +87,7 @@ use anneal_arena::{
     parse_cells_jsonl, run_shard_observed, shard_file_name, shard_metrics_file_name,
     CampaignConfig, Portfolio,
 };
-use anneal_core::{EvaluatorKind, SaLane};
+use anneal_core::SaLane;
 use anneal_fleet::{
     commit_bytes, fnv1a64, read_attempts, render_report, run_worker, seal, shard_state, unseal,
     FaultPlan, FleetConfig, FleetEvent, FleetStats, KillMode, LeaseConfig, ShardReport,
@@ -105,8 +103,6 @@ const DEGRADED_EXIT: i32 = 3;
 struct Args {
     cfg: CampaignConfig,
     full: bool,
-    evaluator: EvaluatorKind,
-    lane: SaLane,
     only_shard: Option<usize>,
     procs: usize,
     join: Option<PathBuf>,
@@ -123,19 +119,14 @@ struct Args {
     stall_timeout_ms: u64,
 }
 
-fn usage() -> String {
-    format!(
-        "campaign [instances] [shards] [seed] [--full] [--shard K]\n\
-         \x20        [--procs N] [--join DIR] [--threads T] [--merge-only] [--no-merge]\n\
-         \x20        [--dir PATH] [--evaluator {{full,incremental}}]\n\
-         \x20        [--sa-lane LANE] [--metrics PATH] [--null-clock] [--progress]\n\
-         \x20        [--chaos SPEC] [--max-attempts N] [--lease-ms MS] [--poll-ms MS]\n\
-         \x20        [--stall-timeout-ms MS]\n\
-         \n\
-         valid --sa-lane values (case-insensitive): {}\n\
-         --chaos SPEC example: seed=7,kill=40,truncate=30,corrupt=10,stall=5,only=2",
-        SaLane::name_list()
-    )
+fn usage() -> &'static str {
+    "campaign [instances] [shards] [seed] [--full] [--shard K]\n\
+     \x20        [--procs N] [--join DIR] [--threads T] [--merge-only] [--no-merge]\n\
+     \x20        [--dir PATH] [--metrics PATH] [--null-clock] [--progress]\n\
+     \x20        [--chaos SPEC] [--max-attempts N] [--lease-ms MS] [--poll-ms MS]\n\
+     \x20        [--stall-timeout-ms MS]\n\
+     \n\
+     --chaos SPEC example: seed=7,kill=40,truncate=30,corrupt=10,stall=5,only=2"
 }
 
 fn parse_args() -> Args {
@@ -146,8 +137,6 @@ fn parse_args() -> Args {
     }
     let mut positional: Vec<u64> = Vec::new();
     let mut full = false;
-    let mut evaluator = EvaluatorKind::default();
-    let mut lane = SaLane::default();
     let mut only_shard = None;
     let mut procs = 0usize;
     let mut join = None;
@@ -192,18 +181,6 @@ fn parse_args() -> Args {
             "--dir" => {
                 dir = PathBuf::from(it.next().expect("--dir needs a path"));
             }
-            "--evaluator" => {
-                let v = it
-                    .next()
-                    .expect("--evaluator needs 'full' or 'incremental'");
-                evaluator = v.parse().unwrap_or_else(|e| panic!("{e}"));
-            }
-            "--sa-lane" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| panic!("--sa-lane needs one of: {}", SaLane::name_list()));
-                lane = v.parse().unwrap_or_else(|e| panic!("{e}\n{}", usage()));
-            }
             "--chaos" => {
                 let spec = it.next().expect("--chaos needs a fault spec");
                 chaos = Some(FaultPlan::parse(spec).unwrap_or_else(|e| panic!("{e}\n{}", usage())));
@@ -246,8 +223,6 @@ fn parse_args() -> Args {
     Args {
         cfg,
         full,
-        evaluator,
-        lane,
         only_shard,
         procs,
         join,
@@ -270,24 +245,35 @@ fn parse_args() -> Args {
 /// produced under different settings — a shard computed with another
 /// seed would merge cleanly (same header, same shape) into a silently
 /// wrong matrix. (`--procs`/`--threads`/`--metrics`/`--chaos` are
-/// deliberately absent: they never change a cell.) The stamp is also
-/// what `--join` workers read their parameters from, so every fleet
-/// member computes from identical settings by construction.
-fn provenance(cfg: &CampaignConfig, full: bool, evaluator: EvaluatorKind, lane: SaLane) -> String {
+/// deliberately absent: they never change a cell.) The SA lane is the
+/// production default, recorded so that a directory written under
+/// another lane is refused. The stamp is also what `--join` workers
+/// read their parameters from, so every fleet member computes from
+/// identical settings by construction.
+fn provenance(cfg: &CampaignConfig, full: bool) -> String {
     format!(
-        "instances={}\nshards={}\nseed={}\nportfolio={}\nevaluator={}\nsa-lane={}\n",
+        "instances={}\nshards={}\nseed={}\nportfolio={}\nsa-lane={}\n",
         cfg.instances,
         cfg.shards,
         cfg.base_seed,
         if full { "standard" } else { "fast" },
-        evaluator,
-        lane
+        SaLane::default()
     )
 }
 
+/// The portfolio a campaign evaluates.
+fn portfolio(full: bool) -> Portfolio {
+    if full {
+        Portfolio::standard()
+    } else {
+        Portfolio::fast()
+    }
+}
+
 /// Parses a provenance body back into campaign settings — the inverse
-/// of [`provenance`], used by `--join` workers.
-fn parse_provenance(body: &str) -> (CampaignConfig, bool, EvaluatorKind, SaLane) {
+/// of [`provenance`], used by `--join` workers. A stamp this binary
+/// would not write (another SA lane, an older format) is refused.
+fn parse_provenance(body: &str) -> (CampaignConfig, bool) {
     let field = |key: &str| -> &str {
         body.lines()
             .find_map(|l| l.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
@@ -304,9 +290,14 @@ fn parse_provenance(body: &str) -> (CampaignConfig, bool, EvaluatorKind, SaLane)
         "fast" => false,
         other => panic!("campaign.meta has unknown portfolio {other:?}"),
     };
-    let evaluator = field("evaluator").parse().unwrap_or_else(|e| panic!("{e}"));
-    let lane = field("sa-lane").parse().unwrap_or_else(|e| panic!("{e}"));
-    (cfg, full, evaluator, lane)
+    let expected = provenance(&cfg, full);
+    if body != expected {
+        panic!(
+            "campaign.meta was produced with different parameters:\n--- existing\n{body}\
+             --- this binary\n{expected}"
+        );
+    }
+    (cfg, full)
 }
 
 fn check_provenance(dir: &Path, expected: &str) {
@@ -486,14 +477,10 @@ fn run_join(args: &Args, dir: &Path) -> i32 {
             dir.display()
         )
     });
-    let (mut cfg, full, evaluator, lane) = parse_provenance(body);
+    let (mut cfg, full) = parse_provenance(body);
     cfg.max_threads = args.cfg.max_threads;
     let runner = CampaignRunner {
-        portfolio: if full {
-            Portfolio::standard_with_lanes(evaluator, lane)
-        } else {
-            Portfolio::fast_with_lane(lane)
-        },
+        portfolio: portfolio(full),
         cfg: cfg.clone(),
         metrics: args.metrics.is_some(),
         null_clock: args.null_clock,
@@ -796,10 +783,7 @@ fn main() {
     }
     args.cfg.validate();
     std::fs::create_dir_all(&args.dir).expect("create campaign dir");
-    check_provenance(
-        &args.dir,
-        &provenance(&args.cfg, args.full, args.evaluator, args.lane),
-    );
+    check_provenance(&args.dir, &provenance(&args.cfg, args.full));
 
     let mut worker_degraded = false;
     if !args.merge_only {
@@ -814,11 +798,7 @@ fn main() {
                 None => (0..args.cfg.shards).collect(),
             };
             let runner = CampaignRunner {
-                portfolio: if args.full {
-                    Portfolio::standard_with_lanes(args.evaluator, args.lane)
-                } else {
-                    Portfolio::fast_with_lane(args.lane)
-                },
+                portfolio: portfolio(args.full),
                 cfg: args.cfg.clone(),
                 metrics: args.metrics.is_some(),
                 null_clock: args.null_clock,

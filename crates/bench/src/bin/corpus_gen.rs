@@ -8,7 +8,8 @@
 //! (`anneal_arena::corpus::FrozenInstance`, format spec in
 //! `docs/CORPUS_FORMAT.md`). It then records every fast-portfolio
 //! scheduler's makespan on every frozen instance in
-//! `corpus/baseline.csv`, using name-derived seeds
+//! `corpus/baseline.csv`, with staged SA on the exact lane and
+//! name-derived seeds
 //! (`regression_seed`), which `tests/corpus_regression.rs` enforces on
 //! every future PR.
 //!
@@ -144,12 +145,13 @@ fn main() {
     }
     std::fs::create_dir_all(&dir).expect("create corpus dir");
 
-    // Pinned to the delta-table lane: the corpus files and baseline.csv
-    // are frozen under its (exact-equal) RNG stream, and CI requires a
-    // regeneration to be a byte-level no-op. `Portfolio::fast()`
-    // defaults to the lossy turbo lane, which would silently re-anchor
-    // every baseline row.
-    let portfolio = Portfolio::fast_with_lane(SaLane::DeltaTable);
+    // Pinned to the exact lane, the oracle: the corpus files and
+    // baseline.csv are frozen under its RNG stream, and CI requires a
+    // regeneration to be a byte-level no-op. `Portfolio::fast()` runs
+    // the production turbo lane, which would re-anchor every baseline
+    // row; turbo quality on the corpus is gated in
+    // `tests/sa_lane_turbo.rs`.
+    let portfolio = Portfolio::fast_with_lane(SaLane::Exact);
     let mut frozen: Vec<FrozenInstance> = Vec::new();
     let mut table = Table::new(vec![
         "Instance",

@@ -1,15 +1,14 @@
 //! Corpus-scale statistical equivalence study for the turbo SA lane
-//! (`results/LANE_EQUIV.json`) — the certification half of the turbo
-//! tentpole.
+//! (`results/LANE_EQUIV.json`) — the certification of the production
+//! lane against its oracle.
 //!
-//! The turbo lane (`anneal_core::SaLane::Turbo`) deliberately drops the
-//! bit-exact contract the delta-table lane proved: counter-based RNG
-//! streams, no-fallback midpoint acceptance and `f32` cost tables all
-//! change the annealing trajectory. What it must **not** change is the
+//! The turbo lane (`anneal_core::SaLane::Turbo`, the default every bin
+//! runs) changes the annealing trajectory: counter-based RNG streams
+//! and midpoint-table acceptance. What it must **not** change is the
 //! *result distribution*: scheduler comparisons are properly made on
 //! final-makespan distributions (Workflow-Schedulers, PAPERS.md), and a
-//! lossy lane must be stress-tested where it is most likely to crack —
-//! the frozen adversarial corpus (PISA's methodology), not just random
+//! lane must be stress-tested where it is most likely to crack — the
+//! frozen adversarial corpus (PISA's methodology), not just random
 //! instances.
 //!
 //! The study runs the staged SA scheduler under the **exact** lane and
@@ -30,7 +29,7 @@
 //! * per-instance makespan ratio ≤ 1.02 (no instance regresses >2%),
 //!   and
 //! * corpus-mean (mean of instance makespan ratios) ≤ 1.005 (no
-//!   systematic regression >0.5%),
+//!   systematic regression >0.5%).
 //!
 //! The ±2% per-instance bound is calibrated at 32 seeds. Below that
 //! (e.g. `--smoke`'s 8 seeds) the standard error of a per-instance
@@ -38,14 +37,20 @@
 //! the same factor — the smoke gate still catches real breakage (a
 //! quality bug shows up as tens of percent) without tripping on
 //! small-sample noise. The corpus-mean bound averages across
-//! instances and is left unscaled.
+//! instances and is left unscaled. The constants and the seed stream
+//! live in `anneal_arena` and are shared with the enforced `cargo test`
+//! gate in `tests/sa_lane_turbo.rs`.
 //!
-//! mirroring the enforced `cargo test` gate in `tests/sa_lane_turbo.rs`.
-//! The study itself is a pure function of its arguments — no timing, no
-//! threads — so two runs emit byte-identical JSON.
+//! The same distributions are reported for **static SA** (exact vs
+//! turbo acceptance) at the portfolio's cell settings
+//! (`anneal_arena::static_sa_cell_config`), under `"static_sa"`. Those
+//! rows are not gated: at 32 seeds a per-instance bound on them would
+//! gate on noise.
 //!
-//! Usage: `lane_study [--smoke] [--seeds S] [--campaign N] [--tuning]
-//! [--out PATH]`
+//! The study itself is a pure function of its arguments — no timing,
+//! no threads — so two runs emit byte-identical JSON.
+//!
+//! Usage: `lane_study [--smoke] [--seeds S] [--campaign N] [--out PATH]`
 //!
 //! * `--smoke` — reduced CI configuration: 8 seeds × (sa-targeted
 //!   corpus + 8 campaign instances). The gate is still enforced.
@@ -53,9 +58,6 @@
 //!   the full-mode gate to be meaningful).
 //! * `--campaign N` — campaign-family instances to include (default
 //!   24).
-//! * `--tuning` — additionally emit per-ingredient attribution rows:
-//!   each `TurboTuning` toggle flipped off in isolation, quality-only,
-//!   over the corpus instances.
 //! * `--out PATH` — output path (default `results/LANE_EQUIV.json`).
 //!
 //! Exit status is nonzero when a gate fails, so CI can run the binary
@@ -64,31 +66,18 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use anneal_arena::{campaign_instance, load_corpus_dir, regression_seed, ArenaInstance};
-use anneal_core::{SaConfig, SaLane, SaScheduler, TurboTuning};
+use anneal_arena::{
+    campaign_instance, lane_instance_gate, lane_study_seed, load_corpus_dir, static_sa_cell_config,
+    ArenaInstance, LANE_CORPUS_MEAN_MAX, LANE_GATE_SEEDS, LANE_INSTANCE_MEAN_MAX,
+};
+use anneal_core::static_sa::static_sa;
+use anneal_core::{EvaluatorKind, SaConfig, SaLane, SaScheduler};
 use anneal_sim::simulate;
-
-/// Gate: corpus-mean (mean of per-instance makespan ratios) ceiling.
-const CORPUS_MEAN_MAX: f64 = 1.005;
-/// Gate: per-instance makespan-ratio ceiling, calibrated at
-/// [`GATE_SEEDS`] seeds (see [`instance_gate`]).
-const INSTANCE_MEAN_MAX: f64 = 1.02;
-/// Seed count the per-instance gate is calibrated for.
-const GATE_SEEDS: u64 = 32;
-
-/// Per-instance ceiling at `seeds` seeds: the calibrated ±2% widened
-/// by `sqrt(32/seeds)` when fewer seeds shrink the sample (never
-/// tightened beyond the calibrated bound for larger samples).
-fn instance_gate(seeds: u64) -> f64 {
-    let scale = (GATE_SEEDS as f64 / seeds as f64).sqrt().max(1.0);
-    1.0 + (INSTANCE_MEAN_MAX - 1.0) * scale
-}
 
 struct StudyArgs {
     smoke: bool,
     seeds: u64,
     campaign: usize,
-    tuning: bool,
     out: PathBuf,
 }
 
@@ -96,10 +85,10 @@ fn parse_args() -> StudyArgs {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         println!(
-            "lane_study [--smoke] [--seeds S] [--campaign N] [--tuning] [--out PATH]\n\
+            "lane_study [--smoke] [--seeds S] [--campaign N] [--out PATH]\n\
              emits results/LANE_EQUIV.json and exits nonzero when the\n\
              turbo-vs-exact equivalence gate fails\n\
-             (corpus mean <= {CORPUS_MEAN_MAX}, instance mean <= {INSTANCE_MEAN_MAX})"
+             (corpus mean <= {LANE_CORPUS_MEAN_MAX}, instance mean <= {LANE_INSTANCE_MEAN_MAX})"
         );
         std::process::exit(0);
     }
@@ -107,7 +96,6 @@ fn parse_args() -> StudyArgs {
         smoke: false,
         seeds: 32,
         campaign: 24,
-        tuning: false,
         out: PathBuf::from("results/LANE_EQUIV.json"),
     };
     let mut it = argv.iter();
@@ -116,7 +104,6 @@ fn parse_args() -> StudyArgs {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => args.smoke = true,
-            "--tuning" => args.tuning = true,
             "--seeds" => {
                 let s = it.next().and_then(|v| v.parse().ok());
                 args.seeds = s.expect("--seeds needs a count");
@@ -143,23 +130,9 @@ fn parse_args() -> StudyArgs {
     args
 }
 
-/// Final makespan of the staged SA scheduler under `lane` — the same
-/// entry point `tests/sa_lane_corpus.rs` gates.
+/// Final makespan of the staged SA scheduler under `lane`.
 fn staged_makespan(inst: &ArenaInstance, lane: SaLane, seed: u64) -> u64 {
-    staged_makespan_tuned(inst, lane, seed, TurboTuning::default())
-}
-
-fn staged_makespan_tuned(
-    inst: &ArenaInstance,
-    lane: SaLane,
-    seed: u64,
-    tuning: TurboTuning,
-) -> u64 {
-    let cfg = SaConfig {
-        turbo_tuning: tuning,
-        ..SaConfig::default().with_seed(seed).with_lane(lane)
-    };
-    let mut sched = SaScheduler::new(cfg);
+    let mut sched = SaScheduler::new(SaConfig::default().with_seed(seed).with_lane(lane));
     simulate(
         &inst.graph,
         &inst.topology,
@@ -171,10 +144,18 @@ fn staged_makespan_tuned(
     .makespan
 }
 
-/// Seed `k` of the study stream for `name` (name-derived like the
-/// corpus regression seeds, so the study is stable under reordering).
-fn study_seed(name: &str, k: u64) -> u64 {
-    regression_seed("lane-equiv", name).wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+/// Final makespan of a portfolio `static-sa` cell under `lane`.
+fn static_makespan(inst: &ArenaInstance, lane: SaLane, seed: u64) -> u64 {
+    static_sa(
+        &inst.graph,
+        &inst.topology,
+        &inst.params,
+        &inst.sim_cfg,
+        &static_sa_cell_config(seed, EvaluatorKind::default(), lane),
+    )
+    .expect("static SA anneals the study instance")
+    .result
+    .makespan
 }
 
 struct InstanceRow {
@@ -215,6 +196,28 @@ impl InstanceRow {
     }
 }
 
+/// Corpus mean, worst instance and worst per-seed ratio of a study.
+struct Aggregate<'a> {
+    corpus_mean: f64,
+    worst_name: &'a str,
+    worst_mean: f64,
+    worst_seed: f64,
+}
+
+fn aggregate(rows: &[InstanceRow]) -> Aggregate<'_> {
+    let (worst_name, worst_mean) = rows
+        .iter()
+        .map(|r| (r.name.as_str(), r.makespan_ratio()))
+        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite means"))
+        .expect("nonempty study");
+    Aggregate {
+        corpus_mean: rows.iter().map(InstanceRow::makespan_ratio).sum::<f64>() / rows.len() as f64,
+        worst_name,
+        worst_mean,
+        worst_seed: rows.iter().map(InstanceRow::worst).fold(f64::MIN, f64::max),
+    }
+}
+
 fn study_instances(args: &StudyArgs) -> Vec<(ArenaInstance, &'static str)> {
     let corpus = load_corpus_dir("corpus").expect("corpus/ must load cleanly");
     let mut out = Vec::new();
@@ -234,101 +237,81 @@ fn study_instances(args: &StudyArgs) -> Vec<(ArenaInstance, &'static str)> {
     out
 }
 
-fn main() {
-    let args = parse_args();
-    let instances = study_instances(&args);
-
+/// Runs exact vs turbo through `makespan` on every instance and seed,
+/// printing one line per instance under `label`.
+fn study(
+    instances: &[(ArenaInstance, &'static str)],
+    seeds: u64,
+    label: &str,
+    makespan: fn(&ArenaInstance, SaLane, u64) -> u64,
+) -> Vec<InstanceRow> {
     let mut rows: Vec<InstanceRow> = Vec::with_capacity(instances.len());
-    for (inst, source) in &instances {
-        let mut ratios = Vec::with_capacity(args.seeds as usize);
+    for (inst, source) in instances {
+        let mut ratios = Vec::with_capacity(seeds as usize);
         let mut exact_sum = 0.0;
         let mut turbo_sum = 0.0;
-        for k in 0..args.seeds {
-            let seed = study_seed(&inst.name, k);
-            let exact = staged_makespan(inst, SaLane::Exact, seed);
-            let turbo = staged_makespan(inst, SaLane::Turbo, seed);
+        for k in 0..seeds {
+            let seed = lane_study_seed(&inst.name, k);
+            let exact = makespan(inst, SaLane::Exact, seed);
+            let turbo = makespan(inst, SaLane::Turbo, seed);
             ratios.push(turbo as f64 / exact as f64);
             exact_sum += exact as f64;
             turbo_sum += turbo as f64;
         }
-        rows.push(InstanceRow {
+        let row = InstanceRow {
             name: inst.name.clone(),
             source,
             ratios,
-            exact_mean_ns: exact_sum / args.seeds as f64,
-            turbo_mean_ns: turbo_sum / args.seeds as f64,
-        });
-        let row = rows.last().expect("just pushed");
+            exact_mean_ns: exact_sum / seeds as f64,
+            turbo_mean_ns: turbo_sum / seeds as f64,
+        };
         println!(
-            "{:32} makespan {:.4}  seed-mean {:.4}  p95 {:.4}  worst {:.4}",
+            "{label}{:32} makespan {:.4}  seed-mean {:.4}  p95 {:.4}  worst {:.4}",
             row.name,
             row.makespan_ratio(),
             row.seed_mean(),
             row.p95(),
             row.worst()
         );
+        rows.push(row);
     }
+    rows
+}
 
-    let corpus_mean = rows.iter().map(InstanceRow::makespan_ratio).sum::<f64>() / rows.len() as f64;
-    let (worst_name, worst_mean) = rows
-        .iter()
-        .map(|r| (r.name.as_str(), r.makespan_ratio()))
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite means"))
-        .expect("nonempty study");
-    let worst_seed = rows.iter().map(InstanceRow::worst).fold(f64::MIN, f64::max);
-    let instance_max = instance_gate(args.seeds);
-    let gate_pass =
-        corpus_mean <= CORPUS_MEAN_MAX && rows.iter().all(|r| r.makespan_ratio() <= instance_max);
-
-    // Attribution rows: each lossy ingredient disabled in isolation,
-    // quality-only, over the corpus subset (the adversarial instances).
-    let mut tuning_rows: Vec<(String, f64)> = Vec::new();
-    if args.tuning {
-        let variants: [(&str, TurboTuning); 4] = [
-            ("turbo", TurboTuning::default()),
-            (
-                "no-counter-rng",
-                TurboTuning {
-                    counter_rng: false,
-                    ..TurboTuning::default()
-                },
-            ),
-            (
-                "no-midpoint-accept",
-                TurboTuning {
-                    midpoint_accept: false,
-                    ..TurboTuning::default()
-                },
-            ),
-            (
-                "no-f32-tables",
-                TurboTuning {
-                    f32_tables: false,
-                    ..TurboTuning::default()
-                },
-            ),
-        ];
-        let seeds = args.seeds.min(8);
-        for (vname, tuning) in variants {
-            let mut means = Vec::new();
-            for (inst, source) in &instances {
-                if *source != "corpus" {
-                    continue;
-                }
-                let mut exact_sum = 0.0;
-                let mut turbo_sum = 0.0;
-                for k in 0..seeds {
-                    let seed = study_seed(&inst.name, k);
-                    exact_sum += staged_makespan(inst, SaLane::Exact, seed) as f64;
-                    turbo_sum += staged_makespan_tuned(inst, SaLane::Turbo, seed, tuning) as f64;
-                }
-                means.push(turbo_sum / exact_sum);
-            }
-            let mean = means.iter().sum::<f64>() / means.len() as f64;
-            println!("tuning {vname:20} corpus mean {mean:.4}");
-            tuning_rows.push((vname.to_string(), mean));
-        }
+/// The per-instance JSON rows, one per line at `indent`.
+fn json_rows(json: &mut String, rows: &[InstanceRow], indent: &str) {
+    for (i, r) in rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "{indent}{{\"name\": \"{}\", \"source\": \"{}\", \"makespan_ratio\": {:.6}, \
+             \"seed_mean_ratio\": {:.6}, \"p95_ratio\": {:.6}, \"worst_ratio\": {:.6}, \
+             \"best_ratio\": {:.6}, \"exact_mean_ns\": {:.1}, \"turbo_mean_ns\": {:.1}}}",
+            r.name,
+            r.source,
+            r.makespan_ratio(),
+            r.seed_mean(),
+            r.p95(),
+            r.worst(),
+            r.best(),
+            r.exact_mean_ns,
+            r.turbo_mean_ns
+        );
+        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
+}
+
+fn main() {
+    let args = parse_args();
+    let instances = study_instances(&args);
+
+    let rows = study(&instances, args.seeds, "", staged_makespan);
+    let staged = aggregate(&rows);
+    let instance_max = lane_instance_gate(args.seeds);
+    let gate_pass = staged.corpus_mean <= LANE_CORPUS_MEAN_MAX
+        && rows.iter().all(|r| r.makespan_ratio() <= instance_max);
+
+    let static_rows = study(&instances, args.seeds, "static-sa ", static_makespan);
+    let stat = aggregate(&static_rows);
 
     // Hand-rolled JSON (no serde in the workspace); deterministic field
     // order and fixed-precision floats, so re-runs are byte-identical.
@@ -344,58 +327,49 @@ fn main() {
     let _ = writeln!(json, "  \"seeds_per_instance\": {},", args.seeds);
     let _ = writeln!(
         json,
-        "  \"gates\": {{\"corpus_mean_max\": {CORPUS_MEAN_MAX}, \
-         \"instance_mean_max\": {:.6}, \"instance_mean_max_calibrated\": {INSTANCE_MEAN_MAX}, \
-         \"calibration_seeds\": {GATE_SEEDS}}},",
-        instance_gate(args.seeds)
+        "  \"gates\": {{\"corpus_mean_max\": {LANE_CORPUS_MEAN_MAX}, \
+         \"instance_mean_max\": {instance_max:.6}, \
+         \"instance_mean_max_calibrated\": {LANE_INSTANCE_MEAN_MAX}, \
+         \"calibration_seeds\": {LANE_GATE_SEEDS}}},"
     );
     json.push_str("  \"instances\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"source\": \"{}\", \"makespan_ratio\": {:.6}, \
-             \"seed_mean_ratio\": {:.6}, \"p95_ratio\": {:.6}, \"worst_ratio\": {:.6}, \
-             \"best_ratio\": {:.6}, \"exact_mean_ns\": {:.1}, \"turbo_mean_ns\": {:.1}}}",
-            r.name,
-            r.source,
-            r.makespan_ratio(),
-            r.seed_mean(),
-            r.p95(),
-            r.worst(),
-            r.best(),
-            r.exact_mean_ns,
-            r.turbo_mean_ns
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
+    json_rows(&mut json, &rows, "    ");
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"aggregate\": {{\"corpus_mean_ratio\": {corpus_mean:.6}, \
-         \"worst_instance\": \"{worst_name}\", \"worst_instance_mean\": {worst_mean:.6}, \
-         \"worst_seed_ratio\": {worst_seed:.6}, \"gate_pass\": {gate_pass}}},"
+        "  \"aggregate\": {{\"corpus_mean_ratio\": {:.6}, \
+         \"worst_instance\": \"{}\", \"worst_instance_mean\": {:.6}, \
+         \"worst_seed_ratio\": {:.6}, \"gate_pass\": {gate_pass}}},",
+        staged.corpus_mean, staged.worst_name, staged.worst_mean, staged.worst_seed
     );
-    json.push_str("  \"tuning\": [");
-    for (i, (vname, mean)) in tuning_rows.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        let _ = write!(
-            json,
-            "{{\"variant\": \"{vname}\", \"corpus_mean_ratio\": {mean:.6}}}"
-        );
-    }
-    json.push_str("]\n}\n");
+    let cell = static_sa_cell_config(0, EvaluatorKind::default(), SaLane::default());
+    let _ = writeln!(
+        json,
+        "  \"static_sa\": {{\"gated\": false, \"max_iters\": {}, \"stable_iters\": {}, \
+         \"instances\": [",
+        cell.max_iters, cell.stable_iters
+    );
+    json_rows(&mut json, &static_rows, "      ");
+    let _ = writeln!(
+        json,
+        "    ],\n    \"aggregate\": {{\"corpus_mean_ratio\": {:.6}, \
+         \"worst_instance\": \"{}\", \"worst_instance_mean\": {:.6}, \
+         \"worst_seed_ratio\": {:.6}}}}}\n}}",
+        stat.corpus_mean, stat.worst_name, stat.worst_mean, stat.worst_seed
+    );
 
     if let Some(parent) = args.out.parent() {
         std::fs::create_dir_all(parent).expect("create output dir");
     }
     std::fs::write(&args.out, &json).expect("write LANE_EQUIV.json");
     println!(
-        "\ncorpus makespan ratio {corpus_mean:.4} (max {CORPUS_MEAN_MAX}), worst instance \
-         {worst_name} {worst_mean:.4} (max {instance_max:.4} at {} seeds), worst per-seed \
-         ratio {worst_seed:.4}",
-        args.seeds
+        "\ncorpus makespan ratio {:.4} (max {LANE_CORPUS_MEAN_MAX}), worst instance \
+         {} {:.4} (max {instance_max:.4} at {} seeds), worst per-seed ratio {:.4}",
+        staged.corpus_mean, staged.worst_name, staged.worst_mean, args.seeds, staged.worst_seed
+    );
+    println!(
+        "static-sa (not gated): corpus makespan ratio {:.4}, worst instance {} {:.4}",
+        stat.corpus_mean, stat.worst_name, stat.worst_mean
     );
     println!("wrote {}", args.out.display());
 

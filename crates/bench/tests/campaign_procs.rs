@@ -110,6 +110,24 @@ fn no_merge_child_mode_never_writes_merged_csvs() {
 }
 
 #[test]
+fn default_run_stamps_the_production_lane_into_campaign_meta() {
+    let dir = fresh_dir("lane");
+    run_campaign(&dir, &[]);
+    let meta = String::from_utf8(read(&dir, "campaign.meta")).unwrap();
+    let body = anneal_fleet::unseal(&meta).expect("campaign.meta is sealed");
+    let expected = format!("sa-lane={}", anneal_core::SaLane::default());
+    assert!(
+        body.lines().any(|l| l == expected),
+        "campaign.meta must record `{expected}`:\n{body}"
+    );
+    assert!(
+        !body.contains("evaluator="),
+        "the evaluator never changes a cell and is not provenance:\n{body}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn mismatched_parameters_are_refused_on_resume() {
     let dir = fresh_dir("prov");
     run_campaign(&dir, &[]);

@@ -30,8 +30,8 @@
 //!   candidate from a snapshot of the baseline at the moved task's
 //!   ready time, replaying only the affected suffix.
 //!
-//! [`EvaluatorKind`] selects between them (`--evaluator
-//! {full,incremental}` in the `arena`/`campaign` binaries), and
+//! [`EvaluatorKind`] selects between them (the binaries always run the
+//! incremental default; full replay is the test and bench oracle), and
 //! [`replay_mapping`] is the one shared "mapping → full [`SimResult`]"
 //! helper for the sites that need more than the makespan.
 
@@ -173,7 +173,7 @@ pub fn replay_mapping(
 /// The reference [`Evaluator`]: every evaluation is one complete
 /// [`simulate`] call — exactly the "full simulation per move" cost the
 /// incremental kernel removes. Kept as ground truth for equivalence
-/// tests and as the `--evaluator full` toggle.
+/// tests and benches.
 #[derive(Debug)]
 pub struct FullReplayEvaluator<'a> {
     g: &'a TaskGraph,

@@ -1,57 +1,35 @@
-//! Delta-table SA fast lane (ROADMAP: "heuristic-priced staged-SA
-//! cells with an exact-engine equality oracle").
+//! The staged-SA inner loop: the production **turbo** lane and the
+//! **exact** oracle it is certified against.
 //!
 //! The staged-SA inner loop of [`crate::annealer::anneal_packet`] pays,
 //! per proposed move, two nested-`Vec` cost-table lookups, two eq. 6
 //! normalizations, a transcendental `exp()` inside the heat-bath rule,
 //! and two generic `gen_range` draws. None of that work needs to be
 //! that expensive: the per-packet cost tables of eqs. 2–5 are constants
-//! that flatten into contiguous rows, the eq. 6 total is a pure
-//! function of two running sums, the Boltzmann curve can be bracketed
-//! once into a quantized lookup table, and the RNG rejection zones are
-//! pure functions of the (fixed) packet shape.
+//! that flatten into contiguous rows, the eq. 6 total is linear in two
+//! running sums, and the Boltzmann curve can be tabulated once into a
+//! lookup table.
 //!
-//! This module packages those observations as a **lane** the schedulers
-//! select with [`SaLane`]:
+//! [`SaLane`] selects which loop a scheduler runs:
 //!
-//! * [`SaLane::Exact`] — the original engine, unchanged. It is the
-//!   oracle the other lanes are judged against.
-//! * [`SaLane::DeltaTable`] — the fast lane in its *lossless* table
-//!   configuration: every accept/reject decision, every RNG draw, and
-//!   every floating-point cost value is **bit-identical** to the exact
-//!   lane. Where the quantized acceptance table cannot prove a decision
-//!   (the proposal's `u` lands inside the table's conservative error
-//!   band, or the bucket brushes `p == 1.0` where the draw count itself
-//!   is at stake) it falls back to the exact `exp()` path, so
-//!   losslessness is a theorem, not a tolerance.
-//! * [`SaLane::Quantized`] — an opt-in lossy configuration that decides
-//!   every in-range proposal from the table's bucket midpoint and never
-//!   evaluates `exp()` for it. It is validated *statistically* (the
-//!   acceptance rate tracks the true Boltzmann probability to within
-//!   the bucket width), not bit-for-bit. It still consumes the exact
-//!   lane's RNG draw counts.
-//! * [`SaLane::Turbo`] — the certified-lossy lane: it drops the RNG
-//!   stream contract entirely. Proposals draw from a counter-based
-//!   stream ([`crate::rng_stream`], batched with no sequential
-//!   dependency), bounded draws use a multiply-high reduction instead
-//!   of zone rejection, acceptance is the pure midpoint threshold
-//!   ([`AcceptTable::turbo_threshold`]) with **no** exact-fallback
-//!   slack bands, and the per-packet cost tables are optionally `f32`.
-//!   Each ingredient toggles independently via [`TurboTuning`]. The
-//!   lane is certified by a corpus-scale statistical equivalence study
-//!   (`lane_study` bin → `results/LANE_EQUIV.json`, gated in
-//!   `tests/sa_lane_turbo.rs`), not by any bitwise oracle.
+//! * [`SaLane::Turbo`] — the production lane and the default. Proposals
+//!   draw from a counter-based stream ([`crate::rng_stream`], batched
+//!   with no sequential dependency), bounded draws use a multiply-high
+//!   reduction instead of zone rejection, and acceptance is the
+//!   bucket-midpoint threshold ([`AcceptTable::turbo_threshold`]) with
+//!   no `exp()` on the hot path.
+//! * [`SaLane::Exact`] — the paper-literal engine
+//!   ([`crate::annealer::anneal_packet`] with
+//!   [`crate::boltzmann::accept`]), kept as the oracle.
 //!
 //! # The oracle contract
 //!
-//! For every packet, every seed, and every [`AnnealParams`]
-//! configuration, the `DeltaTable` lane must produce the same accepted
-//! move sequence, the same trace samples (bit-equal `f64`s), the same
-//! final mapping, and leave the RNG in the same state as the exact
-//! lane. `crates/core/tests/sa_lane.rs` pins this property with
-//! proptests; `tests/sa_lane_corpus.rs` pins it on the frozen corpus.
-//! The `Quantized` lane only promises the statistical equivalence
-//! above plus the same *number* of RNG draws per decision.
+//! Turbo changes the annealing trajectory, so it cannot be checked bit
+//! for bit. It is certified on what the paper compares: final-makespan
+//! distributions against the exact lane over the frozen corpus and a
+//! campaign slice (`lane_study` bin → `results/LANE_EQUIV.json`, gated
+//! in `tests/sa_lane_turbo.rs`). Its running cost is checked against a
+//! from-scratch recomputation in `crates/core/tests/sa_lane.rs`.
 
 use std::fmt;
 use std::str::FromStr;
@@ -64,7 +42,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
 use crate::annealer::{AnnealParams, InitRule, PacketOutcome};
-use crate::boltzmann::{accept, acceptance_probability, AcceptanceRule, TEMP_EPSILON};
+use crate::boltzmann::{acceptance_probability, AcceptanceRule, TEMP_EPSILON};
 use crate::cost::{BalanceRange, CostModel};
 use crate::packet::AnnealingPacket;
 use crate::trace::{PacketTrace, TraceSample};
@@ -76,52 +54,33 @@ pub enum SaLane {
     /// The original per-move `exp()` + nested-table engine (the
     /// oracle).
     Exact,
-    /// Flat delta tables + lossless quantized acceptance: bit-identical
-    /// to [`SaLane::Exact`], faster. The default.
+    /// Flat cost tables, counter-based RNG streams
+    /// ([`crate::rng_stream`]) and midpoint-table acceptance. The
+    /// production lane: certified statistically against
+    /// [`SaLane::Exact`], not bit for bit.
     #[default]
-    DeltaTable,
-    /// Flat delta tables + bucket-midpoint acceptance: no `exp()` on
-    /// the hot path, validated statistically only. Opt-in.
-    Quantized,
-    /// Certified-lossy fast lane: counter-based RNG streams
-    /// ([`crate::rng_stream`]), no-fallback midpoint acceptance and
-    /// `f32` cost tables. No bitwise or draw-count contract — gated by
-    /// the corpus-scale statistical equivalence study instead.
     Turbo,
 }
 
 impl SaLane {
-    /// Every lane, in CLI/display order (what `--sa-lane` accepts).
-    pub const ALL: [SaLane; 4] = [
-        SaLane::Exact,
-        SaLane::DeltaTable,
-        SaLane::Quantized,
-        SaLane::Turbo,
-    ];
+    /// Every lane, in display order.
+    pub const ALL: [SaLane; 2] = [SaLane::Exact, SaLane::Turbo];
 
-    /// Stable lowercase name (CSV provenance, CLI flags).
+    /// Stable lowercase name (CSV provenance, `campaign.meta`).
     pub fn name(self) -> &'static str {
         match self {
             SaLane::Exact => "exact",
-            SaLane::DeltaTable => "delta-table",
-            SaLane::Quantized => "quantized",
             SaLane::Turbo => "turbo",
         }
     }
 
-    /// The valid `--sa-lane` values as a human-readable list (CLI help
-    /// and bad-argument errors).
-    pub fn name_list() -> String {
+    /// The valid lane names as a human-readable list (parse errors).
+    fn name_list() -> String {
         SaLane::ALL
             .iter()
             .map(|l| l.name())
             .collect::<Vec<_>>()
             .join(", ")
-    }
-
-    /// Whether this lane is bit-identical to [`SaLane::Exact`].
-    pub fn is_lossless(self) -> bool {
-        !matches!(self, SaLane::Quantized | SaLane::Turbo)
     }
 }
 
@@ -150,113 +109,42 @@ impl FromStr for SaLane {
     }
 }
 
-/// How the fast lane resolved its acceptance decisions; flushed through
-/// `anneal-obs` so `--metrics` shows the table's hit profile.
+/// How the turbo lane resolved its acceptance decisions; flushed
+/// through `anneal-obs` so `--metrics` shows the table's hit profile.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneCounters {
-    /// Decided with neither a table lookup nor an `exp()`: frozen
-    /// temperature, a sure accept (`p == 1`), or a sure reject
-    /// (`p == 0`).
+    /// Certain decisions: frozen temperature, a sure accept (threshold
+    /// 1) or a sure reject (threshold 0).
     pub shortcut: u64,
-    /// Decided by the quantized table bounds alone (no `exp()`).
+    /// Decided by one uniform draw against a bucket midpoint.
     pub table: u64,
-    /// Needed the exact Boltzmann evaluation (`u` inside the table's
-    /// conservative error band, or a bucket where the draw count is
-    /// uncertain).
-    pub fallback: u64,
 }
 
 impl LaneCounters {
     /// Total decisions taken.
     pub fn decisions(&self) -> u64 {
-        self.shortcut + self.table + self.fallback
-    }
-
-    /// Accumulates another counter set into this one.
-    pub fn merge(&mut self, other: &LaneCounters) {
-        self.shortcut += other.shortcut;
-        self.table += other.table;
-        self.fallback += other.fallback;
+        self.shortcut + self.table
     }
 }
 
-/// Bit-exact replica of the vendored RNG's private `unit_f64` — the
-/// same `[0, 1)` sample `gen_bool` consumes, so a table decision and an
-/// exact `gen_bool` decision read identical bits from the stream.
+/// The vendored RNG's `[0, 1)` sample: the top 53 bits of one word.
 #[inline]
 fn unit_f64<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// A precomputed draw plan for `gen_range(0..bound)`: the vendored
-/// RNG's zone-rejection constants are pure functions of `bound`, so
-/// computing them once per packet removes two 64-bit divisions per
-/// proposal while consuming the exact same `next_u64` stream.
-#[derive(Debug, Clone, Copy)]
-enum Draw {
-    /// `bound` is a power of two: a single masked draw.
-    Mask(u64),
-    /// General case: zone rejection, identical to `u64_below`.
-    Zone {
-        /// The exclusive upper bound.
-        bound: u64,
-        /// Largest `v` that keeps `v % bound` unbiased.
-        zone: u64,
-    },
-}
-
-impl Default for Draw {
-    fn default() -> Self {
-        Draw::Mask(0)
-    }
-}
-
-impl Draw {
-    fn new(bound: u64) -> Self {
-        debug_assert!(bound >= 1);
-        if bound.is_power_of_two() {
-            Draw::Mask(bound - 1)
-        } else {
-            Draw::Zone {
-                bound,
-                zone: u64::MAX - (u64::MAX - bound + 1) % bound,
-            }
-        }
-    }
-
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> usize {
-        match self {
-            Draw::Mask(m) => (rng.next_u64() & m) as usize,
-            Draw::Zone { bound, zone } => loop {
-                let v = rng.next_u64();
-                if v <= zone {
-                    return (v % bound) as usize;
-                }
-            },
-        }
-    }
-}
-
 /// One quantization bucket over `x = delta / temp`.
 #[derive(Debug, Clone, Copy)]
 struct Bucket {
-    /// `u < lo` proves accept (`lo ≤ p` everywhere in the bucket).
-    lo: f64,
-    /// `u ≥ hi` proves reject (`hi ≥ p` everywhere in the bucket).
-    hi: f64,
-    /// **Midpoint-threshold invariant** (the documented decision rule
-    /// of the `Quantized` and `Turbo` lanes, surfaced by
-    /// [`AcceptTable::turbo_threshold`]): `mid` is the *exact*
-    /// acceptance probability evaluated at the bucket's center
-    /// `x_center = x_lo + (i + ½)·w` — not an average, not an
-    /// interpolation — and a lossy decision is `u < mid` for one
-    /// uniform draw `u ∈ [0, 1)`. Because both rules are monotone
-    /// decreasing in `x`, `mid` always lies inside the conservative
-    /// bracket: `lo ≤ mid ≤ hi` (up to the bracket slack), so the
-    /// midpoint decision can only differ from the exact decision when
-    /// `u` falls inside the bucket's probability span (≤ the bucket
-    /// width in probability, ~2.5e-4). Pinned by the
+    /// **Midpoint-threshold invariant** (the turbo lane's decision
+    /// rule, surfaced by [`AcceptTable::turbo_threshold`]): `mid` is
+    /// the *exact* acceptance probability evaluated at the bucket's
+    /// center `x_center = x_lo + (i + ½)·w` — not an average, not an
+    /// interpolation — and a decision is `u < mid` for one uniform draw
+    /// `u ∈ [0, 1)`. Because both rules are monotone decreasing in `x`,
+    /// the midpoint decision can only differ from the exact decision
+    /// when `u` falls inside the bucket's probability span (≤ the
+    /// bucket width in probability, ~2.5e-4). Pinned by the
     /// `midpoint_threshold_semantics_are_pinned` test.
     mid: f64,
     /// `mid` premultiplied into 53-bit draw space:
@@ -264,51 +152,28 @@ struct Bucket {
     /// mid_bits` with no int→float conversion per move (see
     /// [`AcceptTable::turbo_threshold_bits`]).
     mid_bits: u64,
-    /// The bucket brushes `p == 1.0`, where even the *number* of RNG
-    /// draws depends on the exact probability — delegate wholesale.
-    exact: bool,
 }
 
-/// Quantized Boltzmann acceptance for one [`AcceptanceRule`], built
+/// Tabulated Boltzmann acceptance for one [`AcceptanceRule`], built
 /// once per process ([`accept_table`]).
 ///
 /// The acceptance probability of both rules is a monotone decreasing
 /// function of `x = delta / temp` alone, so one table per rule covers
-/// every `(delta, temp)` pair. The active region is split into `N`
-/// buckets storing conservative probability brackets `[lo, hi]`
-/// (bucket-edge probabilities widened by a slack that dominates the
-/// few-ulp `exp` evaluation error); outside it the decision is a
-/// region shortcut (`p` provably 0 or 1, or so small only `u == 0.0`
-/// accepts). A uniform draw `u` outside `[lo, hi)` is decided by the
-/// table; inside it, the lossless configuration re-evaluates the exact
-/// probability with the *already drawn* `u`, preserving both the
-/// decision and the stream position bit-for-bit.
+/// every `(delta, temp)` pair. The active region `(x_lo, tail_from)` is
+/// split into 4096 buckets, each storing the exact
+/// probability at its center; outside it the decision is certain
+/// (`p` rounds to 1 below `x_lo`, and lies below the smallest nonzero
+/// draw `2⁻⁵³` from `tail_from` on).
 #[derive(Debug)]
 pub struct AcceptTable {
-    rule: AcceptanceRule,
     x_lo: f64,
     inv_w: f64,
-    /// Accept without drawing for `x ≤ accept_below` (`p == 1.0`
-    /// provably, matching the exact lane's `p >= 1.0` short-circuit).
-    accept_below: f64,
-    /// Above this `x` the exact probability may hit 0.0 (no draw) —
-    /// `HeatBath` proves reject (its own overflow guard), `Metropolis`
-    /// delegates to the exact path.
-    reject_above: f64,
-    /// `x ∈ [tail_from, reject_above]`: `p` is positive but below the
-    /// smallest nonzero `u` (`2⁻⁵³`), so the draw accepts iff
-    /// `u == 0.0`.
     tail_from: f64,
     buckets: Vec<Bucket>,
 }
 
-/// Buckets per table; 4096 × ~18.5 milli-units of `x` keeps the
-/// fallback band (≈ `2·slack / bucket-probability-span`) negligible.
+/// Buckets per table: 4096 × ~18.5 milli-units of `x`.
 const TABLE_BUCKETS: usize = 4096;
-/// Bracket widening; dominates `exp`'s few-ulp (≈1e-16) evaluation
-/// error by four orders of magnitude while keeping the fallback band
-/// microscopically thin.
-const TABLE_SLACK: f64 = 1e-12;
 
 /// The turbo draw space: acceptance draws are the top 53 bits of a
 /// `u64`, uniform on `[0, 2⁵³)`; a threshold of `TURBO_DRAW_SPAN`
@@ -318,107 +183,49 @@ pub const TURBO_DRAW_SPAN: u64 = 1 << 53;
 impl AcceptTable {
     fn build(rule: AcceptanceRule) -> AcceptTable {
         // HeatBath: p(x) = 1/(1+eˣ). For x ≤ −37, eˣ ≤ 8.6e-17 < 2⁻⁵³
-        // so the computed p is exactly 1.0 (accept, no draw); at
-        // x = 38, p ≈ 3.1e-17 < 2⁻⁵³ (tail); above 700 the engine's
-        // own guard pins p = 0.0 (reject, no draw).
-        // Metropolis: p(x) = e⁻ˣ for x > 0 (x ≤ 0 short-circuits
-        // before the table); at x = 40, p ≈ 4.2e-18 < 2⁻⁵³ (tail); up
-        // to x = 700 the result is a normal float, provably positive;
-        // beyond that subnormal/zero rounding decides the *draw count*,
-        // so the table delegates.
-        let (x_lo, x_hi, accept_below) = match rule {
-            AcceptanceRule::HeatBath => (-37.0, 38.0, -37.0),
-            AcceptanceRule::Metropolis => (0.0, 40.0, f64::NEG_INFINITY),
+        // so the computed p is exactly 1.0; at x = 38, p ≈ 3.1e-17 <
+        // 2⁻⁵³ (tail).
+        // Metropolis: p(x) = e⁻ˣ for x > 0 and 1 for x ≤ 0; at x = 40,
+        // p ≈ 4.2e-18 < 2⁻⁵³ (tail).
+        let (x_lo, x_hi) = match rule {
+            AcceptanceRule::HeatBath => (-37.0, 38.0),
+            AcceptanceRule::Metropolis => (0.0, 40.0),
         };
         let w = (x_hi - x_lo) / TABLE_BUCKETS as f64;
-        // Buckets whose probability could round to exactly 1.0 are
-        // marked for wholesale delegation: there the exact lane may
-        // skip the draw entirely, so no post-draw repair is possible.
-        let near_one = 1.0 - 4.0 * f64::EPSILON;
-        let mut buckets = Vec::with_capacity(TABLE_BUCKETS);
-        for i in 0..TABLE_BUCKETS {
-            let xl = x_lo + w * i as f64;
-            let xr = x_lo + w * (i + 1) as f64;
-            // Both rules are monotone decreasing in x, so the left edge
-            // is the bucket's supremum and the right edge its infimum.
-            let pl = acceptance_probability(rule, xl, 1.0);
-            let pr = acceptance_probability(rule, xr, 1.0);
-            let mid = acceptance_probability(rule, xl + 0.5 * w, 1.0);
-            buckets.push(Bucket {
-                lo: pr - TABLE_SLACK,
-                hi: pl + TABLE_SLACK,
-                mid,
-                mid_bits: (mid * TURBO_DRAW_SPAN as f64) as u64,
-                exact: pl >= near_one,
-            });
-        }
+        let buckets = (0..TABLE_BUCKETS)
+            .map(|i| {
+                let mid = acceptance_probability(rule, x_lo + w * i as f64 + 0.5 * w, 1.0);
+                Bucket {
+                    mid,
+                    mid_bits: (mid * TURBO_DRAW_SPAN as f64) as u64,
+                }
+            })
+            .collect();
         AcceptTable {
-            rule,
             x_lo,
             inv_w: 1.0 / w,
-            accept_below,
-            reject_above: 700.0,
             tail_from: x_hi,
             buckets,
         }
     }
 
-    /// The rule this table quantizes.
-    pub fn rule(&self) -> AcceptanceRule {
-        self.rule
-    }
-
-    /// Lossless accept/reject: bit-identical decision *and* RNG
-    /// consumption to [`accept`] for every input.
-    #[inline]
-    pub fn accept_lossless<R: Rng + ?Sized>(
-        &self,
-        delta: f64,
-        temp: f64,
-        rng: &mut R,
-        counters: &mut LaneCounters,
-    ) -> bool {
-        self.decide(delta, temp, rng, false, counters)
-    }
-
-    /// Lossy accept/reject from the bucket midpoint: same RNG
-    /// consumption, statistically equivalent decision, never evaluates
-    /// `exp()` for an in-range bucket.
-    #[inline]
-    pub fn accept_quantized<R: Rng + ?Sized>(
-        &self,
-        delta: f64,
-        temp: f64,
-        rng: &mut R,
-        counters: &mut LaneCounters,
-    ) -> bool {
-        self.decide(delta, temp, rng, true, counters)
-    }
-
-    /// The turbo lane's draw-free decision rule: for `x = ΔF/T`,
-    /// returns the probability threshold `th` such that the acceptance
-    /// decision is `u < th` for a single uniform draw `u ∈ [0, 1)`.
+    /// The turbo lane's decision rule: for `x = ΔF/T`, returns the
+    /// probability threshold `th` such that the acceptance decision is
+    /// `u < th` for a single uniform draw `u ∈ [0, 1)`.
     ///
-    /// This is the **no-fallback midpoint rule** — the documented
-    /// invariant the turbo lane is built on (see the `Bucket::mid`
-    /// field contract):
+    /// This is the **midpoint rule** (see the `Bucket::mid` field
+    /// contract):
     ///
-    /// * `x ≤ x_lo` (provable accept region; for Metropolis this is
-    ///   `x ≤ 0`) → `1.0` (always accept);
-    /// * `x ≥ tail_from` → `0.0` (always reject — this swallows both
-    ///   the `p < 2⁻⁵³` tail and the `x > 700` overflow region, *for
-    ///   both rules*: where the lossless lane delegates Metropolis
-    ///   beyond 700 to the exact path because the draw count is at
-    ///   stake, turbo simply rejects a `p ≤ e⁻⁷⁰⁰` move);
-    /// * otherwise → the bucket's exact center probability `mid`,
-    ///   **including** the `exact`-marked buckets the
-    ///   lossless/quantized lanes delegate (there `mid` rounds to
-    ///   ~1.0, so the decision is a near-certain accept).
+    /// * `x ≤ x_lo` (certain accept region; for Metropolis this is
+    ///   `x ≤ 0`) → `1.0`;
+    /// * `x ≥ tail_from` → `0.0` (certain reject — this swallows both
+    ///   the `p < 2⁻⁵³` tail and the `x > 700` overflow region);
+    /// * otherwise → the bucket's exact center probability `mid`.
     ///
     /// A NaN `x` saturates to bucket 0 (threshold ≈ 1, near-certain
     /// accept) instead of panicking — a documented divergence from the
     /// exact lane, whose `gen_bool` panics on NaN. Monotone
-    /// non-increasing in `x` up to the bracket slack.
+    /// non-increasing in `x`.
     #[inline]
     pub fn turbo_threshold(&self, x: f64) -> f64 {
         if x <= self.x_lo {
@@ -438,8 +245,8 @@ impl AcceptTable {
     /// accept region and `0` for certain reject; in between,
     /// `⌊mid · 2⁵³⌋` (precomputed per bucket). The flooring merges the
     /// `p < 2⁻⁵³` bucket tail into certain reject — a ≤ 2⁻⁵³ per-move
-    /// probability shift against the `f64` rule, far inside the lossy
-    /// lane's statistical contract (pinned against the `f64` form by
+    /// probability shift against the `f64` rule, far inside the lane's
+    /// statistical contract (pinned against the `f64` form by
     /// `turbo_threshold_bits_mirror_the_float_rule`).
     #[inline]
     pub fn turbo_threshold_bits(&self, x: f64) -> u64 {
@@ -454,12 +261,12 @@ impl AcceptTable {
     }
 
     /// Turbo accept/reject: the [`AcceptTable::turbo_threshold`]
-    /// midpoint rule with at most one uniform draw and **zero** exact
-    /// fallbacks — `counters.fallback` is never incremented (pinned by
-    /// tests). Certain decisions (threshold 0 or 1, frozen
-    /// temperature) consume no draw, so the RNG stream position is
-    /// *not* the exact lane's: this entry is only for lossy-lane
-    /// callers (static SA's turbo arm, [`SaScratch::anneal_turbo`]).
+    /// midpoint rule with at most one uniform draw. Certain decisions
+    /// (threshold 0 or 1, frozen temperature) consume no draw, so the
+    /// RNG stream position is *not* the exact lane's. This is static
+    /// SA's turbo acceptance; the packet loop
+    /// ([`SaScratch::anneal_turbo`]) decides in integer draw space
+    /// instead.
     #[inline]
     pub fn accept_turbo<R: RngCore + ?Sized>(
         &self,
@@ -484,82 +291,13 @@ impl AcceptTable {
             unit_f64(rng) < th
         }
     }
-
-    #[inline]
-    fn decide<R: Rng + ?Sized>(
-        &self,
-        delta: f64,
-        temp: f64,
-        rng: &mut R,
-        quantized: bool,
-        counters: &mut LaneCounters,
-    ) -> bool {
-        // Frozen system: strict downhill, no draw (the exact lane's
-        // p ∈ {0, 1} short-circuits).
-        if temp <= TEMP_EPSILON {
-            counters.shortcut += 1;
-            return delta < 0.0;
-        }
-        if self.rule == AcceptanceRule::Metropolis && delta <= 0.0 {
-            counters.shortcut += 1;
-            return true;
-        }
-        let x = delta / temp;
-        if x <= self.accept_below {
-            counters.shortcut += 1;
-            return true;
-        }
-        if x > self.reject_above {
-            if self.rule == AcceptanceRule::HeatBath {
-                // The engine's own overflow guard: p is exactly 0.0.
-                counters.shortcut += 1;
-                return false;
-            }
-            // Metropolis beyond 700: p may round to a subnormal (draw)
-            // or to 0.0 (no draw) — only the exact path knows which.
-            counters.fallback += 1;
-            return accept(self.rule, delta, temp, rng);
-        }
-        if x >= self.tail_from {
-            // 0 < p < 2⁻⁵³: the smallest nonzero u already rejects.
-            counters.table += 1;
-            return unit_f64(rng) == 0.0;
-        }
-        // NaN x saturates to bucket 0, which is always an `exact`
-        // bucket for both rules — NaN handling (including the panic in
-        // `gen_bool`) stays byte-for-byte the exact lane's.
-        let i = (((x - self.x_lo) * self.inv_w) as usize).min(self.buckets.len() - 1);
-        let b = &self.buckets[i];
-        if b.exact {
-            counters.fallback += 1;
-            return accept(self.rule, delta, temp, rng);
-        }
-        let u = unit_f64(rng);
-        if quantized {
-            counters.table += 1;
-            return u < b.mid;
-        }
-        if u < b.lo {
-            counters.table += 1;
-            return true;
-        }
-        if u >= b.hi {
-            counters.table += 1;
-            return false;
-        }
-        // u inside the conservative band: settle it exactly with the
-        // draw already consumed (p ∈ (0, 1) is proven here, so the
-        // exact lane would have drawn the same u).
-        counters.fallback += 1;
-        u < acceptance_probability(self.rule, delta, temp)
-    }
 }
 
 static HEAT_BATH_TABLE: OnceLock<AcceptTable> = OnceLock::new();
 static METROPOLIS_TABLE: OnceLock<AcceptTable> = OnceLock::new();
 
 /// The process-wide acceptance table for a rule (built on first use,
-/// ~8k `exp()` calls, shared by every scheduler and restart).
+/// 4096 `exp()` calls, shared by every scheduler and restart).
 pub fn accept_table(rule: AcceptanceRule) -> &'static AcceptTable {
     match rule {
         AcceptanceRule::HeatBath => {
@@ -574,47 +312,7 @@ pub fn accept_table(rule: AcceptanceRule) -> &'static AcceptTable {
 /// Sentinel for "unassigned" in the flat mapping arrays.
 const NONE: u32 = u32::MAX;
 
-/// Attribution toggles for the turbo lane's three lossy ingredients.
-/// All default to `true` (the shipped turbo configuration); flipping
-/// one off isolates its contribution to speed and to the equivalence
-/// study (`lane_study --tuning` rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TurboTuning {
-    /// Draw proposals and acceptance from the counter-based stream
-    /// ([`crate::rng_stream::CounterRng`], incremental Weyl state) instead of
-    /// the scheduler's sequential generator. This toggle is honored by
-    /// the *caller* ([`crate::sa::SaScheduler`] picks which generator
-    /// to pass); [`SaScratch::anneal_turbo`] itself is generic over the
-    /// stream.
-    pub counter_rng: bool,
-    /// Decide acceptance from the no-fallback midpoint threshold
-    /// ([`AcceptTable::turbo_threshold`]); `false` falls back to the
-    /// lossless banded decision (still on the turbo draw plan).
-    pub midpoint_accept: bool,
-    /// Price moves from `f32` copies of the level/communication tables
-    /// (half the cache footprint; deltas still accumulate in `f64`).
-    ///
-    /// **Off by default**: the corpus study shows quality is
-    /// unaffected, but at the paper's packet sizes (≤ ~100 candidates
-    /// × ≤ 16 processors) both tables already fit in L1, so the
-    /// per-move `f32 → f64` converts outweigh the bandwidth saving —
-    /// a measured ~5% *loss* on baseline x86-64 (`lane_study
-    /// --tuning` records the attribution). The toggle stays for wider
-    /// topologies, where the footprint argument starts to hold.
-    pub f32_tables: bool,
-}
-
-impl Default for TurboTuning {
-    fn default() -> Self {
-        TurboTuning {
-            counter_rng: true,
-            midpoint_accept: true,
-            f32_tables: false,
-        }
-    }
-}
-
-/// What one fast-lane packet run produced (the flat-lane analogue of
+/// What one turbo packet run produced (the flat-lane analogue of
 /// [`PacketOutcome`]; the final mapping stays in the scratch).
 #[derive(Debug, Clone)]
 pub struct LaneOutcome {
@@ -630,11 +328,10 @@ pub struct LaneOutcome {
     pub trace: Option<PacketTrace>,
 }
 
-/// Reusable fast-lane state: the flat per-packet cost tables, the
-/// mapping arrays, and the RNG draw plans. Built once per instance and
-/// reused across packets and restarts (via
-/// [`crate::parallel::ScratchPool`]), so the steady-state inner loop
-/// performs zero heap allocation.
+/// Reusable turbo-lane state: the flat per-packet cost tables and the
+/// mapping arrays. Built once per instance and reused across packets
+/// and restarts (via [`crate::parallel::ScratchPool`]), so the
+/// steady-state inner loop performs zero heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SaScratch {
     // Flat packet tables (eqs. 2–5 constants).
@@ -644,11 +341,6 @@ pub struct SaScratch {
     lv: Vec<f64>,
     /// Row-major `comm_cost[t * p + j] as f64`, the eq. 4/5 operand.
     cc: Vec<f64>,
-    /// `f32` copy of `lv` (turbo lane, [`TurboTuning::f32_tables`]);
-    /// filled lazily by [`SaScratch::anneal_turbo`].
-    lv32: Vec<f32>,
-    /// `f32` copy of `cc` (turbo lane).
-    cc32: Vec<f32>,
     worst: Vec<u64>,
     sort_buf: Vec<u64>,
     preds: Vec<(ProcId, Work)>,
@@ -660,9 +352,6 @@ pub struct SaScratch {
     n: usize,
     p: usize,
     epoch_time: u64,
-    // RNG draw plans for the packet shape.
-    draw_task: Draw,
-    draw_proc: Draw,
     // Mapping state (u32 sentinel encoding of PacketMapping).
     proc_of: Vec<u32>,
     task_at: Vec<u32>,
@@ -794,8 +483,6 @@ impl SaScratch {
 
     fn prepare_run(&mut self) {
         debug_assert!(self.n < NONE as usize && self.p < NONE as usize);
-        self.draw_task = Draw::new(self.n as u64);
-        self.draw_proc = Draw::new(self.p as u64);
         self.proc_of.clear();
         self.proc_of.resize(self.n, NONE);
         self.task_at.clear();
@@ -822,22 +509,6 @@ impl SaScratch {
             .iter()
             .enumerate()
             .filter_map(|(t, &p)| (p != NONE).then_some((t, p as usize)))
-    }
-
-    /// Eq. 6 total — the verbatim [`CostModel::total`] expression.
-    #[inline]
-    fn total(&self, fb_raw: f64, fc_raw: f64) -> f64 {
-        self.wb * fb_raw / self.range_b + self.wc * fc_raw / self.range_c
-    }
-
-    #[inline]
-    fn balance_term(&self, fb_raw: f64) -> f64 {
-        self.wb * fb_raw / self.range_b
-    }
-
-    #[inline]
-    fn comm_term(&self, fc_raw: f64) -> f64 {
-        self.wc * fc_raw / self.range_c
     }
 
     /// Raw `(F_b, F_c)` by full recomputation — same task-order
@@ -880,19 +551,53 @@ impl SaScratch {
         }
     }
 
-    /// Runs the fast-lane annealing loop on the loaded packet. With
-    /// `quantized == false` this replays [`anneal_packet`] bit-for-bit:
-    /// same draws, same float expressions, same accepted-move sequence,
-    /// same trace. The converged mapping is left in the scratch
-    /// ([`SaScratch::assignments`]).
+    /// Runs the **turbo** lane's annealing loop on the loaded packet.
     ///
-    /// [`anneal_packet`]: crate::annealer::anneal_packet
-    pub fn anneal_loaded<R: Rng + ?Sized>(
+    /// Same proposal distribution, cooling schedule, convergence rule
+    /// and keep-best semantics as the exact engine, but none of its
+    /// bit-level contracts:
+    ///
+    /// * task/processor draws use a multiply-high (Lemire) reduction —
+    ///   one draw per proposal, no zone-rejection loop. The
+    ///   "processor ≠ current" constraint is met by drawing from
+    ///   `p − 1` values and skipping past the current processor
+    ///   instead of redrawing;
+    /// * acceptance is the midpoint threshold
+    ///   ([`AcceptTable::turbo_threshold_bits`]) on a per-temperature-
+    ///   step precomputed `1/T` — zero `exp()` on the hot path;
+    /// * the eq. 6 normalization is folded into two precomputed
+    ///   multipliers (`w_b/ΔF_b`, `w_c/ΔF_c`), removing both per-move
+    ///   divisions, and the running cost accumulates directly priced
+    ///   deltas.
+    ///
+    /// `rng` is whatever stream the caller chose —
+    /// [`crate::rng_stream::CounterRng`] in [`crate::sa::SaScheduler`].
+    /// Deterministic per `(rng stream, params)`; certified against the
+    /// exact lane statistically (see `tests/sa_lane_turbo.rs` and
+    /// `results/LANE_EQUIV.json`), never bitwise. The converged mapping
+    /// is left in the scratch ([`SaScratch::assignments`]).
+    pub fn anneal_turbo<R: RngCore + ?Sized>(
         &mut self,
         params: &AnnealParams,
         rng: &mut R,
-        quantized: bool,
         want_trace: bool,
+        counters: &mut LaneCounters,
+    ) -> LaneOutcome {
+        // Monomorphize on tracing so the untraced loop drops the
+        // sample bookkeeping at compile time.
+        if want_trace {
+            self.turbo_core::<R, true>(params, rng, counters)
+        } else {
+            self.turbo_core::<R, false>(params, rng, counters)
+        }
+    }
+
+    /// The monomorphized loop behind [`SaScratch::anneal_turbo`]
+    /// (`TRACE` = record per-move samples).
+    fn turbo_core<R: RngCore + ?Sized, const TRACE: bool>(
+        &mut self,
+        params: &AnnealParams,
+        rng: &mut R,
         counters: &mut LaneCounters,
     ) -> LaneOutcome {
         let n = self.n;
@@ -905,252 +610,6 @@ impl SaScratch {
             InitRule::InOrder => self.saturate_in_order(),
         }
         let (mut fb, mut fc) = self.raw_full();
-        let mut cost = self.total(fb, fc);
-        let mut best_cost = cost;
-        self.best_proc_of.copy_from_slice(&self.proc_of);
-
-        let mut trace = want_trace.then(|| PacketTrace {
-            packet: 0,
-            epoch_time: self.epoch_time,
-            candidates: n,
-            idle: p,
-            samples: Vec::with_capacity(params.max_iters as usize),
-        });
-
-        let moves_per_temp = if params.moves_per_temp == 0 {
-            (2 * n).max(8)
-        } else {
-            params.moves_per_temp
-        };
-
-        let mut accepted_count = 0u64;
-        let mut stable = 0u64;
-        let mut k = 0u64;
-        let mut moves = 0u64;
-        while k < params.max_iters && stable < params.stable_iters {
-            let temp = params.cooling.temperature(k);
-            let mut cost_changed = false;
-            for _ in 0..moves_per_temp {
-                let task = self.draw_task.sample(rng);
-                let cur = self.proc_of[task];
-                let mut was_accepted = false;
-                if !(p == 1 && cur == 0) {
-                    // Rejection-sample a processor ≠ current, on the
-                    // same draw stream as the exact lane.
-                    let mut proc = self.draw_proc.sample(rng);
-                    while proc as u32 == cur {
-                        proc = self.draw_proc.sample(rng);
-                    }
-                    // Price the move from the flat tables with the
-                    // exact lane's verbatim float expressions
-                    // (CostModel::delta on Transfer/Swap).
-                    let occ = self.task_at[proc];
-                    let (dfb, dfc) = if occ == NONE {
-                        // Transfer { task, to: proc, from: cur }
-                        let (old_fb, old_fc) = if cur != NONE {
-                            (-self.lv[task], self.cc[task * p + cur as usize])
-                        } else {
-                            (0.0, 0.0)
-                        };
-                        (-self.lv[task] - old_fb, self.cc[task * p + proc] - old_fc)
-                    } else {
-                        // Swap { task, other: occ, to: proc, from: cur }
-                        let other = occ as usize;
-                        if cur != NONE {
-                            let f = cur as usize;
-                            let fb_before = -self.lv[task] - self.lv[other];
-                            let fb_after = -self.lv[task] + -self.lv[other];
-                            let fc_before = self.cc[task * p + f] + self.cc[other * p + proc];
-                            let fc_after = self.cc[task * p + proc] + self.cc[other * p + f];
-                            (fb_after - fb_before, fc_after - fc_before)
-                        } else {
-                            let fb_before = 0.0 - self.lv[other];
-                            let fb_after = -self.lv[task] + 0.0;
-                            let fc_before = 0.0 + self.cc[other * p + proc];
-                            let fc_after = self.cc[task * p + proc] + 0.0;
-                            (fb_after - fb_before, fc_after - fc_before)
-                        }
-                    };
-                    // One eq. 6 evaluation per move: the exact lane's
-                    // post-move `cost = total(fb, fc)` recomputation is
-                    // bit-identical to `cand` on accept and a no-op on
-                    // reject, so caching it here loses nothing.
-                    let cand = self.total(fb + dfb, fc + dfc);
-                    let delta = cand - cost;
-                    let acc = if quantized {
-                        table.accept_quantized(delta, temp, rng, counters)
-                    } else {
-                        table.accept_lossless(delta, temp, rng, counters)
-                    };
-                    if acc {
-                        if occ == NONE {
-                            if cur != NONE {
-                                self.task_at[cur as usize] = NONE;
-                            }
-                        } else if cur != NONE {
-                            self.proc_of[occ as usize] = cur;
-                            self.task_at[cur as usize] = occ;
-                        } else {
-                            self.proc_of[occ as usize] = NONE;
-                        }
-                        self.proc_of[task] = proc as u32;
-                        self.task_at[proc] = task as u32;
-                        fb += dfb;
-                        fc += dfc;
-                        was_accepted = true;
-                        accepted_count += 1;
-                        if delta.abs() > 1e-12 {
-                            cost_changed = true;
-                        }
-                        cost = cand;
-                        if params.keep_best && cost < best_cost {
-                            best_cost = cost;
-                            self.best_proc_of.copy_from_slice(&self.proc_of);
-                        }
-                    }
-                }
-                if let Some(tr) = trace.as_mut() {
-                    tr.samples.push(TraceSample {
-                        iter: moves,
-                        temp,
-                        f_b_raw: fb,
-                        f_c_raw: fc,
-                        f_b_norm: self.balance_term(fb),
-                        f_c_norm: self.comm_term(fc),
-                        f_total: cost,
-                        accepted: was_accepted,
-                    });
-                }
-                moves += 1;
-            }
-            if cost_changed {
-                stable = 0;
-            } else {
-                stable += 1;
-            }
-            k += 1;
-        }
-
-        let final_cost = if params.keep_best && best_cost < cost {
-            self.proc_of.copy_from_slice(&self.best_proc_of);
-            best_cost
-        } else {
-            cost
-        };
-        LaneOutcome {
-            iterations: k,
-            moves,
-            accepted: accepted_count,
-            final_cost,
-            trace,
-        }
-    }
-
-    /// Fills the `f32` table copies from the loaded `f64` tables.
-    fn fill_f32(&mut self) {
-        self.lv32.clear();
-        self.lv32.extend(self.lv.iter().map(|&v| v as f32));
-        self.cc32.clear();
-        self.cc32.extend(self.cc.iter().map(|&v| v as f32));
-    }
-
-    /// [`SaScratch::raw_full`] over the `f32` tables, so the turbo
-    /// lane's running sums start from the same values its deltas are
-    /// priced in.
-    fn raw_full32(&self) -> (f64, f64) {
-        let mut fb = 0.0;
-        let mut fc = 0.0;
-        for (t, &pr) in self.proc_of.iter().enumerate() {
-            if pr != NONE {
-                fb -= self.lv32[t] as f64;
-                fc += self.cc32[t * self.p + pr as usize] as f64;
-            }
-        }
-        (fb, fc)
-    }
-
-    /// Runs the **turbo** lane's annealing loop on the loaded packet —
-    /// the certified-lossy counterpart of [`SaScratch::anneal_loaded`].
-    ///
-    /// Same proposal distribution, cooling schedule, convergence rule
-    /// and keep-best semantics as the exact engine, but none of its
-    /// bit-level contracts:
-    ///
-    /// * task/processor draws use a multiply-high (Lemire) reduction —
-    ///   one draw per proposal, no zone-rejection loop. The
-    ///   "processor ≠ current" constraint is met by drawing from
-    ///   `p − 1` values and skipping past the current processor
-    ///   instead of redrawing (bias `< p/2⁶⁴`: immeasurable);
-    /// * acceptance is the no-fallback midpoint threshold
-    ///   ([`AcceptTable::turbo_threshold`]) on a per-temperature-step
-    ///   precomputed `1/T` — zero `exp()` on the hot path
-    ///   ([`TurboTuning::midpoint_accept`]);
-    /// * the eq. 6 normalization is folded into two precomputed
-    ///   multipliers (`w_b/ΔF_b`, `w_c/ΔF_c`), removing both per-move
-    ///   divisions;
-    /// * cost tables are optionally `f32` ([`TurboTuning::f32_tables`])
-    ///   with `f64` accumulators.
-    ///
-    /// `rng` is whatever stream the caller chose —
-    /// [`crate::rng_stream::CounterRng`] in the shipped configuration
-    /// ([`TurboTuning::counter_rng`]), the sequential generator under
-    /// attribution runs. Deterministic per `(rng stream, params)`;
-    /// certified against the exact lane statistically (see
-    /// `tests/sa_lane_turbo.rs` and `results/LANE_EQUIV.json`), never
-    /// bitwise.
-    pub fn anneal_turbo<R: RngCore + ?Sized>(
-        &mut self,
-        params: &AnnealParams,
-        rng: &mut R,
-        tuning: TurboTuning,
-        want_trace: bool,
-        counters: &mut LaneCounters,
-    ) -> LaneOutcome {
-        // Monomorphize the hot loop on the per-move toggles: the
-        // branches are perfectly predictable, but keeping them out of
-        // the loop body entirely frees issue slots and lets the
-        // `TRACE = false` instantiations drop the sample bookkeeping
-        // at compile time.
-        match (tuning.f32_tables, tuning.midpoint_accept, want_trace) {
-            (true, true, false) => self.turbo_core::<R, true, true, false>(params, rng, counters),
-            (true, true, true) => self.turbo_core::<R, true, true, true>(params, rng, counters),
-            (true, false, false) => self.turbo_core::<R, true, false, false>(params, rng, counters),
-            (true, false, true) => self.turbo_core::<R, true, false, true>(params, rng, counters),
-            (false, true, false) => self.turbo_core::<R, false, true, false>(params, rng, counters),
-            (false, true, true) => self.turbo_core::<R, false, true, true>(params, rng, counters),
-            (false, false, false) => {
-                self.turbo_core::<R, false, false, false>(params, rng, counters)
-            }
-            (false, false, true) => self.turbo_core::<R, false, false, true>(params, rng, counters),
-        }
-    }
-
-    /// The monomorphized turbo loop behind [`SaScratch::anneal_turbo`]
-    /// (`F32` = `f32` cost tables, `MID` = midpoint acceptance,
-    /// `TRACE` = record per-move samples).
-    fn turbo_core<R: RngCore + ?Sized, const F32: bool, const MID: bool, const TRACE: bool>(
-        &mut self,
-        params: &AnnealParams,
-        rng: &mut R,
-        counters: &mut LaneCounters,
-    ) -> LaneOutcome {
-        let n = self.n;
-        let p = self.p;
-        assert!(n > 0 && p > 0, "empty packet");
-        let table = accept_table(params.acceptance);
-        if F32 {
-            self.fill_f32();
-        }
-
-        match params.init {
-            InitRule::Random => self.saturate_random(rng),
-            InitRule::InOrder => self.saturate_in_order(),
-        }
-        let (mut fb, mut fc) = if F32 {
-            self.raw_full32()
-        } else {
-            self.raw_full()
-        };
         // Eq. 6 with the divisions hoisted: total = kb·F_b + kc·F_c.
         let kb = self.wb / self.range_b;
         let kc = self.wc / self.range_c;
@@ -1211,20 +670,16 @@ impl SaScratch {
                         r + usize::from(r as u32 >= cur)
                     };
                     let occ = self.task_at[proc];
-                    let (dfb, dfc) = if F32 {
-                        self.price_move32(task, cur, proc, occ)
-                    } else {
-                        self.price_move(task, cur, proc, occ)
-                    };
-                    // Lossy shortcut: price the delta directly instead
-                    // of re-deriving it from two full-cost sums (the
-                    // exact lane's association; numerically different,
-                    // covered by the statistical contract).
+                    let (dfb, dfc) = self.price_move(task, cur, proc, occ);
+                    // Price the delta directly instead of re-deriving
+                    // it from two full-cost sums (the exact lane's
+                    // association; numerically different, covered by
+                    // the statistical contract and the drift oracle).
                     let delta = kb * dfb + kc * dfc;
                     let acc = if frozen {
                         n_shortcut += 1;
                         delta < 0.0
-                    } else if MID {
+                    } else {
                         // Unconditional draw: certain decisions burn a
                         // word the `f64` rule would skip, but the draw
                         // no longer waits on the threshold compare
@@ -1237,8 +692,6 @@ impl SaScratch {
                         n_shortcut += certain;
                         n_table += 1 - certain;
                         (rng.next_u64() >> 11) < tb
-                    } else {
-                        table.accept_lossless(delta, temp, rng, counters)
                     };
                     if acc {
                         if occ == NONE {
@@ -1280,7 +733,7 @@ impl SaScratch {
             // Keep-best at temperature-step granularity: the exact
             // lane snapshots the mapping on every improving move; here
             // the O(n) copy amortizes over the 2n moves of the step
-            // (lossy — an intra-step best can be lost; covered by the
+            // (an intra-step best can be lost; covered by the
             // statistical contract).
             if params.keep_best && cost < best_cost {
                 best_cost = cost;
@@ -1312,9 +765,8 @@ impl SaScratch {
     }
 
     /// Prices a transfer/swap of `task` (on `cur`) to `proc` (holding
-    /// `occ`) from the `f64` tables — the exact lane's verbatim
-    /// expressions, shared with [`SaScratch::anneal_loaded`]'s inline
-    /// form.
+    /// `occ`) from the flat tables: the raw `(ΔF_b, ΔF_c)` of
+    /// `CostModel::delta`.
     #[inline]
     fn price_move(&self, task: usize, cur: u32, proc: usize, occ: u32) -> (f64, f64) {
         let p = self.p;
@@ -1341,40 +793,6 @@ impl SaScratch {
             }
         }
     }
-
-    /// [`SaScratch::price_move`] over the `f32` tables (`f64` deltas).
-    #[inline]
-    fn price_move32(&self, task: usize, cur: u32, proc: usize, occ: u32) -> (f64, f64) {
-        let p = self.p;
-        if occ == NONE {
-            let (old_fb, old_fc) = if cur != NONE {
-                (
-                    -(self.lv32[task] as f64),
-                    self.cc32[task * p + cur as usize] as f64,
-                )
-            } else {
-                (0.0, 0.0)
-            };
-            (
-                -(self.lv32[task] as f64) - old_fb,
-                self.cc32[task * p + proc] as f64 - old_fc,
-            )
-        } else {
-            let other = occ as usize;
-            if cur != NONE {
-                let f = cur as usize;
-                let fc_before = self.cc32[task * p + f] as f64 + self.cc32[other * p + proc] as f64;
-                let fc_after = self.cc32[task * p + proc] as f64 + self.cc32[other * p + f] as f64;
-                (0.0, fc_after - fc_before)
-            } else {
-                let fb_before = -(self.lv32[other] as f64);
-                let fb_after = -(self.lv32[task] as f64);
-                let fc_before = self.cc32[other * p + proc] as f64;
-                let fc_after = self.cc32[task * p + proc] as f64;
-                (fb_after - fb_before, fc_after - fc_before)
-            }
-        }
-    }
 }
 
 /// Shared configuration for [`anneal_packet_lane`].
@@ -1395,11 +813,10 @@ pub struct LaneRun<'a> {
 }
 
 /// Runs one packet through the selected lane and returns an exact-lane
-/// compatible [`PacketOutcome`] — the single entry point the equality
-/// oracle tests drive for every lane. The turbo arm runs on the
-/// caller's `rng` as-is; the counter-based stream swap
-/// ([`TurboTuning::counter_rng`]) happens one level up, in
-/// [`crate::sa::SaScheduler`].
+/// compatible [`PacketOutcome`] — the single entry point the oracle
+/// tests drive for both lanes. The turbo arm runs on the caller's
+/// `rng` as-is; [`crate::sa::SaScheduler`] hands it a per-packet
+/// counter-based stream.
 pub fn anneal_packet_lane<R: Rng + ?Sized>(
     packet: &AnnealingPacket,
     run: &LaneRun<'_>,
@@ -1414,31 +831,7 @@ pub fn anneal_packet_lane<R: Rng + ?Sized>(
         }
         SaLane::Turbo => {
             scratch.load_packet(packet, run.wb, run.wc, run.balance);
-            let out = scratch.anneal_turbo(
-                run.params,
-                rng,
-                TurboTuning::default(),
-                run.want_trace,
-                counters,
-            );
-            PacketOutcome {
-                assignment: scratch.assignments().collect(),
-                iterations: out.iterations,
-                moves: out.moves,
-                accepted: out.accepted,
-                final_cost: out.final_cost,
-                trace: out.trace,
-            }
-        }
-        lane => {
-            scratch.load_packet(packet, run.wb, run.wc, run.balance);
-            let out = scratch.anneal_loaded(
-                run.params,
-                rng,
-                lane == SaLane::Quantized,
-                run.want_trace,
-                counters,
-            );
+            let out = scratch.anneal_turbo(run.params, rng, run.want_trace, counters);
             PacketOutcome {
                 assignment: scratch.assignments().collect(),
                 iterations: out.iterations,
@@ -1461,232 +854,28 @@ mod tests {
         [AcceptanceRule::HeatBath, AcceptanceRule::Metropolis]
     }
 
-    /// Exhaustive decision + draw-count parity over a hostile grid of
-    /// (delta, temp) pairs, including every table-region boundary.
-    #[test]
-    fn lossless_accept_matches_exact_and_rng_state() {
-        let xs = [
-            -1e308,
-            -701.0,
-            -700.0,
-            -37.5,
-            -37.0,
-            -37.0 + 1e-9,
-            -36.7368,
-            -30.0,
-            -1.0,
-            -1e-12,
-            -0.0,
-            0.0,
-            1e-12,
-            0.009,
-            0.0098,
-            0.5,
-            1.0,
-            2.0,
-            37.9,
-            38.0,
-            38.1,
-            39.99,
-            40.0,
-            40.1,
-            699.0,
-            700.0,
-            700.5,
-            744.0,
-            749.0,
-            750.0,
-            1e6,
-            1e308,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ];
-        let temps = [1.0, 0.25, 3.7, 1e-6, 1e6];
-        for rule in rules() {
-            let table = accept_table(rule);
-            let mut c = LaneCounters::default();
-            for (i, &x) in xs.iter().enumerate() {
-                for (j, &temp) in temps.iter().enumerate() {
-                    let delta = x * temp;
-                    let seed = (i * 31 + j) as u64;
-                    let mut r1 = StdRng::seed_from_u64(seed);
-                    let mut r2 = StdRng::seed_from_u64(seed);
-                    // Repeat so both branches of a probabilistic
-                    // decision are exercised on a drifting stream.
-                    for _ in 0..64 {
-                        let e = accept(rule, delta, temp, &mut r1);
-                        let f = table.accept_lossless(delta, temp, &mut r2, &mut c);
-                        assert_eq!(e, f, "{rule:?} delta={delta} temp={temp}");
-                    }
-                    assert_eq!(
-                        r1.next_u64(),
-                        r2.next_u64(),
-                        "draw-count divergence at {rule:?} delta={delta} temp={temp}"
-                    );
-                }
-            }
-            assert!(c.decisions() > 0);
-        }
-    }
-
-    #[test]
-    fn zero_delta_parity_and_draw_counts() {
-        let mut c = LaneCounters::default();
-        // Metropolis at delta == 0: certain accept, no draw.
-        let t = accept_table(AcceptanceRule::Metropolis);
-        let mut r = StdRng::seed_from_u64(1);
-        let before = r.clone();
-        assert!(t.accept_lossless(0.0, 1.0, &mut r, &mut c));
-        let mut b = before;
-        assert_eq!(
-            r.next_u64(),
-            b.next_u64(),
-            "Metropolis delta=0 must not draw"
-        );
-        // HeatBath at delta == 0: p = 1/2, exactly one draw, same
-        // decision as the exact rule.
-        let t = accept_table(AcceptanceRule::HeatBath);
-        for seed in 0..50 {
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            assert_eq!(
-                accept(AcceptanceRule::HeatBath, 0.0, 1.0, &mut r1),
-                t.accept_lossless(0.0, 1.0, &mut r2, &mut c)
-            );
-            assert_eq!(r1.next_u64(), r2.next_u64());
-        }
-    }
-
-    #[test]
-    fn frozen_temperature_is_strict_descent_without_draws() {
-        let mut c = LaneCounters::default();
-        for rule in rules() {
-            let t = accept_table(rule);
-            for temp in [0.0, 1e-300, TEMP_EPSILON, -1.0] {
-                let mut r = StdRng::seed_from_u64(9);
-                let before = r.clone();
-                assert!(t.accept_lossless(-0.5, temp, &mut r, &mut c));
-                assert!(!t.accept_lossless(0.5, temp, &mut r, &mut c));
-                assert!(!t.accept_lossless(0.0, temp, &mut r, &mut c));
-                // NaN delta at frozen temperature: reject, no panic.
-                assert!(!t.accept_lossless(f64::NAN, temp, &mut r, &mut c));
-                let mut b = before;
-                assert_eq!(r.next_u64(), b.next_u64(), "frozen decisions must not draw");
-            }
-        }
-    }
-
-    #[test]
-    fn table_boundaries_are_nan_free() {
-        // First/last bucket edges and the region seams must produce
-        // finite bracket values and panic-free decisions.
-        for rule in rules() {
-            let t = accept_table(rule);
-            for b in &t.buckets {
-                assert!(b.lo.is_finite() && b.hi.is_finite() && b.mid.is_finite());
-                assert!(b.lo <= b.hi);
-                assert!((0.0..=1.0).contains(&b.mid));
-            }
-            assert!(t.buckets.first().expect("nonempty").exact, "{rule:?}");
-            assert!(!t.buckets.last().expect("nonempty").exact, "{rule:?}");
-            let mut c = LaneCounters::default();
-            let mut r = StdRng::seed_from_u64(3);
-            for x in [
-                t.x_lo,
-                t.x_lo + 1e-9,
-                t.tail_from - 1e-9,
-                t.tail_from,
-                t.reject_above,
-            ] {
-                let d = t.accept_lossless(x, 1.0, &mut r, &mut c);
-                let _ = d;
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn nan_delta_panics_like_the_exact_rule() {
-        // The exact lane panics inside gen_bool on a NaN probability;
-        // the table delegates NaN to the same path.
-        let t = accept_table(AcceptanceRule::HeatBath);
-        let mut c = LaneCounters::default();
-        let mut r = StdRng::seed_from_u64(4);
-        t.accept_lossless(f64::NAN, 1.0, &mut r, &mut c);
-    }
-
-    #[test]
-    fn quantized_rate_tracks_exact_probability() {
-        // Statistical oracle for the lossy lane: over many draws the
-        // midpoint threshold's acceptance rate matches the true
-        // Boltzmann probability to bucket-width accuracy.
-        for rule in rules() {
-            let t = accept_table(rule);
-            for &x in &[0.05, 0.3, 0.9, 2.0, 5.0] {
-                let p_true = acceptance_probability(rule, x, 1.0);
-                let mut c = LaneCounters::default();
-                let mut r = StdRng::seed_from_u64(77);
-                let trials = 20_000;
-                let hits = (0..trials)
-                    .filter(|_| t.accept_quantized(x, 1.0, &mut r, &mut c))
-                    .count();
-                let rate = hits as f64 / trials as f64;
-                assert!(
-                    (rate - p_true).abs() < 0.02,
-                    "{rule:?} x={x}: rate {rate} vs p {p_true}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_consumes_the_same_number_of_draws() {
-        // Even when decisions differ, the lossy lane must keep the
-        // stream position of the exact lane (one draw per in-range
-        // proposal, none for shortcuts).
-        for rule in rules() {
-            let t = accept_table(rule);
-            for &x in &[-50.0, -1.0, 0.0, 0.5, 3.0, 39.0, 1000.0] {
-                let mut c = LaneCounters::default();
-                let mut r1 = StdRng::seed_from_u64(5);
-                let mut r2 = StdRng::seed_from_u64(5);
-                for _ in 0..32 {
-                    accept(rule, x, 1.0, &mut r1);
-                    t.accept_quantized(x, 1.0, &mut r2, &mut c);
-                }
-                assert_eq!(r1.next_u64(), r2.next_u64(), "{rule:?} x={x}");
-            }
-        }
-    }
-
     #[test]
     fn lane_names_round_trip() {
         for lane in SaLane::ALL {
             assert_eq!(lane.name().parse::<SaLane>(), Ok(lane));
             assert_eq!(lane.to_string(), lane.name());
-            // Case-insensitive parsing (satellite: CLI ergonomics).
+            // Case-insensitive parsing.
             assert_eq!(lane.name().to_ascii_uppercase().parse::<SaLane>(), Ok(lane));
         }
-        assert_eq!("Delta-Table".parse::<SaLane>(), Ok(SaLane::DeltaTable));
         assert_eq!("TURBO".parse::<SaLane>(), Ok(SaLane::Turbo));
-        assert_eq!(SaLane::default(), SaLane::DeltaTable);
-        assert!(SaLane::Exact.is_lossless());
-        assert!(SaLane::DeltaTable.is_lossless());
-        assert!(!SaLane::Quantized.is_lossless());
-        assert!(!SaLane::Turbo.is_lossless());
-        assert_eq!(SaLane::name_list(), "exact, delta-table, quantized, turbo");
-        let err = "bogus".parse::<SaLane>().unwrap_err();
+        assert_eq!(SaLane::default(), SaLane::Turbo);
+        assert_eq!(SaLane::name_list(), "exact, turbo");
+        let err = "delta-table".parse::<SaLane>().unwrap_err();
         assert_eq!(
             err,
-            "unknown SA lane 'bogus' (expected one of: exact, delta-table, quantized, turbo)"
+            "unknown SA lane 'delta-table' (expected one of: exact, turbo)"
         );
     }
 
     /// Pins the midpoint-threshold invariant documented on `Bucket::mid`
     /// and surfaced by [`AcceptTable::turbo_threshold`]: the threshold
-    /// is the exact probability at the bucket center, it sits inside the
-    /// conservative bracket, and the region shortcuts match the table's
-    /// provable-decision seams.
+    /// is the exact probability at the bucket center, and the region
+    /// shortcuts match the table's certain-decision seams.
     #[test]
     fn midpoint_threshold_semantics_are_pinned() {
         for rule in rules() {
@@ -1699,13 +888,7 @@ mod tests {
                     acceptance_probability(rule, x_center, 1.0),
                     "{rule:?} bucket {i}: mid must be the exact center probability"
                 );
-                assert!(
-                    b.lo <= b.mid && b.mid <= b.hi,
-                    "{rule:?} bucket {i}: mid outside the conservative bracket"
-                );
-                // The no-fallback rule reads mid for every in-range x,
-                // including the exact-marked buckets the lossless lane
-                // delegates.
+                assert!((0.0..=1.0).contains(&b.mid), "{rule:?} bucket {i}");
                 assert_eq!(t.turbo_threshold(x_center), b.mid, "{rule:?} bucket {i}");
             }
             // Region seams.
@@ -1716,15 +899,12 @@ mod tests {
             assert_eq!(t.turbo_threshold(f64::INFINITY), 0.0);
             // NaN saturates to bucket 0 (near-certain accept), no panic.
             assert!(t.turbo_threshold(f64::NAN) > 0.99);
-            // Monotone non-increasing scan (up to bracket slack).
+            // Monotone non-increasing scan.
             let mut prev = 1.0;
             let mut x = t.x_lo;
             while x < t.tail_from + 1.0 {
                 let th = t.turbo_threshold(x);
-                assert!(
-                    th <= prev + 2.0 * TABLE_SLACK,
-                    "{rule:?}: threshold not monotone at x={x}"
-                );
+                assert!(th <= prev, "{rule:?}: threshold not monotone at x={x}");
                 prev = th;
                 x += w * 0.37;
             }
@@ -1768,15 +948,15 @@ mod tests {
     }
 
     #[test]
-    fn accept_turbo_never_falls_back_and_tracks_the_exact_rate() {
+    fn accept_turbo_partitions_decisions_and_tracks_the_exact_rate() {
         for rule in rules() {
             let t = accept_table(rule);
             let mut c = LaneCounters::default();
             let mut r = StdRng::seed_from_u64(11);
             let mut n = 0u64;
-            // A hostile sweep including the regions the lossless lane
-            // delegates to exp(): exact-marked buckets and the
-            // Metropolis x > 700 overflow band.
+            // A hostile sweep over every region of the table: certain
+            // accept, the buckets, the tail, the x > 700 overflow band
+            // and NaN.
             for &x in &[
                 -100.0,
                 -37.0,
@@ -1800,16 +980,16 @@ mod tests {
                     n += 1;
                 }
             }
-            assert_eq!(c.fallback, 0, "{rule:?}: turbo must never fall back");
             assert_eq!(c.decisions(), n, "{rule:?}");
             assert!(c.shortcut > 0 && c.table > 0, "{rule:?}");
             // Frozen temperature: strict descent, no draw.
             let mut before = r.clone();
             assert!(t.accept_turbo(-0.5, 0.0, &mut r, &mut c));
             assert!(!t.accept_turbo(0.5, 0.0, &mut r, &mut c));
+            assert!(!t.accept_turbo(f64::NAN, 0.0, &mut r, &mut c));
             assert_eq!(r.next_u64(), before.next_u64());
             // Statistical agreement with the exact probability at a few
-            // mid-range points (same bound as the quantized lane).
+            // mid-range points.
             for &x in &[0.1, 0.7, 2.5] {
                 let p_true = acceptance_probability(rule, x, 1.0);
                 let mut r = StdRng::seed_from_u64(123);
@@ -1846,14 +1026,8 @@ mod tests {
             let mut counters = LaneCounters::default();
             scratch.load_packet(&packet, 0.5, 0.5, BalanceRange::Full);
             let mut rng = CounterRng::new(seed, stream);
-            let out = scratch.anneal_turbo(
-                &params,
-                &mut rng,
-                TurboTuning::default(),
-                false,
-                &mut counters,
-            );
-            assert_eq!(counters.fallback, 0, "turbo never falls back");
+            let out = scratch.anneal_turbo(&params, &mut rng, false, &mut counters);
+            assert_eq!(counters.decisions(), out.moves, "every move is decided");
             (out.final_cost, scratch.proc_of.clone(), out.accepted)
         };
         assert_eq!(run(42, 0), run(42, 0));
@@ -1864,37 +1038,5 @@ mod tests {
         // (not a hard guarantee per pair, so only require *some*
         // difference across the two perturbations).
         assert!(a != b || a != c2, "distinct streams replayed identically");
-    }
-
-    #[test]
-    fn draw_plan_replicates_gen_range() {
-        for bound in [1usize, 2, 3, 5, 7, 8, 13, 64, 100] {
-            let plan = Draw::new(bound as u64);
-            let mut r1 = StdRng::seed_from_u64(bound as u64);
-            let mut r2 = StdRng::seed_from_u64(bound as u64);
-            for _ in 0..200 {
-                assert_eq!(r1.gen_range(0..bound), plan.sample(&mut r2));
-            }
-            assert_eq!(r1.next_u64(), r2.next_u64());
-        }
-    }
-
-    #[test]
-    fn counters_partition_decisions() {
-        let t = accept_table(AcceptanceRule::HeatBath);
-        let mut c = LaneCounters::default();
-        let mut r = StdRng::seed_from_u64(6);
-        let mut n = 0u64;
-        for &x in &[-100.0, -5.0, 0.0, 0.1, 5.0, 39.0, 800.0] {
-            for _ in 0..10 {
-                t.accept_lossless(x, 1.0, &mut r, &mut c);
-                n += 1;
-            }
-        }
-        assert_eq!(c.decisions(), n);
-        assert!(c.shortcut > 0 && c.table > 0);
-        let mut merged = LaneCounters::default();
-        merged.merge(&c);
-        assert_eq!(merged, c);
     }
 }

@@ -37,11 +37,11 @@
 //! * [`anomaly`] — Graham (1969) multiprocessor anomaly instances; the
 //!   paper observes SA "is able to optimally solve the Graham list
 //!   scheduling anomalies".
-//! * [`lane`] — the delta-table SA fast lane ([`lane::SaLane`]): flat
-//!   per-packet cost tables and a quantized Boltzmann acceptance table,
-//!   lossless by construction against the exact engine; plus the
-//!   certified-lossy **turbo** lane ([`lane::SaLane::Turbo`]) gated by a
-//!   corpus-scale statistical equivalence study.
+//! * [`lane`] — the SA inner-loop lanes ([`lane::SaLane`]): the
+//!   production **turbo** lane (flat per-packet cost tables, a
+//!   tabulated Boltzmann acceptance rule, counter-based RNG streams),
+//!   certified by a corpus-scale statistical equivalence study against
+//!   the paper-literal **exact** lane, which stays as the oracle.
 //! * [`rng_stream`] — counter-based RNG streams for the turbo lane:
 //!   draw `k` of stream `(seed, packet)` is a pure function, so draws
 //!   batch with no sequential dependency.
@@ -87,7 +87,7 @@ pub use cpop::CpopScheduler;
 pub use eval::{level_dispatch_order, replay_mapping, Evaluator, EvaluatorKind};
 pub use heft::HeftScheduler;
 pub use hlf::HlfScheduler;
-pub use lane::{accept_table, AcceptTable, LaneCounters, SaLane, SaScratch, TurboTuning};
+pub use lane::{accept_table, AcceptTable, LaneCounters, SaLane, SaScratch};
 pub use mct::MctScheduler;
 pub use parallel::{PoolStats, ScratchPool};
 pub use rng_stream::{stream_draw, CounterRng};

@@ -11,7 +11,7 @@ use crate::annealer::{anneal_packet, AnnealParams, InitRule};
 use crate::boltzmann::AcceptanceRule;
 use crate::cooling::CoolingSchedule;
 use crate::cost::{BalanceRange, CostModel};
-use crate::lane::{LaneCounters, SaLane, SaScratch, TurboTuning};
+use crate::lane::{LaneCounters, SaLane, SaScratch};
 use crate::packet::AnnealingPacket;
 use crate::rng_stream::CounterRng;
 use crate::trace::PacketTrace;
@@ -45,12 +45,10 @@ pub struct SaConfig {
     pub seed: u64,
     /// Record per-iteration traces of every packet (Figure 1 data).
     pub record_traces: bool,
-    /// Which inner-loop implementation runs the packets. The default
-    /// [`SaLane::DeltaTable`] is bit-identical to [`SaLane::Exact`].
+    /// Which inner-loop implementation runs the packets: the default
+    /// [`SaLane::Turbo`] (production), or [`SaLane::Exact`], the
+    /// paper-literal loop it is certified against.
     pub lane: SaLane,
-    /// Attribution toggles for the turbo lane's lossy ingredients
-    /// (ignored by the other lanes). The default enables all three.
-    pub turbo_tuning: TurboTuning,
 }
 
 impl Default for SaConfig {
@@ -69,7 +67,6 @@ impl Default for SaConfig {
             seed: 42,
             record_traces: false,
             lane: SaLane::default(),
-            turbo_tuning: TurboTuning::default(),
         }
     }
 }
@@ -115,13 +112,11 @@ pub struct SaStats {
     pub idle: u64,
     /// Total tasks dispatched.
     pub assigned: u64,
-    /// Fast-lane acceptance decisions resolved without a table lookup
-    /// or `exp()` (zero on the exact lane).
+    /// Turbo-lane acceptance decisions that were certain (zero on the
+    /// exact lane).
     pub lane_shortcut: u64,
-    /// Fast-lane decisions resolved by the quantized table bounds.
+    /// Turbo-lane decisions drawn against a table bucket midpoint.
     pub lane_table: u64,
-    /// Fast-lane decisions that fell back to the exact Boltzmann path.
-    pub lane_fallback: u64,
     /// Counter-RNG draws consumed (turbo lane only; zero elsewhere).
     pub lane_rng_draws: u64,
 }
@@ -175,7 +170,6 @@ impl SaStats {
         r.add("sa.assigned", self.assigned);
         r.add("sa.lane.shortcut", self.lane_shortcut);
         r.add("sa.lane.table", self.lane_table);
-        r.add("sa.lane.fallback", self.lane_fallback);
         r.add("sa.lane.rng_draws", self.lane_rng_draws);
     }
 }
@@ -253,30 +247,18 @@ impl OnlineScheduler for SaScheduler {
             keep_best: self.cfg.keep_best,
             init: self.cfg.init,
         };
-        match self.cfg.lane {
+        let before = out.len();
+        let (iterations, moves, accepted, trace) = match self.cfg.lane {
             SaLane::Exact => {
                 let packet = AnnealingPacket::from_epoch(ctx, levels);
                 let cm = CostModel::new(&packet, self.cfg.wb, self.cfg.wc, self.cfg.balance_range);
-                let outcome =
-                    anneal_packet(&packet, &cm, &params, &mut self.rng, self.cfg.record_traces);
-
-                self.stats.packets += 1;
-                self.stats.iterations += outcome.iterations;
-                self.stats.moves += outcome.moves;
-                self.stats.accepted += outcome.accepted;
-                self.stats.candidates += packet.num_tasks() as u64;
-                self.stats.idle += packet.num_procs() as u64;
-                self.stats.assigned += outcome.assignment.len() as u64;
-                if let Some(mut tr) = outcome.trace {
-                    tr.packet = self.stats.packets - 1;
-                    self.traces.push(tr);
-                }
+                let o = anneal_packet(&packet, &cm, &params, &mut self.rng, self.cfg.record_traces);
                 out.extend(
-                    outcome
-                        .assignment
+                    o.assignment
                         .iter()
                         .map(|&(t, p)| (packet.tasks[t], packet.procs[p])),
                 );
+                (o.iterations, o.moves, o.accepted, o.trace)
             }
             SaLane::Turbo => {
                 self.scratch.load_epoch(
@@ -287,93 +269,40 @@ impl OnlineScheduler for SaScheduler {
                     self.cfg.balance_range,
                 );
                 let mut counters = LaneCounters::default();
-                let tuning = self.cfg.turbo_tuning;
                 // Packet index = counter-RNG stream id: every packet
                 // gets an independent, order-free draw stream keyed by
                 // (seed, packet) — the sequential `self.rng` is not
                 // touched, so its state never depends on packet count.
-                let lo = if tuning.counter_rng {
-                    let mut crng = CounterRng::new(self.cfg.seed, self.stats.packets);
-                    let lo = self.scratch.anneal_turbo(
-                        &params,
-                        &mut crng,
-                        tuning,
-                        self.cfg.record_traces,
-                        &mut counters,
-                    );
-                    self.stats.lane_rng_draws += crng.draws();
-                    lo
-                } else {
-                    self.scratch.anneal_turbo(
-                        &params,
-                        &mut self.rng,
-                        tuning,
-                        self.cfg.record_traces,
-                        &mut counters,
-                    )
-                };
-
-                self.stats.packets += 1;
-                self.stats.iterations += lo.iterations;
-                self.stats.moves += lo.moves;
-                self.stats.accepted += lo.accepted;
-                self.stats.candidates += ctx.ready.len() as u64;
-                self.stats.idle += ctx.idle.len() as u64;
-                self.stats.lane_shortcut += counters.shortcut;
-                self.stats.lane_table += counters.table;
-                self.stats.lane_fallback += counters.fallback;
-                if let Some(mut tr) = lo.trace {
-                    tr.packet = self.stats.packets - 1;
-                    self.traces.push(tr);
-                }
-                let before = out.len();
-                let (tasks, procs) = (self.scratch.task_ids(), self.scratch.proc_ids());
-                out.extend(
-                    self.scratch
-                        .assignments()
-                        .map(|(t, p)| (tasks[t], procs[p])),
-                );
-                self.stats.assigned += (out.len() - before) as u64;
-            }
-            lane => {
-                self.scratch.load_epoch(
-                    ctx,
-                    levels,
-                    self.cfg.wb,
-                    self.cfg.wc,
-                    self.cfg.balance_range,
-                );
-                let mut counters = LaneCounters::default();
-                let lo = self.scratch.anneal_loaded(
+                let mut crng = CounterRng::new(self.cfg.seed, self.stats.packets);
+                let lo = self.scratch.anneal_turbo(
                     &params,
-                    &mut self.rng,
-                    lane == SaLane::Quantized,
+                    &mut crng,
                     self.cfg.record_traces,
                     &mut counters,
                 );
-
-                self.stats.packets += 1;
-                self.stats.iterations += lo.iterations;
-                self.stats.moves += lo.moves;
-                self.stats.accepted += lo.accepted;
-                self.stats.candidates += ctx.ready.len() as u64;
-                self.stats.idle += ctx.idle.len() as u64;
+                self.stats.lane_rng_draws += crng.draws();
                 self.stats.lane_shortcut += counters.shortcut;
                 self.stats.lane_table += counters.table;
-                self.stats.lane_fallback += counters.fallback;
-                if let Some(mut tr) = lo.trace {
-                    tr.packet = self.stats.packets - 1;
-                    self.traces.push(tr);
-                }
-                let before = out.len();
                 let (tasks, procs) = (self.scratch.task_ids(), self.scratch.proc_ids());
                 out.extend(
                     self.scratch
                         .assignments()
                         .map(|(t, p)| (tasks[t], procs[p])),
                 );
-                self.stats.assigned += (out.len() - before) as u64;
+                (lo.iterations, lo.moves, lo.accepted, lo.trace)
             }
+        };
+
+        self.stats.packets += 1;
+        self.stats.iterations += iterations;
+        self.stats.moves += moves;
+        self.stats.accepted += accepted;
+        self.stats.candidates += ctx.ready.len() as u64;
+        self.stats.idle += ctx.idle.len() as u64;
+        self.stats.assigned += (out.len() - before) as u64;
+        if let Some(mut tr) = trace {
+            tr.packet = self.stats.packets - 1;
+            self.traces.push(tr);
         }
     }
 

@@ -1,12 +1,14 @@
-//! Equality-oracle suite for the delta-table SA fast lane.
+//! Oracle suite for the SA lanes.
 //!
-//! The exact engine is the oracle. Wherever the lane claims losslessness
-//! ([`SaLane::is_lossless`]) these tests demand *bit-for-bit* agreement:
-//! the same accepted-move sequence, the same `f64` costs and trace
-//! samples, the same final mapping, and the same RNG stream position.
-//! The `Quantized` lane is held only to its statistical contract.
+//! The exact engine is the oracle. The turbo lane changes the annealing
+//! trajectory, so it is not compared with it move for move (its
+//! final-makespan distribution is gated in `tests/sa_lane_turbo.rs`).
+//! What turbo must never get wrong is its own bookkeeping: the running
+//! cost it accumulates from directly priced deltas must price the final
+//! mapping exactly like a from-scratch `CostModel` recomputation, and
+//! every schedule it produces must be valid.
 
-use anneal_core::annealer::{anneal_packet, AnnealParams, InitRule};
+use anneal_core::annealer::{AnnealParams, InitRule, PacketOutcome};
 use anneal_core::boltzmann::AcceptanceRule;
 use anneal_core::cost::{BalanceRange, CostModel};
 use anneal_core::lane::{anneal_packet_lane, LaneRun};
@@ -37,103 +39,71 @@ fn packet_from(levels: Vec<u64>, comm: Vec<Vec<u64>>, procs: usize) -> Annealing
     }
 }
 
-fn params_with(acceptance: AcceptanceRule, init: InitRule, keep_best: bool) -> AnnealParams {
-    AnnealParams {
-        acceptance,
-        init,
-        keep_best,
-        ..AnnealParams::default()
+/// The eq. 6 cost of `out`'s final mapping, recomputed from scratch.
+fn recomputed_cost(pk: &AnnealingPacket, out: &PacketOutcome, cm: &CostModel) -> f64 {
+    let (mut fb, mut fc) = (0.0, 0.0);
+    for &(t, q) in &out.assignment {
+        fb -= pk.levels[t] as f64;
+        fc += pk.comm_cost[t][q] as f64;
     }
+    cm.total(fb, fc)
 }
 
-/// Asserts two packet outcomes are identical down to the float bits.
-fn assert_outcomes_bitwise(
-    exact: &anneal_core::annealer::PacketOutcome,
-    fast: &anneal_core::annealer::PacketOutcome,
-    ctx: &str,
-) {
-    assert_eq!(exact.assignment, fast.assignment, "{ctx}: assignment");
-    assert_eq!(exact.iterations, fast.iterations, "{ctx}: iterations");
-    assert_eq!(exact.moves, fast.moves, "{ctx}: moves");
-    assert_eq!(exact.accepted, fast.accepted, "{ctx}: accepted");
-    assert_eq!(
-        exact.final_cost.to_bits(),
-        fast.final_cost.to_bits(),
-        "{ctx}: final_cost {} vs {}",
-        exact.final_cost,
-        fast.final_cost
-    );
-    let (et, ft) = (exact.trace.as_ref(), fast.trace.as_ref());
-    assert_eq!(et.is_some(), ft.is_some(), "{ctx}: trace presence");
-    if let (Some(et), Some(ft)) = (et, ft) {
-        assert_eq!(et.samples.len(), ft.samples.len(), "{ctx}: trace length");
-        for (i, (a, b)) in et.samples.iter().zip(ft.samples.iter()).enumerate() {
-            assert_eq!(a.iter, b.iter, "{ctx}: sample {i} iter");
-            assert_eq!(a.accepted, b.accepted, "{ctx}: sample {i} accepted");
-            for (fa, fb, what) in [
-                (a.temp, b.temp, "temp"),
-                (a.f_b_raw, b.f_b_raw, "f_b_raw"),
-                (a.f_c_raw, b.f_c_raw, "f_c_raw"),
-                (a.f_b_norm, b.f_b_norm, "f_b_norm"),
-                (a.f_c_norm, b.f_c_norm, "f_c_norm"),
-                (a.f_total, b.f_total, "f_total"),
-            ] {
-                assert_eq!(fa.to_bits(), fb.to_bits(), "{ctx}: sample {i} {what}");
-            }
-        }
-    }
-}
-
-/// Runs one packet through the exact lane and the delta-table lane and
-/// checks the full lossless contract including the RNG end state.
-fn check_packet_parity(
-    pk: &AnnealingPacket,
-    params: &AnnealParams,
-    wb: f64,
-    wc: f64,
-    bal: BalanceRange,
-    seed: u64,
-    scratch: &mut SaScratch,
-) {
+/// Runs one packet on the turbo lane and checks its mapping is a
+/// saturated injection and its reported cost prices that mapping.
+fn check_turbo_packet(pk: &AnnealingPacket, params: &AnnealParams, bal: BalanceRange, seed: u64) {
     let ctx = format!(
-        "seed={seed} n={} p={} rule={:?} init={:?}",
+        "seed={seed} n={} p={} rule={:?} init={:?} keep_best={}",
         pk.num_tasks(),
         pk.num_procs(),
         params.acceptance,
-        params.init
+        params.init,
+        params.keep_best
     );
-    let cm = CostModel::new(pk, wb, wc, bal);
-    let mut r1 = StdRng::seed_from_u64(seed);
-    let exact = anneal_packet(pk, &cm, params, &mut r1, true);
-
-    let mut r2 = StdRng::seed_from_u64(seed);
-    let mut counters = LaneCounters::default();
     let run = LaneRun {
-        wb,
-        wc,
+        wb: 0.4,
+        wc: 0.6,
         balance: bal,
         params,
-        lane: SaLane::DeltaTable,
-        want_trace: true,
+        lane: SaLane::Turbo,
+        want_trace: false,
     };
-    let fast = anneal_packet_lane(pk, &run, &mut r2, scratch, &mut counters);
-
-    assert_outcomes_bitwise(&exact, &fast, &ctx);
-    // The strongest stream guarantee there is: the generators are in
-    // the identical internal state afterwards.
-    assert_eq!(r1, r2, "{ctx}: RNG state diverged");
-    assert_eq!(counters.decisions(), counters.decisions());
-    assert!(counters.decisions() > 0 || fast.moves == 0, "{ctx}");
+    let mut counters = LaneCounters::default();
+    let out = anneal_packet_lane(
+        pk,
+        &run,
+        &mut StdRng::seed_from_u64(seed),
+        &mut SaScratch::new(),
+        &mut counters,
+    );
+    assert_eq!(
+        out.assignment.len(),
+        pk.num_tasks().min(pk.num_procs()),
+        "{ctx}: mapping not saturated"
+    );
+    let mut used = vec![false; pk.num_procs()];
+    for &(_, q) in &out.assignment {
+        assert!(!used[q], "{ctx}: processor {q} assigned twice");
+        used[q] = true;
+    }
+    assert!(counters.decisions() <= out.moves, "{ctx}");
+    let cm = CostModel::new(pk, 0.4, 0.6, bal);
+    let recomputed = recomputed_cost(pk, &out, &cm);
+    assert!(
+        (out.final_cost - recomputed).abs() <= 1e-9 * recomputed.abs().max(1.0),
+        "{ctx}: reported {} vs recomputed {recomputed}",
+        out.final_cost
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random packets × rules × inits × seeds: the delta-table lane's
-    /// accepted-move sequence, costs, traces, mapping and RNG stream
-    /// match the exact engine bit-for-bit.
+    /// Random packets × rules × inits × keep-best × seeds: the turbo
+    /// lane returns a valid saturated mapping whose reported cost is
+    /// the from-scratch cost of that mapping.
     #[test]
-    fn delta_table_lane_is_bit_identical_on_random_packets(
+    fn turbo_lane_prices_its_final_mapping_on_random_packets(
         levels in prop::collection::vec(1u64..200_000, 1..10),
         comm_seed in 0u64..1_000,
         procs in 1usize..8,
@@ -152,21 +122,14 @@ proptest! {
             })
             .collect();
         let pk = packet_from(levels, comm, procs);
-        let rule = [AcceptanceRule::HeatBath, AcceptanceRule::Metropolis][rule_ix];
-        let init = [InitRule::Random, InitRule::InOrder][init_ix];
-        let params = params_with(rule, init, keep_best);
-        let mut scratch = SaScratch::new();
-        check_packet_parity(&pk, &params, 0.5, 0.5, BalanceRange::Full, seed, &mut scratch);
-        // Scratch reuse across packets must not change anything.
-        check_packet_parity(
-            &pk,
-            &params,
-            0.3,
-            0.7,
-            BalanceRange::PerIdle,
-            seed ^ 0x9e37,
-            &mut scratch,
-        );
+        let params = AnnealParams {
+            acceptance: [AcceptanceRule::HeatBath, AcceptanceRule::Metropolis][rule_ix],
+            init: [InitRule::Random, InitRule::InOrder][init_ix],
+            keep_best,
+            ..AnnealParams::default()
+        };
+        check_turbo_packet(&pk, &params, BalanceRange::Full, seed);
+        check_turbo_packet(&pk, &params, BalanceRange::PerIdle, seed ^ 0x9e37);
     }
 }
 
@@ -186,9 +149,10 @@ fn graph_for(seed: u64) -> anneal_graph::TaskGraph {
 }
 
 /// Full scheduler runs over random graphs × topologies × seeds: both
-/// lossless lanes must produce identical schedules, stats, and traces.
+/// lanes produce audited schedules that dispatch every task, and only
+/// the turbo lane touches the acceptance table.
 #[test]
-fn scheduler_lanes_agree_on_random_graphs_and_topologies() {
+fn both_lanes_schedule_validly_on_random_graphs_and_topologies() {
     for gseed in [3u64, 11] {
         let g = graph_for(gseed);
         for topo in topologies() {
@@ -208,35 +172,21 @@ fn scheduler_lanes_agree_on_random_graphs_and_topologies() {
                     )
                     .unwrap();
                     r.audit(&g).unwrap();
-                    (r, s)
+                    s
                 };
-                let (re, se) = run(SaLane::Exact);
-                let (rf, sf) = run(SaLane::DeltaTable);
                 let ctx = format!("gseed={gseed} topo={} seed={seed}", topo.name());
-                assert_eq!(re.makespan, rf.makespan, "{ctx}: makespan");
-                assert_eq!(re.placement, rf.placement, "{ctx}: placement");
-                assert_eq!(re.start, rf.start, "{ctx}: start times");
-                assert_eq!(re.finish, rf.finish, "{ctx}: finish times");
-                assert_eq!(se.stats.packets, sf.stats.packets, "{ctx}: packets");
-                assert_eq!(se.stats.moves, sf.stats.moves, "{ctx}: moves");
-                assert_eq!(se.stats.accepted, sf.stats.accepted, "{ctx}: accepted");
-                assert_eq!(se.stats.assigned, sf.stats.assigned, "{ctx}: assigned");
-                assert_eq!(se.traces.len(), sf.traces.len(), "{ctx}: traces");
-                for (a, b) in se.traces.iter().zip(sf.traces.iter()) {
-                    assert_eq!(a.samples.len(), b.samples.len(), "{ctx}");
-                    for (x, y) in a.samples.iter().zip(b.samples.iter()) {
-                        assert_eq!(x.f_total.to_bits(), y.f_total.to_bits(), "{ctx}");
-                        assert_eq!(x.accepted, y.accepted, "{ctx}");
-                    }
+                let se = run(SaLane::Exact);
+                let st = run(SaLane::Turbo);
+                for s in [&se, &st] {
+                    assert_eq!(s.stats.assigned, g.num_tasks() as u64, "{ctx}");
+                    assert_eq!(s.traces.len() as u64, s.stats.packets, "{ctx}");
                 }
-                // The lane counters partition every proposal the fast
-                // lane actually priced.
-                let decisions =
-                    sf.stats.lane_shortcut + sf.stats.lane_table + sf.stats.lane_fallback;
-                assert!(decisions <= sf.stats.moves, "{ctx}");
-                assert!(decisions > 0, "{ctx}: fast lane never engaged");
+                let decisions = st.stats.lane_shortcut + st.stats.lane_table;
+                assert!(decisions <= st.stats.moves, "{ctx}");
+                assert!(decisions > 0, "{ctx}: turbo lane never engaged");
+                assert!(st.stats.lane_rng_draws > 0, "{ctx}: no counter-RNG draws");
                 assert_eq!(
-                    se.stats.lane_shortcut + se.stats.lane_table + se.stats.lane_fallback,
+                    se.stats.lane_shortcut + se.stats.lane_table + se.stats.lane_rng_draws,
                     0,
                     "{ctx}: exact lane must not touch the table"
                 );
@@ -245,9 +195,10 @@ fn scheduler_lanes_agree_on_random_graphs_and_topologies() {
     }
 }
 
-/// 400+-move drift test: the lane's running `(F_b, F_c)` sums, after
-/// hundreds of accepted deltas, still price the final mapping exactly
-/// like a from-scratch `CostModel` recomputation.
+/// 400+-move drift test: turbo accumulates `cost += delta` from
+/// directly priced deltas; after hundreds of accepted moves the running
+/// cost must still price the final mapping like a from-scratch
+/// `CostModel` recomputation, to 1e-9 relative.
 #[test]
 fn running_cost_does_not_drift_over_400_moves() {
     let n = 9;
@@ -280,7 +231,7 @@ fn running_cost_does_not_drift_over_400_moves() {
         wc: 0.5,
         balance: BalanceRange::Full,
         params: &params,
-        lane: SaLane::DeltaTable,
+        lane: SaLane::Turbo,
         want_trace: false,
     };
     let mut scratch = SaScratch::new();
@@ -290,56 +241,14 @@ fn running_cost_does_not_drift_over_400_moves() {
     assert!(out.moves >= 400, "only {} moves proposed", out.moves);
     assert!(out.accepted >= 100, "only {} moves accepted", out.accepted);
 
-    // From-scratch recomputation over the final mapping.
     let cm = CostModel::new(&pk, 0.5, 0.5, BalanceRange::Full);
-    let (mut fb, mut fc) = (0.0, 0.0);
-    for &(t, q) in &out.assignment {
-        fb -= pk.levels[t] as f64;
-        fc += pk.comm_cost[t][q] as f64;
-    }
-    let recomputed = cm.total(fb, fc);
+    let recomputed = recomputed_cost(&pk, &out, &cm);
     assert!(
-        (out.final_cost - recomputed).abs() < 1e-9,
+        (out.final_cost - recomputed).abs() <= 1e-9 * recomputed.abs(),
         "drift after {} accepted moves: running {} vs recomputed {}",
         out.accepted,
         out.final_cost,
         recomputed
-    );
-}
-
-/// The lossy `Quantized` lane: still a valid schedule, same move
-/// accounting shape, and a final makespan in the exact lane's
-/// neighborhood (statistical oracle — the lanes share no bit-exactness
-/// contract).
-#[test]
-fn quantized_lane_schedules_validly_near_the_exact_lane() {
-    let g = graph_for(5);
-    let topo = hypercube(3);
-    let run = |lane: SaLane| {
-        let mut s = SaScheduler::new(SaConfig::default().with_seed(11).with_lane(lane));
-        let r = simulate(
-            &g,
-            &topo,
-            &CommParams::paper(),
-            &mut s,
-            &SimConfig::default(),
-        )
-        .unwrap();
-        r.audit(&g).unwrap();
-        (r.makespan, s.stats.clone())
-    };
-    let (m_exact, _) = run(SaLane::Exact);
-    let (m_quant, st) = run(SaLane::Quantized);
-    assert_eq!(st.assigned, g.num_tasks() as u64);
-    assert!(st.lane_shortcut + st.lane_table + st.lane_fallback > 0);
-    // Deterministic per seed, so this is a pinned regression value, not
-    // a flaky stochastic bound.
-    let lo = m_exact as f64 * 0.7;
-    let hi = m_exact as f64 * 1.3;
-    let m = m_quant as f64;
-    assert!(
-        m >= lo && m <= hi,
-        "quantized makespan {m_quant} strayed from exact {m_exact}"
     );
 }
 

@@ -22,13 +22,13 @@ use anneal_arena::{
 };
 use anneal_core::SaLane;
 
-/// The corpus baseline was frozen under the delta-table RNG stream, so
-/// the replay must pin that lane: `Portfolio::fast()` now defaults to
-/// the (lossy) turbo lane, whose stream the recorded makespans do not
-/// encode. Turbo quality on the corpus is gated separately, in
+/// The corpus baseline was recorded on the exact lane (the oracle), so
+/// the replay must pin it: `Portfolio::fast()` runs the production
+/// turbo lane, whose stream the recorded makespans do not encode. Turbo
+/// quality on the corpus is gated separately, in
 /// `tests/sa_lane_turbo.rs`.
 fn baseline_portfolio() -> Portfolio {
-    Portfolio::fast_with_lane(SaLane::DeltaTable)
+    Portfolio::fast_with_lane(SaLane::Exact)
 }
 
 const CORPUS_DIR: &str = "corpus";

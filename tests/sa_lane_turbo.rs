@@ -1,13 +1,13 @@
 //! Statistical equivalence gate for the turbo SA lane.
 //!
-//! The turbo lane (`SaLane::Turbo`) is lossy by design — counter-based
-//! RNG streams, no-fallback midpoint acceptance and `f32` cost tables
-//! all change the annealing trajectory — so unlike the delta-table
-//! lane it cannot be gated bit-for-bit. Instead it is gated the way
-//! scheduler heuristics are properly compared (final-makespan
-//! distributions, not trajectories): exact vs turbo on the frozen
-//! corpus plus a campaign-family slice, 32 seeds per instance, bound
-//! on the **ratio of mean final makespans**:
+//! The turbo lane (`SaLane::Turbo`, the production default) changes
+//! the annealing trajectory by design — counter-based RNG streams and
+//! midpoint-table acceptance — so it cannot be gated bit-for-bit
+//! against the exact lane. Instead it is gated the way scheduler
+//! heuristics are properly compared (final-makespan distributions, not
+//! trajectories): exact vs turbo on the frozen corpus plus a
+//! campaign-family slice, 32 seeds per instance, bound on the **ratio
+//! of mean final makespans**:
 //!
 //! * no single instance may regress its mean makespan by more than
 //!   2%, and
@@ -15,25 +15,24 @@
 //!   more than 0.5%.
 //!
 //! This is the same gate the `lane_study` bench binary enforces at
-//! corpus scale (`results/LANE_EQUIV.json`); this test keeps it inside
+//! corpus scale (`results/LANE_EQUIV.json`); both read its constants
+//! and seed stream from `anneal_arena`. This test keeps it inside
 //! plain `cargo test` so a quality regression fails tier-1, not just
 //! the bench job. Everything here is deterministic: fixed instances,
 //! name-derived seeds, no tolerance on the arithmetic itself — a gate
 //! flip always means the lanes' outputs changed.
 
-use anneal_arena::{campaign_instance, load_corpus_dir, regression_seed, ArenaInstance};
+use anneal_arena::{
+    campaign_instance, lane_instance_gate, lane_study_seed, load_corpus_dir, regression_seed,
+    ArenaInstance, LANE_CORPUS_MEAN_MAX, LANE_GATE_SEEDS,
+};
 use anneal_core::{SaConfig, SaLane, SaScheduler};
 use anneal_sim::simulate;
 
-/// Seeds per instance. The ±2% per-instance bound is calibrated at
-/// this sample size (matches `lane_study`).
-const SEEDS: u64 = 32;
+/// Seeds per instance: the calibration size of the per-instance bound.
+const SEEDS: u64 = LANE_GATE_SEEDS;
 /// Campaign-family instances included next to the frozen corpus.
 const CAMPAIGN: usize = 8;
-/// Per-instance mean-makespan-ratio ceiling.
-const INSTANCE_MEAN_MAX: f64 = 1.02;
-/// Corpus-mean (mean of per-instance ratios) ceiling.
-const CORPUS_MEAN_MAX: f64 = 1.005;
 
 fn study_instances() -> Vec<ArenaInstance> {
     let corpus = load_corpus_dir("corpus").expect("corpus/ must load cleanly");
@@ -59,39 +58,34 @@ fn staged_makespan(inst: &ArenaInstance, lane: SaLane, seed: u64) -> u64 {
     .makespan
 }
 
-/// Seed `k` of the study stream for `name` — the same derivation
-/// `lane_study` uses, so the two gates see identical samples.
-fn study_seed(name: &str, k: u64) -> u64 {
-    regression_seed("lane-equiv", name).wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
 #[test]
 fn turbo_lane_is_statistically_equivalent_to_exact_on_the_corpus() {
     let instances = study_instances();
+    let instance_max = lane_instance_gate(SEEDS);
     let mut ratios = Vec::with_capacity(instances.len());
     for inst in &instances {
         let mut exact_sum = 0.0;
         let mut turbo_sum = 0.0;
         for k in 0..SEEDS {
-            let seed = study_seed(&inst.name, k);
+            let seed = lane_study_seed(&inst.name, k);
             exact_sum += staged_makespan(inst, SaLane::Exact, seed) as f64;
             turbo_sum += staged_makespan(inst, SaLane::Turbo, seed) as f64;
         }
         let ratio = turbo_sum / exact_sum;
         assert!(
-            ratio <= INSTANCE_MEAN_MAX,
+            ratio <= instance_max,
             "{}: turbo mean makespan regresses {:.2}% vs exact over {SEEDS} seeds \
              (gate: {:.1}%)",
             inst.name,
             (ratio - 1.0) * 100.0,
-            (INSTANCE_MEAN_MAX - 1.0) * 100.0
+            (instance_max - 1.0) * 100.0
         );
         ratios.push(ratio);
     }
     let corpus_mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
     assert!(
-        corpus_mean <= CORPUS_MEAN_MAX,
-        "turbo corpus-mean makespan ratio {corpus_mean:.4} exceeds the {CORPUS_MEAN_MAX} gate \
+        corpus_mean <= LANE_CORPUS_MEAN_MAX,
+        "turbo corpus-mean makespan ratio {corpus_mean:.4} exceeds the {LANE_CORPUS_MEAN_MAX} gate \
          over {} instances x {SEEDS} seeds",
         ratios.len()
     );
