@@ -257,8 +257,8 @@ pub struct CellObs {
 ///
 /// * deterministic — `arena.cells`, the summed `sim.kernel.*` counters
 ///   and the `arena.makespan_ns` histogram are pure functions of the
-///   campaign seed, identical across `--threads`, `--procs` and
-///   re-sharding once shards are merged;
+///   campaign seed, identical across `--threads`, re-sharding and
+///   resume once shards are merged;
 /// * `sched.*` — scratch-pool and route-cache counters depend on the
 ///   thread plan;
 /// * `time.*` — wall-clock, meaningful only with a real clock.

@@ -39,18 +39,13 @@ use std::path::PathBuf;
 use anneal_arena::{
     paper_instances, run_tournament_observed, standard_instances, Portfolio, TournamentConfig,
 };
+use anneal_bench::cli::Cli;
 use anneal_obs::{Clock, NullClock, WallClock};
 use anneal_report::csv::f;
 use anneal_report::Table;
 
 const USAGE: &str = "usage: arena [random_instances] [seed] [--paper] [--threads T] \
                      [--metrics PATH] [--null-clock]";
-
-/// Prints `msg` and the usage on stderr and exits 2.
-fn bad_args(msg: &str) -> ! {
-    eprintln!("arena: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
 
 struct Args {
     count: usize,
@@ -62,11 +57,7 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        std::process::exit(0);
-    }
+    let mut cli = Cli::from_env(USAGE);
     let mut args = Args {
         count: 6,
         seed: 42,
@@ -76,34 +67,18 @@ fn parse_args() -> Args {
         null_clock: false,
     };
     let mut positional = 0;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "--paper" => args.with_paper = true,
             "--null-clock" => args.null_clock = true,
-            "--threads" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| bad_args("--threads needs a count"));
-                args.threads = v
-                    .parse()
-                    .unwrap_or_else(|_| bad_args(&format!("bad --threads value {v:?}")));
-            }
-            "--metrics" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| bad_args("--metrics needs a path"));
-                args.metrics = Some(PathBuf::from(v));
-            }
-            flag if flag.starts_with('-') => bad_args(&format!("unknown flag {flag:?}")),
+            "--threads" => args.threads = cli.value(&arg),
+            "--metrics" => args.metrics = Some(cli.value(&arg)),
+            flag if flag.starts_with('-') => cli.fail(format!("unknown flag {flag:?}")),
             value => {
-                let parsed = match positional {
-                    0 => value.parse().map(|v| args.count = v).is_ok(),
-                    1 => value.parse().map(|v| args.seed = v).is_ok(),
-                    _ => bad_args(&format!("unexpected argument {value:?}")),
-                };
-                if !parsed {
-                    bad_args(&format!("bad positional argument {value:?}"));
+                match positional {
+                    0 => args.count = cli.parse(value),
+                    1 => args.seed = cli.parse(value),
+                    _ => cli.fail(format!("unexpected argument {value:?}")),
                 }
                 positional += 1;
             }

@@ -60,8 +60,9 @@
 //!   24).
 //! * `--out PATH` — output path (default `results/LANE_EQUIV.json`).
 //!
-//! Exit status is nonzero when a gate fails, so CI can run the binary
-//! directly.
+//! Exit status is 1 when a gate fails, so CI can run the binary
+//! directly. An unknown flag, a missing or unparsable value or
+//! `--seeds 0` prints the usage on stderr and exits 2.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -70,6 +71,7 @@ use anneal_arena::{
     campaign_instance, lane_instance_gate, lane_study_seed, load_corpus_dir, static_sa_cell_config,
     ArenaInstance, LANE_CORPUS_MEAN_MAX, LANE_GATE_SEEDS, LANE_INSTANCE_MEAN_MAX,
 };
+use anneal_bench::cli::Cli;
 use anneal_core::static_sa::static_sa;
 use anneal_core::{EvaluatorKind, SaConfig, SaLane, SaScheduler};
 use anneal_sim::simulate;
@@ -82,51 +84,34 @@ struct StudyArgs {
 }
 
 fn parse_args() -> StudyArgs {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "lane_study [--smoke] [--seeds S] [--campaign N] [--out PATH]\n\
-             emits results/LANE_EQUIV.json and exits nonzero when the\n\
-             turbo-vs-exact equivalence gate fails\n\
-             (corpus mean <= {LANE_CORPUS_MEAN_MAX}, instance mean <= {LANE_INSTANCE_MEAN_MAX})"
-        );
-        std::process::exit(0);
-    }
-    let mut args = StudyArgs {
-        smoke: false,
-        seeds: 32,
-        campaign: 24,
-        out: PathBuf::from("results/LANE_EQUIV.json"),
-    };
-    let mut it = argv.iter();
-    let mut seeds_set = false;
-    let mut campaign_set = false;
-    while let Some(arg) = it.next() {
+    let mut cli = Cli::from_env(format!(
+        "usage: lane_study [--smoke] [--seeds S] [--campaign N] [--out PATH]\n\
+         emits results/LANE_EQUIV.json and exits nonzero when the\n\
+         turbo-vs-exact equivalence gate fails\n\
+         (corpus mean <= {LANE_CORPUS_MEAN_MAX}, instance mean <= {LANE_INSTANCE_MEAN_MAX})"
+    ));
+    let mut smoke = false;
+    let mut seeds = None;
+    let mut campaign = None;
+    let mut out = PathBuf::from("results/LANE_EQUIV.json");
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--seeds" => {
-                let s = it.next().and_then(|v| v.parse().ok());
-                args.seeds = s.expect("--seeds needs a count");
-                seeds_set = true;
-            }
-            "--campaign" => {
-                let n = it.next().and_then(|v| v.parse().ok());
-                args.campaign = n.expect("--campaign needs a count");
-                campaign_set = true;
-            }
-            "--out" => args.out = PathBuf::from(it.next().expect("--out needs a path")),
-            other => panic!("unknown argument {other:?} (try --help)"),
+            "--smoke" => smoke = true,
+            "--seeds" => seeds = Some(cli.value(&arg)),
+            "--campaign" => campaign = Some(cli.value(&arg)),
+            "--out" => out = cli.value(&arg),
+            other => cli.fail(format!("unknown argument {other:?}")),
         }
     }
-    if args.smoke {
-        if !seeds_set {
-            args.seeds = 8;
-        }
-        if !campaign_set {
-            args.campaign = 8;
-        }
+    let args = StudyArgs {
+        smoke,
+        seeds: seeds.unwrap_or(if smoke { 8 } else { 32 }),
+        campaign: campaign.unwrap_or(if smoke { 8 } else { 24 }),
+        out,
+    };
+    if args.seeds == 0 {
+        cli.fail("--seeds must be positive");
     }
-    assert!(args.seeds >= 1, "--seeds must be positive");
     args
 }
 

@@ -18,11 +18,15 @@
 //! | `arena` | portfolio tournament over every scheduler (`anneal-arena`): win/loss CSV + SVG |
 //! | `campaign` | sharded 1000-instance tournament with resumable shards and a byte-reproducible merge |
 //! | `corpus_gen` | regenerates the frozen adversarial regression corpus (`corpus/`) and its baseline |
+//! | `lane_study` | turbo-vs-exact SA lane equivalence study and gate (`results/LANE_EQUIV.json`) |
+//! | `scaling` | extension: SA and HLF speedup vs processor count on growing hypercubes and rings |
 //!
-//! This library holds the shared experiment runners so the binaries and
-//! the Criterion benches stay thin.
+//! This library holds the shared experiment runners and the argument
+//! parser ([`cli`]) so the binaries and the Criterion benches stay thin.
 
 #![forbid(unsafe_code)]
+
+pub mod cli;
 
 use anneal_core::{HlfScheduler, SaConfig, SaScheduler};
 use anneal_graph::TaskGraph;

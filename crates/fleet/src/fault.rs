@@ -1,5 +1,5 @@
-//! Deterministic fault injection: seeded kill / truncate / corrupt /
-//! stall plans for chaos-testing the fleet.
+//! Deterministic fault injection: seeded kill / truncate / corrupt
+//! plans for chaos-testing campaign recovery.
 //!
 //! A [`FaultPlan`] is a pure function from `(seed, fault kind, shard,
 //! attempt)` to "does this fault fire?". Nothing about it consults a
@@ -25,35 +25,25 @@ use std::fmt;
 /// The kinds of failure the harness can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// Kill the worker mid-shard, before any artifact is published —
-    /// leaves a stale lease and no output, like a SIGKILL.
+    /// Kill the worker mid-shard, after its attempt is counted and
+    /// before any artifact is published — like a SIGKILL.
     Kill,
-    /// Truncate the shard artifact after it is published — simulates a
-    /// torn copy or lost tail pages.
+    /// Truncate one of the shard's artifacts after it is published —
+    /// simulates a torn copy or lost tail pages.
     Truncate,
-    /// Flip a byte inside the published artifact — simulates bit rot.
+    /// Flip a byte inside one published artifact — simulates bit rot.
     Corrupt,
-    /// Freeze the worker past the lease timeout while it holds the
-    /// shard, then let it finish — exercises the steal path and the
-    /// benign-duplicate-publish invariant.
-    Stall,
 }
 
 impl FaultKind {
     /// All kinds, in spec order.
-    pub const ALL: [FaultKind; 4] = [
-        FaultKind::Kill,
-        FaultKind::Truncate,
-        FaultKind::Corrupt,
-        FaultKind::Stall,
-    ];
+    pub const ALL: [FaultKind; 3] = [FaultKind::Kill, FaultKind::Truncate, FaultKind::Corrupt];
 
     fn spec_key(self) -> &'static str {
         match self {
             FaultKind::Kill => "kill",
             FaultKind::Truncate => "truncate",
             FaultKind::Corrupt => "corrupt",
-            FaultKind::Stall => "stall",
         }
     }
 
@@ -62,7 +52,6 @@ impl FaultKind {
             FaultKind::Kill => 0x4b49_4c4c,
             FaultKind::Truncate => 0x5452_554e,
             FaultKind::Corrupt => 0x434f_5252,
-            FaultKind::Stall => 0x5354_414c,
         }
     }
 }
@@ -84,8 +73,6 @@ pub struct FaultPlan {
     pub truncate_pct: u8,
     /// Probability that a published artifact has a byte flipped.
     pub corrupt_pct: u8,
-    /// Probability that a worker stalls past the lease timeout.
-    pub stall_pct: u8,
     /// When set, faults fire only on this shard.
     pub only: Option<usize>,
 }
@@ -128,7 +115,6 @@ impl FaultPlan {
                 "kill" => plan.kill_pct = pct(value)?,
                 "truncate" => plan.truncate_pct = pct(value)?,
                 "corrupt" => plan.corrupt_pct = pct(value)?,
-                "stall" => plan.stall_pct = pct(value)?,
                 "only" => {
                     plan.only = Some(
                         value
@@ -142,33 +128,11 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Renders the plan back to a spec string that [`parse`](Self::parse)
-    /// round-trips — this is how the `--procs` parent forwards the plan
-    /// to `--join` children.
-    pub fn to_spec(&self) -> String {
-        let mut out = format!("seed={}", self.seed);
-        for (kind, p) in [
-            (FaultKind::Kill, self.kill_pct),
-            (FaultKind::Truncate, self.truncate_pct),
-            (FaultKind::Corrupt, self.corrupt_pct),
-            (FaultKind::Stall, self.stall_pct),
-        ] {
-            if p > 0 {
-                out.push_str(&format!(",{}={p}", kind.spec_key()));
-            }
-        }
-        if let Some(k) = self.only {
-            out.push_str(&format!(",only={k}"));
-        }
-        out
-    }
-
     fn pct_of(&self, kind: FaultKind) -> u8 {
         match kind {
             FaultKind::Kill => self.kill_pct,
             FaultKind::Truncate => self.truncate_pct,
             FaultKind::Corrupt => self.corrupt_pct,
-            FaultKind::Stall => self.stall_pct,
         }
     }
 
@@ -195,10 +159,18 @@ impl FaultPlan {
         p > 0 && self.draw(kind, shard, attempt) < u64::from(p)
     }
 
+    /// Which of a shard's `artifacts` (`> 0`) a firing truncate or
+    /// corrupt fault damages: a pure draw, independent of the one that
+    /// decided the fault fires.
+    pub fn target(&self, kind: FaultKind, shard: usize, attempt: u32, artifacts: usize) -> usize {
+        let h = mix(self.draw(kind, shard, attempt) ^ self.seed.rotate_left(17) ^ kind.salt());
+        (h % artifacts.max(1) as u64) as usize
+    }
+
     /// Deterministically damages published artifact bytes for
     /// [`FaultKind::Truncate`] / [`FaultKind::Corrupt`]. Returns `None`
-    /// for kinds that do not alter bytes, or when the content is too
-    /// short to damage meaningfully.
+    /// for [`FaultKind::Kill`], which alters no bytes, or when the
+    /// content is empty.
     pub fn damage(
         &self,
         kind: FaultKind,
@@ -226,7 +198,7 @@ impl FaultPlan {
                 out[at] ^= 0x20 | 0x01;
                 Some(out)
             }
-            FaultKind::Kill | FaultKind::Stall => None,
+            FaultKind::Kill => None,
         }
     }
 }
@@ -236,16 +208,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_round_trips() {
-        for spec in [
-            "seed=7,kill=60,truncate=30,only=2",
-            "seed=0",
-            "seed=9,stall=15,corrupt=5",
-            "seed=1,kill=100,only=0",
-        ] {
-            let plan = FaultPlan::parse(spec).unwrap();
-            assert_eq!(FaultPlan::parse(&plan.to_spec()).unwrap(), plan);
-        }
+    fn parse_reads_every_key() {
+        let plan = FaultPlan::parse("seed=7, kill=60,truncate=30,corrupt=5,only=2").unwrap();
+        assert_eq!(
+            plan,
+            FaultPlan {
+                seed: 7,
+                kill_pct: 60,
+                truncate_pct: 30,
+                corrupt_pct: 5,
+                only: Some(2),
+            }
+        );
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
     }
 
     #[test]
@@ -255,6 +230,8 @@ mod tests {
         assert!(FaultPlan::parse("kil=10").is_err());
         assert!(FaultPlan::parse("seed=x").is_err());
         assert!(FaultPlan::parse("only=-1").is_err());
+        // `stall` is not a fault kind
+        assert!(FaultPlan::parse("stall=5").is_err());
     }
 
     #[test]
@@ -309,11 +286,26 @@ mod tests {
         assert_eq!(c.len(), content.len());
         assert_ne!(c, content.to_vec());
         assert_eq!(c, plan.damage(FaultKind::Corrupt, 0, 1, content).unwrap());
-        // kill/stall never alter bytes
+        // kill never alters bytes
         assert!(plan.damage(FaultKind::Kill, 0, 1, content).is_none());
-        assert!(plan.damage(FaultKind::Stall, 0, 1, content).is_none());
         // degenerate inputs
         assert!(plan.damage(FaultKind::Truncate, 0, 1, b"").is_none());
         assert!(plan.damage(FaultKind::Corrupt, 0, 1, b"").is_none());
+    }
+
+    #[test]
+    fn target_is_pure_in_range_and_reaches_every_artifact() {
+        let plan = FaultPlan::parse("seed=5,truncate=100").unwrap();
+        let mut hit = [false; 2];
+        for shard in 0..8 {
+            for attempt in 1..8 {
+                let t = plan.target(FaultKind::Truncate, shard, attempt, 2);
+                assert_eq!(t, plan.target(FaultKind::Truncate, shard, attempt, 2));
+                hit[t] = true;
+                // a lone artifact is always the target
+                assert_eq!(plan.target(FaultKind::Truncate, shard, attempt, 1), 0);
+            }
+        }
+        assert_eq!(hit, [true, true]);
     }
 }

@@ -1,11 +1,10 @@
 //! # anneal-fleet
 //!
-//! Filesystem-coordinated, fault-tolerant campaign orchestration. Any
-//! number of worker processes — on one machine today, on several hosts
-//! sharing a directory tomorrow — can join a campaign, claim shards,
-//! crash, stall, and be replaced, and the final merged artifacts are
-//! still byte-identical to a fault-free single-process run. Three
-//! pieces make that true:
+//! Fault-tolerant campaign execution in one process. A campaign can be
+//! killed at any instant, have its artifacts truncated or corrupted,
+//! be resumed, re-sharded or run as several processes over one
+//! directory, and the final merged artifacts are still byte-identical
+//! to a fault-free run. Three pieces make that true:
 //!
 //! * [`artifact`] — crash-safe artifact I/O: every file is committed
 //!   with write-then-rename ([`commit_bytes`]) so a kill at any instant
@@ -13,27 +12,26 @@
 //!   carries a content-checksum footer ([`seal`]/[`unseal`]) so a
 //!   truncated or corrupted file is *detected* and
 //!   [`quarantine`]d instead of poisoning a resume or merge.
-//! * [`lease`] — a shard lease protocol over the campaign directory:
-//!   atomic acquisition via `create_new`, heartbeat renewal, and
-//!   deterministic expiry-based work-stealing so a crashed or frozen
-//!   worker's shard is re-claimed. Re-execution is always safe because
-//!   shard results are pure functions of the campaign parameters
-//!   (cell seeds key on global instance indices), so a re-run commits
-//!   byte-identical artifacts.
+//! * [`worker`] — [`run_worker`], one sequential pass that skips shards
+//!   whose artifacts are all valid, quarantines corrupt ones, re-runs
+//!   the rest under a persisted attempt budget, and reports shards that
+//!   exhaust it. Re-execution is always safe because shard results are
+//!   pure functions of the campaign parameters (cell seeds key on
+//!   global instance indices), so a re-run commits byte-identical
+//!   artifacts.
 //! * [`fault`] — a seeded, deterministic fault-injection plan
-//!   ([`FaultPlan`]): kill-at-attempt, truncate-artifact, corrupt-byte
-//!   and stall-worker injections keyed on `(seed, shard, attempt)`,
-//!   which is what lets the chaos suite certify the headline
-//!   invariant: *for any injected failure pattern, recovery produces a
-//!   merge byte-identical to the fault-free run*.
+//!   ([`FaultPlan`]): kill-at-attempt, truncate-artifact and
+//!   corrupt-byte injections keyed on `(seed, shard, attempt)`, which
+//!   is what lets the chaos suite certify the headline invariant: *for
+//!   any injected failure pattern, recovery produces a merge
+//!   byte-identical to the fault-free run*.
 //!
-//! [`worker`] ties them together in the claim → run → commit →
-//! release loop ([`run_worker`]) used by `campaign --join DIR`
-//! workers, the in-process campaign path, and the chaos test driver;
 //! [`report`] renders the deterministic `fleet.report.json` failure
 //! manifest so an exhausted shard is reported, never silently dropped.
+//! [`lease`] (claim files with expiry) is not used by the campaign; it
+//! remains only because the benchmark harness times [`try_claim`].
 //!
-//! See `docs/FLEET.md` for the protocol details and deployment notes.
+//! See `docs/FLEET.md` for the artifact layout and the recovery rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,7 +18,7 @@ pub struct ShardReport {
     pub shard: usize,
     /// Terminal state.
     pub state: ShardState,
-    /// Attempts consumed (global, across workers and resumes).
+    /// Attempts consumed (global, across resumes).
     pub attempts: u32,
 }
 
@@ -119,7 +119,7 @@ mod tests {
         ];
         let mut reg = MetricsRegistry::new();
         reg.add("sched.fleet.retries", 4);
-        reg.add("sched.fleet.leases_acquired", 7);
+        reg.add("sched.fleet.shards_run", 7);
         reg.add("sim.events", 99); // non-fleet: excluded
         reg.hwm("sched.fleet.some_gauge", 3); // non-counter: excluded
         let a = render_report(&shards, &reg);
@@ -133,7 +133,7 @@ mod tests {
         let p2 = a.find("\"shard\": 2").unwrap();
         assert!(p0 < p1 && p1 < p2);
         assert!(a.contains("\"sched.fleet.retries\": 4"));
-        assert!(a.contains("\"sched.fleet.leases_acquired\": 7"));
+        assert!(a.contains("\"sched.fleet.shards_run\": 7"));
         assert!(!a.contains("sim.events"));
         assert!(!a.contains("some_gauge"));
     }

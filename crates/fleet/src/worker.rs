@@ -1,63 +1,55 @@
-//! The fleet worker loop: claim → run → commit → release, with
-//! retry accounting, quarantine of corrupt artifacts, and optional
-//! chaos injection.
+//! The campaign worker: one sequential pass over the shards, with
+//! resume, quarantine of corrupt artifacts, persisted retry accounting
+//! and optional chaos injection.
 //!
-//! [`run_worker`] drives one worker over a set of shards until every
-//! shard is terminal — [`ShardState::Done`] (a valid sealed artifact
-//! exists) or [`ShardState::Failed`] (the shard exhausted
-//! [`FleetConfig::max_attempts`]). Several workers can run the same
-//! loop over the same directory concurrently; the lease protocol keeps
-//! them mostly disjoint, and determinism of shard execution makes any
-//! residual overlap a benign duplicate publish of identical bytes.
+//! [`run_worker`] visits each shard in turn and drives it to a terminal
+//! state before moving on — [`ShardState::Done`] (every artifact the
+//! shard writes is present and valid) or [`ShardState::Failed`] (the
+//! shard used up [`FleetConfig::max_attempts`]). Re-running a shard is
+//! always safe: its artifacts are pure functions of the campaign
+//! parameters, so a re-run commits byte-identical bytes. That is also
+//! why processes sharing a directory need no coordination: each
+//! publishes the same bytes through an atomic rename, and the only cost
+//! of an overlap is duplicated work.
 //!
 //! Attempt counts persist in sealed `attempts-<k>.txt` files, so a
 //! *resumed* campaign keeps counting where the killed one stopped —
-//! without this, a shard that deterministically crashes its worker
+//! without this, a shard that deterministically crashes its process
 //! would be retried forever across resumes instead of landing in the
 //! failure manifest.
 
-use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 use anneal_obs::{MetricsRegistry, Recorder as _};
 
-use crate::artifact::{commit_bytes, quarantine, read_sealed, seal, unseal};
+use crate::artifact::{commit_bytes, quarantine, read_sealed, seal, unseal, ArtifactError};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::lease::{force_claim, try_claim, unix_time_ms, Claim, Lease, LeaseConfig};
 
-/// Exit code a `--join` worker process dies with when a chaos kill
-/// fires under [`KillMode::ExitProcess`] — distinguishable from real
-/// failures in supervision logs and the chaos test driver.
+/// Exit code a campaign process dies with when a chaos kill fires under
+/// [`KillMode::ExitProcess`] — distinguishable from real failures in
+/// resume loops and the chaos test driver.
 pub const CHAOS_KILL_EXIT: i32 = 17;
 
 /// What a chaos kill does to the worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillMode {
-    /// Return [`WorkerOutcome::Killed`] immediately, leaving the stale
-    /// lease and missing artifact behind exactly as a real kill would —
-    /// lets in-crate tests exercise crash recovery without spawning
-    /// processes.
+    /// Return [`WorkerOutcome::Killed`] immediately, leaving the counted
+    /// attempt and the missing artifacts behind exactly as a real kill
+    /// would — lets in-crate tests exercise crash recovery without
+    /// spawning processes.
     Simulate,
     /// `std::process::exit` with the given code — real crash semantics
-    /// for `--join` worker processes.
+    /// for the campaign process.
     ExitProcess(i32),
 }
 
 /// Worker policy knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Lease timing (timeout + heartbeat cadence).
-    pub lease: LeaseConfig,
     /// A shard is declared [`ShardState::Failed`] once it has been
-    /// attempted this many times without producing a valid artifact.
+    /// attempted this many times without producing valid artifacts.
     pub max_attempts: u32,
-    /// Base poll interval while waiting on shards held elsewhere;
-    /// backs off exponentially (bounded) while no progress is made.
-    pub poll_ms: u64,
     /// Deterministic fault injection; `None` in production.
     pub chaos: Option<FaultPlan>,
     /// How an injected kill manifests.
@@ -67,9 +59,7 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            lease: LeaseConfig::default(),
             max_attempts: 5,
-            poll_ms: 50,
             chaos: None,
             kill_mode: KillMode::Simulate,
         }
@@ -80,26 +70,28 @@ impl Default for FleetConfig {
 ///
 /// Implementations must be deterministic in the shard index — that is
 /// the foundation the whole recovery story rests on: a re-run after a
-/// kill, steal or quarantine publishes byte-identical artifacts.
+/// kill or quarantine publishes byte-identical artifacts.
 pub trait ShardRunner {
-    /// File name of the shard's *primary* artifact (e.g.
-    /// `shard-003.csv`) — its validity defines [`ShardState::Done`].
-    fn artifact_name(&self, shard: usize) -> String;
+    /// File names of every artifact the shard writes, primary first
+    /// (e.g. `shard-003.csv`, plus `metrics-003.jsonl` when observing).
+    /// The shard is [`ShardState::Done`] only when all of them are
+    /// present and valid.
+    fn artifact_names(&self, shard: usize) -> Vec<String>;
 
     /// Runs the shard, returning `(file name, sealed content)` pairs to
-    /// commit, primary artifact first. Contents must already carry
-    /// their checksum footer (see [`seal`]).
+    /// commit — one per [`artifact_names`](Self::artifact_names) entry.
+    /// Contents must already carry their checksum footer (see [`seal`]).
     fn run(&self, shard: usize) -> Result<Vec<(String, String)>, String>;
 }
 
 /// Where a shard stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardState {
-    /// A valid sealed artifact exists.
+    /// Every artifact is present and valid.
     Done,
-    /// No valid artifact yet; attempts remain.
+    /// Some artifact is missing or invalid; attempts remain.
     Pending,
-    /// Attempts exhausted without a valid artifact.
+    /// Attempts exhausted without valid artifacts.
     Failed,
 }
 
@@ -126,13 +118,20 @@ fn write_attempts(dir: &Path, shard: usize, n: u32) -> io::Result<()> {
     )
 }
 
-/// Classifies a shard: a valid sealed primary artifact means
-/// [`ShardState::Done`] regardless of attempt count (a duplicate
-/// publish after a steal still counts); otherwise the persisted attempt
-/// counter decides between [`ShardState::Pending`] and
-/// [`ShardState::Failed`].
-pub fn shard_state(dir: &Path, shard: usize, artifact_name: &str, max_attempts: u32) -> ShardState {
-    if read_sealed(&dir.join(artifact_name)).is_ok() {
+/// Classifies a shard: valid sealed `artifact_names` mean
+/// [`ShardState::Done`] regardless of attempt count; otherwise the
+/// persisted attempt counter decides between [`ShardState::Pending`]
+/// and [`ShardState::Failed`].
+pub fn shard_state(
+    dir: &Path,
+    shard: usize,
+    artifact_names: &[String],
+    max_attempts: u32,
+) -> ShardState {
+    if artifact_names
+        .iter()
+        .all(|name| read_sealed(&dir.join(name)).is_ok())
+    {
         ShardState::Done
     } else if read_attempts(dir, shard) >= max_attempts {
         ShardState::Failed
@@ -141,18 +140,13 @@ pub fn shard_state(dir: &Path, shard: usize, artifact_name: &str, max_attempts: 
     }
 }
 
-/// Fleet activity counters. Flushed to `anneal-obs` under
+/// Worker activity counters. Flushed to `anneal-obs` under
 /// `sched.fleet.*` — the scheduling class — because every one of them
-/// depends on the execution plan (worker count, kill timing, races),
-/// never on the science; the deterministic metrics view stays clean.
+/// depends on the execution history (kills, resumes, overlapping
+/// processes), never on the science; the deterministic metrics view
+/// stays clean.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetStats {
-    /// Leases claimed fresh via `create_new`.
-    pub leases_acquired: u64,
-    /// Leases taken over from an expired or unreadable holder.
-    pub leases_stolen: u64,
-    /// Leases we no longer held at release time (stolen from us).
-    pub leases_lost: u64,
     /// Shard executions started.
     pub shards_run: u64,
     /// Executions beyond each shard's first attempt.
@@ -164,24 +158,17 @@ pub struct FleetStats {
     /// Corrupt artifacts moved aside for post-mortem.
     pub quarantines: u64,
     /// Chaos faults injected, by kind in [`FaultKind::ALL`] order.
-    pub faults: [u64; 4],
+    pub faults: [u64; 3],
 }
 
 impl FleetStats {
     fn fault(&mut self, kind: FaultKind) {
-        let i = FaultKind::ALL
-            .iter()
-            .position(|k| *k == kind)
-            .unwrap_or_default();
-        self.faults[i] += 1;
+        self.faults[kind as usize] += 1;
     }
 
     /// Flushes the counters into `reg` as `sched.fleet.*` keys.
     pub fn record_into(&self, reg: &mut MetricsRegistry) {
         for (key, v) in [
-            ("sched.fleet.leases_acquired", self.leases_acquired),
-            ("sched.fleet.leases_stolen", self.leases_stolen),
-            ("sched.fleet.leases_lost", self.leases_lost),
             ("sched.fleet.shards_run", self.shards_run),
             ("sched.fleet.retries", self.retries),
             ("sched.fleet.run_failures", self.run_failures),
@@ -203,21 +190,17 @@ impl FleetStats {
 /// Worker lifecycle notifications, for human-readable progress output.
 #[derive(Debug, Clone)]
 pub enum FleetEvent {
-    /// A shard already has a valid artifact — skipped on resume.
+    /// The shard's artifacts were already valid — skipped on resume.
     ShardSkipped {
         /// Shard index.
         shard: usize,
-        /// Its primary artifact file name.
-        artifact: String,
     },
-    /// We hold the shard's lease and are about to run it.
-    Claimed {
+    /// An attempt is counted and about to run.
+    Started {
         /// Shard index.
         shard: usize,
-        /// 1-based attempt number (global across workers/resumes).
+        /// 1-based attempt number (global across resumes).
         attempt: u32,
-        /// Whether the claim went through the steal path.
-        stolen: bool,
     },
     /// An existing artifact failed validation and was moved aside.
     Quarantined {
@@ -244,7 +227,7 @@ pub enum FleetEvent {
         /// Attempt that succeeded.
         attempt: u32,
     },
-    /// The runner returned an error; the shard stays pending.
+    /// The runner returned an error; the shard is retried.
     RunFailed {
         /// Shard index.
         shard: usize,
@@ -253,7 +236,7 @@ pub enum FleetEvent {
         /// The runner's error.
         msg: String,
     },
-    /// The shard exhausted its attempts without a valid artifact.
+    /// The shard exhausted its attempts without valid artifacts.
     Exhausted {
         /// Shard index.
         shard: usize,
@@ -267,206 +250,110 @@ pub enum FleetEvent {
 pub enum WorkerOutcome {
     /// Every shard is terminal.
     Completed {
-        /// Shards with a valid artifact.
+        /// Shards with valid artifacts.
         done: Vec<usize>,
         /// Shards that exhausted their attempts — the failure manifest
         /// input; never silently dropped.
         failed: Vec<usize>,
     },
-    /// A chaos kill fired under [`KillMode::Simulate`]; the stale lease
-    /// and missing artifact are left behind for recovery to find.
+    /// A chaos kill fired under [`KillMode::Simulate`]; the counted
+    /// attempt and missing artifacts are left behind for recovery.
     Killed {
         /// Shard being run when the kill fired.
         shard: usize,
     },
 }
 
-/// Background lease renewal while a shard runs. Stopping is chunked so
-/// the worker never blocks long on join; the thread also stops renewing
-/// on its own if it observes the lease was stolen.
-struct Heartbeat {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Heartbeat {
-    fn start(lease: Lease, every_ms: u64) -> Heartbeat {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let mut last = unix_time_ms();
-            while !flag.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(5));
-                let now = unix_time_ms();
-                if now.saturating_sub(last) >= every_ms {
-                    last = now;
-                    if !matches!(lease.heartbeat(now), Ok(true)) {
-                        break;
+/// Whether every artifact in `names` is present and valid. Each one
+/// that exists but fails validation is quarantined on the way, which
+/// preserves the evidence and frees its path for the re-run.
+fn artifacts_valid(
+    dir: &Path,
+    shard: usize,
+    names: &[String],
+    stats: &mut FleetStats,
+    on_event: &mut dyn FnMut(&FleetEvent),
+) -> io::Result<bool> {
+    let mut valid = true;
+    for name in names {
+        let path = dir.join(name);
+        match read_sealed(&path) {
+            Ok(_) => {}
+            Err(ArtifactError::Missing { .. }) => valid = false,
+            Err(reason) => {
+                valid = false;
+                stats.checksum_failures += 1;
+                match quarantine(&path) {
+                    Ok(qpath) => {
+                        stats.quarantines += 1;
+                        on_event(&FleetEvent::Quarantined {
+                            shard,
+                            path: qpath.display().to_string(),
+                            reason: reason.to_string(),
+                        });
                     }
+                    // another process sharing the directory moved it first
+                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                    Err(e) => return Err(e),
                 }
             }
-        });
-        Heartbeat {
-            stop,
-            handle: Some(handle),
         }
     }
-
-    fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    Ok(valid)
 }
 
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        self.halt();
-    }
-}
-
-/// Runs one worker over `shards` in campaign directory `dir` until all
-/// of them are terminal. `owner` is this worker's lease token (unique
-/// per process, e.g. `w<pid>-<ms>`). Events stream to `on_event`;
+/// Runs `shards` in campaign directory `dir`, in order, driving each to
+/// a terminal state before the next. Events stream to `on_event`;
 /// counters accumulate in `stats`.
 ///
-/// Any number of workers may run this concurrently over the same
-/// directory (same or different process). The loop:
+/// Per shard, until it is terminal:
 ///
-/// 1. scan shard states; return once all are Done/Failed;
-/// 2. for each pending shard, try to claim its lease (fresh, expired
-///    steal, or force-steal of a lease unreadable for longer than the
-///    timeout);
-/// 3. on claim: quarantine any invalid existing artifact, bump the
-///    persisted attempt counter, inject chaos, run the shard under a
-///    heartbeat, commit artifacts atomically, validate, release;
-/// 4. if nothing was claimable, sleep with bounded exponential backoff
-///    (another worker is making progress, or its lease must age out).
+/// 1. every artifact valid: done (skipped when it already was);
+/// 2. quarantine each artifact that exists but fails validation;
+/// 3. attempts used up: failed;
+/// 4. otherwise bump the persisted attempt count, let chaos kill, run
+///    the shard, commit its artifacts atomically, let chaos damage one
+///    of them, and go back to 1.
 pub fn run_worker(
     dir: &Path,
     shards: &[usize],
-    owner: &str,
     cfg: &FleetConfig,
     runner: &dyn ShardRunner,
     stats: &mut FleetStats,
     on_event: &mut dyn FnMut(&FleetEvent),
 ) -> io::Result<WorkerOutcome> {
     std::fs::create_dir_all(dir)?;
-    let mut reported_skip: BTreeSet<usize> = BTreeSet::new();
-    let mut ran: BTreeSet<usize> = BTreeSet::new();
-    let mut reported_exhausted: BTreeSet<usize> = BTreeSet::new();
-    // shard -> when we first saw its lease unreadable (torn claim)
-    let mut unreadable_since: Vec<Option<u64>> = vec![None; shards.len()];
-    let mut backoff = cfg.poll_ms.max(1);
-
-    loop {
-        let mut done = Vec::new();
-        let mut failed = Vec::new();
-        let mut pending = Vec::new();
-        for (slot, &shard) in shards.iter().enumerate() {
-            let artifact = runner.artifact_name(shard);
-            match shard_state(dir, shard, &artifact, cfg.max_attempts) {
-                ShardState::Done => {
-                    if !ran.contains(&shard) && reported_skip.insert(shard) {
-                        on_event(&FleetEvent::ShardSkipped { shard, artifact });
-                    }
-                    done.push(shard);
-                }
-                ShardState::Failed => {
-                    if reported_exhausted.insert(shard) {
-                        on_event(&FleetEvent::Exhausted {
-                            shard,
-                            attempts: read_attempts(dir, shard),
-                        });
-                    }
-                    failed.push(shard);
-                }
-                ShardState::Pending => pending.push((slot, shard)),
+    let mut done = Vec::new();
+    let mut failed = Vec::new();
+    for &shard in shards {
+        let names = runner.artifact_names(shard);
+        let mut last_attempt = None;
+        loop {
+            if artifacts_valid(dir, shard, &names, stats, on_event)? {
+                on_event(&match last_attempt {
+                    Some(attempt) => FleetEvent::ShardDone { shard, attempt },
+                    None => FleetEvent::ShardSkipped { shard },
+                });
+                done.push(shard);
+                break;
             }
-        }
-        if pending.is_empty() {
-            return Ok(WorkerOutcome::Completed { done, failed });
-        }
-
-        let mut progressed = false;
-        for (slot, shard) in pending {
-            let now = unix_time_ms();
-            let claim = match try_claim(dir, shard, owner, now, &cfg.lease)? {
-                Claim::Acquired(lease) => Some(lease),
-                Claim::Held { .. } => {
-                    unreadable_since[slot] = None;
-                    None
-                }
-                Claim::Unreadable => {
-                    // a claimant died between creating and writing its
-                    // lease file; only force-steal once the torn lease
-                    // has been unreadable for a full timeout
-                    let since = *unreadable_since[slot].get_or_insert(now);
-                    if now.saturating_sub(since) > cfg.lease.timeout_ms {
-                        match force_claim(dir, shard, owner, now)? {
-                            Claim::Acquired(lease) => Some(lease),
-                            _ => None,
-                        }
-                    } else {
-                        None
-                    }
-                }
-            };
-            let Some(lease) = claim else { continue };
-            unreadable_since[slot] = None;
-            if lease.stolen {
-                stats.leases_stolen += 1;
-            } else {
-                stats.leases_acquired += 1;
+            // never below our own last attempt, so the loop ends even
+            // if the counter file cannot be read back
+            let attempts = read_attempts(dir, shard).max(last_attempt.unwrap_or(0));
+            if attempts >= cfg.max_attempts {
+                on_event(&FleetEvent::Exhausted { shard, attempts });
+                failed.push(shard);
+                break;
             }
-
-            // someone may have finished (or exhausted) the shard
-            // between our scan and the claim — re-check under the lease
-            let artifact = runner.artifact_name(shard);
-            match shard_state(dir, shard, &artifact, cfg.max_attempts) {
-                ShardState::Pending => {}
-                _ => {
-                    let _ = lease.release()?;
-                    progressed = true;
-                    continue;
-                }
-            }
-
-            // an artifact that exists but failed validation is corrupt:
-            // preserve the evidence, then re-run
-            let artifact_path = dir.join(&artifact);
-            if artifact_path.exists() {
-                if let Err(reason) = read_sealed(&artifact_path) {
-                    stats.checksum_failures += 1;
-                    let qpath = quarantine(&artifact_path)?;
-                    stats.quarantines += 1;
-                    on_event(&FleetEvent::Quarantined {
-                        shard,
-                        path: qpath.display().to_string(),
-                        reason: reason.to_string(),
-                    });
-                }
-            }
-
-            let attempt = read_attempts(dir, shard) + 1;
+            let attempt = attempts + 1;
             write_attempts(dir, shard, attempt)?;
+            last_attempt = Some(attempt);
             if attempt > 1 {
                 stats.retries += 1;
             }
-            ran.insert(shard);
-            on_event(&FleetEvent::Claimed {
-                shard,
-                attempt,
-                stolen: lease.stolen,
-            });
+            on_event(&FleetEvent::Started { shard, attempt });
 
-            // chaos: kill fires before any artifact is published,
-            // leaving the stale lease behind — a real SIGKILL
+            // chaos: kill fires before any artifact is published
             if let Some(plan) = &cfg.chaos {
                 if plan.fires(FaultKind::Kill, shard, attempt) {
                     stats.fault(FaultKind::Kill);
@@ -483,29 +370,8 @@ pub fn run_worker(
             }
 
             stats.shards_run += 1;
-            let heartbeat = Heartbeat::start(lease.clone(), cfg.lease.heartbeat_ms);
-
-            // chaos: stall freezes the worker (heartbeat included) past
-            // the lease timeout, inviting a steal, then lets the run
-            // finish — the duplicate publish must be benign
-            if let Some(plan) = &cfg.chaos {
-                if plan.fires(FaultKind::Stall, shard, attempt) {
-                    stats.fault(FaultKind::Stall);
-                    on_event(&FleetEvent::Chaos {
-                        shard,
-                        attempt,
-                        kind: FaultKind::Stall,
-                    });
-                    heartbeat.halt_for_stall();
-                    std::thread::sleep(Duration::from_millis(
-                        cfg.lease.timeout_ms + 2 * cfg.lease.heartbeat_ms + 25,
-                    ));
-                }
-            }
-
-            let outcome = runner.run(shard);
-            heartbeat.stop();
-            match outcome {
+            let files = match runner.run(shard) {
+                Ok(files) => files,
                 Err(msg) => {
                     stats.run_failures += 1;
                     on_event(&FleetEvent::RunFailed {
@@ -513,64 +379,39 @@ pub fn run_worker(
                         attempt,
                         msg,
                     });
-                    if !lease.release()? {
-                        stats.leases_lost += 1;
-                    }
-                    progressed = true;
                     continue;
                 }
-                Ok(files) => {
-                    for (name, content) in &files {
-                        commit_bytes(&dir.join(name), content.as_bytes())?;
+            };
+            for (name, content) in &files {
+                commit_bytes(&dir.join(name), content.as_bytes())?;
+            }
+            // chaos: damage one published artifact with a raw write —
+            // a torn copy or bit rot, which by definition bypasses the
+            // atomic commit
+            let Some(plan) = &cfg.chaos else { continue };
+            for kind in [FaultKind::Truncate, FaultKind::Corrupt] {
+                if !plan.fires(kind, shard, attempt) {
+                    continue;
+                }
+                let Some(name) = names.get(plan.target(kind, shard, attempt, names.len())) else {
+                    continue;
+                };
+                let path = dir.join(name);
+                if let Ok(bytes) = std::fs::read(&path) {
+                    if let Some(bad) = plan.damage(kind, shard, attempt, &bytes) {
+                        stats.fault(kind);
+                        on_event(&FleetEvent::Chaos {
+                            shard,
+                            attempt,
+                            kind,
+                        });
+                        std::fs::write(&path, bad)?;
                     }
-                    // chaos: damage the published primary artifact with
-                    // a raw write — simulating a torn copy or bit rot,
-                    // which by definition bypasses the atomic commit
-                    if let Some(plan) = &cfg.chaos {
-                        for kind in [FaultKind::Truncate, FaultKind::Corrupt] {
-                            if plan.fires(kind, shard, attempt) {
-                                if let Ok(bytes) = std::fs::read(&artifact_path) {
-                                    if let Some(bad) = plan.damage(kind, shard, attempt, &bytes) {
-                                        stats.fault(kind);
-                                        on_event(&FleetEvent::Chaos {
-                                            shard,
-                                            attempt,
-                                            kind,
-                                        });
-                                        std::fs::write(&artifact_path, bad)?;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if !lease.release()? {
-                        stats.leases_lost += 1;
-                    }
-                    if read_sealed(&artifact_path).is_ok() {
-                        on_event(&FleetEvent::ShardDone { shard, attempt });
-                    }
-                    // an invalid artifact is picked up by the next scan:
-                    // quarantined and retried, or declared Failed
-                    progressed = true;
                 }
             }
         }
-
-        if progressed {
-            backoff = cfg.poll_ms.max(1);
-        } else {
-            std::thread::sleep(Duration::from_millis(backoff));
-            backoff = (backoff * 2).min(1_000);
-        }
     }
-}
-
-impl Heartbeat {
-    /// Stops renewal without blocking the stall itself — used by the
-    /// stall injection so the lease genuinely expires while we sleep.
-    fn halt_for_stall(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
+    Ok(WorkerOutcome::Completed { done, failed })
 }
 
 #[cfg(test)]
@@ -594,19 +435,20 @@ mod tests {
     #[test]
     fn stats_record_as_sched_class() {
         let mut stats = FleetStats {
-            leases_acquired: 3,
-            leases_stolen: 1,
+            shards_run: 3,
             retries: 2,
             ..FleetStats::default()
         };
         stats.fault(FaultKind::Kill);
         stats.fault(FaultKind::Kill);
+        stats.fault(FaultKind::Corrupt);
+        assert_eq!(stats.faults, [2, 0, 1]);
         let mut reg = MetricsRegistry::new();
         stats.record_into(&mut reg);
-        assert_eq!(reg.counter("sched.fleet.leases_acquired"), 3);
-        assert_eq!(reg.counter("sched.fleet.leases_stolen"), 1);
+        assert_eq!(reg.counter("sched.fleet.shards_run"), 3);
         assert_eq!(reg.counter("sched.fleet.retries"), 2);
         assert_eq!(reg.counter("sched.fleet.faults_kill"), 2);
+        assert_eq!(reg.counter("sched.fleet.faults_corrupt"), 1);
         // zero counters stay absent; every key is sched-class
         assert_eq!(reg.counter("sched.fleet.quarantines"), 0);
         assert!(reg.deterministic_only().is_empty());
@@ -617,16 +459,20 @@ mod tests {
         let d = std::env::temp_dir().join(format!("fleet-state-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
-        assert_eq!(shard_state(&d, 0, "s.csv", 3), ShardState::Pending);
+        let names = ["s.csv".to_string(), "m.jsonl".to_string()];
+        assert_eq!(shard_state(&d, 0, &names, 3), ShardState::Pending);
         write_attempts(&d, 0, 3).unwrap();
-        assert_eq!(shard_state(&d, 0, "s.csv", 3), ShardState::Failed);
-        // a valid artifact trumps exhausted attempts (duplicate publish
-        // after a steal)
+        assert_eq!(shard_state(&d, 0, &names, 3), ShardState::Failed);
+        // the primary alone is not enough
         commit_bytes(&d.join("s.csv"), seal("h\n1\n").as_bytes()).unwrap();
-        assert_eq!(shard_state(&d, 0, "s.csv", 3), ShardState::Done);
+        assert_eq!(shard_state(&d, 0, &names, 3), ShardState::Failed);
+        assert_eq!(shard_state(&d, 0, &names[..1], 3), ShardState::Done);
+        // valid artifacts trump exhausted attempts
+        commit_bytes(&d.join("m.jsonl"), seal("{}\n").as_bytes()).unwrap();
+        assert_eq!(shard_state(&d, 0, &names, 3), ShardState::Done);
         // a corrupt artifact does not count as done
-        std::fs::write(d.join("s.csv"), b"torn").unwrap();
-        assert_eq!(shard_state(&d, 0, "s.csv", 3), ShardState::Failed);
+        std::fs::write(d.join("m.jsonl"), b"torn").unwrap();
+        assert_eq!(shard_state(&d, 0, &names, 3), ShardState::Failed);
         let _ = std::fs::remove_dir_all(&d);
     }
 }

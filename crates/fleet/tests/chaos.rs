@@ -1,15 +1,15 @@
 //! Chaos certification: for any seeded fault pattern — worker kills,
-//! artifact truncation, byte corruption, lease expiry under stalls —
-//! a fleet of worker sessions plus recovery produces artifacts
-//! byte-identical to the fault-free run, and the failure manifest is
-//! deterministic. A shard that exhausts its retries lands in the
-//! manifest, never silently dropped.
+//! artifact truncation, byte corruption — a sequence of worker
+//! sessions produces artifacts byte-identical to the fault-free run,
+//! and the failure manifest is deterministic. A shard that exhausts its
+//! retries lands in the manifest, never silently dropped, and a shard
+//! with a missing or corrupt companion artifact re-runs.
 
 use std::path::{Path, PathBuf};
 
 use anneal_fleet::{
     read_attempts, render_report, run_worker, seal, shard_state, FaultPlan, FleetConfig,
-    FleetStats, KillMode, LeaseConfig, ShardReport, ShardRunner, ShardState, WorkerOutcome,
+    FleetEvent, FleetStats, KillMode, ShardReport, ShardRunner, ShardState, WorkerOutcome,
 };
 use anneal_obs::MetricsRegistry;
 use proptest::prelude::*;
@@ -29,8 +29,11 @@ fn fresh_dir(tag: &str) -> PathBuf {
 struct MockRunner;
 
 impl ShardRunner for MockRunner {
-    fn artifact_name(&self, shard: usize) -> String {
-        format!("shard-{shard:03}.csv")
+    fn artifact_names(&self, shard: usize) -> Vec<String> {
+        vec![
+            format!("shard-{shard:03}.csv"),
+            format!("metrics-{shard:03}.jsonl"),
+        ]
     }
 
     fn run(&self, shard: usize) -> Result<Vec<(String, String)>, String> {
@@ -43,47 +46,30 @@ impl ShardRunner for MockRunner {
             "{{\"type\": \"counter\", \"key\": \"arena.cells\", \"value\": {}}}\n",
             4 * (shard + 1)
         );
-        Ok(vec![
-            (self.artifact_name(shard), seal(&body)),
-            (format!("metrics-{shard:03}.jsonl"), seal(&metrics)),
-        ])
+        let [csv, jsonl]: [String; 2] = self.artifact_names(shard).try_into().unwrap();
+        Ok(vec![(csv, seal(&body)), (jsonl, seal(&metrics))])
     }
 }
 
 fn chaos_config(plan: FaultPlan) -> FleetConfig {
     FleetConfig {
-        lease: LeaseConfig {
-            timeout_ms: 60,
-            heartbeat_ms: 10,
-        },
         // generous so a run of unlucky (but deterministic) kill draws
         // cannot exhaust a shard in the identity property
         max_attempts: 16,
-        poll_ms: 5,
         chaos: Some(plan),
         kill_mode: KillMode::Simulate,
     }
 }
 
-/// Runs worker sessions (each a fresh "process" with its own owner
-/// token) until every shard is terminal, restarting after each
-/// simulated kill — exactly what the supervisor does with real
-/// processes. Returns the accumulated stats and final outcome.
+/// Runs worker sessions until every shard is terminal, resuming after
+/// each simulated kill — exactly what an operator's resume loop does
+/// with real processes. Returns the accumulated stats and final
+/// outcome.
 fn run_until_terminal(dir: &Path, cfg: &FleetConfig) -> (FleetStats, WorkerOutcome) {
     let shards: Vec<usize> = (0..SHARDS).collect();
     let mut stats = FleetStats::default();
-    for session in 0..200 {
-        let owner = format!("w{session}");
-        let outcome = run_worker(
-            dir,
-            &shards,
-            &owner,
-            cfg,
-            &MockRunner,
-            &mut stats,
-            &mut |_| {},
-        )
-        .unwrap();
+    for _session in 0..200 {
+        let outcome = run_worker(dir, &shards, cfg, &MockRunner, &mut stats, &mut |_| {}).unwrap();
         match outcome {
             WorkerOutcome::Completed { .. } => return (stats, outcome),
             WorkerOutcome::Killed { .. } => continue,
@@ -96,7 +82,7 @@ fn manifest(dir: &Path, cfg: &FleetConfig, stats: &FleetStats) -> String {
     let reports: Vec<ShardReport> = (0..SHARDS)
         .map(|k| ShardReport {
             shard: k,
-            state: shard_state(dir, k, &MockRunner.artifact_name(k), cfg.max_attempts),
+            state: shard_state(dir, k, &MockRunner.artifact_names(k), cfg.max_attempts),
             attempts: read_attempts(dir, k),
         })
         .collect();
@@ -123,20 +109,18 @@ proptest! {
         kill in 0u8..=60,
         truncate in 0u8..=60,
         corrupt in 0u8..=60,
-        stall in 0u8..=25,
     ) {
         let plan = FaultPlan {
             seed,
             kill_pct: kill,
             truncate_pct: truncate,
             corrupt_pct: corrupt,
-            stall_pct: stall,
             only: None,
         };
         let cfg = chaos_config(plan);
 
         // fault-free reference
-        let clean = fresh_dir(&format!("clean-{seed}-{kill}-{truncate}-{corrupt}-{stall}"));
+        let clean = fresh_dir(&format!("clean-{seed}-{kill}-{truncate}-{corrupt}"));
         let clean_cfg = FleetConfig { chaos: None, ..cfg.clone() };
         let (clean_stats, clean_outcome) = run_until_terminal(&clean, &clean_cfg);
         let clean_ok = matches!(
@@ -149,7 +133,7 @@ proptest! {
         // two independent chaos runs of the same plan
         let mut manifests = Vec::new();
         for replay in 0..2 {
-            let dir = fresh_dir(&format!("chaos-{replay}-{seed}-{kill}-{truncate}-{corrupt}-{stall}"));
+            let dir = fresh_dir(&format!("chaos-{replay}-{seed}-{kill}-{truncate}-{corrupt}"));
             let (stats, outcome) = run_until_terminal(&dir, &cfg);
             let chaos_ok = matches!(
                 &outcome,
@@ -200,7 +184,10 @@ fn exhausted_shard_lands_in_failure_manifest() {
         }
         other => panic!("expected completion, got {other:?}"),
     }
-    assert_eq!(shard_state(&dir, 0, "shard-000.csv", 2), ShardState::Failed);
+    assert_eq!(
+        shard_state(&dir, 0, &MockRunner.artifact_names(0), 2),
+        ShardState::Failed
+    );
     assert_eq!(read_attempts(&dir, 0), 2);
     assert!(stats.faults[0] >= 2, "both attempts must have been killed");
     let m = manifest(&dir, &cfg, &stats);
@@ -215,14 +202,7 @@ fn exhausted_shard_lands_in_failure_manifest() {
 #[test]
 fn corruption_is_quarantined_then_rerun() {
     let dir = fresh_dir("quarantine");
-    let cfg = FleetConfig {
-        lease: LeaseConfig {
-            timeout_ms: 60,
-            heartbeat_ms: 10,
-        },
-        poll_ms: 5,
-        ..FleetConfig::default()
-    };
+    let cfg = FleetConfig::default();
     // plant a corrupt artifact where shard 1's output belongs
     std::fs::write(dir.join("shard-001.csv"), b"instance_index,hlf,sa\ngarbage").unwrap();
     let (stats, outcome) = run_until_terminal(&dir, &cfg);
@@ -239,52 +219,54 @@ fn corruption_is_quarantined_then_rerun() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Two workers racing the same campaign in threads complete it with
-/// artifacts identical to a solo run — concurrent claimants never
-/// corrupt each other.
+/// A shard counts as done only when every artifact it writes is
+/// valid: a missing companion and a corrupt one each make the shard
+/// re-run, and the re-run commits the fault-free bytes. Shards whose
+/// artifacts are intact are skipped.
 #[test]
-fn concurrent_workers_converge_identically() {
-    let solo = fresh_dir("solo");
-    let cfg = FleetConfig {
-        lease: LeaseConfig {
-            timeout_ms: 200,
-            heartbeat_ms: 20,
-        },
-        poll_ms: 5,
-        ..FleetConfig::default()
-    };
-    let (_, outcome) = run_until_terminal(&solo, &cfg);
-    assert!(matches!(outcome, WorkerOutcome::Completed { .. }));
+fn missing_or_corrupt_companion_reruns_its_shard() {
+    let clean = fresh_dir("companion-clean");
+    let cfg = FleetConfig::default();
+    run_until_terminal(&clean, &cfg);
 
-    let duo = fresh_dir("duo");
-    let shards: Vec<usize> = (0..SHARDS).collect();
-    std::thread::scope(|s| {
-        for w in 0..2 {
-            let duo = &duo;
-            let cfg = &cfg;
-            let shards = &shards;
-            s.spawn(move || {
-                let mut stats = FleetStats::default();
-                let outcome = run_worker(
-                    duo,
-                    shards,
-                    &format!("racer-{w}"),
-                    cfg,
-                    &MockRunner,
-                    &mut stats,
-                    &mut |_| {},
-                )
-                .unwrap();
-                assert!(matches!(outcome, WorkerOutcome::Completed { .. }));
-            });
+    let dir = fresh_dir("companion");
+    run_until_terminal(&dir, &cfg);
+    // shard 1 lost its metrics (a kill between the two commits, or a
+    // run that did not write them); shard 2's metrics rotted
+    std::fs::remove_file(dir.join("metrics-001.jsonl")).unwrap();
+    let mut bytes = artifact_bytes(&dir, "metrics-002.jsonl");
+    bytes[3] ^= 0x21;
+    std::fs::write(dir.join("metrics-002.jsonl"), bytes).unwrap();
+
+    let mut stats = FleetStats::default();
+    let mut events = Vec::new();
+    let outcome = run_worker(&dir, &[0, 1, 2], &cfg, &MockRunner, &mut stats, &mut |ev| {
+        events.push(ev.clone())
+    })
+    .unwrap();
+    assert_eq!(
+        outcome,
+        WorkerOutcome::Completed {
+            done: vec![0, 1, 2],
+            failed: vec![]
         }
-    });
+    );
+    assert!(matches!(
+        events.first(),
+        Some(FleetEvent::ShardSkipped { shard: 0 })
+    ));
+    assert_eq!(stats.shards_run, 2, "shards 1 and 2 re-run: {events:?}");
+    assert_eq!(stats.quarantines, 1);
+    assert!(dir.join("metrics-002.jsonl.quarantined-1").exists());
     for k in 0..SHARDS {
-        assert_eq!(
-            artifact_bytes(&duo, &format!("shard-{k:03}.csv")),
-            artifact_bytes(&solo, &format!("shard-{k:03}.csv"))
-        );
+        for name in MockRunner.artifact_names(k) {
+            assert_eq!(
+                artifact_bytes(&dir, &name),
+                artifact_bytes(&clean, &name),
+                "{name}"
+            );
+        }
     }
-    let _ = std::fs::remove_dir_all(&solo);
-    let _ = std::fs::remove_dir_all(&duo);
+    let _ = std::fs::remove_dir_all(&clean);
+    let _ = std::fs::remove_dir_all(&dir);
 }

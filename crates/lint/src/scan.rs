@@ -80,8 +80,9 @@ impl Config {
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),
-            // `fleet` is sanctioned for lease heartbeats/expiry only:
-            // wall time never reaches a science artifact there.
+            // `fleet` is sanctioned for `lease::unix_time_ms` only, which
+            // the benchmark harness's lease probe calls; no campaign
+            // code path reads it, and no science artifact carries it.
             clock_sanctioned_crates: vec!["obs".to_string(), "fleet".to_string()],
             oracle_targets: vec![
                 "crates/sim/src/fastpath.rs".into(),

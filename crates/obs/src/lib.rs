@@ -34,11 +34,12 @@
 //! | prefix   | class                        | invariant |
 //! |----------|------------------------------|-----------|
 //! | `time.`  | wall-clock timing            | none — varies run to run |
-//! | `sched.` | execution-schedule dependent | deterministic totals only at fixed thread/process counts |
-//! | other    | deterministic                | byte-identical across `--procs`/`--threads`/re-sharding |
+//! | `sched.` | execution-schedule dependent | deterministic totals only for a fixed thread plan and history |
+//! | other    | deterministic                | byte-identical across `--threads`, re-sharding and resume |
 //!
 //! [`MetricsRegistry::deterministic_only`] filters a registry down to
-//! the last class, which is what CI compares across process counts.
+//! the last class, which is what CI compares across re-sharding and
+//! resume.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -144,7 +144,7 @@ impl MetricValue {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricClass {
     /// Pure function of seeds and inputs: byte-identical across
-    /// `--procs`, `--threads` and re-sharding.
+    /// `--threads`, re-sharding and resume.
     Deterministic,
     /// Depends on how work was divided among workers (scratch reuse,
     /// pool recycling); stable for a fixed execution plan only.
@@ -269,8 +269,8 @@ impl MetricsRegistry {
     }
 
     /// A copy holding only [`MetricClass::Deterministic`] keys — the
-    /// view CI compares byte-for-byte across `--procs`/`--threads`/
-    /// re-sharding.
+    /// view CI compares byte-for-byte across `--threads`, re-sharding
+    /// and resume.
     pub fn deterministic_only(&self) -> MetricsRegistry {
         MetricsRegistry {
             metrics: self

@@ -1,12 +1,12 @@
 //! Property tests for the registry merge algebra.
 //!
-//! The campaign driver's re-shard invariance ("non-timing metrics are
-//! identical across `--procs`, `--threads`, and shard count") reduces
-//! to three algebraic laws of [`MetricsRegistry::merge`]: it must be
-//! associative, commutative, and must make any sharded replay of an
-//! observation stream collapse to the unsharded replay. These tests
-//! pin the laws on randomized streams, including the JSONL round trip
-//! the multi-process driver actually takes.
+//! The campaign driver's invariance ("non-timing metrics are identical
+//! across re-sharding and resume") reduces to three algebraic laws of
+//! [`MetricsRegistry::merge`]: it must be associative, commutative,
+//! and must make any sharded replay of an observation stream collapse
+//! to the unsharded replay. These tests pin the laws on randomized
+//! streams, including the JSONL round trip every shard's metrics
+//! artifact actually takes.
 
 use anneal_obs::{JsonlSink, MetricsRegistry, Recorder};
 use proptest::prelude::*;
@@ -76,7 +76,7 @@ proptest! {
 
     /// Splitting one observation stream into shards at *any* boundary
     /// and merging the per-shard registries reproduces the unsharded
-    /// replay — the law the campaign's `--procs`/shard-count
+    /// replay — the law the campaign's re-sharding and resume
     /// invariance rests on.
     #[test]
     fn merge_is_reshard_invariant(ops in arb_ops(), cut_a in 0u64..48, cut_b in 0u64..48) {

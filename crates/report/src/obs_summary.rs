@@ -120,13 +120,7 @@ pub fn render_fleet_summary(reg: &anneal_obs::MetricsRegistry) -> Option<String>
         return None;
     }
     let c = |key: &str| reg.counter(&format!("sched.fleet.{key}"));
-    let mut parts = vec![format!(
-        "{} leases ({} stolen, {} lost)",
-        c("leases_acquired") + c("leases_stolen"),
-        c("leases_stolen"),
-        c("leases_lost")
-    )];
-    parts.push(format!("{} shards run", c("shards_run")));
+    let mut parts = vec![format!("{} shards run", c("shards_run"))];
     for (key, label) in [
         ("retries", "retries"),
         ("run_failures", "run failures"),
@@ -138,7 +132,7 @@ pub fn render_fleet_summary(reg: &anneal_obs::MetricsRegistry) -> Option<String>
             parts.push(format!("{v} {label}"));
         }
     }
-    let faults: u64 = ["kill", "truncate", "corrupt", "stall"]
+    let faults: u64 = ["kill", "truncate", "corrupt"]
         .iter()
         .map(|k| c(&format!("faults_{k}")))
         .sum();
@@ -257,17 +251,12 @@ mod tests {
         assert_eq!(render_fleet_summary(&reg), None, "no counters, no noise");
         reg.add("sim.events", 5);
         assert_eq!(render_fleet_summary(&reg), None, "non-fleet keys ignored");
-        reg.add("sched.fleet.leases_acquired", 3);
-        reg.add("sched.fleet.leases_stolen", 1);
         reg.add("sched.fleet.shards_run", 4);
         reg.add("sched.fleet.retries", 2);
         reg.add("sched.fleet.faults_kill", 1);
         reg.add("sched.fleet.faults_truncate", 1);
         let line = render_fleet_summary(&reg).unwrap();
-        assert_eq!(
-            line,
-            "Fleet: 4 leases (1 stolen, 0 lost), 4 shards run, 2 retries, 2 faults injected\n"
-        );
+        assert_eq!(line, "Fleet: 4 shards run, 2 retries, 2 faults injected\n");
         // deterministic
         assert_eq!(render_fleet_summary(&reg).unwrap(), line);
     }
