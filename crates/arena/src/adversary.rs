@@ -20,12 +20,13 @@
 //! Re-pricing the whole portfolio per perturbation is the hottest loop
 //! in the repo, and it is tuned accordingly:
 //!
-//! * rival evaluations fan out over
-//!   `anneal_core::parallel::run_chunked_pooled`, every worker drawing
-//!   a warm `anneal_sim::SimScratch` from a search-wide
-//!   [`ScratchPool`] — cells run on the fast-path kernel (no Gantt, no
-//!   statistics, cached route tables, zero steady-state allocation)
-//!   with makespans bit-identical to the full engine;
+//! * a candidate's cells (the target, then every rival, on one
+//!   instance column) run through the crate's one cell loop — the one
+//!   tournaments and campaign shards use — with every worker drawing a
+//!   warm `anneal_sim::SimScratch` from a search-wide [`ScratchPool`]:
+//!   cells run on the fast-path kernel (no Gantt, no statistics, cached
+//!   route tables, zero steady-state allocation) with makespans
+//!   bit-identical to the full engine;
 //! * candidates are **memoized by instance content**: the SA walk over
 //!   a small graph frequently proposes an instance it has already
 //!   priced (a rejected edit re-proposed, a perturbation that rounds
@@ -35,26 +36,26 @@
 //!   whole portfolio fan-out is skipped ([`AdversaryOutcome`] reports
 //!   the hit count).
 //!
-//! Identical seeds give identical searches either way; mapped entries
-//! (whole-graph static SA) still price their annealing moves through
-//! `anneal-core`'s shared evaluator layer, and the evaluator kind
-//! cannot change a ratio (only how fast it is computed).
+//! Identical seeds give identical searches either way. The static-SA
+//! entry prices its annealing moves through `anneal-core`'s shared
+//! evaluator layer, and the evaluator kind cannot change a ratio (only
+//! how fast it is computed).
 
 use std::collections::BTreeMap;
 
 use anneal_core::boltzmann::{accept, AcceptanceRule};
 use anneal_core::cooling::CoolingSchedule;
-use anneal_core::parallel::{run_chunked_pooled, ScratchPool};
+use anneal_core::parallel::ScratchPool;
 use anneal_graph::perturb::{perturb, DagEdit, PerturbConfig};
 use anneal_graph::{textio, TaskGraph};
-use anneal_obs::{MetricsRegistry, Recorder};
+use anneal_obs::{MetricsRegistry, NullClock, Recorder};
 use anneal_sim::{SimError, SimScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::cells::{record_pool, run_cells};
 use crate::instance::ArenaInstance;
-use crate::portfolio::Portfolio;
-use crate::tournament::cell_seed;
+use crate::portfolio::{Portfolio, PortfolioEntry};
 
 /// Adversarial-search settings.
 #[derive(Debug, Clone)]
@@ -155,35 +156,36 @@ pub fn makespan_ratio_pooled(
     let target_entry = portfolio
         .get(target)
         .unwrap_or_else(|| panic!("target '{target}' not in portfolio"));
-    let field = portfolio.without(target);
+    // Row 0 is the target, rows 1.. the field in portfolio order; all
+    // in column 0, so cell `k` draws seed `cell_seed(seed, k, 0)`.
+    let lineup: Vec<&PortfolioEntry> = std::iter::once(target_entry)
+        .chain(portfolio.entries().iter().filter(|e| e.name() != target))
+        .collect();
     assert!(
-        !field.is_empty(),
+        lineup.len() > 1,
         "portfolio must hold a rival for '{target}'"
     );
-    let jobs = field.len() + 1;
-    let makespans: Vec<Result<u64, SimError>> =
-        run_chunked_pooled(jobs, max_threads, pool, |scratch, k| {
-            let entry = if k == 0 {
-                target_entry
-            } else {
-                &field.entries()[k - 1]
-            };
-            entry.evaluate_makespan(inst, cell_seed(seed, k as u64, 0), scratch)
-        });
-    let mut it = makespans.into_iter();
-    let target_makespan = it.next().expect("target job ran")?;
-    let mut best: Option<(usize, u64)> = None;
-    for (i, m) in it.enumerate() {
-        let m = m?;
-        if best.is_none_or(|(_, b)| m < b) {
-            best = Some((i, m));
-        }
-    }
-    let (bi, best_rival_makespan) = best.expect("field is non-empty");
+    let cells = run_cells(
+        &lineup,
+        std::slice::from_ref(inst),
+        &[0],
+        seed,
+        max_threads,
+        pool,
+        &NullClock,
+    )?;
+    let target_makespan = cells[0].makespan;
+    let (rival, best_rival_makespan) = cells
+        .iter()
+        .enumerate()
+        .skip(1)
+        .map(|(k, cell)| (k, cell.makespan))
+        .min_by_key(|&(k, m)| (m, k))
+        .expect("field is non-empty");
     Ok(RatioBreakdown {
         ratio: target_makespan as f64 / best_rival_makespan.max(1) as f64,
         target_makespan,
-        best_rival: field.entries()[bi].name().to_string(),
+        best_rival: lineup[rival].name().to_string(),
         best_rival_makespan,
     })
 }
@@ -306,16 +308,10 @@ pub fn adversarial_search(
         trajectory.push(best.1.ratio);
     }
 
-    // Snapshot the pool counters before draining it: the drain's own
-    // takes must not count as reuse.
-    let pool_stats = pool.stats();
     let mut metrics = MetricsRegistry::new();
     metrics.add("adversary.evaluations", evaluations);
     metrics.add("adversary.cache_hits", cache_hits);
-    pool_stats.record_into(&mut metrics);
-    while !pool.is_empty() {
-        pool.take().route_cache_stats().record_into(&mut metrics);
-    }
+    record_pool(&pool, &mut metrics);
 
     Ok(AdversaryOutcome {
         graph: best.0,
@@ -387,6 +383,30 @@ mod tests {
         assert_eq!(a.ratio, b.ratio);
         assert_eq!(a.target_makespan, b.target_makespan);
         assert_eq!(a.best_rival_makespan, b.best_rival_makespan);
+    }
+
+    #[test]
+    fn ratio_cells_draw_the_lineup_seeds() {
+        // Row 0 is the target, rows 1.. the field in portfolio order,
+        // all in column 0: cell k draws `cell_seed(seed, k, 0)`.
+        let p = Portfolio::fast();
+        let inst = &smoke_instances(3)[0];
+        let b = makespan_ratio(&p, "random-list", inst, 5, 0).unwrap();
+        let makespan = |entry: &PortfolioEntry, k: u64| {
+            entry
+                .evaluate(inst, crate::cells::cell_seed(5, k, 0))
+                .unwrap()
+                .makespan
+        };
+        assert_eq!(
+            b.target_makespan,
+            makespan(p.get("random-list").unwrap(), 0)
+        );
+        let field = p.without("random-list");
+        let best = (field.entries().iter().zip(1..))
+            .map(|(e, k)| makespan(e, k))
+            .min();
+        assert_eq!(Some(b.best_rival_makespan), best);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Sharded, resumable large-scale tournaments ("campaigns").
 //!
-//! PR 2's [`run_tournament`](crate::run_tournament) evaluates one
-//! in-process matrix; a **campaign** scales the same portfolio ×
+//! [`run_tournament`](crate::run_tournament) evaluates one in-process
+//! matrix; a **campaign** scales the same portfolio ×
 //! instance evaluation to 1000+ generated instances by splitting the
 //! matrix into `shards` independently runnable chunks:
 //!
@@ -13,7 +13,10 @@
 //! * [`shard_columns`] assigns instance indices to shards in strides,
 //!   and [`run_shard`] evaluates one shard's cells with the seed
 //!   derived from the **global** instance index — the cell values are
-//!   invariant under re-sharding;
+//!   invariant under re-sharding. The cells run through the same loop
+//!   as a tournament's, so a one-shard campaign reproduces, cell for
+//!   cell, `run_tournament` over [`campaign_instances`] with the same
+//!   base seed;
 //! * each [`ShardResult`] serializes to one CSV artifact
 //!   ([`ShardResult::to_csv`]); a campaign is *resumed* by skipping
 //!   shards whose artifact already exists, and *merged* by
@@ -25,22 +28,21 @@
 //! from the command line; `docs/ARCHITECTURE.md` shows where it sits in
 //! the crate graph.
 
-use anneal_core::parallel::{run_chunked_pooled, ScratchPool};
 use anneal_graph::generate::{
     chain, fork_join, gnp_dag, independent, layered_random, series_parallel, LayeredConfig, Range,
 };
 use anneal_graph::units::us;
-use anneal_obs::{Clock, JsonlSink, MetricsRegistry, NullClock, Recorder};
+use anneal_obs::{Clock, JsonlSink, MetricsRegistry, NullClock};
 use anneal_report::Csv;
-use anneal_sim::{KernelRunStats, SimError, SimScratch};
+use anneal_sim::SimError;
 use anneal_topology::builders::{binary_tree, bus, hypercube, linear, mesh, ring, star, torus};
 use anneal_topology::Topology;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::cells::{cell_seed, run_cells_observed};
 use crate::instance::ArenaInstance;
 use crate::portfolio::Portfolio;
-use crate::tournament::cell_seed;
 
 /// Salt separating instance-generation seeds from tournament cell
 /// seeds that share the same base seed.
@@ -379,46 +381,29 @@ pub fn run_shard_observed(
         .iter()
         .map(|&j| campaign_instance(cfg.base_seed, j))
         .collect();
-    let rows = portfolio.len();
-    let cols = columns.len();
-    let shard_start = clock.now_ns();
-    let pool: ScratchPool<SimScratch> = ScratchPool::new();
-    let cells: Vec<Result<(u64, u64, KernelRunStats), SimError>> =
-        run_chunked_pooled(rows * cols, cfg.max_threads, &pool, |scratch, k| {
-            let (e, c) = (k / cols, k % cols);
-            let seed = cell_seed(cfg.base_seed, e as u64, columns[c] as u64);
-            let start = clock.now_ns();
-            let makespan =
-                portfolio.entries()[e].evaluate_makespan(&instances[c], seed, scratch)?;
-            let wall_ns = clock.now_ns().saturating_sub(start);
-            Ok((makespan, wall_ns, scratch.last_run_stats()))
-        });
-    let shard_ns = clock.now_ns().saturating_sub(shard_start);
+    let (cells, registry) = run_cells_observed(
+        portfolio,
+        &instances,
+        &columns,
+        cfg.base_seed,
+        cfg.max_threads,
+        clock,
+        "time.shard_ns",
+    )?;
 
-    let mut registry = MetricsRegistry::new();
-    let mut obs_cells = Vec::with_capacity(rows * cols);
-    let mut makespans = vec![vec![0u64; rows]; cols];
-    for (k, cell) in cells.into_iter().enumerate() {
+    let cols = columns.len();
+    let mut obs_cells = Vec::with_capacity(cells.len());
+    let mut makespans = vec![vec![0u64; portfolio.len()]; cols];
+    for (k, cell) in cells.iter().enumerate() {
         let (e, c) = (k / cols, k % cols);
-        let (makespan, wall_ns, stats) = cell?;
-        makespans[c][e] = makespan;
-        registry.add("arena.cells", 1);
-        registry.observe("arena.makespan_ns", makespan);
-        registry.observe("time.cell_ns", wall_ns);
-        stats.record_into(&mut registry);
+        makespans[c][e] = cell.makespan;
         obs_cells.push(CellObs {
             instance_index: columns[c],
             instance: instances[c].name.clone(),
             scheduler: portfolio.entries()[e].name().to_string(),
-            makespan,
-            wall_ns,
+            makespan: cell.makespan,
+            wall_ns: cell.wall_ns,
         });
-    }
-    registry.add("time.shard_ns", shard_ns);
-    // Snapshot before draining: the drain's takes must not count.
-    pool.stats().record_into(&mut registry);
-    while !pool.is_empty() {
-        pool.take().route_cache_stats().record_into(&mut registry);
     }
 
     let result = ShardResult {

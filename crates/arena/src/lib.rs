@@ -12,8 +12,8 @@
 //!   list family, MCT, greedy, HEFT, CPOP, staged SA and whole-graph
 //!   static SA) behind one factory interface, and [`run_tournament`]
 //!   evaluates the full portfolio × instance matrix in parallel with a
-//!   deterministic seed per cell. Mapping-producing entries (static SA)
-//!   are evaluated through `anneal-core`'s shared evaluation layer —
+//!   deterministic seed per cell. Static SA prices its annealing moves
+//!   through `anneal-core`'s shared evaluation layer —
 //!   [`Portfolio::standard_with_lanes`] pins the
 //!   [`EvaluatorKind`](anneal_core::EvaluatorKind) (full replay vs the
 //!   incremental kernel; bit-identical results, very different cost)
@@ -46,11 +46,12 @@
 //!   fails any PR that makes a portfolio scheduler measurably worse on
 //!   a checked-in instance (see `docs/CORPUS_FORMAT.md`).
 //!
-//! Every layer is deterministic given its seeds: tournament cells derive
-//! their seed from (base seed, scheduler index, instance index) via a
-//! SplitMix64-style mixer, the adversary threads one seeded RNG, and
-//! thread-pool sizing never changes results (see
-//! `anneal_core::parallel::run_chunked`).
+//! Every layer is deterministic given its seeds: tournaments, campaign
+//! shards and the adversary evaluate their cells through one loop, in
+//! which a cell derives its seed from (base seed, scheduler index,
+//! instance column) via a SplitMix64-style mixer; the adversary threads
+//! one seeded RNG; and thread-pool sizing never changes results (see
+//! `anneal_core::parallel::run_chunked_pooled`).
 //!
 //! ```
 //! use anneal_arena::{run_tournament, standard_instances, Portfolio, TournamentConfig};
@@ -72,6 +73,7 @@
 
 pub mod adversary;
 pub mod campaign;
+mod cells;
 pub mod corpus;
 pub mod instance;
 pub mod portfolio;
@@ -92,5 +94,5 @@ pub use corpus::{
     LANE_GATE_SEEDS, LANE_INSTANCE_MEAN_MAX, REGRESSION_TOLERANCE,
 };
 pub use instance::{paper_instances, smoke_instances, standard_instances, ArenaInstance};
-pub use portfolio::{static_sa_cell_config, MappedSchedule, Portfolio, PortfolioEntry};
+pub use portfolio::{static_sa_cell_config, Portfolio, PortfolioEntry};
 pub use tournament::{run_tournament, run_tournament_observed, TournamentConfig, TournamentResult};

@@ -3,19 +3,10 @@
 //! A [`PortfolioEntry`] wraps a scheduler behind a factory, so stateful
 //! schedulers (level caches, annealing RNGs) never leak state between
 //! cells of a tournament. Deterministic schedulers simply ignore the
-//! seed. Entries come in two flavors:
-//!
-//! * **online** ([`PortfolioEntry::new`] /
-//!   [`PortfolioEntry::new_fallible`]) — the factory produces a fresh
-//!   `OnlineScheduler` that is driven epoch by epoch through
-//!   [`simulate`];
-//! * **mapped** ([`PortfolioEntry::new_mapped`]) — the factory
-//!   produces a complete static schedule ([`MappedSchedule`]), and the
-//!   cell is evaluated through the shared
-//!   [`anneal_core::replay_mapping`] helper — the same evaluation layer
-//!   whole-graph annealing prices its moves with, so there is exactly
-//!   one "replay a mapping through the engine" implementation in the
-//!   workspace.
+//! seed. Every entry produces an `OnlineScheduler` that a cell drives
+//! through [`simulate`] (or the fast-path kernel); whole-graph static
+//! SA anneals a complete mapping inside its factory and hands it out as
+//! a [`FixedMapping`] under the level dispatch order it annealed with.
 //!
 //! [`Portfolio::standard`] registers every scheduler in the workspace on
 //! the production lane ([`SaLane::default`]) and the default
@@ -27,57 +18,30 @@ use std::sync::Arc;
 use anneal_core::list::{ListScheduler, PriorityPolicy};
 use anneal_core::static_sa::{static_sa, StaticSaConfig};
 use anneal_core::{
-    level_dispatch_order, replay_mapping, CpopScheduler, EvaluatorKind, HeftScheduler,
-    HlfScheduler, MctScheduler, SaConfig, SaLane, SaScheduler,
+    level_dispatch_order, CpopScheduler, EvaluatorKind, HeftScheduler, HlfScheduler, MctScheduler,
+    SaConfig, SaLane, SaScheduler,
 };
 use anneal_sim::{
     simulate, simulate_makespan, FixedMapping, GreedyScheduler, OnlineScheduler, SimError,
     SimResult, SimScratch,
 };
-use anneal_topology::ProcId;
 
 use crate::instance::ArenaInstance;
 
-type OnlineFactory =
+type Factory =
     Arc<dyn Fn(&ArenaInstance, u64) -> Result<Box<dyn OnlineScheduler>, SimError> + Send + Sync>;
-type MappedFactory =
-    Arc<dyn Fn(&ArenaInstance, u64) -> Result<MappedSchedule, SimError> + Send + Sync>;
-
-/// A precomputed static schedule: a complete task→processor mapping
-/// plus an optional dispatch priority (lower first; defaults to task-id
-/// order), replayed through [`anneal_core::replay_mapping`].
-#[derive(Debug, Clone)]
-pub struct MappedSchedule {
-    /// `mapping[t]` is the processor of task `t`.
-    pub mapping: Vec<ProcId>,
-    /// Optional dispatch priority per task.
-    pub order: Option<Vec<u64>>,
-}
-
-#[derive(Clone)]
-enum EntryImpl {
-    Online(OnlineFactory),
-    Mapped(MappedFactory),
-}
 
 /// A named scheduler factory.
 #[derive(Clone)]
 pub struct PortfolioEntry {
     name: String,
-    imp: EntryImpl,
+    factory: Factory,
 }
 
 impl std::fmt::Debug for PortfolioEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PortfolioEntry")
             .field("name", &self.name)
-            .field(
-                "kind",
-                &match self.imp {
-                    EntryImpl::Online(_) => "online",
-                    EntryImpl::Mapped(_) => "mapped",
-                },
-            )
             .finish_non_exhaustive()
     }
 }
@@ -104,23 +68,7 @@ impl PortfolioEntry {
     ) -> Self {
         PortfolioEntry {
             name: name.into(),
-            imp: EntryImpl::Online(Arc::new(factory)),
-        }
-    }
-
-    /// Wraps a factory that computes a complete static schedule (e.g.
-    /// whole-graph annealing). The cell is evaluated through the shared
-    /// [`anneal_core::replay_mapping`] path.
-    pub fn new_mapped(
-        name: impl Into<String>,
-        factory: impl Fn(&ArenaInstance, u64) -> Result<MappedSchedule, SimError>
-            + Send
-            + Sync
-            + 'static,
-    ) -> Self {
-        PortfolioEntry {
-            name: name.into(),
-            imp: EntryImpl::Mapped(Arc::new(factory)),
+            factory: Arc::new(factory),
         }
     }
 
@@ -129,53 +77,26 @@ impl PortfolioEntry {
         &self.name
     }
 
-    /// Builds a fresh scheduler for one run (mapped entries replay as a
-    /// [`FixedMapping`]).
+    /// Builds a fresh scheduler for one run.
     pub fn instantiate(
         &self,
         inst: &ArenaInstance,
         seed: u64,
     ) -> Result<Box<dyn OnlineScheduler>, SimError> {
-        match &self.imp {
-            EntryImpl::Online(f) => f(inst, seed),
-            EntryImpl::Mapped(f) => {
-                let ms = f(inst, seed)?;
-                let mut fm = FixedMapping::new(ms.mapping);
-                if let Some(order) = ms.order {
-                    fm = fm.with_order(order);
-                }
-                Ok(Box::new(fm))
-            }
-        }
+        (self.factory)(inst, seed)
     }
 
-    /// Evaluates the instance with this entry: online schedulers are
-    /// driven through [`simulate`], mapped schedules replay through
-    /// [`anneal_core::replay_mapping`].
+    /// Evaluates the instance with this entry through the full engine
+    /// ([`simulate`]).
     pub fn evaluate(&self, inst: &ArenaInstance, seed: u64) -> Result<SimResult, SimError> {
-        match &self.imp {
-            EntryImpl::Online(f) => {
-                let mut sched = f(inst, seed)?;
-                simulate(
-                    &inst.graph,
-                    &inst.topology,
-                    &inst.params,
-                    sched.as_mut(),
-                    &inst.sim_cfg,
-                )
-            }
-            EntryImpl::Mapped(f) => {
-                let ms = f(inst, seed)?;
-                replay_mapping(
-                    &inst.graph,
-                    &inst.topology,
-                    &inst.params,
-                    &inst.sim_cfg,
-                    ms.mapping,
-                    ms.order,
-                )
-            }
-        }
+        let mut sched = self.instantiate(inst, seed)?;
+        simulate(
+            &inst.graph,
+            &inst.topology,
+            &inst.params,
+            sched.as_mut(),
+            &inst.sim_cfg,
+        )
     }
 
     /// [`PortfolioEntry::evaluate`] through the fast path
@@ -195,9 +116,6 @@ impl PortfolioEntry {
         seed: u64,
         scratch: &mut SimScratch,
     ) -> Result<u64, SimError> {
-        // `instantiate` is the one place that turns an entry into a
-        // runnable scheduler (mapped entries replay as FixedMapping);
-        // the fast path just drives it without the SimResult plumbing.
         let mut sched = self.instantiate(inst, seed)?;
         simulate_makespan(
             &inst.graph,
@@ -334,11 +252,10 @@ impl Portfolio {
     }
 
     /// Every scheduler in the workspace: [`Portfolio::fast`] plus
-    /// whole-graph static SA as a *mapped* entry (each cell anneals a
-    /// complete mapping with simulated-makespan cost, then replays it
-    /// through the shared evaluation layer). Uses the default
-    /// (incremental) move evaluator and the production SA lane; what
-    /// `campaign --full` and `arena` run.
+    /// whole-graph static SA (each cell anneals a complete mapping with
+    /// simulated-makespan cost, then runs it as a [`FixedMapping`]).
+    /// Uses the default (incremental) move evaluator and the production
+    /// SA lane; what `campaign --full` and `arena` run.
     pub fn standard() -> Self {
         Self::standard_with_lanes(EvaluatorKind::default(), SaLane::default())
     }
@@ -350,7 +267,7 @@ impl Portfolio {
     /// speed differs.
     pub fn standard_with_lanes(evaluator: EvaluatorKind, lane: SaLane) -> Self {
         let mut p = Self::fast_with_lane(lane);
-        p.register(PortfolioEntry::new_mapped(
+        p.register(PortfolioEntry::new_fallible(
             "static-sa",
             move |inst, seed| {
                 let cfg = static_sa_cell_config(seed, evaluator, lane);
@@ -361,13 +278,12 @@ impl Portfolio {
                     &inst.sim_cfg,
                     &cfg,
                 )?;
-                Ok(MappedSchedule {
-                    mapping: outcome.mapping,
-                    // Replay with the same level-based dispatch order the
-                    // annealer evaluated under, so the cell's makespan is
-                    // exactly `outcome.result.makespan`.
-                    order: Some(level_dispatch_order(&inst.graph)),
-                })
+                // The dispatch order the annealer evaluated under, so the
+                // cell's makespan is exactly `outcome.result.makespan`.
+                let order = level_dispatch_order(&inst.graph);
+                Ok(Box::new(
+                    FixedMapping::new(outcome.mapping).with_order(order),
+                ))
             },
         ));
         p
@@ -505,25 +421,31 @@ mod tests {
     }
 
     #[test]
-    fn mapped_entries_instantiate_and_evaluate_consistently() {
-        // A mapped entry's `instantiate` (FixedMapping replay through
-        // the public engine) must agree with its `evaluate` (the shared
-        // replay_mapping path).
-        let inst = &smoke_instances(2)[0];
+    fn static_sa_cells_score_the_annealed_result() {
+        // The static-sa entry runs the annealer's best mapping; its cell
+        // must score exactly the annealer's own final replay at the
+        // portfolio's cell settings.
         let p = Portfolio::standard();
         let entry = p.get("static-sa").unwrap();
-        let direct = entry.evaluate(inst, 5).unwrap();
-        let mut sched = entry.instantiate(inst, 5).unwrap();
-        let replayed = simulate(
-            &inst.graph,
-            &inst.topology,
-            &inst.params,
-            sched.as_mut(),
-            &inst.sim_cfg,
-        )
-        .unwrap();
-        assert_eq!(direct.makespan, replayed.makespan);
-        assert_eq!(direct.placement, replayed.placement);
+        let mut scratch = SimScratch::new();
+        for inst in &smoke_instances(3) {
+            for seed in [5, 17] {
+                let cfg = static_sa_cell_config(seed, EvaluatorKind::default(), SaLane::default());
+                let outcome = static_sa(
+                    &inst.graph,
+                    &inst.topology,
+                    &inst.params,
+                    &inst.sim_cfg,
+                    &cfg,
+                )
+                .unwrap();
+                let cell = entry.evaluate_makespan(inst, seed, &mut scratch).unwrap();
+                assert_eq!(cell, outcome.result.makespan, "{} seed {seed}", inst.name);
+                let full = entry.evaluate(inst, seed).unwrap();
+                assert_eq!(full.placement, outcome.result.placement);
+                assert_eq!(full.finish, outcome.result.finish);
+            }
+        }
     }
 
     #[test]

@@ -3,23 +3,20 @@
 //! Every `(scheduler, instance)` cell is an independent evaluation with
 //! a seed mixed deterministically from `(base_seed, row, column)`, so
 //! the whole matrix is reproducible bit-for-bit regardless of the
-//! thread cap; fan-out goes through
-//! [`anneal_core::parallel::run_chunked_scratch`], each worker carrying
-//! one `anneal_sim::SimScratch` across all its cells. Cells route
-//! through
+//! thread cap. The cells run through the crate's one cell loop (the
+//! one campaign shards and the adversary use): a fan-out over
+//! [`anneal_core::parallel::run_chunked_pooled`] in which each worker
+//! carries one warm `anneal_sim::SimScratch` across its cells, every
+//! cell routed through
 //! [`PortfolioEntry::evaluate_makespan`](crate::PortfolioEntry): the
 //! fast-path kernel (no Gantt, no statistics, reused buffers, cached
-//! route tables) with makespans bit-identical to the full engine, and
-//! mapped entries (whole-graph static SA) additionally price their
-//! annealing moves through `anneal-core`'s incremental evaluator.
+//! route tables) with makespans bit-identical to the full engine.
 
-use anneal_core::parallel::{run_chunked_pooled, ScratchPool};
-use anneal_obs::{Clock, MetricsRegistry, NullClock, Recorder};
+use anneal_obs::{Clock, MetricsRegistry, NullClock};
 use anneal_report::{render_win_loss_matrix, Csv, WinLossOptions};
-use anneal_sim::KernelRunStats;
 use anneal_sim::SimError;
-use anneal_sim::SimScratch;
 
+use crate::cells::run_cells_observed;
 use crate::instance::ArenaInstance;
 use crate::portfolio::Portfolio;
 
@@ -39,16 +36,6 @@ impl Default for TournamentConfig {
             max_threads: 0,
         }
     }
-}
-
-/// SplitMix64-style mixing of the base seed with a cell coordinate.
-pub(crate) fn cell_seed(base: u64, row: u64, col: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(row.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(col.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The full result matrix of one tournament.
@@ -192,38 +179,20 @@ pub fn run_tournament_observed(
 ) -> Result<(TournamentResult, MetricsRegistry), SimError> {
     assert!(!portfolio.is_empty(), "empty portfolio");
     assert!(!instances.is_empty(), "no instances");
-    let rows = portfolio.len();
-    let cols = instances.len();
-    let start = clock.now_ns();
-    let pool: ScratchPool<SimScratch> = ScratchPool::new();
-    let cells: Vec<Result<(u64, u64, KernelRunStats), SimError>> =
-        run_chunked_pooled(rows * cols, cfg.max_threads, &pool, |scratch, k| {
-            let (i, j) = (k / cols, k % cols);
-            let seed = cell_seed(cfg.base_seed, i as u64, j as u64);
-            let cell_start = clock.now_ns();
-            let makespan =
-                portfolio.entries()[i].evaluate_makespan(&instances[j], seed, scratch)?;
-            let wall_ns = clock.now_ns().saturating_sub(cell_start);
-            Ok((makespan, wall_ns, scratch.last_run_stats()))
-        });
-    let total_ns = clock.now_ns().saturating_sub(start);
-
-    let mut registry = MetricsRegistry::new();
-    let mut makespans = vec![vec![0u64; cols]; rows];
-    for (k, cell) in cells.into_iter().enumerate() {
-        let (makespan, wall_ns, stats) = cell?;
-        makespans[k / cols][k % cols] = makespan;
-        registry.add("arena.cells", 1);
-        registry.observe("arena.makespan_ns", makespan);
-        registry.observe("time.cell_ns", wall_ns);
-        stats.record_into(&mut registry);
-    }
-    registry.add("time.total_ns", total_ns);
-    // Snapshot before draining: the drain's takes must not count.
-    pool.stats().record_into(&mut registry);
-    while !pool.is_empty() {
-        pool.take().route_cache_stats().record_into(&mut registry);
-    }
+    let columns: Vec<usize> = (0..instances.len()).collect();
+    let (cells, registry) = run_cells_observed(
+        portfolio,
+        instances,
+        &columns,
+        cfg.base_seed,
+        cfg.max_threads,
+        clock,
+        "time.total_ns",
+    )?;
+    let makespans = cells
+        .chunks(instances.len())
+        .map(|row| row.iter().map(|cell| cell.makespan).collect())
+        .collect();
     Ok((
         TournamentResult {
             schedulers: portfolio.names(),
@@ -275,15 +244,6 @@ mod tests {
         let svg = tiny().win_loss_svg();
         assert!(svg.starts_with("<svg"));
         assert!(svg.contains(">a<") && svg.contains(">z<"));
-    }
-
-    #[test]
-    fn cell_seed_spreads() {
-        let s = cell_seed(42, 0, 0);
-        assert_ne!(s, cell_seed(42, 0, 1));
-        assert_ne!(s, cell_seed(42, 1, 0));
-        assert_ne!(s, cell_seed(43, 0, 0));
-        assert_eq!(s, cell_seed(42, 0, 0));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! End-to-end arena tests: full-registry tournaments are reproducible
-//! byte-for-byte, and the adversarial loop closes (search → instance →
-//! tournament).
+//! byte-for-byte, a one-shard campaign is the same tournament, and the
+//! adversarial loop closes (search → instance → tournament).
 
 use anneal_arena::{
-    adversarial_search, run_tournament, smoke_instances, standard_instances, AdversaryConfig,
+    adversarial_search, campaign_instances, run_shard, run_shard_observed, run_tournament,
+    run_tournament_observed, smoke_instances, standard_instances, AdversaryConfig, CampaignConfig,
     Portfolio, TournamentConfig,
 };
+use anneal_obs::NullClock;
 
 #[test]
 fn full_registry_tournament_is_byte_reproducible() {
@@ -29,6 +31,43 @@ fn full_registry_tournament_is_byte_reproducible() {
     // sanity: the matrix is fully populated with real schedules
     assert_eq!(a.makespans.len(), portfolio.len());
     assert!(a.makespans.iter().flatten().all(|&m| m > 0));
+}
+
+/// Tournaments and campaign shards seed cell (entry `e`, column `j`)
+/// with `cell_seed(base_seed, e, j)`, `j` the global instance index. A
+/// tournament over the campaign family is therefore a one-shard
+/// campaign: the same cells, stored transposed, with the same
+/// deterministic metrics.
+#[test]
+fn one_shard_campaign_is_the_tournament_transposed() {
+    let portfolio = Portfolio::standard();
+    let (seed, n) = (5, 4);
+    let tcfg = TournamentConfig {
+        base_seed: seed,
+        max_threads: 0,
+    };
+    let ccfg = CampaignConfig {
+        instances: n,
+        shards: 1,
+        base_seed: seed,
+        max_threads: 0,
+    };
+    let instances = campaign_instances(seed, n);
+    let t = run_tournament(&portfolio, &instances, &tcfg).unwrap();
+    let shard = run_shard(&portfolio, &ccfg, 0).unwrap();
+    assert_eq!(shard.schedulers, t.schedulers);
+    assert_eq!(shard.instances, t.instances);
+    assert_eq!(shard.columns, (0..n).collect::<Vec<_>>());
+    let transposed: Vec<Vec<u64>> = (0..n)
+        .map(|j| t.makespans.iter().map(|row| row[j]).collect())
+        .collect();
+    assert_eq!(shard.makespans, transposed);
+
+    let (_, treg) = run_tournament_observed(&portfolio, &instances, &tcfg, &NullClock).unwrap();
+    let (_, obs) = run_shard_observed(&portfolio, &ccfg, 0, &NullClock).unwrap();
+    let det = treg.deterministic_only();
+    assert_eq!(det, obs.registry.deterministic_only());
+    assert_eq!(det.counter("arena.cells"), (portfolio.len() * n) as u64);
 }
 
 #[test]

@@ -21,13 +21,16 @@
 //! cargo run --release -p anneal-bench --bin corpus_gen
 //! ```
 //!
-//! Usage: `corpus_gen [--dir PATH]` (default `corpus`).
+//! Usage: `corpus_gen [--dir PATH]` (default `corpus`). Any other
+//! argument, or `--dir` without a path, prints the usage on stderr and
+//! exits 2.
 
 use std::path::PathBuf;
 
 use anneal_arena::{
     adversarial_search, regression_seed, AdversaryConfig, ArenaInstance, FrozenInstance, Portfolio,
 };
+use anneal_bench::cli::Cli;
 use anneal_core::SaLane;
 use anneal_graph::generate::{
     chain, fork_join, gnp_dag, layered_random, series_parallel, LayeredConfig, Range,
@@ -134,13 +137,12 @@ fn seed_graph(shape: &str, seed: u64) -> TaskGraph {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut cli = Cli::from_env("usage: corpus_gen [--dir PATH]");
     let mut dir = PathBuf::from("corpus");
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--dir" => dir = PathBuf::from(it.next().expect("--dir needs a path")),
-            other => panic!("unknown argument {other:?}"),
+            "--dir" => dir = cli.value(&arg),
+            other => cli.fail(format!("unknown argument {other:?}")),
         }
     }
     std::fs::create_dir_all(&dir).expect("create corpus dir");

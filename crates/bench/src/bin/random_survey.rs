@@ -5,8 +5,14 @@
 //!
 //! Generates a population of small random layered graphs, computes the
 //! exact optimum (branch and bound, no communication) and reports how
-//! close HLF and SA get. Usage: `random_survey [count] [procs]`.
+//! close HLF and SA get.
+//!
+//! Usage: `random_survey [count] [procs]` (defaults 100 graphs on 3
+//! processors). A count or processor number that is not a positive
+//! integer, a third argument or a flag prints the usage on stderr and
+//! exits 2.
 
+use anneal_bench::cli::Cli;
 use anneal_core::optimal::optimal_makespan;
 use anneal_core::{HlfScheduler, SaConfig, SaScheduler};
 use anneal_report::{csv::f, Csv, Table};
@@ -15,20 +21,28 @@ use anneal_topology::builders::bus;
 use anneal_topology::CommParams;
 use anneal_workloads::random::Population;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let parse_arg = |idx: usize, name: &str, default: usize| -> usize {
-        match args.get(idx) {
-            None => default,
-            Some(s) => s.parse().unwrap_or_else(|_| {
-                eprintln!("random_survey: {name} must be a positive integer, got '{s}'");
-                eprintln!("usage: random_survey [count] [procs]");
-                std::process::exit(2);
-            }),
+fn parse_args() -> (usize, usize) {
+    let mut cli = Cli::from_env("usage: random_survey [count] [procs]");
+    let mut sizes = [100, 3];
+    let mut positional = 0;
+    while let Some(arg) = cli.next_arg() {
+        if arg.starts_with('-') {
+            cli.fail(format!("unknown flag {arg:?}"));
         }
-    };
-    let count: usize = parse_arg(1, "count", 100);
-    let procs: usize = parse_arg(2, "procs", 3);
+        let Some(slot) = sizes.get_mut(positional) else {
+            cli.fail(format!("unexpected argument {arg:?}"));
+        };
+        *slot = cli.parse(&arg);
+        if *slot == 0 {
+            cli.fail(format!("{arg:?} must be a positive integer"));
+        }
+        positional += 1;
+    }
+    (sizes[0], sizes[1])
+}
+
+fn main() {
+    let (count, procs) = parse_args();
     let pop = Population::survey_small(2024, count);
     let topo = bus(procs);
     let cfg = SimConfig {

@@ -5,14 +5,19 @@
 //! each workload saturates: the knee should track Table 1's max-speedup
 //! column without communication and arrive much earlier with it.
 //! Writes `results/scaling.csv`.
+//!
+//! Usage: `scaling [--fast]` (`--fast`: one SA configuration per cell
+//! instead of the tuning sweep). Any other argument prints the usage on
+//! stderr and exits 2.
 
+use anneal_bench::cli::Cli;
 use anneal_bench::{results_dir, run_hlf, run_sa_tuned, CommMode};
 use anneal_report::{csv::f, Csv, Table};
 use anneal_topology::builders::{hypercube, ring};
 use anneal_workloads::paper_workloads;
 
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
+    let fast = Cli::from_env("usage: scaling [--fast]").only_switch("--fast");
     let mut csv = Csv::new();
     csv.row(&["workload", "topology", "procs", "comm", "sa", "hlf"]);
 

@@ -5,14 +5,18 @@
 //! By default SA uses the paper's tuning methodology (a small sweep of
 //! `w_b` and seeds per cell, keeping the best); pass `--fast` for a
 //! single-configuration pass. Writes `results/table2.csv`.
+//!
+//! Usage: `table2 [--fast]`. Any other argument prints the usage on
+//! stderr and exits 2.
 
+use anneal_bench::cli::Cli;
 use anneal_bench::{gain_pct, paper_table2, results_dir, run_hlf, run_sa_tuned, CommMode};
 use anneal_report::{csv::f, Csv, Table};
 use anneal_topology::builders::paper_architectures;
 use anneal_workloads::paper_workloads;
 
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
+    let fast = Cli::from_env("usage: table2 [--fast]").only_switch("--fast");
     if fast {
         println!("(--fast: single SA configuration, no tuning sweep)\n");
     }

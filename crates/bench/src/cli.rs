@@ -1,5 +1,6 @@
-//! The argument parser shared by the harness binaries that take flags
-//! (`arena`, `campaign`, `lane_study`).
+//! The argument parser shared by the harness binaries that read
+//! arguments (`arena`, `campaign`, `corpus_gen`, `lane_study`,
+//! `random_survey`, `scaling`, `table2`).
 //!
 //! Anything a binary does not understand — an unknown flag, a missing
 //! or unparsable value, an extra positional argument, a value its own
@@ -39,6 +40,20 @@ impl Cli {
     /// The next argument, if any.
     pub fn next_arg(&mut self) -> Option<String> {
         self.args.next()
+    }
+
+    /// For a binary whose one option is the switch `flag`: consumes the
+    /// remaining arguments and returns whether `flag` was among them.
+    /// Any other argument fails.
+    pub fn only_switch(mut self, flag: &str) -> bool {
+        let mut on = false;
+        while let Some(arg) = self.next_arg() {
+            if arg != flag {
+                self.fail(format!("unknown argument {arg:?}"));
+            }
+            on = true;
+        }
+        on
     }
 
     /// The argument following `flag`, parsed as `T`.
@@ -84,5 +99,14 @@ mod tests {
             std::path::Path::new("out/x")
         );
         assert_eq!(cli.next_arg(), None);
+    }
+
+    #[test]
+    fn only_switch_reports_its_flag() {
+        let cli =
+            |argv: &[&str]| Cli::new("usage: t", argv.iter().map(|s| s.to_string()).collect());
+        assert!(!cli(&[]).only_switch("--fast"));
+        assert!(cli(&["--fast"]).only_switch("--fast"));
+        assert!(cli(&["--fast", "--fast"]).only_switch("--fast"));
     }
 }

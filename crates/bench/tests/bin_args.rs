@@ -1,8 +1,9 @@
-//! Argument handling of the harness binaries that take flags (`arena`,
-//! `campaign`, `lane_study`, all on `anneal_bench::cli`): anything a
-//! binary does not understand is refused with the usage text and exit
-//! status 2, like the root `annealsched` CLI, instead of panicking or
-//! silently running with defaults.
+//! Argument handling of the harness binaries that read arguments
+//! (`arena`, `campaign`, `corpus_gen`, `lane_study`, `random_survey`,
+//! `scaling`, `table2`, all on `anneal_bench::cli`): anything a binary
+//! does not understand is refused with the usage text and exit status
+//! 2, like the root `annealsched` CLI, instead of panicking or silently
+//! running with defaults.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -12,6 +13,10 @@ fn run(bin: &str, args: &[&str]) -> Output {
         "arena" => env!("CARGO_BIN_EXE_arena"),
         "campaign" => env!("CARGO_BIN_EXE_campaign"),
         "lane_study" => env!("CARGO_BIN_EXE_lane_study"),
+        "corpus_gen" => env!("CARGO_BIN_EXE_corpus_gen"),
+        "random_survey" => env!("CARGO_BIN_EXE_random_survey"),
+        "scaling" => env!("CARGO_BIN_EXE_scaling"),
+        "table2" => env!("CARGO_BIN_EXE_table2"),
         other => panic!("no binary {other}"),
     };
     Command::new(exe)
@@ -67,6 +72,19 @@ fn bad_arguments_exit_2_with_usage() {
         ("lane_study", &["--seeds", "0"]),
         ("lane_study", &["--smoke", "extra"]),
         ("lane_study", &["--out"]),
+        ("corpus_gen", &["--bogus"]),
+        ("corpus_gen", &["--dir"]),
+        ("corpus_gen", &["--dir", d, "extra"]),
+        ("random_survey", &["3", "2", "junk"]),
+        ("random_survey", &["three"]),
+        ("random_survey", &["0"]),
+        ("random_survey", &["3", "0"]),
+        ("random_survey", &["--bogus"]),
+        // a misspelt --fast must not run the full sweep
+        ("scaling", &["--fsat"]),
+        ("scaling", &["--fast", "extra"]),
+        ("table2", &["--fsat"]),
+        ("table2", &["--fast", "extra"]),
     ];
     for (bin, args) in cases {
         let out = run(bin, args);
@@ -80,13 +98,21 @@ fn bad_arguments_exit_2_with_usage() {
     }
     assert!(
         !dir.exists(),
-        "a refused campaign must not create its directory"
+        "a refused campaign or corpus_gen must not create its directory"
     );
 }
 
 #[test]
 fn help_prints_usage_and_exits_0() {
-    for bin in ["arena", "campaign", "lane_study"] {
+    for bin in [
+        "arena",
+        "campaign",
+        "lane_study",
+        "corpus_gen",
+        "random_survey",
+        "scaling",
+        "table2",
+    ] {
         let out = run(bin, &["--help"]);
         assert_eq!(out.status.code(), Some(0), "{bin} --help");
         assert!(

@@ -1,16 +1,8 @@
 //! The shared move-evaluation layer for mapping-based schedulers.
 //!
-//! Before this module, every site that annealed or compared complete
-//! task→processor mappings re-implemented the same closure — "replay
-//! the mapping through the discrete-event engine and read the
-//! makespan" — once in `static_sa`, once in the arena's portfolio
-//! registry, once per adversarial-search candidate. Each call paid for
-//! a full [`simulate`] (fresh route table, Gantt recording, statistics,
-//! allocated result), which made whole-graph annealing by far the most
-//! expensive scheduler in the workspace.
-//!
-//! [`Evaluator`] abstracts that closure behind a baseline/candidate
-//! protocol shaped for simulated annealing:
+//! Whole-graph static SA anneals complete task→processor mappings with
+//! the simulated makespan as its cost. [`Evaluator`] is the
+//! baseline/candidate protocol it prices moves through:
 //!
 //! 1. [`Evaluator::reset`] establishes a baseline mapping and returns
 //!    its makespan;
@@ -23,12 +15,12 @@
 //! Two implementations share the contract and agree **bit for bit**:
 //!
 //! * [`FullReplayEvaluator`] — the reference: one complete
-//!   [`simulate`] per evaluation, exactly what the pre-refactor
-//!   closures did;
-//! * [`IncrementalEvaluator`] — [`anneal_sim::FixedEval`]: a
-//!   specialized allocation-free fixed-mapping engine that resumes each
-//!   candidate from a snapshot of the baseline at the moved task's
-//!   ready time, replaying only the affected suffix.
+//!   [`simulate`] per evaluation (fresh route table, Gantt recording,
+//!   statistics, allocated result);
+//! * [`anneal_sim::FixedEval`] — a specialized allocation-free
+//!   fixed-mapping engine that resumes each candidate from a snapshot
+//!   of the baseline at the moved task's ready time, replaying only the
+//!   affected suffix.
 //!
 //! [`EvaluatorKind`] selects between them (the binaries always run the
 //! incremental default; full replay is the test and bench oracle), and
@@ -84,7 +76,7 @@ impl EvaluatorKind {
                 Box::new(FullReplayEvaluator::new(g, topo, params, sim_cfg, order))
             }
             EvaluatorKind::Incremental => {
-                Box::new(IncrementalEvaluator::new(g, topo, params, sim_cfg, order)?)
+                Box::new(FixedEval::new(g, topo, params, sim_cfg, order)?)
             }
         })
     }
@@ -144,17 +136,14 @@ pub trait Evaluator {
 
     /// Candidate evaluations performed so far (resets + probed moves).
     fn evaluations(&self) -> u64;
-
-    /// Which implementation this is.
-    fn kind(&self) -> EvaluatorKind;
 }
 
 /// Replays a complete mapping through the discrete-event engine.
 ///
 /// The single shared implementation of "evaluate a static schedule
-/// under the simulator's timing model": `static_sa` uses it for its
-/// final result, and the arena's mapped portfolio entries route their
-/// cell evaluations through it.
+/// under the simulator's timing model": [`FullReplayEvaluator`] prices
+/// every candidate with it and `static_sa` builds its final result with
+/// it.
 pub fn replay_mapping(
     g: &TaskGraph,
     topo: &Topology,
@@ -292,67 +281,33 @@ impl Evaluator for FullReplayEvaluator<'_> {
     fn evaluations(&self) -> u64 {
         self.evaluations
     }
-
-    fn kind(&self) -> EvaluatorKind {
-        EvaluatorKind::Full
-    }
 }
 
-/// The incremental [`Evaluator`]: a thin trait adapter over
-/// [`anneal_sim::FixedEval`] (specialized engine, reused buffers,
-/// snapshot-resume move evaluation).
-#[derive(Debug)]
-pub struct IncrementalEvaluator<'a> {
-    inner: FixedEval<'a>,
-}
-
-impl<'a> IncrementalEvaluator<'a> {
-    /// Creates the incremental evaluator; errors if the topology is
-    /// disconnected.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `order.len() != g.num_tasks()`.
-    pub fn new(
-        g: &'a TaskGraph,
-        topo: &Topology,
-        params: &CommParams,
-        sim_cfg: &SimConfig,
-        order: Vec<u64>,
-    ) -> Result<Self, SimError> {
-        Ok(IncrementalEvaluator {
-            inner: FixedEval::new(g, topo, params, sim_cfg, order)?,
-        })
-    }
-}
-
-impl Evaluator for IncrementalEvaluator<'_> {
+/// The incremental [`Evaluator`]: the specialized engine's own
+/// snapshot-resume move evaluation.
+impl Evaluator for FixedEval<'_> {
     fn reset(&mut self, mapping: &[ProcId]) -> Result<u64, SimError> {
-        self.inner.reset(mapping)
+        FixedEval::reset(self, mapping)
     }
 
     fn eval_relocate(&mut self, task: TaskId, to: ProcId) -> Result<u64, SimError> {
-        self.inner.eval_relocate(task, to)
+        FixedEval::eval_relocate(self, task, to)
     }
 
     fn eval_swap(&mut self, a: TaskId, b: TaskId) -> Result<u64, SimError> {
-        self.inner.eval_swap(a, b)
+        FixedEval::eval_swap(self, a, b)
     }
 
     fn commit(&mut self) {
-        self.inner.commit();
+        FixedEval::commit(self);
     }
 
     fn mapping(&self) -> &[ProcId] {
-        self.inner.mapping()
+        FixedEval::mapping(self)
     }
 
     fn evaluations(&self) -> u64 {
-        self.inner.evaluations()
-    }
-
-    fn kind(&self) -> EvaluatorKind {
-        EvaluatorKind::Incremental
+        FixedEval::evaluations(self)
     }
 }
 
@@ -431,8 +386,6 @@ mod tests {
             }
         }
         assert_eq!(full.evaluations(), incr.evaluations());
-        assert_eq!(full.kind(), EvaluatorKind::Full);
-        assert_eq!(incr.kind(), EvaluatorKind::Incremental);
     }
 
     #[test]

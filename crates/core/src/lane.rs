@@ -297,7 +297,7 @@ static HEAT_BATH_TABLE: OnceLock<AcceptTable> = OnceLock::new();
 static METROPOLIS_TABLE: OnceLock<AcceptTable> = OnceLock::new();
 
 /// The process-wide acceptance table for a rule (built on first use,
-/// 4096 `exp()` calls, shared by every scheduler and restart).
+/// 4096 `exp()` calls, shared by every scheduler in the process).
 pub fn accept_table(rule: AcceptanceRule) -> &'static AcceptTable {
     match rule {
         AcceptanceRule::HeatBath => {
@@ -330,8 +330,9 @@ pub struct LaneOutcome {
 
 /// Reusable turbo-lane state: the flat per-packet cost tables and the
 /// mapping arrays. Built once per instance and reused across packets
-/// and restarts (via [`crate::parallel::ScratchPool`]), so the
-/// steady-state inner loop performs zero heap allocation.
+/// and across [`SaScheduler::reseed`](crate::SaScheduler::reseed)
+/// reruns, so the steady-state inner loop performs zero heap
+/// allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SaScratch {
     // Flat packet tables (eqs. 2–5 constants).

@@ -45,7 +45,8 @@
 //! * [`rng_stream`] — counter-based RNG streams for the turbo lane:
 //!   draw `k` of stream `(seed, packet)` is a pure function, so draws
 //!   batch with no sequential dependency.
-//! * [`parallel`] — seeded multi-restart SA across threads.
+//! * [`parallel`] — the seeded, thread-cap-invariant job fan-out with
+//!   pooled per-worker scratch that portfolio evaluation runs on.
 //! * [`eval`] — the shared [`Evaluator`] layer for mapping-based
 //!   schedulers: a full-replay reference and an incremental
 //!   fixed-mapping kernel with bit-identical makespans.

@@ -1,25 +1,15 @@
-//! Multi-restart SA across threads, plus the shared chunked job runner.
+//! The seeded parallel fan-out behind every portfolio evaluation.
 //!
-//! Simulated annealing is stochastic; independent restarts with
-//! different seeds explore different basins, and the per-packet runs are
-//! embarrassingly parallel across restarts. `best_of_restarts` runs one
-//! full schedule-and-simulate per seed (std scoped threads; no shared
-//! mutable state) and keeps the best makespan — deterministic given the
-//! seed list.
-//!
-//! [`run_chunked`] is the underlying fan-out primitive: it executes `n`
-//! independent jobs on at most `max_threads` worker threads (strided
-//! assignment, results gathered by job index) so callers never spawn one
-//! thread per job. The arena tournament runner (`anneal-arena`) reuses
-//! it for its portfolio × instance matrix.
-
-use anneal_graph::TaskGraph;
-use anneal_sim::{simulate, SimConfig, SimError, SimResult};
-use anneal_topology::{CommParams, Topology};
-
-use crate::lane::SaScratch;
-use crate::sa::{SaConfig, SaScheduler};
-use crate::static_sa::{static_sa, StaticSaConfig, StaticSaOutcome};
+//! [`run_chunked_pooled`] executes `n` independent jobs on at most
+//! `max_threads` scoped worker threads (strided assignment, results
+//! gathered by job index), so callers never spawn one thread per job
+//! and the output is the same under any thread cap. Each worker draws
+//! a warm scratch value from a [`ScratchPool`] and returns it when it
+//! finishes, so a caller that fans out repeatedly (the adversarial
+//! search prices every candidate instance against the whole portfolio)
+//! reuses the same few scratches across all its fan-outs. The arena's
+//! cell loop (`anneal-arena`) is its one caller: tournaments, campaign
+//! shards and the adversary's ratio evaluations all go through it.
 
 /// The default thread cap: the machine's available parallelism (1 when
 /// it cannot be determined).
@@ -29,106 +19,14 @@ pub fn default_max_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `jobs` independent jobs across at most `max_threads` scoped
-/// worker threads (`0` means [`default_max_threads`]) and returns the
-/// results in job order. Worker `w` handles jobs `w, w + T, w + 2T, …`
-/// — the assignment is deterministic, so any per-job seeding stays
-/// reproducible regardless of the thread cap.
-pub fn run_chunked<T, F>(jobs: usize, max_threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_chunked_scratch(jobs, max_threads, || (), |(), i| f(i))
-}
-
-/// [`run_chunked`] with **per-worker scratch state**: each worker calls
-/// `init` once on its own thread and threads the resulting value
-/// through every job it handles. This is how evaluation scratch
-/// (`anneal_sim::SimScratch`) is reused *across* cells of a tournament
-/// or campaign shard instead of being rebuilt per cell — the worker's
-/// scratch stays warm from job to job. Results must not depend on the
-/// scratch state (scratch is an optimization, never an input), so the
-/// output remains reproducible under any thread cap.
-pub fn run_chunked_scratch<T, S, I, F>(jobs: usize, max_threads: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_chunked_impl(jobs, max_threads, init, drop, f)
-}
-
-/// The one fan-out loop behind [`run_chunked`], [`run_chunked_scratch`]
-/// and [`run_chunked_pooled`]: strided job assignment, per-worker
-/// scratch obtained from `init` and handed to `done` when the worker
-/// finishes (both run on the worker's own thread).
-// lint:allow(panic) reason="worker panics are propagated; the strided split covers every job index once"
-fn run_chunked_impl<T, S, I, D, F>(
-    jobs: usize,
-    max_threads: usize,
-    init: I,
-    done: D,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    D: Fn(S) + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let threads = if max_threads == 0 {
-        default_max_threads()
-    } else {
-        max_threads
-    }
-    .min(jobs);
-    let f = &f;
-    let init = &init;
-    let done = &done;
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut scratch = init();
-                    let mut out = Vec::new();
-                    let mut i = w;
-                    while i < jobs {
-                        out.push((i, f(&mut scratch, i)));
-                        i += threads;
-                    }
-                    done(scratch);
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, v) in h.join().expect("worker thread panicked") {
-                slots[i] = Some(v);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every job index is covered by exactly one worker"))
-        .collect()
-}
-
 /// A shared pool of scratch values for *repeated* fan-outs.
 ///
-/// [`run_chunked_scratch`] warms one scratch per worker, but the
-/// workers die with the call — a caller that fans out thousands of
-/// times (the adversarial search prices every candidate instance
-/// against the whole portfolio) would re-warm from scratch on every
-/// fan-out. A `ScratchPool` keeps the warmed values alive between
-/// calls: workers take one at start ([`ScratchPool::take`] falls back
-/// to `Default` when the pool is dry) and return it when done, so
-/// across an entire search only about `max_threads` scratches are ever
-/// created.
+/// Workers die with each [`run_chunked_pooled`] call, but the scratch
+/// they warmed need not: a caller that fans out thousands of times
+/// keeps one pool alive between calls. Workers take a value at start
+/// ([`ScratchPool::take`] falls back to `Default` when the pool is dry)
+/// and return it when done, so across an entire search only about
+/// `max_threads` scratches are ever created.
 #[derive(Debug)]
 pub struct ScratchPool<S> {
     pool: std::sync::Mutex<PoolInner<S>>,
@@ -228,8 +126,18 @@ impl<S: Default> ScratchPool<S> {
     }
 }
 
-/// [`run_chunked_scratch`] drawing worker scratches from (and returning
-/// them to) a [`ScratchPool`], for callers that fan out repeatedly.
+/// Runs `jobs` independent jobs across at most `max_threads` scoped
+/// worker threads (`0` means [`default_max_threads`]) and returns the
+/// results in job order. Worker `w` handles jobs `w, w + T, w + 2T, …`
+/// — the assignment is deterministic, so any per-job seeding stays
+/// reproducible regardless of the thread cap.
+///
+/// Each worker takes one scratch from `pool` on its own thread, threads
+/// it through every job it handles, and puts it back when done. Results
+/// must not depend on the scratch state (scratch is an optimization,
+/// never an input), so the output stays reproducible under any thread
+/// cap.
+// lint:allow(panic) reason="worker panics are propagated; the strided split covers every job index once"
 pub fn run_chunked_pooled<T, S, F>(
     jobs: usize,
     max_threads: usize,
@@ -241,274 +149,79 @@ where
     S: Default + Send,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    run_chunked_impl(jobs, max_threads, || pool.take(), |s| pool.put(s), f)
-}
-
-/// Outcome of a restart sweep.
-#[derive(Debug, Clone)]
-pub struct RestartOutcome {
-    /// The best run.
-    pub result: SimResult,
-    /// The seed that produced it.
-    pub seed: u64,
-    /// Makespan of every seed, in input order.
-    pub all_makespans: Vec<u64>,
-}
-
-impl RestartOutcome {
-    /// Accumulates the sweep into `r`: an `sa.restarts` counter plus
-    /// the winning run's kernel counters. Restart *outcomes* are
-    /// thread-count-independent (each seed's run is sequential), so
-    /// everything recorded here is deterministic-class.
-    pub fn record_into(&self, r: &mut dyn anneal_obs::Recorder) {
-        r.add("sa.restarts", self.all_makespans.len() as u64);
-        self.result.obs.record_into(r);
+    if jobs == 0 {
+        return Vec::new();
     }
-}
-
-/// Runs one full SA schedule per seed (in parallel, capped at the
-/// machine's available parallelism) and returns the best by makespan;
-/// ties break toward the earlier seed in `seeds`.
-pub fn best_of_restarts(
-    graph: &TaskGraph,
-    topology: &Topology,
-    params: &CommParams,
-    base: &SaConfig,
-    seeds: &[u64],
-    sim_cfg: &SimConfig,
-) -> Result<RestartOutcome, SimError> {
-    best_of_restarts_capped(graph, topology, params, base, seeds, sim_cfg, 0)
-}
-
-/// [`best_of_restarts`] with an explicit thread cap (`0` =
-/// [`default_max_threads`]). The outcome is identical for every cap —
-/// only the degree of concurrency changes.
-#[allow(clippy::too_many_arguments)]
-// lint:allow(panic) reason="num_seeds >= 1 is asserted above, so one outcome exists"
-pub fn best_of_restarts_capped(
-    graph: &TaskGraph,
-    topology: &Topology,
-    params: &CommParams,
-    base: &SaConfig,
-    seeds: &[u64],
-    sim_cfg: &SimConfig,
-    max_threads: usize,
-) -> Result<RestartOutcome, SimError> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    // Each worker keeps one fast-lane scratch warm across all the
-    // restarts it handles: the per-packet tables are rebuilt in place
-    // (no allocation at the steady-state high-water mark). Scratch is
-    // never an input — outcomes are identical for any thread cap.
-    let pool: ScratchPool<SaScratch> = ScratchPool::new();
-    let results: Vec<Result<SimResult, SimError>> =
-        run_chunked_pooled(seeds.len(), max_threads, &pool, |scratch, i| {
-            let mut sched = SaScheduler::new(base.clone().with_seed(seeds[i]));
-            sched.set_scratch(std::mem::take(scratch));
-            let r = simulate(graph, topology, params, &mut sched, sim_cfg);
-            *scratch = sched.take_scratch();
-            r
-        });
-
-    let mut best: Option<(usize, SimResult)> = None;
-    let mut all = Vec::with_capacity(seeds.len());
-    for (i, r) in results.into_iter().enumerate() {
-        let r = r?;
-        all.push(r.makespan);
-        let better = match &best {
-            None => true,
-            Some((_, b)) => r.makespan < b.makespan,
-        };
-        if better {
-            best = Some((i, r));
+    let threads = if max_threads == 0 {
+        default_max_threads()
+    } else {
+        max_threads
+    }
+    .min(jobs);
+    let f = &f;
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|w| {
+                scope.spawn(move || {
+                    let mut scratch = pool.take();
+                    let mut out = Vec::new();
+                    let mut i = w;
+                    while i < jobs {
+                        out.push((i, f(&mut scratch, i)));
+                        i += threads;
+                    }
+                    pool.put(scratch);
+                    out
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, v) in h.join().expect("worker thread panicked") {
+                slots[i] = Some(v);
+            }
         }
-    }
-    let (idx, result) = best.expect("at least one seed");
-    Ok(RestartOutcome {
-        result,
-        seed: seeds[idx],
-        all_makespans: all,
-    })
-}
-
-/// Outcome of a whole-graph (static SA) restart sweep.
-#[derive(Debug, Clone)]
-pub struct StaticRestartOutcome {
-    /// The best run's full outcome.
-    pub outcome: StaticSaOutcome,
-    /// The seed that produced it.
-    pub seed: u64,
-    /// Makespan of every seed, in input order.
-    pub all_makespans: Vec<u64>,
-}
-
-/// Runs one whole-graph annealing per seed (in parallel, capped at
-/// `max_threads`; `0` = [`default_max_threads`]) and returns the best
-/// by makespan; ties break toward the earlier seed.
-///
-/// Every restart prices its moves through the shared
-/// [`Evaluator`](crate::eval::Evaluator) selected by
-/// `base.evaluator` — with the default incremental kernel, a restart
-/// sweep that used to cost `seeds × moves` full simulations now costs
-/// `seeds` full simulations plus cheap suffix replays.
-#[allow(clippy::too_many_arguments)]
-// lint:allow(panic) reason="num_seeds >= 1 is asserted above, so one outcome exists"
-pub fn best_of_static_restarts(
-    graph: &TaskGraph,
-    topology: &Topology,
-    params: &CommParams,
-    sim_cfg: &SimConfig,
-    base: &StaticSaConfig,
-    seeds: &[u64],
-    max_threads: usize,
-) -> Result<StaticRestartOutcome, SimError> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let results: Vec<Result<StaticSaOutcome, SimError>> =
-        run_chunked(seeds.len(), max_threads, |i| {
-            let cfg = StaticSaConfig {
-                seed: seeds[i],
-                ..base.clone()
-            };
-            static_sa(graph, topology, params, sim_cfg, &cfg)
-        });
-
-    let mut best: Option<(usize, StaticSaOutcome)> = None;
-    let mut all = Vec::with_capacity(seeds.len());
-    for (i, r) in results.into_iter().enumerate() {
-        let r = r?;
-        all.push(r.result.makespan);
-        let better = match &best {
-            None => true,
-            Some((_, b)) => r.result.makespan < b.result.makespan,
-        };
-        if better {
-            best = Some((i, r));
-        }
-    }
-    let (idx, outcome) = best.expect("at least one seed");
-    Ok(StaticRestartOutcome {
-        outcome,
-        seed: seeds[idx],
-        all_makespans: all,
-    })
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every job index is covered by exactly one worker"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anneal_graph::generate::{layered_random, LayeredConfig, Range};
-    use anneal_graph::units::us;
-    use anneal_topology::builders::hypercube;
-    use rand::SeedableRng;
-
-    fn sample_graph() -> TaskGraph {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        layered_random(
-            &LayeredConfig {
-                layers: 4,
-                width: 6,
-                edge_prob: 0.3,
-                load: Range::new(us(5.0), us(40.0)),
-                comm: Range::new(us(1.0), us(8.0)),
-            },
-            &mut rng,
-        )
-    }
-
-    #[test]
-    fn best_of_restarts_picks_minimum() {
-        let g = sample_graph();
-        let topo = hypercube(3);
-        let out = best_of_restarts(
-            &g,
-            &topo,
-            &CommParams::paper(),
-            &SaConfig::default(),
-            &[1, 2, 3, 4],
-            &SimConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(out.all_makespans.len(), 4);
-        let min = *out.all_makespans.iter().min().unwrap();
-        assert_eq!(out.result.makespan, min);
-        assert!(out.all_makespans.contains(&out.result.makespan));
-        out.result.audit(&g).unwrap();
-    }
-
-    #[test]
-    fn restart_sweep_is_deterministic() {
-        let g = sample_graph();
-        let topo = hypercube(3);
-        let run = || {
-            best_of_restarts(
-                &g,
-                &topo,
-                &CommParams::paper(),
-                &SaConfig::default(),
-                &[7, 8],
-                &SimConfig::default(),
-            )
-            .unwrap()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.result.makespan, b.result.makespan);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.all_makespans, b.all_makespans);
-    }
-
-    #[test]
-    fn thread_cap_does_not_change_outcome() {
-        let g = sample_graph();
-        let topo = hypercube(3);
-        let run = |cap: usize| {
-            best_of_restarts_capped(
-                &g,
-                &topo,
-                &CommParams::paper(),
-                &SaConfig::default(),
-                &[3, 4, 5, 6, 7],
-                &SimConfig::default(),
-                cap,
-            )
-            .unwrap()
-        };
-        let serial = run(1);
-        let capped = run(2);
-        let wide = run(0);
-        assert_eq!(serial.all_makespans, capped.all_makespans);
-        assert_eq!(serial.all_makespans, wide.all_makespans);
-        assert_eq!(serial.seed, wide.seed);
-    }
 
     #[test]
     fn run_chunked_orders_and_covers() {
+        let pool: ScratchPool<()> = ScratchPool::new();
         for cap in [0, 1, 2, 7, 64] {
-            let out = run_chunked(13, cap, |i| i * i);
+            let out = run_chunked_pooled(13, cap, &pool, |(), i| i * i);
             assert_eq!(out, (0..13).map(|i| i * i).collect::<Vec<_>>(), "cap {cap}");
         }
-        assert!(run_chunked(0, 3, |i| i).is_empty());
+        assert!(run_chunked_pooled(0, 3, &pool, |(), i| i).is_empty());
         assert!(default_max_threads() >= 1);
     }
 
     #[test]
-    fn run_chunked_scratch_reuses_per_worker_state() {
+    fn pooled_scratch_threads_through_a_workers_jobs() {
         // With one worker, the scratch threads through every job in
-        // order; results stay in job order regardless of cap.
-        let out = run_chunked_scratch(
-            6,
-            1,
-            || 0usize,
-            |seen, i| {
-                *seen += 1;
-                (i, *seen)
-            },
-        );
+        // order, and the next fan-out picks the warm value back up.
+        let pool: ScratchPool<usize> = ScratchPool::new();
+        let count = |seen: &mut usize, i| {
+            *seen += 1;
+            (i, *seen)
+        };
+        let out = run_chunked_pooled(6, 1, &pool, count);
         assert_eq!(out, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
+        let out = run_chunked_pooled(2, 1, &pool, count);
+        assert_eq!(out, vec![(0, 7), (1, 8)]);
+        // results stay in job order regardless of cap
         for cap in [0, 2, 5] {
-            let out = run_chunked_scratch(9, cap, || (), |(), i| i * 3);
+            let out = run_chunked_pooled(9, cap, &pool, |_, i| i * 3);
             assert_eq!(out, (0..9).map(|i| i * 3).collect::<Vec<_>>(), "cap {cap}");
         }
-        assert!(run_chunked_scratch(0, 2, || (), |(), i| i).is_empty());
+        assert!(run_chunked_pooled(0, 2, &pool, |_, i| i).is_empty());
     }
 
     #[test]
@@ -551,60 +264,5 @@ mod tests {
             anneal_obs::class_of("sched.pool.hits"),
             MetricClass::Scheduling
         );
-    }
-
-    #[test]
-    fn static_restart_sweep_is_deterministic_and_picks_minimum() {
-        let g = sample_graph();
-        let topo = hypercube(2);
-        let base = StaticSaConfig {
-            max_iters: 20,
-            moves_per_temp: 6,
-            ..StaticSaConfig::default()
-        };
-        let run = |cap| {
-            best_of_static_restarts(
-                &g,
-                &topo,
-                &CommParams::paper(),
-                &SimConfig::default(),
-                &base,
-                &[1, 2, 3],
-                cap,
-            )
-            .unwrap()
-        };
-        let serial = run(1);
-        let wide = run(0);
-        assert_eq!(serial.all_makespans, wide.all_makespans);
-        assert_eq!(serial.seed, wide.seed);
-        let min = *serial.all_makespans.iter().min().unwrap();
-        assert_eq!(serial.outcome.result.makespan, min);
-        serial.outcome.result.audit(&g).unwrap();
-    }
-
-    #[test]
-    fn more_restarts_never_hurt() {
-        let g = sample_graph();
-        let topo = hypercube(3);
-        let few = best_of_restarts(
-            &g,
-            &topo,
-            &CommParams::paper(),
-            &SaConfig::default(),
-            &[1],
-            &SimConfig::default(),
-        )
-        .unwrap();
-        let many = best_of_restarts(
-            &g,
-            &topo,
-            &CommParams::paper(),
-            &SaConfig::default(),
-            &[1, 2, 3, 4, 5, 6],
-            &SimConfig::default(),
-        )
-        .unwrap();
-        assert!(many.result.makespan <= few.result.makespan);
     }
 }

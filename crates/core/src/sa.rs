@@ -207,19 +207,6 @@ impl SaScheduler {
         &self.cfg
     }
 
-    /// Installs a (possibly pre-warmed) fast-lane scratch, e.g. one
-    /// recycled across restarts through a
-    /// [`crate::parallel::ScratchPool`].
-    pub fn set_scratch(&mut self, scratch: SaScratch) {
-        self.scratch = scratch;
-    }
-
-    /// Takes the fast-lane scratch back out (for pooling), leaving an
-    /// empty one behind.
-    pub fn take_scratch(&mut self) -> SaScratch {
-        std::mem::take(&mut self.scratch)
-    }
-
     /// Resets the RNG to `seed` and clears statistics and traces while
     /// keeping the warmed buffers (levels cache, fast-lane scratch).
     /// Only valid for re-running the *same* instance: the cached

@@ -19,6 +19,12 @@
 //! The trade-off the paper's staged formulation highlights still
 //! stands: even the incremental whole-graph delta is far more expensive
 //! than the packet annealer's O(1) eq. 2–3 delta.
+//!
+//! Moves are priced under [`level_dispatch_order`], and the outcome's
+//! `result` replays the best `mapping` under that same order. The
+//! arena's `static-sa` portfolio entry hands out exactly that replay, a
+//! `FixedMapping` with the level order, so its cells score
+//! `result.makespan`.
 
 use anneal_graph::{TaskGraph, TaskId};
 use anneal_sim::{SimConfig, SimError, SimResult};

@@ -253,7 +253,8 @@ fn running_cost_does_not_drift_over_400_moves() {
 }
 
 /// `SaScheduler::reseed` replays the identical run without rebuilding
-/// the scheduler (the warm path the restart pool uses).
+/// the scheduler (the warm path: level cache and lane scratch stay
+/// built).
 #[test]
 fn reseed_replays_identically_with_warm_buffers() {
     let g = graph_for(8);

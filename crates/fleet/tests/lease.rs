@@ -46,23 +46,36 @@ fn concurrent_claimants_exactly_one_wins() {
 }
 
 /// Repeated rounds of the race, claiming and releasing, never observe
-/// two simultaneous holders.
+/// two simultaneous holders. A round may have more than one winner — a
+/// claimant scheduled after the winner released finds the shard free —
+/// so the test counts holders while each lease is held instead of
+/// winners per round.
 #[test]
 fn claim_release_cycles_stay_exclusive() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
     let d = fresh_dir("cycles");
     let cfg = LeaseConfig::default();
+    let holders = AtomicUsize::new(0);
+    let most_holders = AtomicUsize::new(0);
+    let start = Barrier::new(4);
     for round in 0..10 {
         let winners = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|i| {
-                    let d = &d;
-                    let cfg = &cfg;
+                    let (d, cfg, start) = (&d, &cfg, &start);
+                    let (holders, most_holders) = (&holders, &most_holders);
                     s.spawn(move || {
                         let owner = format!("r{round}-c{i}");
+                        // all four claimants race for the free shard at once
+                        start.wait();
                         match try_claim(d, 1, &owner, unix_time_ms(), cfg).unwrap() {
                             Claim::Acquired(l) => {
-                                // hold briefly, then release for the next round
+                                let now = holders.fetch_add(1, Ordering::SeqCst) + 1;
+                                most_holders.fetch_max(now, Ordering::SeqCst);
+                                // hold briefly, then release for the next claimant
                                 std::thread::sleep(std::time::Duration::from_millis(2));
+                                holders.fetch_sub(1, Ordering::SeqCst);
                                 assert!(l.release().unwrap());
                                 1usize
                             }
@@ -76,7 +89,12 @@ fn claim_release_cycles_stay_exclusive() {
                 .map(|h| h.join().unwrap())
                 .sum::<usize>()
         });
-        assert_eq!(winners, 1, "round {round}: exactly one winner");
+        assert!(winners >= 1, "round {round}: nobody acquired a free shard");
+        assert_eq!(
+            most_holders.load(Ordering::SeqCst),
+            1,
+            "round {round}: two claimants held the lease at once"
+        );
     }
     let _ = std::fs::remove_dir_all(&d);
 }

@@ -233,10 +233,9 @@ fn turbo_sa_lane_steady_state_allocates_nothing() {
     // `SaScratch`'s grow-only buffers, and its counter-based RNG
     // streams are a fixed-size two-word state. Once a scheduler is
     // warm on its instance, `reseed` + re-simulate must not touch the
-    // allocator — the property `ScratchPool` reuse in
-    // `best_of_restarts` depends on. One scheduler per instance:
-    // `reseed` keeps the per-graph level cache and the lane scratch,
-    // both valid for the same instance only.
+    // allocator. One scheduler per instance: `reseed` keeps the
+    // per-graph level cache and the lane scratch, both valid for the
+    // same instance only.
     let g1 = sample_graph(9);
     let g2 = sample_graph(15);
     let t1 = hypercube(3);

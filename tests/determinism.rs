@@ -139,30 +139,3 @@ fn random_graph_generation_reproducible_from_seed() {
         (c.loads().to_vec(), c.edges().collect::<Vec<_>>())
     );
 }
-
-#[test]
-fn restarts_are_deterministic_in_parallel() {
-    use annealsched::core::parallel::best_of_restarts;
-    let g = mm_paper();
-    let host = hypercube(3);
-    let out1 = best_of_restarts(
-        &g,
-        &host,
-        &CommParams::paper(),
-        &SaConfig::default(),
-        &[1, 2, 3],
-        &SimConfig::default(),
-    )
-    .unwrap();
-    let out2 = best_of_restarts(
-        &g,
-        &host,
-        &CommParams::paper(),
-        &SaConfig::default(),
-        &[1, 2, 3],
-        &SimConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(out1.all_makespans, out2.all_makespans);
-    assert_eq!(out1.seed, out2.seed);
-}
