@@ -33,7 +33,7 @@ use anneal_graph::generate::{
 };
 use anneal_graph::units::us;
 use anneal_obs::{Clock, JsonlSink, MetricsRegistry, NullClock};
-use anneal_report::Csv;
+use anneal_report::{cell_time_shares, slower_first, CellSample, Csv};
 use anneal_sim::SimError;
 use anneal_topology::builders::{binary_tree, bus, hypercube, linear, mesh, ring, star, torus};
 use anneal_topology::Topology;
@@ -235,8 +235,15 @@ pub fn shard_metrics_file_name(shard: usize) -> String {
     format!("metrics-{shard:03}.jsonl")
 }
 
+/// How many of its slowest cells a shard metrics artifact carries, and
+/// how many the campaign summary lists. The summary's table needs no
+/// more: the union of every shard's slowest `SLOWEST_CELLS` holds the
+/// campaign's (see [`anneal_report::slower_first`]).
+pub const SLOWEST_CELLS: usize = 10;
+
 /// One cell's observation record (an event line in the shard's
-/// metrics JSONL, never part of the science CSVs).
+/// metrics JSONL when it is among the shard's [`SLOWEST_CELLS`],
+/// never part of the science CSVs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellObs {
     /// Global instance index (campaign column).
@@ -252,6 +259,16 @@ pub struct CellObs {
     pub wall_ns: u64,
 }
 
+impl From<CellObs> for CellSample {
+    fn from(c: CellObs) -> Self {
+        CellSample {
+            scheduler: c.scheduler,
+            instance: c.instance,
+            wall_ns: c.wall_ns,
+        }
+    }
+}
+
 /// Everything [`run_shard_observed`] learned beyond the science
 /// result: a metrics registry plus per-cell observation records.
 ///
@@ -263,7 +280,9 @@ pub struct CellObs {
 ///   resume once shards are merged;
 /// * `sched.*` — scratch-pool and route-cache counters depend on the
 ///   thread plan;
-/// * `time.*` — wall-clock, meaningful only with a real clock.
+/// * `time.*` — wall-clock, meaningful only with a real clock: the
+///   shard's span, and cell wall time overall (`time.cell_ns`) and per
+///   scheduler (`time.cell_ns.<scheduler>`).
 #[derive(Debug, Clone)]
 pub struct ShardObs {
     /// Which shard this is.
@@ -278,12 +297,25 @@ pub struct ShardObs {
 impl ShardObs {
     /// The shard metrics artifact: every registry metric as one line
     /// (see [`MetricsRegistry::write_jsonl`]) followed by one `"cell"`
-    /// event per cell. Metric lines merge back through
-    /// [`MetricsRegistry::merge_jsonl`], which skips the cell events.
+    /// event for each of the shard's [`SLOWEST_CELLS`] slowest cells,
+    /// slowest first ([`anneal_report::slower_first`]). Metric lines
+    /// merge back through [`MetricsRegistry::merge_jsonl`], which skips
+    /// the cell events; [`parse_cells_jsonl`] reads the cell events.
     pub fn to_jsonl(&self) -> String {
+        fn key(c: &CellObs) -> (u64, &str, &str) {
+            (c.wall_ns, &c.scheduler, &c.instance)
+        }
+        let order = |a: &&CellObs, b: &&CellObs| slower_first(key(a), key(b));
+        let mut slowest: Vec<&CellObs> = self.cells.iter().collect();
+        if slowest.len() > SLOWEST_CELLS {
+            slowest.select_nth_unstable_by(SLOWEST_CELLS - 1, order);
+            slowest.truncate(SLOWEST_CELLS);
+        }
+        slowest.sort_by(order);
+
         let mut sink = JsonlSink::new();
         self.registry.write_jsonl(&mut sink);
-        for c in &self.cells {
+        for c in slowest {
             sink.event("cell")
                 .num("instance_index", c.instance_index as u64)
                 .str("instance", &c.instance)
@@ -339,6 +371,37 @@ pub fn parse_cells_jsonl(text: &str) -> Result<Vec<CellObs>, String> {
         });
     }
     Ok(cells)
+}
+
+/// Folds one shard metrics artifact (the unsealed text of a
+/// `metrics-<k>.jsonl`) into a campaign's metrics merge: its registry
+/// into `registry`, its cell events onto `slowest`. Render the merge
+/// with [`anneal_report::render_shares_summary`] over
+/// [`cell_time_shares`]`(registry)` and `slowest`.
+///
+/// Refuses, leaving both untouched, an artifact whose
+/// `time.cell_ns.<scheduler>` histograms do not count every cell its
+/// `arena.cells` counts: one written before shards carried those
+/// histograms, from which the time-share table would come out wrong.
+pub fn merge_shard_metrics(
+    text: &str,
+    registry: &mut MetricsRegistry,
+    slowest: &mut Vec<CellSample>,
+) -> Result<(), String> {
+    let mut shard = MetricsRegistry::new();
+    shard.merge_jsonl(text).map_err(|e| e.to_string())?;
+    let timed: u64 = cell_time_shares(&shard).iter().map(|s| s.cells).sum();
+    let cells = shard.counter("arena.cells");
+    if timed != cells {
+        return Err(format!(
+            "its per-scheduler cell times (time.cell_ns.<scheduler>) count {timed} of its \
+             {cells} cells: it was written before shards recorded them"
+        ));
+    }
+    let events = parse_cells_jsonl(text)?;
+    registry.merge(&shard);
+    slowest.extend(events.into_iter().map(CellSample::from));
+    Ok(())
 }
 
 /// Runs shard `shard` of the campaign: generates exactly this shard's
@@ -566,8 +629,10 @@ mod tests {
     #[test]
     fn observation_never_changes_science_and_is_reshard_invariant() {
         let p = tiny_portfolio();
+        // shard 0 holds 5 columns x 3 entries = 15 cells, more than the
+        // SLOWEST_CELLS its artifact carries
         let base = CampaignConfig {
-            instances: 6,
+            instances: 10,
             shards: 2,
             base_seed: 13,
             max_threads: 1,
@@ -581,9 +646,9 @@ mod tests {
             "observation changed the science artifact"
         );
         // the registry sums are real and the cells mirror the CSV
-        assert_eq!(obs.registry.counter("arena.cells"), 3 * 3);
+        assert_eq!(obs.registry.counter("arena.cells"), 5 * 3);
         assert!(obs.registry.counter("sim.kernel.events") > 0);
-        assert_eq!(obs.cells.len(), 9);
+        assert_eq!(obs.cells.len(), 15);
         for c in &obs.cells {
             assert_eq!(c.wall_ns, 0, "NullClock must observe zero wall time");
             let col = observed.columns.iter().position(|&j| j == c.instance_index);
@@ -594,11 +659,19 @@ mod tests {
                 "cell event diverges from the CSV"
             );
         }
-        // NullClock artifacts are byte-reproducible, and cell events
-        // round-trip through the parser
+        // NullClock artifacts are byte-reproducible, and they carry the
+        // SLOWEST_CELLS slowest cells, slowest first
         let (_, again) = run_shard_observed(&p, &base, 0, &NullClock).unwrap();
         assert_eq!(obs.to_jsonl(), again.to_jsonl());
-        assert_eq!(parse_cells_jsonl(&obs.to_jsonl()).unwrap(), obs.cells);
+        let mut slowest = obs.cells.clone();
+        slowest.sort_by(|a, b| {
+            slower_first(
+                (a.wall_ns, &a.scheduler, &a.instance),
+                (b.wall_ns, &b.scheduler, &b.instance),
+            )
+        });
+        slowest.truncate(SLOWEST_CELLS);
+        assert_eq!(parse_cells_jsonl(&obs.to_jsonl()).unwrap(), slowest);
         assert!(parse_cells_jsonl("not json").is_err());
 
         // merged deterministic metrics are invariant under re-sharding
@@ -619,10 +692,83 @@ mod tests {
         let one = merge(1, 1);
         let three = merge(3, 0);
         assert_eq!(one, three, "deterministic metrics depend on sharding");
-        assert_eq!(one.counter("arena.cells"), 18);
+        assert_eq!(one.counter("arena.cells"), 30);
         assert_eq!(
             one.histogram("arena.makespan_ns").map(|h| h.count()),
-            Some(18)
+            Some(30)
+        );
+    }
+
+    /// A clock that advances by a pseudo-random step on every reading,
+    /// so that cells observe wall times with zeros, ties and very large
+    /// values.
+    struct JumpClock(std::sync::Mutex<(u64, StdRng)>);
+
+    impl JumpClock {
+        fn new(seed: u64) -> Self {
+            JumpClock(std::sync::Mutex::new((0, StdRng::seed_from_u64(seed))))
+        }
+    }
+
+    impl Clock for JumpClock {
+        fn now_ns(&self) -> u64 {
+            use rand::Rng;
+            let mut state = self.0.lock().unwrap();
+            let step = match state.1.gen_range(0..6) {
+                0 => 0,
+                1 => 1_000,
+                2 => 250_000,
+                3 => 1 << 40,
+                _ => state.1.gen_range(0..5_000_000),
+            };
+            state.0 += step;
+            state.0
+        }
+    }
+
+    /// The campaign summary the merge renders from per-scheduler
+    /// histograms and each shard's slowest cells equals, byte for byte,
+    /// the one rendered from every cell.
+    #[test]
+    fn summary_from_shard_artifacts_matches_the_full_cell_list() {
+        use anneal_report::{
+            render_metrics_summary, render_shares_summary, render_shares_svg, render_time_share_svg,
+        };
+        use rand::Rng;
+        let p = tiny_portfolio();
+        let mut rng = StdRng::seed_from_u64(0x5a11);
+        let mut truncated = 0;
+        for case in 0..24 {
+            let shards = rng.gen_range(1..=8);
+            let cfg = CampaignConfig {
+                instances: shards * rng.gen_range(1..=6) + rng.gen_range(0..shards),
+                shards,
+                base_seed: case,
+                max_threads: 1,
+            };
+            let clock = JumpClock::new(case);
+            let (mut registry, mut slowest, mut every) = (MetricsRegistry::new(), vec![], vec![]);
+            for s in 0..shards {
+                let (_, obs) = run_shard_observed(&p, &cfg, s, &clock).unwrap();
+                merge_shard_metrics(&obs.to_jsonl(), &mut registry, &mut slowest).unwrap();
+                truncated += usize::from(obs.cells.len() > SLOWEST_CELLS);
+                every.extend(obs.cells.into_iter().map(CellSample::from));
+            }
+            let shares = cell_time_shares(&registry);
+            assert_eq!(
+                render_shares_summary(&shares, &slowest, SLOWEST_CELLS),
+                render_metrics_summary(&every, SLOWEST_CELLS),
+                "case {case}: {cfg:?}"
+            );
+            assert_eq!(
+                render_shares_svg(&shares),
+                render_time_share_svg(&every),
+                "case {case}: {cfg:?}"
+            );
+        }
+        assert!(
+            truncated > 0,
+            "some shard must ship fewer cells than it ran"
         );
     }
 

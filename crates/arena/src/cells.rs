@@ -8,6 +8,7 @@
 
 use anneal_core::parallel::{run_chunked_pooled, ScratchPool};
 use anneal_obs::{Clock, MetricsRegistry, Recorder};
+use anneal_report::CELL_NS_PREFIX;
 use anneal_sim::{KernelRunStats, SimError, SimScratch};
 
 use crate::instance::ArenaInstance;
@@ -71,10 +72,11 @@ pub(crate) fn run_cells(
 
 /// [`run_cells`] over every entry of `portfolio` on a fresh scratch
 /// pool, folded into the registry tournaments and campaign shards
-/// report: per cell the `arena.cells` counter, the `arena.makespan_ns`
-/// and `time.cell_ns` histograms and the kernel counters; the
-/// fan-out's wall time under `span_key`; and the pool and route-cache
-/// counters of the workers' scratch ([`record_pool`]).
+/// report: per cell the `arena.cells` counter, the `arena.makespan_ns`,
+/// `time.cell_ns` and `time.cell_ns.<scheduler>` histograms and the
+/// kernel counters; the fan-out's wall time under `span_key`; and the
+/// pool and route-cache counters of the workers' scratch
+/// ([`record_pool`]).
 pub(crate) fn run_cells_observed(
     portfolio: &Portfolio,
     instances: &[ArenaInstance],
@@ -100,10 +102,16 @@ pub(crate) fn run_cells_observed(
     let cells = cells?;
 
     let mut registry = MetricsRegistry::new();
-    for cell in &cells {
+    let entry_keys: Vec<String> = entries
+        .iter()
+        .map(|e| format!("{CELL_NS_PREFIX}{}", e.name()))
+        .collect();
+    for (k, cell) in cells.iter().enumerate() {
         registry.add("arena.cells", 1);
         registry.observe("arena.makespan_ns", cell.makespan);
         registry.observe("time.cell_ns", cell.wall_ns);
+        // cells come back entry-major
+        registry.observe(&entry_keys[k / instances.len()], cell.wall_ns);
         cell.stats.record_into(&mut registry);
     }
     registry.add(span_key, span_ns);

@@ -84,9 +84,9 @@ pub use adversary::{
     RatioBreakdown,
 };
 pub use campaign::{
-    campaign_instance, campaign_instances, parse_cells_jsonl, run_shard, run_shard_observed,
-    shard_columns, shard_file_name, shard_metrics_file_name, CampaignConfig, CellObs, ShardObs,
-    ShardResult,
+    campaign_instance, campaign_instances, merge_shard_metrics, parse_cells_jsonl, run_shard,
+    run_shard_observed, shard_columns, shard_file_name, shard_metrics_file_name, CampaignConfig,
+    CellObs, ShardObs, ShardResult, SLOWEST_CELLS,
 };
 pub use corpus::{
     lane_instance_gate, lane_study_seed, load_corpus_dir, parse_params, parse_topology,

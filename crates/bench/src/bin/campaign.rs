@@ -50,10 +50,14 @@
 //! * `--merge-only` — skip running, only validate + merge artifacts.
 //! * `--dir PATH` — campaign directory (default `results/campaign`).
 //! * `--metrics PATH` — observe through `anneal-obs`: shards write
-//!   sealed `metrics-<k>.jsonl`, the merge combines them into `PATH`
-//!   plus its deterministic-class view `PATH.det.json` and a summary
-//!   (text + SVG). Fleet counters land under `sched.fleet.*` — out of
-//!   the deterministic view by class. Not part of provenance.
+//!   sealed `metrics-<k>.jsonl` (the shard's registry and its 10
+//!   slowest cells), the merge combines them into `PATH` plus its
+//!   deterministic-class view `PATH.det.json` and a summary (text +
+//!   SVG). Fleet counters land under `sched.fleet.*` — out of the
+//!   deterministic view by class. Not part of provenance. A metrics
+//!   artifact the merge cannot use, such as one written before shards
+//!   recorded per-scheduler cell times, exits 1 naming the file;
+//!   deleting it makes the next `--metrics` run redo its shard.
 //! * `--null-clock` — metrics under the deterministic `NullClock`.
 //! * `--progress` — per-shard progress lines on stderr.
 //! * `--chaos SPEC` — seeded deterministic fault injection
@@ -69,8 +73,8 @@
 use std::path::{Path, PathBuf};
 
 use anneal_arena::{
-    parse_cells_jsonl, run_shard_observed, shard_file_name, shard_metrics_file_name,
-    CampaignConfig, Portfolio,
+    merge_shard_metrics, run_shard_observed, shard_file_name, shard_metrics_file_name,
+    CampaignConfig, Portfolio, SLOWEST_CELLS,
 };
 use anneal_bench::cli::Cli;
 use anneal_core::SaLane;
@@ -80,7 +84,11 @@ use anneal_fleet::{
     CHAOS_KILL_EXIT,
 };
 use anneal_obs::{Clock, MetricsRegistry, NullClock, WallClock};
-use anneal_report::{merge_shard_csvs, scan_sealed_shards, CellSample, Table};
+use anneal_report::{cell_time_shares, merge_shard_csvs, scan_sealed_shards, Table};
+
+/// Exit status of a campaign whose `--metrics` merge found a shard
+/// metrics artifact it cannot use.
+const METRICS_EXIT: i32 = 1;
 
 /// Exit status of a campaign that completed but left failed shards
 /// behind — degraded, documented in `fleet.report.json`.
@@ -362,7 +370,8 @@ fn read_fleet_metrics(dir: &Path) -> MetricsRegistry {
 
 /// Validates and merges shard artifacts; writes the failure manifest.
 /// Returns the process exit code: 0 on a clean (or deferred) merge,
-/// [`DEGRADED_EXIT`] when shards exhausted their retries.
+/// [`DEGRADED_EXIT`] when shards exhausted their retries,
+/// [`METRICS_EXIT`] when the `--metrics` merge refuses an artifact.
 fn merge_campaign(args: &Args, runner: &CampaignRunner) -> i32 {
     let scan = scan_sealed_shards(&args.dir, args.cfg.shards, shard_file_name)
         .expect("scan shard artifacts");
@@ -469,7 +478,10 @@ fn merge_campaign(args: &Args, runner: &CampaignRunner) -> i32 {
     println!("wrote {}", standings_path.display());
 
     if let Some(metrics_path) = &args.metrics {
-        merge_metrics(args, metrics_path, &fleet_reg);
+        if let Err(e) = merge_metrics(args, metrics_path, &fleet_reg) {
+            eprintln!("campaign: {e}");
+            return METRICS_EXIT;
+        }
     }
     0
 }
@@ -503,19 +515,34 @@ fn main() {
 /// Merges every shard's sealed `metrics-<k>.jsonl` into the campaign
 /// registry (plus the fleet counters), then writes the full registry,
 /// its deterministic-class view and the time-share summary (text +
-/// SVG) — all committed atomically. Only called once every shard is
-/// done, which under `--metrics` includes a valid metrics artifact.
-fn merge_metrics(args: &Args, metrics_path: &Path, fleet_reg: &MetricsRegistry) {
+/// SVG) — all committed atomically. The summary's shares come from the
+/// merged `time.cell_ns.<scheduler>` histograms, its slowest cells from
+/// the few each shard ships. Only called once every shard is done,
+/// which under `--metrics` includes a valid metrics artifact. An
+/// artifact the merge cannot use is an error naming every such file.
+fn merge_metrics(
+    args: &Args,
+    metrics_path: &Path,
+    fleet_reg: &MetricsRegistry,
+) -> Result<(), String> {
     let mut registry = MetricsRegistry::new();
-    let mut cells = Vec::new();
+    let mut slowest = Vec::new();
+    let mut refused = Vec::new();
     for k in 0..args.cfg.shards {
         let path = args.dir.join(shard_metrics_file_name(k));
-        let text = read_sealed(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        registry
-            .merge_jsonl(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        cells
-            .extend(parse_cells_jsonl(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display())));
+        if let Err(e) = read_sealed(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| merge_shard_metrics(&text, &mut registry, &mut slowest))
+        {
+            refused.push(format!("{}: {e}", path.display()));
+        }
+    }
+    if !refused.is_empty() {
+        return Err(format!(
+            "cannot merge shard metrics:\n  {}\nDelete each file named above; the next --metrics \
+             run re-runs its shard and writes it anew.",
+            refused.join("\n  ")
+        ));
     }
     registry.merge(fleet_reg);
     commit_bytes(metrics_path, registry.to_json().as_bytes()).expect("write merged metrics");
@@ -526,18 +553,8 @@ fn merge_metrics(args: &Args, metrics_path: &Path, fleet_reg: &MetricsRegistry) 
     )
     .expect("write deterministic metrics view");
 
-    // Cell events feed the human-facing summary. Sort for a
-    // deterministic artifact regardless of shard visit order.
-    cells.sort_by(|a, b| (a.instance_index, &a.scheduler).cmp(&(b.instance_index, &b.scheduler)));
-    let samples: Vec<CellSample> = cells
-        .iter()
-        .map(|c| CellSample {
-            scheduler: c.scheduler.clone(),
-            instance: c.instance.clone(),
-            wall_ns: c.wall_ns,
-        })
-        .collect();
-    let mut summary = anneal_report::render_metrics_summary(&samples, 10);
+    let shares = cell_time_shares(&registry);
+    let mut summary = anneal_report::render_shares_summary(&shares, &slowest, SLOWEST_CELLS);
     if let Some(fleet_line) = anneal_report::render_fleet_summary(&registry) {
         summary.push('\n');
         summary.push_str(&fleet_line);
@@ -547,11 +564,12 @@ fn merge_metrics(args: &Args, metrics_path: &Path, fleet_reg: &MetricsRegistry) 
     let svg_path = metrics_path.with_extension("timeshare.svg");
     commit_bytes(
         &svg_path,
-        anneal_report::render_time_share_svg(&samples).as_bytes(),
+        anneal_report::render_shares_svg(&shares).as_bytes(),
     )
     .expect("write time-share svg");
     println!("wrote {}", metrics_path.display());
     println!("wrote {}", det_path.display());
     println!("wrote {}", summary_path.display());
     println!("wrote {}", svg_path.display());
+    Ok(())
 }

@@ -2,11 +2,13 @@
 //!
 //! Where and when shards run is an implementation detail: the merged
 //! `matrix.csv`/`standings.csv` (and, under `--metrics --null-clock`,
-//! the deterministic metrics view) are byte-identical whether the
-//! shards ran in one invocation, one at a time in any order, in two
-//! processes at once, or in a campaign killed halfway and resumed —
-//! including a directory written by the lease-based campaign that came
-//! before the single-process driver.
+//! the deterministic metrics view and the time-share tables) are
+//! byte-identical whether the shards ran in one invocation, one at a
+//! time in any order, in two processes at once, or in a campaign
+//! killed halfway and resumed — including a directory written by the
+//! lease-based campaign that came before campaigns ran in one process.
+//! Metrics artifacts written before shards recorded per-scheduler cell
+//! times are refused until regenerated.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -45,6 +47,17 @@ fn run_campaign(dir: &Path, extra: &[&str]) -> String {
 
 fn read(dir: &Path, file: &str) -> Vec<u8> {
     std::fs::read(dir.join(file)).unwrap_or_else(|e| panic!("read {}/{file}: {e}", dir.display()))
+}
+
+/// Copies the committed fixture directory `name` into `dir`.
+fn copy_fixture(name: &str, dir: &Path) {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
 }
 
 fn assert_same(dir: &Path, reference: &Path, files: &[&str], what: &str) {
@@ -107,11 +120,7 @@ fn lease_era_directory_resumes() {
     run_campaign(&reference, &[]);
 
     let dir = fresh_dir("lease-era");
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/lease_era_campaign");
-    for entry in std::fs::read_dir(&fixture).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
-    }
+    copy_fixture("lease_era_campaign", &dir);
     let stdout = run_campaign(&dir, &[]);
     assert!(
         stdout.contains("shard-001.csv exists, skipping (resume)"),
@@ -166,6 +175,18 @@ fn run_observed(dir: &Path) -> String {
     run_campaign(dir, &["--null-clock", "--metrics", &m])
 }
 
+/// `dir/m.summary.txt` up to its fleet line: the time-share and
+/// slowest-cells tables. The fleet line counts the shard runs that
+/// built the directory, which differ between a fresh and a resumed
+/// campaign.
+fn time_share_tables(dir: &Path) -> String {
+    let summary = String::from_utf8(read(dir, "m.summary.txt")).unwrap();
+    match summary.split_once("\nFleet: ") {
+        Some((tables, _)) => tables.to_string(),
+        None => summary,
+    }
+}
+
 /// A shard counts as done only when every artifact it writes is valid:
 /// a shard run without `--metrics` is re-run by a later `--metrics`
 /// invocation, so the merged metrics count every cell.
@@ -178,8 +199,64 @@ fn shard_run_without_metrics_reruns_under_metrics() {
     run_campaign(&dir, &["--shard", "0"]);
     let stdout = run_observed(&dir);
     assert!(!stdout.contains("skipping (resume)"), "{stdout}");
-    let files = ["matrix.csv", "standings.csv", "m.det.json"];
+    let files = [
+        "matrix.csv",
+        "standings.csv",
+        "m.det.json",
+        "m.timeshare.svg",
+    ];
     assert_same(&dir, &reference, &files, "late --metrics campaign");
+    assert_eq!(
+        time_share_tables(&dir),
+        time_share_tables(&reference),
+        "late --metrics campaign diverged on m.summary.txt"
+    );
+    let _ = std::fs::remove_dir_all(reference);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A directory finished by the campaign binary that wrote every cell
+/// into the shard metrics artifacts, but no per-scheduler cell times,
+/// is refused at the metrics merge: exit 1, no panic, every stale file
+/// named with how to regenerate it, and no summary. Deleting the named
+/// files re-runs their shards, and the merge then matches a fresh run.
+#[test]
+fn stale_metrics_artifacts_are_refused_until_regenerated() {
+    let reference = fresh_dir("stale-ref");
+    run_observed(&reference);
+
+    let dir = fresh_dir("stale");
+    copy_fixture("stale_metrics_campaign", &dir);
+    let m = dir.join("m.json").display().to_string();
+    let out = campaign(&dir, &["--null-clock", "--metrics", &m])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let stale: Vec<String> = (0..3).map(anneal_arena::shard_metrics_file_name).collect();
+    for name in &stale {
+        assert!(
+            stderr.contains(name.as_str()),
+            "{name} not named:\n{stderr}"
+        );
+    }
+    assert!(stderr.contains("Delete each file named above"), "{stderr}");
+    assert!(!dir.join("m.summary.txt").exists());
+
+    for name in &stale {
+        std::fs::remove_file(dir.join(name)).unwrap();
+    }
+    let stdout = run_observed(&dir);
+    assert!(!stdout.contains("skipping (resume)"), "{stdout}");
+    let files = [
+        "matrix.csv",
+        "standings.csv",
+        "m.det.json",
+        "m.summary.txt",
+        "m.timeshare.svg",
+    ];
+    assert_same(&dir, &reference, &files, "regenerated metrics");
     let _ = std::fs::remove_dir_all(reference);
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -9,6 +9,12 @@
 
 use std::fmt::Write as _;
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// sinks emit at most five levels (`metrics.json`: object → metrics →
+/// metric → buckets → pair); the limit turns hostile input that would
+/// overflow the stack of the recursive descent into a [`JsonError`].
+pub const MAX_DEPTH: usize = 32;
+
 /// A parsed JSON value (the emitted subset).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JsonValue {
@@ -74,11 +80,12 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 /// Parses one JSON value spanning the whole input (surrounding
-/// whitespace allowed).
+/// whitespace allowed). Arrays and objects may nest at most
+/// [`MAX_DEPTH`] levels deep; deeper input is an error.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let b = text.as_bytes();
     let mut pos = skip_ws(b, 0);
-    let (v, next) = parse_value(b, pos)?;
+    let (v, next) = parse_value(b, pos, 0)?;
     pos = skip_ws(b, next);
     if pos != b.len() {
         return Err(err(pos, "trailing data after value"));
@@ -100,14 +107,20 @@ fn skip_ws(b: &[u8], mut i: usize) -> usize {
     i
 }
 
-fn parse_value(b: &[u8], i: usize) -> Result<(JsonValue, usize), JsonError> {
+/// Parses the value at `i`, which sits inside `depth` arrays and
+/// objects.
+fn parse_value(b: &[u8], i: usize, depth: usize) -> Result<(JsonValue, usize), JsonError> {
     match b.get(i) {
         Some(b'"') => {
             let (s, n) = parse_string(b, i)?;
             Ok((JsonValue::Str(s), n))
         }
-        Some(b'{') => parse_object(b, i),
-        Some(b'[') => parse_array(b, i),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err(
+            i,
+            &format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_object(b, i, depth + 1),
+        Some(b'[') => parse_array(b, i, depth + 1),
         Some(c) if c.is_ascii_digit() => parse_number(b, i),
         Some(_) => Err(err(i, "expected string, number, object or array")),
         None => Err(err(i, "unexpected end of input")),
@@ -185,7 +198,7 @@ fn parse_string(b: &[u8], i: usize) -> Result<(String, usize), JsonError> {
     Err(err(i, "unterminated string"))
 }
 
-fn parse_array(b: &[u8], i: usize) -> Result<(JsonValue, usize), JsonError> {
+fn parse_array(b: &[u8], i: usize, depth: usize) -> Result<(JsonValue, usize), JsonError> {
     debug_assert_eq!(b.get(i), Some(&b'['));
     let mut items = Vec::new();
     let mut j = skip_ws(b, i + 1);
@@ -193,7 +206,7 @@ fn parse_array(b: &[u8], i: usize) -> Result<(JsonValue, usize), JsonError> {
         return Ok((JsonValue::Arr(items), j + 1));
     }
     loop {
-        let (v, n) = parse_value(b, j)?;
+        let (v, n) = parse_value(b, j, depth)?;
         items.push(v);
         j = skip_ws(b, n);
         match b.get(j) {
@@ -204,7 +217,7 @@ fn parse_array(b: &[u8], i: usize) -> Result<(JsonValue, usize), JsonError> {
     }
 }
 
-fn parse_object(b: &[u8], i: usize) -> Result<(JsonValue, usize), JsonError> {
+fn parse_object(b: &[u8], i: usize, depth: usize) -> Result<(JsonValue, usize), JsonError> {
     debug_assert_eq!(b.get(i), Some(&b'{'));
     let mut fields = Vec::new();
     let mut j = skip_ws(b, i + 1);
@@ -221,7 +234,7 @@ fn parse_object(b: &[u8], i: usize) -> Result<(JsonValue, usize), JsonError> {
             return Err(err(j, "expected ':'"));
         }
         j = skip_ws(b, j + 1);
-        let (v, n) = parse_value(b, j)?;
+        let (v, n) = parse_value(b, j, depth)?;
         fields.push((k, v));
         j = skip_ws(b, n);
         match b.get(j) {
@@ -286,5 +299,17 @@ mod tests {
     #[test]
     fn unicode_escape_parses() {
         assert_eq!(parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = "[".repeat(100_000);
+        assert!(parse(&arrays).is_err());
+        let objects = "{\"a\": ".repeat(100_000);
+        assert!(parse(&objects).is_err());
+        // the limit itself parses; one level more does not
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 }

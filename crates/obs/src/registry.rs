@@ -548,6 +548,13 @@ mod tests {
         assert_eq!(r.merge_jsonl(text).unwrap(), 1);
         assert_eq!(r.counter("a"), 4);
         assert!(r.merge_jsonl("not json").is_err());
+        let deep = format!("{}\n", "[".repeat(100_000));
+        assert!(r.merge_jsonl(&deep).is_err());
+        assert_eq!(
+            r.counter("a"),
+            4,
+            "a failed merge leaves the registry as it was"
+        );
     }
 
     #[test]

@@ -45,7 +45,9 @@ pub use merge::{
     ShardScan,
 };
 pub use obs_summary::{
-    render_fleet_summary, render_metrics_summary, render_time_share_svg, CellSample,
+    cell_time_shares, render_fleet_summary, render_metrics_summary, render_shares_summary,
+    render_shares_svg, render_time_share_svg, slower_first, CellSample, SchedulerShare,
+    CELL_NS_PREFIX,
 };
 pub use svg::render_svg;
 pub use table::Table;

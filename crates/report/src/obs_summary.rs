@@ -1,15 +1,26 @@
 //! Campaign metrics summaries: per-scheduler time share and the
 //! slowest cells, as text and SVG.
 //!
-//! Input is the flat list of per-cell observation records a campaign's
-//! `metrics-<k>.jsonl` files carry (one record per `(scheduler,
-//! instance)` cell with its wall time). Rendering is deterministic for
-//! a fixed input — rows sort by time share descending with name as the
-//! tiebreak — but wall times themselves are `time.*`-class data:
-//! meaningful only when the campaign ran with a real clock, all-zero
-//! under a `NullClock`.
+//! One renderer takes per-scheduler shares plus candidate slowest
+//! cells. A campaign merge reads the shares from its registry's
+//! `time.cell_ns.<scheduler>` histograms ([`cell_time_shares`]) and the
+//! candidates from the few slowest cells each shard ships;
+//! [`render_metrics_summary`] and [`render_time_share_svg`] derive
+//! both from a full list of cells. Rendering is deterministic for a
+//! fixed input — rows sort by time share descending with name as the
+//! tiebreak, cells by [`slower_first`] — but wall times themselves are
+//! `time.*`-class data: meaningful only when the campaign ran with a
+//! real clock, all-zero under a `NullClock`.
+
+use std::cmp::Ordering;
+
+use anneal_obs::{MetricValue, MetricsRegistry};
 
 use crate::table::Table;
+
+/// Registry key prefix of the per-scheduler cell wall-time histograms
+/// (`time.cell_ns.<scheduler>`).
+pub const CELL_NS_PREFIX: &str = "time.cell_ns.";
 
 /// One cell's timing record, decoupled from `anneal-arena`'s types so
 /// this crate stays dependency-light.
@@ -23,13 +34,35 @@ pub struct CellSample {
     pub wall_ns: u64,
 }
 
-/// Per-scheduler aggregate over a set of cells.
+/// One scheduler's wall time over a set of cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct SchedulerShare {
-    name: String,
-    cells: u64,
-    total_ns: u64,
-    max_ns: u64,
+pub struct SchedulerShare {
+    /// Scheduler (portfolio entry) name.
+    pub name: String,
+    /// Cells timed.
+    pub cells: u64,
+    /// Summed wall time of those cells (ns, saturating).
+    pub total_ns: u64,
+    /// The slowest of those cells (ns).
+    pub max_ns: u64,
+}
+
+/// The shares of `reg`'s `time.cell_ns.<scheduler>` histograms (count,
+/// sum and max), in scheduler-name order.
+pub fn cell_time_shares(reg: &MetricsRegistry) -> Vec<SchedulerShare> {
+    reg.iter()
+        .filter_map(
+            |(key, value)| match (key.strip_prefix(CELL_NS_PREFIX), value) {
+                (Some(name), MetricValue::Histogram(h)) => Some(SchedulerShare {
+                    name: name.to_string(),
+                    cells: h.count(),
+                    total_ns: h.sum(),
+                    max_ns: h.max().unwrap_or(0),
+                }),
+                _ => None,
+            },
+        )
+        .collect()
 }
 
 fn shares(cells: &[CellSample]) -> Vec<SchedulerShare> {
@@ -45,13 +78,28 @@ fn shares(cells: &[CellSample]) -> Vec<SchedulerShare> {
                 max_ns: 0,
             });
         e.cells += 1;
-        e.total_ns += c.wall_ns;
+        e.total_ns = e.total_ns.saturating_add(c.wall_ns);
         e.max_ns = e.max_ns.max(c.wall_ns);
     }
-    let mut v: Vec<SchedulerShare> = by_name.into_values().collect();
-    // heaviest first; BTreeMap already fixed the name order for ties
+    by_name.into_values().collect()
+}
+
+/// `shares` heaviest first, name ascending among ties, with their
+/// summed wall time.
+fn heaviest_first(shares: &[SchedulerShare]) -> (Vec<&SchedulerShare>, u64) {
+    let mut v: Vec<&SchedulerShare> = shares.iter().collect();
     v.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
-    v
+    let total = v.iter().fold(0u64, |t, s| t.saturating_add(s.total_ns));
+    (v, total)
+}
+
+/// The slowest-cells order over `(wall_ns, scheduler, instance)`: wall
+/// time descending, then scheduler and instance name ascending. A
+/// campaign's cells differ in (scheduler, instance), so this is a total
+/// order on them, and the union of every shard's first `K` cells holds
+/// the campaign's first `K`.
+pub fn slower_first(a: (u64, &str, &str), b: (u64, &str, &str)) -> Ordering {
+    b.0.cmp(&a.0).then(a.1.cmp(b.1)).then(a.2.cmp(b.2))
 }
 
 fn pct(part: u64, total: u64) -> f64 {
@@ -66,17 +114,21 @@ fn ms(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1e6)
 }
 
-/// The text summary: a per-scheduler time-share table followed by the
-/// `top` slowest cells. Ties sort deterministically (time descending,
-/// then scheduler and instance name ascending).
-pub fn render_metrics_summary(cells: &[CellSample], top: usize) -> String {
-    let total: u64 = cells.iter().map(|c| c.wall_ns).sum();
+/// The text summary: a per-scheduler time-share table over `shares`,
+/// then the `top` slowest of `slowest` in [`slower_first`] order.
+/// `slowest` may be any superset, in any order, of the `top` slowest
+/// cells behind `shares`.
+pub fn render_shares_summary(
+    shares: &[SchedulerShare],
+    slowest: &[CellSample],
+    top: usize,
+) -> String {
+    let (shares, total) = heaviest_first(shares);
+    let cells: u64 = shares.iter().map(|s| s.cells).sum();
     let mut out = String::new();
-    let mut table =
-        Table::new(vec!["Scheduler", "Cells", "Total ms", "Share %", "Max ms"]).with_title(
-            format!("Time share: {} cells, {} ms total", cells.len(), ms(total)),
-        );
-    for s in shares(cells) {
+    let mut table = Table::new(vec!["Scheduler", "Cells", "Total ms", "Share %", "Max ms"])
+        .with_title(format!("Time share: {cells} cells, {} ms total", ms(total)));
+    for s in shares {
         table.row(vec![
             s.name.clone(),
             s.cells.to_string(),
@@ -87,13 +139,11 @@ pub fn render_metrics_summary(cells: &[CellSample], top: usize) -> String {
     }
     out.push_str(&table.render());
 
-    let mut slowest: Vec<&CellSample> = cells.iter().collect();
-    slowest.sort_by(|a, b| {
-        b.wall_ns
-            .cmp(&a.wall_ns)
-            .then(a.scheduler.cmp(&b.scheduler))
-            .then(a.instance.cmp(&b.instance))
-    });
+    fn key(c: &CellSample) -> (u64, &str, &str) {
+        (c.wall_ns, &c.scheduler, &c.instance)
+    }
+    let mut slowest: Vec<&CellSample> = slowest.iter().collect();
+    slowest.sort_by(|a, b| slower_first(key(a), key(b)));
     slowest.truncate(top);
     let mut worst = Table::new(vec!["Scheduler", "Instance", "ms", "% of total"])
         .with_title(format!("Slowest {} cells", slowest.len()));
@@ -108,6 +158,12 @@ pub fn render_metrics_summary(cells: &[CellSample], top: usize) -> String {
     out.push('\n');
     out.push_str(&worst.render());
     out
+}
+
+/// [`render_shares_summary`] over every cell of a run: the shares and
+/// the slowest cells both come from `cells`.
+pub fn render_metrics_summary(cells: &[CellSample], top: usize) -> String {
+    render_shares_summary(&shares(cells), cells, top)
 }
 
 /// One-line fleet activity summary from the `sched.fleet.*` counters,
@@ -142,12 +198,11 @@ pub fn render_fleet_summary(reg: &anneal_obs::MetricsRegistry) -> Option<String>
     Some(format!("Fleet: {}\n", parts.join(", ")))
 }
 
-/// A horizontal bar chart of per-scheduler time share, one bar per
-/// scheduler, heaviest first.
-pub fn render_time_share_svg(cells: &[CellSample]) -> String {
-    let shares = shares(cells);
-    let total: u64 = shares.iter().map(|s| s.total_ns).sum();
-    let max_ns = shares.iter().map(|s| s.total_ns).max().unwrap_or(0);
+/// A horizontal bar chart of `shares`, one bar per scheduler,
+/// heaviest first.
+pub fn render_shares_svg(shares: &[SchedulerShare]) -> String {
+    let (shares, total) = heaviest_first(shares);
+    let max_ns = shares.first().map_or(0, |s| s.total_ns);
     let (label_w, bar_w, row_h, pad) = (160.0f64, 420.0f64, 22.0f64, 8.0f64);
     let width = label_w + bar_w + 120.0;
     let height = pad * 2.0 + row_h * shares.len() as f64 + 20.0;
@@ -186,6 +241,11 @@ pub fn render_time_share_svg(cells: &[CellSample]) -> String {
     }
     svg.push_str("</svg>\n");
     svg
+}
+
+/// [`render_shares_svg`] over the shares of every cell of a run.
+pub fn render_time_share_svg(cells: &[CellSample]) -> String {
+    render_shares_svg(&shares(cells))
 }
 
 #[cfg(test)]
