@@ -3,6 +3,8 @@
 //! processors; MM packets reach 100 candidates), and across the two SA
 //! lanes that run it (`exact` — the paper-literal `anneal_packet`, the
 //! oracle; `turbo` — the production lane on counter-based RNG streams).
+//! The 2x2 packet has two mappings, so its turbo row times the exact
+//! enumeration that replaces annealing for packets that small.
 
 use anneal_core::annealer::{anneal_packet, AnnealParams};
 use anneal_core::cost::{BalanceRange, CostModel};

@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the choices the paper leaves open or this
+//! implementation makes:
 //!
 //! 1. **Cooling schedule** (geometric / linear / logarithmic / constant).
 //! 2. **Acceptance rule** (the paper's heat bath vs Metropolis).

@@ -42,8 +42,9 @@
 //! * `--full` — use `Portfolio::standard()` including whole-graph
 //!   static SA (slower; default is `Portfolio::fast()`). Both run the
 //!   production SA lane (`SaLane::default()`, turbo), stamped into
-//!   `campaign.meta` as `sa-lane=`, so a directory written under
-//!   another lane is refused on resume.
+//!   `campaign.meta` as `sa-lane=` together with its exact-packet limit
+//!   (`packet-enum=`), so a directory written under another lane is
+//!   refused on resume (exit 1).
 //! * `--shard K` — restrict this invocation to shard `K`.
 //! * `--threads T` — cap the per-shard evaluation thread pool (default
 //!   `0` = available parallelism). Never changes results.
@@ -77,7 +78,7 @@ use anneal_arena::{
     CampaignConfig, Portfolio, SLOWEST_CELLS,
 };
 use anneal_bench::cli::Cli;
-use anneal_core::SaLane;
+use anneal_core::{SaLane, EXACT_PACKET_LIMIT};
 use anneal_fleet::{
     commit_bytes, read_attempts, read_sealed, render_report, run_worker, seal, shard_state, unseal,
     FaultPlan, FleetConfig, FleetEvent, FleetStats, KillMode, ShardReport, ShardRunner, ShardState,
@@ -89,6 +90,10 @@ use anneal_report::{cell_time_shares, merge_shard_csvs, scan_sealed_shards, Tabl
 /// Exit status of a campaign whose `--metrics` merge found a shard
 /// metrics artifact it cannot use.
 const METRICS_EXIT: i32 = 1;
+
+/// Exit status of a campaign refused by the directory's
+/// `campaign.meta`.
+const PROVENANCE_EXIT: i32 = 1;
 
 /// Exit status of a campaign that completed but left failed shards
 /// behind — degraded, documented in `fleet.report.json`.
@@ -182,37 +187,42 @@ fn parse_args() -> Args {
 /// seed would merge cleanly (same header, same shape) into a silently
 /// wrong matrix. (`--threads`/`--metrics`/`--chaos` are deliberately
 /// absent: they never change a cell.) The SA lane is the production
-/// default, recorded so that a directory written under another lane is
-/// refused.
+/// default, and `packet-enum=` the turbo lane's exact-packet limit;
+/// both are recorded so that a directory written under another lane,
+/// or by a turbo lane that annealed every packet, is refused.
 fn provenance(cfg: &CampaignConfig, full: bool) -> String {
     format!(
-        "instances={}\nshards={}\nseed={}\nportfolio={}\nsa-lane={}\n",
+        "instances={}\nshards={}\nseed={}\nportfolio={}\nsa-lane={}\npacket-enum={}\n",
         cfg.instances,
         cfg.shards,
         cfg.base_seed,
         if full { "standard" } else { "fast" },
-        SaLane::default()
+        SaLane::default(),
+        EXACT_PACKET_LIMIT
     )
 }
 
+/// Refuses, with exit status [`PROVENANCE_EXIT`], a directory whose
+/// `campaign.meta` is corrupt or records other parameters; stamps a
+/// directory that has none.
 fn check_provenance(dir: &Path, expected: &str) {
     let path = dir.join("campaign.meta");
     match std::fs::read_to_string(&path) {
         Ok(sealed) => {
-            let found = unseal(&sealed).unwrap_or_else(|e| {
-                panic!(
-                    "{} failed checksum validation ({e}). \
-                     Delete the directory to start over.",
+            let refusal = match unseal(&sealed) {
+                Err(e) => format!(
+                    "{} failed checksum validation ({e}). Delete the directory to start over.",
                     path.display()
-                )
-            });
-            if found != expected {
-                panic!(
+                ),
+                Ok(found) if found != expected => format!(
                     "{} was produced with different parameters:\n--- existing\n{found}--- requested\n{expected}\
                      Delete the directory (or its shard-*.csv files and campaign.meta) to start over.",
                     dir.display()
-                );
-            }
+                ),
+                Ok(_) => return,
+            };
+            eprintln!("campaign: {refusal}");
+            std::process::exit(PROVENANCE_EXIT);
         }
         Err(_) => commit_bytes(&path, seal(expected).as_bytes()).expect("write campaign.meta"),
     }

@@ -8,7 +8,9 @@
 //! killed halfway and resumed — including a directory written by the
 //! lease-based campaign that came before campaigns ran in one process.
 //! Metrics artifacts written before shards recorded per-scheduler cell
-//! times are refused until regenerated.
+//! times are refused until regenerated. A directory stamped with other
+//! parameters, or with a corrupt `campaign.meta`, is refused with exit
+//! 1 before any shard runs.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -289,11 +291,15 @@ fn default_run_stamps_the_production_lane_into_campaign_meta() {
     run_campaign(&dir, &[]);
     let meta = String::from_utf8(read(&dir, "campaign.meta")).unwrap();
     let body = anneal_fleet::unseal(&meta).expect("campaign.meta is sealed");
-    let expected = format!("sa-lane={}", anneal_core::SaLane::default());
-    assert!(
-        body.lines().any(|l| l == expected),
-        "campaign.meta must record `{expected}`:\n{body}"
-    );
+    for expected in [
+        format!("sa-lane={}", anneal_core::SaLane::default()),
+        format!("packet-enum={}", anneal_core::EXACT_PACKET_LIMIT),
+    ] {
+        assert!(
+            body.lines().any(|l| l == expected),
+            "campaign.meta must record `{expected}`:\n{body}"
+        );
+    }
     assert!(
         !body.contains("evaluator="),
         "the evaluator never changes a cell and is not provenance:\n{body}"
@@ -311,8 +317,46 @@ fn mismatched_parameters_are_refused_on_resume() {
         .arg(&dir)
         .output()
         .unwrap();
-    assert!(!out.status.success(), "seed mismatch must abort");
     let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "seed mismatch must abort: {stderr}"
+    );
     assert!(stderr.contains("different parameters"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A directory stamped by the turbo lane that annealed every packet
+/// (no `packet-enum=` line) is refused: its shards would merge cleanly
+/// with shards that enumerate small packets.
+#[test]
+fn directory_from_the_annealing_only_turbo_lane_is_refused() {
+    let dir = fresh_dir("pre-enum");
+    let body = "instances=10\nshards=3\nseed=7\nportfolio=fast\nsa-lane=turbo\n";
+    std::fs::write(dir.join("campaign.meta"), anneal_fleet::seal(body)).unwrap();
+    let out = campaign(&dir, &[]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("different parameters"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!dir.join("shard-000.csv").exists(), "no shard may run");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn corrupt_campaign_meta_is_refused_without_a_panic() {
+    let dir = fresh_dir("meta-rot");
+    std::fs::write(
+        dir.join("campaign.meta"),
+        "instances=10\n#checksum,fnv1a64,0\n",
+    )
+    .unwrap();
+    let out = campaign(&dir, &[]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("failed checksum validation"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(dir);
 }

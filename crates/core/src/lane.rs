@@ -18,6 +18,13 @@
 //!   reduction instead of zone rejection, and acceptance is the
 //!   bucket-midpoint threshold ([`AcceptTable::turbo_threshold`]) with
 //!   no `exp()` on the hot path.
+//! * Exact small packets, inside [`SaLane::Turbo`]: a packet with at
+//!   most [`EXACT_PACKET_LIMIT`] saturated mappings is not annealed.
+//!   Every mapping is enumerated and the eq. 6 minimum kept, the limit
+//!   case of the search the annealer runs; exact ties are broken
+//!   uniformly from the packet's stream. Most packets of a campaign are
+//!   this small, yet annealing one costs at least five temperature
+//!   steps.
 //! * [`SaLane::Exact`] — the paper-literal engine
 //!   ([`crate::annealer::anneal_packet`] with
 //!   [`crate::boltzmann::accept`]), kept as the oracle.
@@ -29,7 +36,9 @@
 //! distributions against the exact lane over the frozen corpus and a
 //! campaign slice (`lane_study` bin → `results/LANE_EQUIV.json`, gated
 //! in `tests/sa_lane_turbo.rs`). Its running cost is checked against a
-//! from-scratch recomputation in `crates/core/tests/sa_lane.rs`.
+//! from-scratch recomputation in `crates/core/tests/sa_lane.rs`, and in
+//! debug builds after every temperature step; its enumeration against
+//! a brute-force minimum there.
 
 use std::fmt;
 use std::str::FromStr;
@@ -312,6 +321,59 @@ pub fn accept_table(rule: AcceptanceRule) -> &'static AcceptTable {
 /// Sentinel for "unassigned" in the flat mapping arrays.
 const NONE: u32 = u32::MAX;
 
+/// The turbo lane solves a packet exactly, by enumerating its
+/// saturated mappings, when it has at most this many of them (a packet
+/// of `n` tasks on `p` idle processors has `max!/(max−min)!`). A
+/// constant, not a setting; `campaign.meta` stamps it as
+/// `packet-enum=`.
+pub const EXACT_PACKET_LIMIT: u64 = 24;
+
+// A packet within the limit has at most `EXACT_PACKET_LIMIT` elements
+// on its larger side (the first factor of the count is that side), so
+// the enumeration's used-set fits one `u64` bitmask.
+const _: () = assert!(EXACT_PACKET_LIMIT < 64);
+
+/// Whether an `n × p` packet has at most [`EXACT_PACKET_LIMIT`]
+/// saturated mappings: the product `max · (max−1) ⋯ (max−min+1)`,
+/// stopped as soon as it passes the limit.
+fn within_exact_limit(n: usize, p: usize) -> bool {
+    let (lo, hi) = (n.min(p), n.max(p));
+    let mut count = 1u64;
+    for k in 0..lo {
+        count = count.saturating_mul((hi - k) as u64);
+        if count > EXACT_PACKET_LIMIT {
+            return false;
+        }
+    }
+    true
+}
+
+/// Multiply-high bounded draw on a 32-bit word: maps it onto
+/// `[0, bound)` with one widening multiply (bias < bound/2³²; packet
+/// dimensions are far below 2¹⁶, so the bias is negligible).
+#[inline]
+fn mulhi32(v: u32, bound: u64) -> usize {
+    ((u64::from(v) * bound) >> 32) as usize
+}
+
+/// Whether `cost` prices the same as the from-scratch `recomputed`, to
+/// 1e-9 relative (the drift oracles' tolerance).
+fn prices_to(cost: f64, recomputed: f64) -> bool {
+    (cost - recomputed).abs() <= 1e-9 * recomputed.abs().max(1.0)
+}
+
+/// An enumeration in progress: the eq. 6 multipliers and the best
+/// leaf so far.
+struct Optimum {
+    kb: f64,
+    kc: f64,
+    cost: f64,
+    fb: f64,
+    fc: f64,
+    /// Leaves seen at exactly `cost` (the reservoir's population).
+    ties: u64,
+}
+
 /// What one turbo packet run produced (the flat-lane analogue of
 /// [`PacketOutcome`]; the final mapping stays in the scratch).
 #[derive(Debug, Clone)]
@@ -324,6 +386,9 @@ pub struct LaneOutcome {
     pub accepted: u64,
     /// Final normalized cost.
     pub final_cost: f64,
+    /// The packet was solved by enumeration (no temperature steps, no
+    /// moves) instead of annealed.
+    pub enumerated: bool,
     /// Optional per-move trajectory (allocated only when requested).
     pub trace: Option<PacketTrace>,
 }
@@ -571,6 +636,10 @@ impl SaScratch {
     ///   divisions, and the running cost accumulates directly priced
     ///   deltas.
     ///
+    /// A packet with at most [`EXACT_PACKET_LIMIT`] saturated mappings
+    /// is enumerated instead ([`LaneOutcome::enumerated`]): the result
+    /// is its eq. 6 minimum, whatever `params` say.
+    ///
     /// `rng` is whatever stream the caller chose —
     /// [`crate::rng_stream::CounterRng`] in [`crate::sa::SaScheduler`].
     /// Deterministic per `(rng stream, params)`; certified against the
@@ -604,6 +673,12 @@ impl SaScratch {
         let n = self.n;
         let p = self.p;
         assert!(n > 0 && p > 0, "empty packet");
+        // Eq. 6 with the divisions hoisted: total = kb·F_b + kc·F_c.
+        let kb = self.wb / self.range_b;
+        let kc = self.wc / self.range_c;
+        if within_exact_limit(n, p) {
+            return self.enumerate::<R, TRACE>(kb, kc, rng);
+        }
         let table = accept_table(params.acceptance);
 
         match params.init {
@@ -611,9 +686,6 @@ impl SaScratch {
             InitRule::InOrder => self.saturate_in_order(),
         }
         let (mut fb, mut fc) = self.raw_full();
-        // Eq. 6 with the divisions hoisted: total = kb·F_b + kc·F_c.
-        let kb = self.wb / self.range_b;
-        let kc = self.wc / self.range_c;
         let mut cost = kb * fb + kc * fc;
         let mut best_cost = cost;
         self.best_proc_of.copy_from_slice(&self.proc_of);
@@ -632,17 +704,6 @@ impl SaScratch {
             params.moves_per_temp
         };
 
-        // Multiply-high bounded draw on a 32-bit word: maps it onto
-        // [0, bound) with one widening multiply (bias < bound/2³²;
-        // packet dimensions are far below 2¹⁶, so the bias is
-        // negligible). One 64-bit draw supplies both indices of a
-        // move — task from the high half, processor from the low half
-        // — halving the draw count of the selection step.
-        #[inline]
-        fn mulhi32(v: u32, bound: u64) -> usize {
-            ((u64::from(v) * bound) >> 32) as usize
-        }
-
         let mut accepted_count = 0u64;
         let mut stable = 0u64;
         let mut k = 0u64;
@@ -657,6 +718,9 @@ impl SaScratch {
             let inv_temp = if frozen { 0.0 } else { 1.0 / temp };
             let mut cost_changed = false;
             for _ in 0..moves_per_temp {
+                // One 64-bit draw supplies both indices of a move: task
+                // from the high half, processor from the low half,
+                // halving the draw count of the selection step.
                 let w = rng.next_u64();
                 let task = mulhi32((w >> 32) as u32, n as u64);
                 let cur = self.proc_of[task];
@@ -731,6 +795,15 @@ impl SaScratch {
                 }
                 moves += 1;
             }
+            // Drift oracle (debug builds): the running cost, summed
+            // from priced deltas, still prices the current mapping.
+            debug_assert!(
+                {
+                    let (b, c) = self.raw_full();
+                    prices_to(cost, kb * b + kc * c)
+                },
+                "running cost {cost} drifted from the mapping's cost"
+            );
             // Keep-best at temperature-step granularity: the exact
             // lane snapshots the mapping on every improving move; here
             // the O(n) copy amortizes over the 2n moves of the step
@@ -761,7 +834,111 @@ impl SaScratch {
             moves,
             accepted: accepted_count,
             final_cost,
+            enumerated: false,
             trace,
+        }
+    }
+
+    /// Solves the loaded packet exactly: visits every saturated mapping
+    /// depth first and leaves an eq. 6 minimum in the scratch, chosen
+    /// uniformly among exact ties by reservoir sampling on `rng`.
+    ///
+    /// Levels and eq. 4 costs are integers far below 2⁵³, so the
+    /// running raw sums are exact in any order and equal costs compare
+    /// equal; no epsilon.
+    fn enumerate<R: RngCore + ?Sized, const TRACE: bool>(
+        &mut self,
+        kb: f64,
+        kc: f64,
+        rng: &mut R,
+    ) -> LaneOutcome {
+        self.proc_of.iter_mut().for_each(|x| *x = NONE);
+        let mut best = Optimum {
+            kb,
+            kc,
+            cost: f64::INFINITY,
+            fb: 0.0,
+            fc: 0.0,
+            ties: 0,
+        };
+        self.enumerate_from(0, 0, 0.0, 0.0, &mut best, rng);
+        self.proc_of.copy_from_slice(&self.best_proc_of);
+        debug_assert!(
+            {
+                let (b, c) = self.raw_full();
+                prices_to(best.cost, kb * b + kc * c)
+            },
+            "enumerated mapping does not price to the minimum {}",
+            best.cost
+        );
+        let trace = TRACE.then(|| PacketTrace {
+            packet: 0,
+            epoch_time: self.epoch_time,
+            candidates: self.n,
+            idle: self.p,
+            samples: vec![TraceSample {
+                iter: 0,
+                temp: 0.0,
+                f_b_raw: best.fb,
+                f_c_raw: best.fc,
+                f_b_norm: kb * best.fb,
+                f_c_norm: kc * best.fc,
+                f_total: best.cost,
+                accepted: false,
+            }],
+        });
+        LaneOutcome {
+            iterations: 0,
+            moves: 0,
+            accepted: 0,
+            final_cost: best.cost,
+            enumerated: true,
+            trace,
+        }
+    }
+
+    /// One level of [`SaScratch::enumerate`]: level `depth` places the
+    /// `depth`-th element of the packet's smaller side (tasks when
+    /// `n ≤ p`, else processors) on each unused element of the larger
+    /// side (bit `c` of `used`), carrying the raw `(F_b, F_c)` sums.
+    fn enumerate_from<R: RngCore + ?Sized>(
+        &mut self,
+        depth: usize,
+        used: u64,
+        fb: f64,
+        fc: f64,
+        best: &mut Optimum,
+        rng: &mut R,
+    ) {
+        let (n, p) = (self.n, self.p);
+        if depth == n.min(p) {
+            let cost = best.kb * fb + best.kc * fc;
+            let take = if cost < best.cost {
+                best.ties = 1;
+                true
+            } else if cost == best.cost {
+                // Reservoir: the k-th tie replaces with probability
+                // 1/k, drawn like a move's processor (low half).
+                best.ties += 1;
+                mulhi32(rng.next_u64() as u32, best.ties) == 0
+            } else {
+                false
+            };
+            if take {
+                (best.cost, best.fb, best.fc) = (cost, fb, fc);
+                self.best_proc_of.copy_from_slice(&self.proc_of);
+            }
+            return;
+        }
+        for c in 0..n.max(p) {
+            if used & (1 << c) != 0 {
+                continue;
+            }
+            let (t, q) = if n <= p { (depth, c) } else { (c, depth) };
+            self.proc_of[t] = q as u32;
+            let (fb2, fc2) = (fb - self.lv[t], fc + self.cc[t * p + q]);
+            self.enumerate_from(depth + 1, used | 1 << c, fb2, fc2, best, rng);
+            self.proc_of[t] = NONE;
         }
     }
 

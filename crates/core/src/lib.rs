@@ -88,7 +88,7 @@ pub use cpop::CpopScheduler;
 pub use eval::{level_dispatch_order, replay_mapping, Evaluator, EvaluatorKind};
 pub use heft::HeftScheduler;
 pub use hlf::HlfScheduler;
-pub use lane::{accept_table, AcceptTable, LaneCounters, SaLane, SaScratch};
+pub use lane::{accept_table, AcceptTable, LaneCounters, SaLane, SaScratch, EXACT_PACKET_LIMIT};
 pub use mct::MctScheduler;
 pub use parallel::{PoolStats, ScratchPool};
 pub use rng_stream::{stream_draw, CounterRng};

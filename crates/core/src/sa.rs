@@ -98,8 +98,12 @@ impl SaConfig {
 /// processors).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SaStats {
-    /// Packets annealed.
+    /// Packets scheduled, annealed or enumerated.
     pub packets: u64,
+    /// Packets the turbo lane solved by enumerating every mapping
+    /// ([`crate::lane::EXACT_PACKET_LIMIT`]); they add no iterations,
+    /// moves or lane decisions.
+    pub enumerated: u64,
     /// Total temperature steps across packets.
     pub iterations: u64,
     /// Total moves proposed.
@@ -162,6 +166,7 @@ impl SaStats {
     /// every field is a pure function of graph, topology and seed.
     pub fn record_into(&self, r: &mut dyn anneal_obs::Recorder) {
         r.add("sa.packets", self.packets);
+        r.add("sa.enumerated", self.enumerated);
         r.add("sa.iterations", self.iterations);
         r.add("sa.moves", self.moves);
         r.add("sa.accepted", self.accepted);
@@ -267,6 +272,7 @@ impl OnlineScheduler for SaScheduler {
                     self.cfg.record_traces,
                     &mut counters,
                 );
+                self.stats.enumerated += u64::from(lo.enumerated);
                 self.stats.lane_rng_draws += crng.draws();
                 self.stats.lane_shortcut += counters.shortcut;
                 self.stats.lane_table += counters.table;

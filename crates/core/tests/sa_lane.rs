@@ -6,17 +6,23 @@
 //! What turbo must never get wrong is its own bookkeeping: the running
 //! cost it accumulates from directly priced deltas must price the final
 //! mapping exactly like a from-scratch `CostModel` recomputation, and
-//! every schedule it produces must be valid.
+//! every schedule it produces must be valid. A packet small enough for
+//! turbo to enumerate must come out at the brute-force eq. 6 minimum,
+//! with exact ties broken uniformly.
 
 use anneal_core::annealer::{AnnealParams, InitRule, PacketOutcome};
 use anneal_core::boltzmann::AcceptanceRule;
 use anneal_core::cost::{BalanceRange, CostModel};
 use anneal_core::lane::{anneal_packet_lane, LaneRun};
+use anneal_core::mapping::PacketMapping;
 use anneal_core::packet::AnnealingPacket;
-use anneal_core::{LaneCounters, SaConfig, SaLane, SaScheduler, SaScratch};
+use anneal_core::{
+    CounterRng, LaneCounters, SaConfig, SaLane, SaScheduler, SaScratch, EXACT_PACKET_LIMIT,
+};
 use anneal_graph::generate::{layered_random, LayeredConfig, Range};
+use anneal_graph::levels::bottom_levels;
 use anneal_graph::TaskId;
-use anneal_sim::{simulate, SimConfig};
+use anneal_sim::{simulate, EpochContext, OnlineScheduler, SimConfig};
 use anneal_topology::builders::{hypercube, linear, mesh, ring};
 use anneal_topology::{CommParams, ProcId, Topology};
 use proptest::prelude::*;
@@ -281,4 +287,288 @@ fn reseed_replays_identically_with_warm_buffers() {
     assert_eq!(r1.makespan, r2.makespan);
     assert_eq!(r1.placement, r2.placement);
     assert_eq!(stats1, s.stats);
+}
+
+/// Saturated mappings of an `n × p` packet, `max!/(max−min)!`.
+fn mapping_count(n: usize, p: usize) -> u64 {
+    let (lo, hi) = (n.min(p) as u64, n.max(p) as u64);
+    (0..lo).fold(1, |count, k| count.saturating_mul(hi - k))
+}
+
+/// Every packet shape turbo enumerates.
+fn enumerated_shapes() -> Vec<(usize, usize)> {
+    (1..=24)
+        .flat_map(|n| (1..=24).map(move |p| (n, p)))
+        .filter(|&(n, p)| mapping_count(n, p) <= EXACT_PACKET_LIMIT)
+        .collect()
+}
+
+/// Calls `visit` on every saturated mapping of `pk`, built task by task
+/// (each task placed on a free processor or left out) through
+/// `PacketMapping` moves.
+fn for_each_saturated(pk: &AnnealingPacket, visit: &mut dyn FnMut(&PacketMapping)) {
+    fn place(
+        t: usize,
+        placed: usize,
+        m: &mut PacketMapping,
+        want: usize,
+        visit: &mut dyn FnMut(&PacketMapping),
+    ) {
+        let n = m.num_tasks();
+        if placed == want {
+            visit(m);
+            return;
+        }
+        if t == n || n - t < want - placed {
+            return;
+        }
+        for q in 0..m.num_procs() {
+            if m.task_at(q).is_some() {
+                continue;
+            }
+            let mv = m.propose(t, q).expect("a free processor accepts the task");
+            m.apply(mv);
+            place(t + 1, placed + 1, m, want, visit);
+            m.undo(mv);
+        }
+        place(t + 1, placed, m, want, visit);
+    }
+    let mut m = PacketMapping::new(pk.num_tasks(), pk.num_procs());
+    let want = pk.num_tasks().min(pk.num_procs());
+    place(0, 0, &mut m, want, visit);
+}
+
+/// The eq. 6 minimum over every saturated mapping, and how many
+/// mappings there are.
+fn brute_force_minimum(pk: &AnnealingPacket, cm: &CostModel) -> (f64, u64) {
+    let mut best = f64::INFINITY;
+    let mut count = 0u64;
+    for_each_saturated(pk, &mut |m| {
+        let (fb, fc) = cm.raw_full(m);
+        best = best.min(cm.total(fb, fc));
+        count += 1;
+    });
+    (best, count)
+}
+
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * b.abs().max(1.0)
+}
+
+/// Runs `pk` through the turbo lane with the default parameters.
+fn turbo_outcome<R: rand::Rng>(
+    pk: &AnnealingPacket,
+    bal: BalanceRange,
+    rng: &mut R,
+) -> PacketOutcome {
+    let params = AnnealParams::default();
+    let run = LaneRun {
+        wb: 0.4,
+        wc: 0.6,
+        balance: bal,
+        params: &params,
+        lane: SaLane::Turbo,
+        want_trace: false,
+    };
+    let mut counters = LaneCounters::default();
+    let out = anneal_packet_lane(pk, &run, rng, &mut SaScratch::new(), &mut counters);
+    if out.moves == 0 {
+        assert_eq!(
+            counters.decisions(),
+            0,
+            "an enumerated packet decides nothing"
+        );
+        assert_eq!((out.iterations, out.accepted), (0, 0));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random packets with at most `EXACT_PACKET_LIMIT` mappings, drawn
+    /// from a few levels and costs so that ties occur: turbo returns a
+    /// saturated injection without a move, and it prices to the
+    /// brute-force eq. 6 minimum.
+    #[test]
+    fn enumerated_packets_reach_the_brute_force_minimum(
+        shape_ix in 0usize..10_000,
+        levels in prop::collection::vec(1u64..4, 24..25),
+        comm_seed in 0u64..1_000,
+        seed in 0u64..500,
+        per_idle in any::<bool>(),
+    ) {
+        let shapes = enumerated_shapes();
+        let (n, p) = shapes[shape_ix % shapes.len()];
+        let mut crng = StdRng::seed_from_u64(comm_seed);
+        let comm: Vec<Vec<u64>> = (0..n)
+            .map(|_| {
+                (0..p)
+                    .map(|_| rand::Rng::gen_range(&mut crng, 0u64..3) * 500)
+                    .collect()
+            })
+            .collect();
+        let levels: Vec<u64> = levels[..n].iter().map(|l| l * 1_000).collect();
+        let pk = packet_from(levels, comm, p);
+        let bal = if per_idle { BalanceRange::PerIdle } else { BalanceRange::Full };
+        let ctx = format!("n={n} p={p} seed={seed} bal={bal:?}");
+
+        let out = turbo_outcome(&pk, bal, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(out.moves, 0, "{}: a small packet must be enumerated", ctx);
+        prop_assert_eq!(out.assignment.len(), n.min(p), "{}: not saturated", ctx);
+        let mut m = PacketMapping::new(n, p);
+        for &(t, q) in &out.assignment {
+            prop_assert!(m.task_at(q).is_none(), "{}: processor {} used twice", ctx, q);
+            m.apply(m.propose(t, q).expect("free processor"));
+        }
+        let cm = CostModel::new(&pk, 0.4, 0.6, bal);
+        let (min, count) = brute_force_minimum(&pk, &cm);
+        prop_assert_eq!(count, mapping_count(n, p), "{}", ctx);
+        let (fb, fc) = cm.raw_full(&m);
+        prop_assert!(close(cm.total(fb, fc), min), "{}: mapping costs {} vs minimum {}", ctx, cm.total(fb, fc), min);
+        prop_assert!(close(out.final_cost, min), "{}: reported {} vs minimum {}", ctx, out.final_cost, min);
+    }
+}
+
+/// 3 equal-level tasks on 3 processors with no communication: all 6
+/// mappings are optimal, and the reservoir picks each about as often.
+#[test]
+fn exact_ties_are_broken_uniformly() {
+    let pk = packet_from(vec![5_000; 3], vec![vec![0; 3]; 3], 3);
+    let mut picks = std::collections::BTreeMap::new();
+    for stream in 0..600 {
+        let out = turbo_outcome(&pk, BalanceRange::Full, &mut CounterRng::new(17, stream));
+        assert_eq!(out.moves, 0);
+        *picks.entry(out.assignment).or_insert(0u32) += 1;
+    }
+    assert_eq!(picks.len(), 6, "every optimum must be reachable: {picks:?}");
+    for (mapping, &hits) in &picks {
+        assert!(hits >= 50, "optimum {mapping:?} chosen {hits}/600 times");
+    }
+}
+
+/// Packets with exactly `EXACT_PACKET_LIMIT` mappings are enumerated;
+/// one more mapping and the packet anneals.
+#[test]
+fn enumeration_stops_at_the_limit() {
+    let cases = [
+        (4, 4, true),
+        (3, 4, true),
+        (1, 24, true),
+        (24, 1, true),
+        (1, 25, false),
+    ];
+    for (n, p, enumerated) in cases {
+        let levels: Vec<u64> = (0..n as u64).map(|i| 1_000 + 37 * i).collect();
+        let comm: Vec<Vec<u64>> = (0..n)
+            .map(|t| (0..p).map(|q| ((t * 7 + q * 3) % 5) as u64 * 400).collect())
+            .collect();
+        let pk = packet_from(levels, comm, p);
+        assert_eq!(mapping_count(n, p) <= EXACT_PACKET_LIMIT, enumerated);
+        let out = turbo_outcome(&pk, BalanceRange::Full, &mut StdRng::seed_from_u64(3));
+        assert_eq!(out.moves == 0, enumerated, "{n}x{p}: moves = {}", out.moves);
+        let cm = CostModel::new(&pk, 0.4, 0.6, BalanceRange::Full);
+        if enumerated {
+            assert!(
+                close(out.final_cost, brute_force_minimum(&pk, &cm).0),
+                "{n}x{p}"
+            );
+        }
+    }
+}
+
+/// Wraps an `SaScheduler` and prices every packet's dispatched mapping
+/// from scratch (`AnnealingPacket` + `CostModel`), in packet order.
+struct Pricing {
+    sa: SaScheduler,
+    levels: Option<Vec<u64>>,
+    costs: Vec<f64>,
+}
+
+impl OnlineScheduler for Pricing {
+    fn on_epoch(&mut self, ctx: &EpochContext<'_>, out: &mut Vec<(TaskId, ProcId)>) {
+        let before = out.len();
+        self.sa.on_epoch(ctx, out);
+        if ctx.ready.is_empty() || ctx.idle.is_empty() {
+            return;
+        }
+        let levels = self.levels.get_or_insert_with(|| bottom_levels(ctx.graph));
+        let pk = AnnealingPacket::from_epoch(ctx, levels);
+        let cfg = self.sa.config();
+        let cm = CostModel::new(&pk, cfg.wb, cfg.wc, cfg.balance_range);
+        let (mut fb, mut fc) = (0.0, 0.0);
+        for &(t, q) in &out[before..] {
+            let ti = pk.tasks.iter().position(|&x| x == t).unwrap();
+            let qi = pk.procs.iter().position(|&x| x == q).unwrap();
+            fb -= pk.levels[ti] as f64;
+            fc += pk.comm_cost[ti][qi] as f64;
+        }
+        self.costs.push(cm.total(fb, fc));
+    }
+
+    fn name(&self) -> &str {
+        self.sa.name()
+    }
+}
+
+/// Tracing only records: with `record_traces` on and off, the turbo
+/// lane takes the same path (placement, makespan, every counter), and
+/// the one sample of an enumerated packet is its final cost.
+#[test]
+fn traced_and_untraced_runs_take_the_same_path() {
+    for gseed in [3u64, 11] {
+        let g = graph_for(gseed);
+        for topo in topologies() {
+            for seed in [1u64, 42] {
+                let run = |record_traces: bool| {
+                    let cfg = SaConfig {
+                        record_traces,
+                        ..SaConfig::default().with_seed(seed)
+                    };
+                    let mut s = Pricing {
+                        sa: SaScheduler::new(cfg),
+                        levels: None,
+                        costs: Vec::new(),
+                    };
+                    let r = simulate(
+                        &g,
+                        &topo,
+                        &CommParams::paper(),
+                        &mut s,
+                        &SimConfig::default(),
+                    )
+                    .unwrap();
+                    (r, s)
+                };
+                let ctx = format!("gseed={gseed} topo={} seed={seed}", topo.name());
+                let (rt, traced) = run(true);
+                let (ru, untraced) = run(false);
+                assert_eq!(rt.placement, ru.placement, "{ctx}");
+                assert_eq!(rt.makespan, ru.makespan, "{ctx}");
+                assert_eq!(traced.sa.stats, untraced.sa.stats, "{ctx}");
+                assert!(untraced.sa.traces.is_empty(), "{ctx}");
+                let stats = &traced.sa.stats;
+                assert!(stats.enumerated > 0 && stats.moves > 0, "{ctx}: {stats:?}");
+
+                let one_sample: Vec<_> = traced
+                    .sa
+                    .traces
+                    .iter()
+                    .filter(|t| t.samples.len() == 1)
+                    .collect();
+                assert_eq!(one_sample.len() as u64, stats.enumerated, "{ctx}");
+                for tr in one_sample {
+                    let s = tr.samples[0];
+                    assert_eq!((s.iter, s.temp, s.accepted), (0, 0.0, false), "{ctx}");
+                    let cost = traced.costs[tr.packet as usize];
+                    assert!(
+                        close(s.f_total, cost),
+                        "{ctx}: packet {} sample {} vs cost {cost}",
+                        tr.packet,
+                        s.f_total
+                    );
+                }
+            }
+        }
+    }
 }

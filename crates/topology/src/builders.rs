@@ -1,10 +1,13 @@
 //! Standard interconnection topologies.
 //!
 //! The paper evaluates three: an 8-processor hypercube, an 8-processor
-//! "bus (star)" and a 9-processor ring. DESIGN.md §4 explains why `bus`
-//! is modelled as a complete interconnection with dedicated channels and
-//! offers [`shared_bus`] (single contended channel) and [`star`]
-//! (hub-routed) as alternatives.
+//! "bus (star)" and a 9-processor ring. [`bus`] is modelled as a complete
+//! interconnection with dedicated channels: the paper gives the bus only
+//! through its distances (`l_ij = 1` for every pair), and eq. 4 has no
+//! contention term, so a one-hop, contention-free network is the reading
+//! that matches the cost model. [`shared_bus`] (single contended
+//! channel) and [`star`] (hub-routed) are the other readings, compared
+//! by the `ablations` bin.
 
 use crate::topology::Topology;
 

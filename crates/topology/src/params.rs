@@ -22,8 +22,10 @@
 //! ```
 //!
 //! is exposed as [`CommParams::eq4_cost`]; the simulator charges the same
-//! σ/τ quantities as *events* (plus the destination receive τ, which
-//! eq. 4's estimate folds away — see DESIGN.md §4.6).
+//! σ/τ quantities as *events*, plus a receive τ on the destination
+//! processor that eq. 4's estimate leaves out. §4.2b defines τ as the
+//! time to receive *or* route a message, so the engine charges it on
+//! every processor a message reaches, the last one included.
 
 use anneal_graph::units::{us, Work};
 

@@ -21,11 +21,13 @@
 //! the algorithm's dependence structure from first principles
 //! ([`newton_euler`], [`gauss_jordan`], [`fft`], [`matmul`]) and the
 //! [`paper`] module calibrates durations/communication so the Table-1
-//! statistics are reproduced (see DESIGN.md §4 for the substitution
-//! rationale). [`calibrate`] holds the generic scaling tools and
-//! [`stats`] the Table-1 row extraction. Beyond the paper's programs,
-//! [`stencil`] provides a wavefront workload whose parallelism ramps up
-//! and down, and [`fft::fft_butterfly`] the classic radix-2 dataflow.
+//! statistics are reproduced: the paper publishes those statistics but
+//! not the graphs, so they are what a substitute can be checked against
+//! (`tests/calibration.rs`). [`calibrate`] holds the generic scaling
+//! tools and [`stats`] the Table-1 row extraction. Beyond the paper's
+//! programs, [`stencil`] provides a wavefront workload whose
+//! parallelism ramps up and down, and [`fft::fft_butterfly`] the
+//! classic radix-2 dataflow.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
