@@ -328,7 +328,8 @@ mod tests {
     use super::*;
     use crate::instance::smoke_instances;
     use crate::portfolio::PortfolioEntry;
-    use anneal_core::{HeftScheduler, HlfScheduler, MctScheduler};
+    use anneal_core::list::ListScheduler;
+    use anneal_core::HlfScheduler;
 
     fn duel_portfolio() -> Portfolio {
         let mut p = Portfolio::new();
@@ -336,10 +337,10 @@ mod tests {
             Box::new(HlfScheduler::new())
         }));
         p.register(PortfolioEntry::new("heft", |_, _| {
-            Box::new(HeftScheduler::new())
+            Box::new(ListScheduler::heft())
         }));
         p.register(PortfolioEntry::new("hlf-mct", |_, _| {
-            Box::new(MctScheduler::new())
+            Box::new(ListScheduler::mct())
         }));
         p
     }

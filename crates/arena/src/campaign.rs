@@ -488,7 +488,8 @@ pub fn run_shard_observed(
 mod tests {
     use super::*;
     use crate::portfolio::PortfolioEntry;
-    use anneal_core::{HeftScheduler, HlfScheduler};
+    use anneal_core::list::ListScheduler;
+    use anneal_core::HlfScheduler;
     use anneal_report::merge_shard_csvs;
     use anneal_sim::GreedyScheduler;
 
@@ -498,7 +499,7 @@ mod tests {
             Box::new(HlfScheduler::new())
         }));
         p.register(PortfolioEntry::new("heft", |_, _| {
-            Box::new(HeftScheduler::new())
+            Box::new(ListScheduler::heft())
         }));
         p.register(PortfolioEntry::new("greedy", |_, _| {
             Box::new(GreedyScheduler)

@@ -36,7 +36,7 @@ use std::path::Path;
 use anneal_graph::textio::{from_text_with_meta, to_text_with_meta, TextMeta};
 use anneal_graph::{GraphError, TaskGraph};
 use anneal_topology::builders::{
-    binary_tree, bus, complete, hypercube, linear, mesh, ring, star, torus,
+    binary_tree, bus, complete, hypercube, linear, mesh, ring, shared_bus, star, torus,
 };
 use anneal_topology::{CommParams, Topology};
 
@@ -191,9 +191,16 @@ impl FrozenInstance {
     }
 }
 
+/// The most processors a topology spec may ask for. A [`Topology`]
+/// holds two n×n tables, so the size is checked before any builder
+/// allocates; the largest host any bin builds is `ring(33)`.
+pub const MAX_SPEC_PROCS: usize = 1024;
+
 /// Parses a host-topology spec: a builder name followed by its integer
 /// arguments, e.g. `hypercube 3`, `ring 5`, `mesh 3 2`, `torus 3 3`,
-/// `bus 4`, `linear 4`, `star 6`, `binary_tree 7`, `complete 4`.
+/// `bus 4`, `sharedbus 4`, `linear 4`, `star 6`, `binary_tree 7`,
+/// `complete 4`. A spec asking for more than [`MAX_SPEC_PROCS`]
+/// processors is a [`CorpusError::BadSpec`].
 pub fn parse_topology(spec: &str) -> Result<Topology, CorpusError> {
     let bad = || CorpusError::BadSpec {
         what: "topology",
@@ -204,12 +211,22 @@ pub fn parse_topology(spec: &str) -> Result<Topology, CorpusError> {
     let args: Vec<usize> = parts
         .map(|a| a.parse::<usize>().map_err(|_| bad()))
         .collect::<Result<_, _>>()?;
+    let procs = match (name, args.as_slice()) {
+        ("hypercube", [d]) => u32::try_from(*d).ok().and_then(|d| 1usize.checked_shl(d)),
+        ("mesh" | "torus", [w, h]) => w.checked_mul(*h),
+        (_, [n]) => Some(*n),
+        _ => None,
+    };
+    if procs.is_none_or(|n| n > MAX_SPEC_PROCS) {
+        return Err(bad());
+    }
     // Guards mirror the builders' preconditions so malformed specs
     // surface as BadSpec instead of panicking inside the builder.
     let topo = match (name, args.as_slice()) {
-        ("hypercube", [d]) if *d <= 16 => hypercube(*d as u32),
+        ("hypercube", [d]) => hypercube(*d as u32),
         ("ring", [n]) if *n >= 2 => ring(*n),
         ("bus", [n]) if *n >= 1 => bus(*n),
+        ("sharedbus", [n]) if *n >= 1 => shared_bus(*n),
         ("linear", [n]) if *n >= 1 => linear(*n),
         ("star", [n]) if *n >= 2 => star(*n),
         ("complete", [n]) if *n >= 1 => complete(*n),
@@ -354,6 +371,10 @@ mod tests {
             ("binary_tree 7", 7),
             ("mesh 3 2", 6),
             ("torus 3 3", 9),
+            ("sharedbus 4", 4),
+            ("hypercube 10", 1024),
+            ("ring 1024", 1024),
+            ("mesh 32 32", 1024),
         ] {
             assert_eq!(parse_topology(spec).unwrap().num_procs(), procs, "{spec}");
         }
@@ -373,10 +394,49 @@ mod tests {
             "torus 1 3",
             "mesh 0 2",
             "bus 0",
+            "sharedbus 0",
             "hypercube 20",
         ] {
             assert!(parse_topology(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn oversized_topology_specs_are_bad_specs() {
+        // Each would otherwise allocate two n×n tables (or take minutes
+        // to route) before the scheduler ever runs.
+        let overflow = format!("mesh {} 2", usize::MAX);
+        let dir = std::env::temp_dir().join("annealsched-corpus-oversized");
+        for spec in [
+            "ring 200000",
+            "bus 100000",
+            "hypercube 16",
+            "hypercube 11",
+            "mesh 2000 2000",
+            "torus 33 32",
+            "ring 1025",
+            overflow.as_str(),
+        ] {
+            assert!(
+                matches!(
+                    parse_topology(spec),
+                    Err(CorpusError::BadSpec {
+                        what: "topology",
+                        ..
+                    })
+                ),
+                "{spec:?} should be a BadSpec"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let text = format!("format tg 1\nmeta name big\nmeta topology {spec}\ntask 0 5\n");
+            std::fs::write(dir.join("big.tgi"), text).unwrap();
+            assert!(
+                matches!(load_corpus_dir(&dir), Err(CorpusError::BadSpec { .. })),
+                "{spec:?} should fail to load"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -20,8 +20,9 @@ use anneal_bench::{results_dir, run_hlf, run_sa, CommMode};
 use anneal_core::boltzmann::AcceptanceRule;
 use anneal_core::cooling::CoolingSchedule;
 use anneal_core::cost::BalanceRange;
+use anneal_core::list::ListScheduler;
 use anneal_core::static_sa::{static_sa, StaticSaConfig};
-use anneal_core::{MctScheduler, SaConfig};
+use anneal_core::SaConfig;
 use anneal_report::{csv::f, Csv, Table};
 use anneal_sim::simulate;
 use anneal_topology::builders::{bus, hypercube, shared_bus};
@@ -203,7 +204,7 @@ fn main() {
         .with_title("Ablation 7: scheduler family (hypercube, comm)");
     for (name, wg) in paper_workloads() {
         let rh = run_hlf(&wg, &cube, CommMode::On);
-        let mut mct = MctScheduler::new();
+        let mut mct = ListScheduler::mct();
         let rm = simulate(
             &wg,
             &cube,

@@ -123,12 +123,7 @@ fn parse_args() -> Args {
     let mut cli = Cli::from_env(USAGE);
     let mut positional = 0;
     let mut args = Args {
-        cfg: CampaignConfig {
-            instances: 1000,
-            shards: 8,
-            base_seed: 42,
-            max_threads: 0,
-        },
+        cfg: CampaignConfig::default(),
         full: false,
         only_shard: None,
         merge_only: false,
@@ -137,7 +132,7 @@ fn parse_args() -> Args {
         null_clock: false,
         progress: false,
         chaos: None,
-        max_attempts: 5,
+        max_attempts: FleetConfig::default().max_attempts,
     };
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {

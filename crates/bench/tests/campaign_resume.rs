@@ -308,6 +308,40 @@ fn default_run_stamps_the_production_lane_into_campaign_meta() {
 }
 
 #[test]
+fn bare_merge_only_stamps_the_library_defaults() {
+    // With no positional arguments the campaign takes its shape from
+    // `CampaignConfig::default()`; `--merge-only` runs nothing, so the
+    // merge defers with every shard missing.
+    let dir = fresh_dir("defaults");
+    let out = bin()
+        .args(["--merge-only", "--dir"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("merge deferred: 0/8"), "{stdout}");
+    let defaults = anneal_arena::CampaignConfig::default();
+    let meta = String::from_utf8(read(&dir, "campaign.meta")).unwrap();
+    let body = anneal_fleet::unseal(&meta).expect("campaign.meta is sealed");
+    for expected in [
+        format!("instances={}", defaults.instances),
+        format!("shards={}", defaults.shards),
+        format!("seed={}", defaults.base_seed),
+    ] {
+        assert!(
+            body.lines().any(|l| l == expected),
+            "campaign.meta must record `{expected}`:\n{body}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn mismatched_parameters_are_refused_on_resume() {
     let dir = fresh_dir("prov");
     run_campaign(&dir, &[]);

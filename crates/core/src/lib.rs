@@ -30,8 +30,16 @@
 //!
 //! * [`sa::SaScheduler`] — the staged SA scheduler (an
 //!   `anneal_sim::OnlineScheduler`).
-//! * [`hlf::HlfScheduler`] / [`list::ListScheduler`] — the Highest Level
-//!   First baseline and a general priority list-scheduling framework.
+//! * [`list::ListScheduler`] — the one list scheduler: a static priority
+//!   plus a placement rule. In-order placement under
+//!   [`list::PriorityPolicy::HighestLevelFirst`] is the paper's Highest
+//!   Level First baseline ([`HlfScheduler`]); the other rules are
+//!   communication-aware rivals adapted to the eq. 4 model — least
+//!   input communication ([`list::ListScheduler::mct`]), HEFT-style
+//!   earliest finish ([`list::ListScheduler::heft`]) and CPOP-style
+//!   critical path on one processor ([`list::ListScheduler::cpop`]) —
+//!   which isolate the value of placement awareness from stochastic
+//!   search (portfolio rivals for `anneal-arena`).
 //! * [`optimal`] — exact branch-and-bound makespan for small no-comm
 //!   instances.
 //! * [`anomaly`] — Graham (1969) multiprocessor anomaly instances; the
@@ -53,11 +61,6 @@
 //! * [`static_sa`] — whole-graph annealing (the §3 balancing-problem
 //!   style) with simulated-makespan cost priced through [`eval`], for
 //!   comparison with the staged algorithm.
-//! * [`mct`] — HLF ranking with greedy minimum-eq.4 placement, isolating
-//!   the value of placement awareness from stochastic search.
-//! * [`heft`] / [`cpop`] — HEFT-style earliest-finish-time and
-//!   CPOP-style critical-path-on-one-processor heuristics, adapted to
-//!   the eq. 4 communication model (portfolio rivals for `anneal-arena`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,14 +71,10 @@ pub mod anomaly;
 pub mod boltzmann;
 pub mod cooling;
 pub mod cost;
-pub mod cpop;
 pub mod eval;
-pub mod heft;
-pub mod hlf;
 pub mod lane;
 pub mod list;
 pub mod mapping;
-pub mod mct;
 pub mod optimal;
 pub mod packet;
 pub mod parallel;
@@ -84,12 +83,9 @@ pub mod sa;
 pub mod static_sa;
 pub mod trace;
 
-pub use cpop::CpopScheduler;
 pub use eval::{level_dispatch_order, replay_mapping, Evaluator, EvaluatorKind};
-pub use heft::HeftScheduler;
-pub use hlf::HlfScheduler;
 pub use lane::{accept_table, AcceptTable, LaneCounters, SaLane, SaScratch, EXACT_PACKET_LIMIT};
-pub use mct::MctScheduler;
+pub use list::HlfScheduler;
 pub use parallel::{PoolStats, ScratchPool};
 pub use rng_stream::{stream_draw, CounterRng};
 pub use sa::{SaConfig, SaScheduler, SaStats};

@@ -12,15 +12,14 @@
 
 use anneal_core::annealer::{anneal_packet, AnnealParams};
 use anneal_core::cost::{BalanceRange, CostModel};
-use anneal_core::hlf::Placement;
 use anneal_core::mapping::PacketMapping;
 use anneal_core::packet::AnnealingPacket;
 use anneal_core::static_sa::{static_sa, StaticSaConfig};
-use anneal_core::{HlfScheduler, SaConfig, SaScheduler};
+use anneal_core::{SaConfig, SaScheduler};
 use anneal_graph::units::us;
 use anneal_graph::{TaskGraphBuilder, TaskId};
 use anneal_sim::{simulate, SimConfig};
-use anneal_topology::builders::{bus, hypercube, linear};
+use anneal_topology::builders::{hypercube, linear};
 use anneal_topology::{CommParams, ProcId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -179,27 +178,4 @@ fn static_sa_two_tasks_one_proc_terminates() {
     )
     .unwrap();
     assert_eq!(out.result.makespan, g.total_work());
-}
-
-#[test]
-fn hlf_random_placement_with_more_tasks_than_procs() {
-    // The random-placement shuffle must cope with idle lists shorter
-    // than the ready list (and, on later epochs, possibly empty).
-    let mut b = TaskGraphBuilder::new();
-    let root = b.add_task(us(1.0));
-    for _ in 0..6 {
-        let t = b.add_task(us(4.0));
-        b.add_edge(root, t, 0).unwrap();
-    }
-    let g = b.build().unwrap();
-    let mut s = HlfScheduler::with_placement(Placement::Random(11));
-    let r = simulate(
-        &g,
-        &bus(2),
-        &CommParams::paper(),
-        &mut s,
-        &SimConfig::default(),
-    )
-    .unwrap();
-    r.audit(&g).unwrap();
 }

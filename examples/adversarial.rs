@@ -24,13 +24,13 @@ fn main() {
         Box::new(HlfScheduler::new())
     }));
     portfolio.register(PortfolioEntry::new("heft", |_, _| {
-        Box::new(HeftScheduler::new())
+        Box::new(ListScheduler::heft())
     }));
     portfolio.register(PortfolioEntry::new("hlf-mct", |_, _| {
-        Box::new(MctScheduler::new())
+        Box::new(ListScheduler::mct())
     }));
     portfolio.register(PortfolioEntry::new("cpop", |_, _| {
-        Box::new(CpopScheduler::new())
+        Box::new(ListScheduler::cpop())
     }));
     portfolio.register(PortfolioEntry::new("sa", |_, seed| {
         Box::new(SaScheduler::new(SaConfig::default().with_seed(seed)))

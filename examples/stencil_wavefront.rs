@@ -23,7 +23,7 @@ fn main() {
     let rh = simulate(&g, &host, &params, &mut hlf, &sim_cfg).unwrap();
     println!("{:22} speedup {:.2}", "HLF", rh.speedup);
 
-    let mut mct = MctScheduler::new();
+    let mut mct = ListScheduler::mct();
     let rm = simulate(&g, &host, &params, &mut mct, &sim_cfg).unwrap();
     println!("{:22} speedup {:.2}", "HLF + MCT placement", rm.speedup);
 

@@ -10,7 +10,9 @@
 //!   @ne | @gj | @fft | @mm     built-in paper workloads
 //!   --topo <spec>              hypercube:<dim> | bus:<n> | ring:<n> |
 //!                              star:<n> | mesh:<w>x<h> | torus:<w>x<h> |
-//!                              sharedbus:<n> | linear:<n>   (default hypercube:3)
+//!                              sharedbus:<n> | linear:<n> | complete:<n> |
+//!                              binary_tree:<n>, at most 1024 processors
+//!                              (default hypercube:3)
 //!   --scheduler <sa|hlf|mct|fifo|lpt>     (default sa)
 //!   --no-comm                  disable the communication model
 //!   --seed <u64>               SA seed (default 42)
@@ -20,7 +22,6 @@
 //! ```
 
 use annealsched::core::list::{ListScheduler, PriorityPolicy};
-use annealsched::core::MctScheduler;
 use annealsched::graph::textio;
 use annealsched::prelude::*;
 use annealsched::report::gantt::{render_gantt, GanttOptions};
@@ -34,44 +35,23 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Builds the `--topo` host: `KIND:N` or `KIND:WxH` is the corpus spec
+/// `KIND N` or `KIND W H`, parsed (and size-capped) by
+/// `anneal_arena::parse_topology`.
 fn parse_topology(spec: &str) -> Topology {
-    let (kind, arg) = spec.split_once(':').unwrap_or((spec, ""));
-    let n = || -> usize {
-        arg.parse().unwrap_or_else(|_| {
-            eprintln!("bad topology size '{arg}'");
-            std::process::exit(2);
-        })
+    let (kind, size) = spec.split_once(':').unwrap_or((spec, ""));
+    let tokens: Vec<&str> = std::iter::once(kind).chain(size.split('x')).collect();
+    // A blank token would vanish in the corpus parser's whitespace split.
+    let blank = |t: &str| t.is_empty() || t.contains(char::is_whitespace);
+    let parsed = if tokens.iter().any(|t| blank(t)) {
+        Err("want KIND:N or KIND:WxH".to_string())
+    } else {
+        annealsched::arena::parse_topology(&tokens.join(" ")).map_err(|e| e.to_string())
     };
-    let wh = || -> (usize, usize) {
-        let Some((w, h)) = arg.split_once('x') else {
-            eprintln!("bad mesh/torus spec '{arg}' (want WxH)");
-            std::process::exit(2);
-        };
-        (
-            w.parse().unwrap_or_else(|_| usage()),
-            h.parse().unwrap_or_else(|_| usage()),
-        )
-    };
-    match kind {
-        "hypercube" => hypercube(n() as u32),
-        "bus" => bus(n()),
-        "ring" => ring(n()),
-        "star" => star(n()),
-        "linear" => linear(n()),
-        "sharedbus" => shared_bus(n()),
-        "mesh" => {
-            let (w, h) = wh();
-            mesh(w, h)
-        }
-        "torus" => {
-            let (w, h) = wh();
-            torus(w, h)
-        }
-        other => {
-            eprintln!("unknown topology '{other}'");
-            std::process::exit(2);
-        }
-    }
+    parsed.unwrap_or_else(|reason| {
+        eprintln!("bad --topo '{spec}': {reason}");
+        usage()
+    })
 }
 
 fn main() {
@@ -153,7 +133,7 @@ fn main() {
             SaConfig::default().with_balance_weight(wb).with_seed(seed),
         )),
         "hlf" => Box::new(HlfScheduler::new()),
-        "mct" => Box::new(MctScheduler::new()),
+        "mct" => Box::new(ListScheduler::mct()),
         "fifo" => Box::new(ListScheduler::new(PriorityPolicy::Fifo)),
         "lpt" => Box::new(ListScheduler::new(PriorityPolicy::LongestTaskFirst)),
         other => {

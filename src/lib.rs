@@ -19,7 +19,8 @@
 //! * [`sim`] — the discrete-event multicomputer simulator (message
 //!   overheads preempt processors, links carry one message at a time).
 //! * [`core`] — the scheduling algorithms: staged SA (annealing packets,
-//!   eq. 3–6 cost, heat-bath acceptance), HLF and list baselines, exact
+//!   eq. 3–6 cost, heat-bath acceptance), the HLF baseline and one list
+//!   scheduler with communication-aware placement rules, exact
 //!   branch-and-bound, Graham anomaly instances.
 //! * [`report`] — ASCII tables/charts/Gantt and CSV output.
 //! * [`arena`] — scheduler-portfolio tournaments and PISA-style
@@ -74,9 +75,7 @@ pub mod prelude {
     pub use anneal_core::cooling::CoolingSchedule;
     pub use anneal_core::list::{ListScheduler, PriorityPolicy};
     pub use anneal_core::static_sa::{static_sa, StaticSaConfig};
-    pub use anneal_core::{
-        CpopScheduler, HeftScheduler, HlfScheduler, MctScheduler, SaConfig, SaScheduler,
-    };
+    pub use anneal_core::{HlfScheduler, SaConfig, SaScheduler};
     pub use anneal_graph::critical_path::{critical_path_length, max_speedup};
     pub use anneal_graph::levels::bottom_levels;
     pub use anneal_graph::metrics::GraphMetrics;

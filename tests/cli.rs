@@ -9,19 +9,21 @@ fn bin() -> Command {
 
 #[test]
 fn schedules_builtin_workload() {
-    let out = bin()
-        .args(["@ne", "--topo", "hypercube:3", "--scheduler", "sa"])
-        .output()
-        .expect("run binary");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("95 tasks"));
-    assert!(stdout.contains("speedup"));
-    assert!(stdout.contains("simulated-annealing"));
+    for topo in ["hypercube:3", "sharedbus:4"] {
+        let out = bin()
+            .args(["@ne", "--topo", topo, "--scheduler", "sa"])
+            .output()
+            .expect("run binary");
+        assert!(
+            out.status.success(),
+            "{topo}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("95 tasks"));
+        assert!(stdout.contains("speedup"));
+        assert!(stdout.contains("simulated-annealing"));
+    }
 }
 
 #[test]
@@ -63,11 +65,25 @@ fn no_comm_flag_and_alt_schedulers() {
 
 #[test]
 fn rejects_bad_arguments() {
-    let out = bin()
-        .args(["@ne", "--topo", "klein-bottle:4"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
+    // Unknown, degenerate and oversized hosts are usage errors (exit 2),
+    // never builder panics (exit 101) or allocation aborts (exit 134).
+    for topo in [
+        "klein-bottle:4",
+        "ring:1",
+        "ring:0",
+        "bus:0",
+        "star:1",
+        "mesh:0x3",
+        "torus:1x1",
+        "linear:0",
+        "sharedbus:0",
+        "hypercube:20",
+    ] {
+        let out = bin().args(["@ne", "--topo", topo]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{topo}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{topo}: {stderr}");
+    }
     let out = bin().output().unwrap();
     assert!(!out.status.success());
 }

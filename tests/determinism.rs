@@ -7,7 +7,6 @@
 //! a lint. These tests assert the complementary runtime property: two
 //! runs with the same seed produce bit-identical schedules.
 
-use annealsched::core::hlf::Placement;
 use annealsched::prelude::*;
 
 fn full_run(seed: u64) -> SimResult {
@@ -79,29 +78,6 @@ fn hlf_is_fully_deterministic() {
 }
 
 #[test]
-fn hlf_random_placement_reproducible_from_seed() {
-    let g = ne_paper();
-    let host = hypercube(3);
-    let run = |seed| {
-        let mut s = HlfScheduler::with_placement(Placement::Random(seed));
-        simulate(
-            &g,
-            &host,
-            &CommParams::paper(),
-            &mut s,
-            &SimConfig::default(),
-        )
-        .unwrap()
-    };
-    let a = run(5);
-    let b = run(5);
-    assert_eq!(a.placement, b.placement);
-    assert_eq!(a.start, b.start);
-    assert_eq!(a.finish, b.finish);
-    assert_eq!(a.makespan, b.makespan);
-}
-
-#[test]
 fn static_sa_reproducible_from_seed() {
     let g = fft_paper();
     let host = hypercube(3);
@@ -137,5 +113,55 @@ fn random_graph_generation_reproducible_from_seed() {
     assert_ne!(
         (a.loads().to_vec(), a.edges().collect::<Vec<_>>()),
         (c.loads().to_vec(), c.edges().collect::<Vec<_>>())
+    );
+}
+
+/// 64-bit FNV-1a, folded over a stream of byte slices.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn heuristic_columns_are_pinned_and_only_known_duplicates_coincide() {
+    use annealsched::arena::campaign_instances;
+
+    let portfolio = Portfolio::fast();
+    let instances = campaign_instances(7, 60);
+    let cfg = TournamentConfig {
+        base_seed: 7,
+        ..TournamentConfig::default()
+    };
+    let r = run_tournament(&portfolio, &instances, &cfg).unwrap();
+
+    // `greedy` and `fifo` both dispatch in task-id order, and `hlf` and
+    // `hlf-list` are one scheduler under two registry names; no other
+    // pair of entries may agree on every instance.
+    let mut identical = Vec::new();
+    for a in 0..r.schedulers.len() {
+        for b in a + 1..r.schedulers.len() {
+            if r.makespans[a] == r.makespans[b] {
+                identical.push((r.schedulers[a].as_str(), r.schedulers[b].as_str()));
+            }
+        }
+    }
+    assert_eq!(identical, [("greedy", "fifo"), ("hlf", "hlf-list")]);
+
+    // Every deterministic column (all but staged SA, whose lane has its
+    // own statistical gate) is pinned bit for bit.
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for (name, row) in r.schedulers.iter().zip(&r.makespans) {
+        if name == "sa" {
+            continue;
+        }
+        digest = fnv1a(digest, name.as_bytes());
+        for m in row {
+            digest = fnv1a(digest, &m.to_le_bytes());
+        }
+    }
+    assert_eq!(
+        digest, 0x3171_bf6c_2c67_c955,
+        "heuristic column digest {digest:#018x}"
     );
 }
