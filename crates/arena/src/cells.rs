@@ -43,6 +43,13 @@ pub(crate) struct Cell {
 /// The cells fan out over [`run_chunked_pooled`] (worker scratch drawn
 /// from `pool`) and come back entry-major: cell `(e, c)` sits at index
 /// `e * instances.len() + c`. The first error in that order aborts.
+///
+/// Jobs are numbered from the last entry back, so the workers claim the
+/// last entries' cells first. Portfolios register their entries
+/// cheapest first ([`Portfolio::fast`], [`Portfolio::standard`]): the
+/// annealers' cells, which cost milliseconds, start first, and the
+/// heuristics' microsecond cells fill the tail, so no worker is left
+/// with one long cell while the others idle.
 pub(crate) fn run_cells(
     entries: &[&PortfolioEntry],
     instances: &[ArenaInstance],
@@ -54,8 +61,9 @@ pub(crate) fn run_cells(
 ) -> Result<Vec<Cell>, SimError> {
     debug_assert_eq!(columns.len(), instances.len());
     let cols = instances.len();
-    run_chunked_pooled(entries.len() * cols, max_threads, pool, |scratch, k| {
-        let (e, c) = (k / cols, k % cols);
+    let last = entries.len().saturating_sub(1);
+    let mut cells = run_chunked_pooled(entries.len() * cols, max_threads, pool, |scratch, k| {
+        let (e, c) = (last - k / cols, k % cols);
         let seed = cell_seed(base_seed, e as u64, columns[c] as u64);
         let start = clock.now_ns();
         let makespan = entries[e].evaluate_makespan(&instances[c], seed, scratch)?;
@@ -65,9 +73,14 @@ pub(crate) fn run_cells(
             wall_ns,
             stats: scratch.last_run_stats(),
         })
-    })
-    .into_iter()
-    .collect()
+    });
+    // Jobs hold the entries last to first; reversing the blocks, each
+    // kept in column order, restores entry-major order.
+    cells.reverse();
+    for block in cells.chunks_mut(cols.max(1)) {
+        block.reverse();
+    }
+    cells.into_iter().collect()
 }
 
 /// [`run_cells`] over every entry of `portfolio` on a fresh scratch

@@ -16,7 +16,8 @@
 //!   through `anneal-core`'s shared evaluation layer —
 //!   [`Portfolio::standard_with_lanes`] pins the
 //!   [`EvaluatorKind`](anneal_core::EvaluatorKind) (full replay vs the
-//!   incremental kernel; bit-identical results, very different cost)
+//!   fast-path fixed-mapping kernel; bit-identical results, very
+//!   different cost)
 //!   and the [`SaLane`](anneal_core::SaLane).
 //!   Results feed `anneal-report`: a head-to-head CSV table and an SVG
 //!   win/loss matrix.
@@ -50,8 +51,10 @@
 //! shards and the adversary evaluate their cells through one loop, in
 //! which a cell derives its seed from (base seed, scheduler index,
 //! instance column) via a SplitMix64-style mixer; the adversary threads
-//! one seeded RNG; and thread-pool sizing never changes results (see
-//! `anneal_core::parallel::run_chunked_pooled`).
+//! one seeded RNG; and neither thread-pool sizing nor which worker
+//! claims a cell changes results (see
+//! `anneal_core::parallel::run_chunked_pooled`). The loop claims the
+//! last-registered, costliest portfolio rows first.
 //!
 //! ```
 //! use anneal_arena::{run_tournament, standard_instances, Portfolio, TournamentConfig};

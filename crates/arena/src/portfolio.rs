@@ -194,6 +194,11 @@ impl Portfolio {
     /// adversary's reference field, where every candidate instance costs
     /// one simulation per entry. What `campaign` runs by default.
     ///
+    /// Entries are registered cheapest first: the heuristics, then
+    /// staged SA. The cell loop claims cells from the last row back, so
+    /// the costliest cells start first and the cheap ones fill the
+    /// tail.
+    ///
     /// Runs the staged-SA entry on the production lane
     /// ([`SaLane::default`], turbo), whose final-makespan distribution
     /// is gated against the exact engine by the corpus-scale
@@ -254,8 +259,13 @@ impl Portfolio {
     /// Every scheduler in the workspace: [`Portfolio::fast`] plus
     /// whole-graph static SA (each cell anneals a complete mapping with
     /// simulated-makespan cost, then runs it as a [`FixedMapping`]).
-    /// Uses the default (incremental) move evaluator and the production
-    /// SA lane; what `campaign --full` and `arena` run.
+    /// Uses the default move evaluator ([`EvaluatorKind::Incremental`],
+    /// the fast-path fixed-mapping kernel) and the production SA lane;
+    /// what `campaign --full` and `arena` run.
+    ///
+    /// Static SA is registered last because its cells cost the most
+    /// (one simulation per annealing move), so the cell loop, which
+    /// claims cells from the last row back, starts them first.
     pub fn standard() -> Self {
         Self::standard_with_lanes(EvaluatorKind::default(), SaLane::default())
     }

@@ -276,25 +276,27 @@ mod tests {
 
     #[test]
     fn tournament_runs_and_is_thread_cap_invariant() {
-        let p = Portfolio::fast();
         let insts = smoke_instances(2);
-        let run = |threads| {
-            run_tournament(
-                &p,
-                &insts,
-                &TournamentConfig {
-                    base_seed: 7,
-                    max_threads: threads,
-                },
-            )
-            .unwrap()
-        };
-        let serial = run(1);
-        let parallel = run(0);
-        assert_eq!(serial.makespans, parallel.makespans);
-        assert_eq!(serial.schedulers.len(), p.len());
-        assert_eq!(serial.instances.len(), 2);
-        // every makespan is a real schedule length
-        assert!(serial.makespans.iter().flatten().all(|&m| m > 0));
+        // `standard` adds static SA, the row the cell loop claims first.
+        for p in [Portfolio::fast(), Portfolio::standard()] {
+            let run = |threads| {
+                run_tournament(
+                    &p,
+                    &insts,
+                    &TournamentConfig {
+                        base_seed: 7,
+                        max_threads: threads,
+                    },
+                )
+                .unwrap()
+            };
+            let serial = run(1);
+            let parallel = run(0);
+            assert_eq!(serial.makespans, parallel.makespans);
+            assert_eq!(serial.schedulers.len(), p.len());
+            assert_eq!(serial.instances.len(), 2);
+            // every makespan is a real schedule length
+            assert!(serial.makespans.iter().flatten().all(|&m| m > 0));
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Move-evaluation throughput: full replay vs the incremental kernel.
+//! Move-evaluation throughput: full replay vs the fast-path kernel.
 //!
 //! Benchmarks the two [`anneal_core::Evaluator`] implementations on the
 //! same deterministic move chains, across the three size tiers of the
@@ -211,7 +211,7 @@ fn bench_evaluator(c: &mut Criterion) {
             let (mut sum_full, mut sum_incr) = (0.0f64, 0.0f64);
             let mut speedups = Vec::new();
             for case in &cases {
-                // Equivalence gate on the fixed seed: the incremental
+                // Equivalence gate on the fixed seed: the fast-path
                 // kernel must agree with full replay on every probe.
                 let full_chain = run_chain(
                     build(EvaluatorKind::Full, case, &params, &cfg).as_mut(),

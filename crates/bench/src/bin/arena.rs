@@ -29,10 +29,10 @@
 //!   byte-reproducible too.
 //!
 //! Both annealing entries run the production SA lane
-//! (`SaLane::default()`, turbo) and static SA the incremental move
-//! evaluator. An unknown flag, a missing flag value, an unparsable
-//! count or seed, or a third positional argument prints the usage on
-//! stderr and exits 2.
+//! (`SaLane::default()`, turbo) and static SA the default move
+//! evaluator, the fast-path fixed-mapping kernel. An unknown flag, a
+//! missing flag value, an unparsable count or seed, or a third
+//! positional argument prints the usage on stderr and exits 2.
 
 use std::path::PathBuf;
 

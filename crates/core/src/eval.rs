@@ -17,13 +17,12 @@
 //! * [`FullReplayEvaluator`] — the reference: one complete
 //!   [`simulate`] per evaluation (fresh route table, Gantt recording,
 //!   statistics, allocated result);
-//! * [`anneal_sim::FixedEval`] — a specialized allocation-free
-//!   fixed-mapping engine that resumes each candidate from a snapshot
-//!   of the baseline at the moved task's ready time, replaying only the
-//!   affected suffix.
+//! * [`anneal_sim::FixedEval`] — the allocation-free fast-path kernel
+//!   under the fixed-mapping dispatch rule: one plain kernel run per
+//!   candidate, no Gantt, no statistics, no allocated result.
 //!
 //! [`EvaluatorKind`] selects between them (the binaries always run the
-//! incremental default; full replay is the test and bench oracle), and
+//! kernel, the default; full replay is the test and bench oracle), and
 //! [`replay_mapping`] is the one shared "mapping → full [`SimResult`]"
 //! helper for the sites that need more than the makespan.
 
@@ -45,8 +44,10 @@ pub enum EvaluatorKind {
     /// One full discrete-event simulation per candidate (the reference
     /// semantics; slow).
     Full,
-    /// Incremental fixed-mapping kernel ([`anneal_sim::FixedEval`]):
-    /// bit-identical makespans, several times faster per move.
+    /// The fast-path fixed-mapping kernel ([`anneal_sim::FixedEval`]):
+    /// one kernel run per candidate, bit-identical makespans, several
+    /// times faster per move. The name predates the kernel's plain
+    /// per-move runs and stays because campaign stamps record it.
     #[default]
     Incremental,
 }
@@ -160,9 +161,9 @@ pub fn replay_mapping(
 }
 
 /// The reference [`Evaluator`]: every evaluation is one complete
-/// [`simulate`] call — exactly the "full simulation per move" cost the
-/// incremental kernel removes. Kept as ground truth for equivalence
-/// tests and benches.
+/// [`simulate`] call, with the route table, Gantt recording and
+/// allocated result the fast-path kernel does without. Kept as ground
+/// truth for equivalence tests and benches.
 #[derive(Debug)]
 pub struct FullReplayEvaluator<'a> {
     g: &'a TaskGraph,
@@ -283,8 +284,7 @@ impl Evaluator for FullReplayEvaluator<'_> {
     }
 }
 
-/// The incremental [`Evaluator`]: the specialized engine's own
-/// snapshot-resume move evaluation.
+/// The default [`Evaluator`]: one fast-path kernel run per candidate.
 impl Evaluator for FixedEval<'_> {
     fn reset(&mut self, mapping: &[ProcId]) -> Result<u64, SimError> {
         FixedEval::reset(self, mapping)

@@ -53,11 +53,12 @@
 //! * [`rng_stream`] — counter-based RNG streams for the turbo lane:
 //!   draw `k` of stream `(seed, packet)` is a pure function, so draws
 //!   batch with no sequential dependency.
-//! * [`parallel`] — the seeded, thread-cap-invariant job fan-out with
-//!   pooled per-worker scratch that portfolio evaluation runs on.
+//! * [`parallel`] — the thread-cap-invariant job fan-out (workers claim
+//!   job indices from a shared counter) with pooled per-worker scratch
+//!   that portfolio evaluation runs on.
 //! * [`eval`] — the shared [`Evaluator`] layer for mapping-based
-//!   schedulers: a full-replay reference and an incremental
-//!   fixed-mapping kernel with bit-identical makespans.
+//!   schedulers: a full-replay reference and the fast-path
+//!   fixed-mapping kernel, with bit-identical makespans.
 //! * [`static_sa`] — whole-graph annealing (the §3 balancing-problem
 //!   style) with simulated-makespan cost priced through [`eval`], for
 //!   comparison with the staged algorithm.

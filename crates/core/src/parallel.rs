@@ -1,8 +1,9 @@
 //! The seeded parallel fan-out behind every portfolio evaluation.
 //!
 //! [`run_chunked_pooled`] executes `n` independent jobs on at most
-//! `max_threads` scoped worker threads (strided assignment, results
-//! gathered by job index), so callers never spawn one thread per job
+//! `max_threads` scoped worker threads (each worker claims the next
+//! unclaimed job index, results are gathered by job index), so callers
+//! never spawn one thread per job, no worker idles while jobs remain,
 //! and the output is the same under any thread cap. Each worker draws
 //! a warm scratch value from a [`ScratchPool`] and returns it when it
 //! finishes, so a caller that fans out repeatedly (the adversarial
@@ -10,6 +11,8 @@
 //! reuses the same few scratches across all its fan-outs. The arena's
 //! cell loop (`anneal-arena`) is its one caller: tournaments, campaign
 //! shards and the adversary's ratio evaluations all go through it.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The default thread cap: the machine's available parallelism (1 when
 /// it cannot be determined).
@@ -128,16 +131,19 @@ impl<S: Default> ScratchPool<S> {
 
 /// Runs `jobs` independent jobs across at most `max_threads` scoped
 /// worker threads (`0` means [`default_max_threads`]) and returns the
-/// results in job order. Worker `w` handles jobs `w, w + T, w + 2T, …`
-/// — the assignment is deterministic, so any per-job seeding stays
-/// reproducible regardless of the thread cap.
+/// results in job order. Jobs are claimed: each worker takes the lowest
+/// job index no worker has taken yet, so a worker stuck on a long job
+/// never holds up jobs another worker could run, and jobs start in
+/// index order (a single worker runs them strictly in order). Callers
+/// put their costliest jobs first. Which worker runs a job depends on
+/// timing, so a job's result must depend only on its index.
 ///
 /// Each worker takes one scratch from `pool` on its own thread, threads
 /// it through every job it handles, and puts it back when done. Results
 /// must not depend on the scratch state (scratch is an optimization,
 /// never an input), so the output stays reproducible under any thread
 /// cap.
-// lint:allow(panic) reason="worker panics are propagated; the strided split covers every job index once"
+// lint:allow(panic) reason="worker panics are propagated; the claim counter hands out every job index once"
 pub fn run_chunked_pooled<T, S, F>(
     jobs: usize,
     max_threads: usize,
@@ -159,17 +165,22 @@ where
     }
     .min(jobs);
     let f = &f;
+    // The counter only hands out indices; results travel back through
+    // `join`, which synchronizes on its own, so `Relaxed` is enough.
+    let next = &AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|w| {
+            .map(|_| {
                 scope.spawn(move || {
                     let mut scratch = pool.take();
                     let mut out = Vec::new();
-                    let mut i = w;
-                    while i < jobs {
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs {
+                            break;
+                        }
                         out.push((i, f(&mut scratch, i)));
-                        i += threads;
                     }
                     pool.put(scratch);
                     out
@@ -222,6 +233,27 @@ mod tests {
             assert_eq!(out, (0..9).map(|i| i * 3).collect::<Vec<_>>(), "cap {cap}");
         }
         assert!(run_chunked_pooled(0, 2, &pool, |_, i| i).is_empty());
+    }
+
+    #[test]
+    fn idle_workers_claim_jobs_a_blocked_worker_has_not_reached() {
+        // Job 0 waits for job 2. A fixed stride would hand job 2 to job
+        // 0's worker, which is blocked, so the wait would time out;
+        // claiming lets the other worker run jobs 1 to 3.
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        // `Receiver` is not `Sync`; only job 0 ever locks it.
+        let rx = std::sync::Mutex::new(rx);
+        let pool: ScratchPool<()> = ScratchPool::new();
+        let out = run_chunked_pooled(4, 2, &pool, |(), i| match i {
+            0 => rx
+                .lock()
+                .expect("receiver lock")
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .is_ok(),
+            2 => tx.send(()).is_ok(),
+            _ => true,
+        });
+        assert_eq!(out, [true; 4], "job 0 must receive job 2's message");
     }
 
     #[test]

@@ -10,15 +10,13 @@
 //!
 //! Candidate moves are priced through the shared
 //! [`Evaluator`](crate::eval::Evaluator) layer ([`crate::eval`]). The
-//! default [`EvaluatorKind::Incremental`]
-//! evaluator replays only the suffix of the schedule a move can affect,
-//! which removes the "full simulation per move" cost that historically
-//! made the static annealer the slowest scheduler in the workspace —
-//! while returning makespans bit-identical to the full replay
-//! (`EvaluatorKind::Full`), so results are independent of the choice.
-//! The trade-off the paper's staged formulation highlights still
-//! stands: even the incremental whole-graph delta is far more expensive
-//! than the packet annealer's O(1) eq. 2–3 delta.
+//! default [`EvaluatorKind::Incremental`] evaluator is the fast-path
+//! fixed-mapping kernel: one allocation-free simulation per move,
+//! several times cheaper than the general engine's full replay
+//! (`EvaluatorKind::Full`) and bit-identical to it, so results are
+//! independent of the choice. This is the trade-off the paper's staged
+//! formulation highlights: a whole-graph move costs one simulation,
+//! while the packet annealer prices a move with an O(1) eq. 2–3 delta.
 //!
 //! Moves are priced under [`level_dispatch_order`], and the outcome's
 //! `result` replays the best `mapping` under that same order. The
@@ -54,8 +52,9 @@ pub struct StaticSaConfig {
     /// RNG seed.
     pub seed: u64,
     /// How candidate mappings are priced. Both kinds return identical
-    /// makespans (enforced by the equivalence suite); `Incremental` is
-    /// several times faster per move.
+    /// makespans (enforced by the equivalence suite); `Incremental`,
+    /// the fast-path fixed-mapping kernel, is several times faster per
+    /// move.
     pub evaluator: EvaluatorKind,
     /// Which acceptance rule decides the moves: the default
     /// [`SaLane::Turbo`] uses the tabulated midpoint threshold

@@ -7,8 +7,8 @@
 //! from-scratch replay of the candidate mapping through the full
 //! discrete-event engine. These property tests drive random move
 //! chains (including long ones, guarding against state drift in the
-//! incremental kernel's snapshot/resume machinery) and check every
-//! single probe against `simulate`.
+//! fast-path kernel's reused buffers) and check every single probe
+//! against `simulate`.
 
 use anneal_core::{level_dispatch_order, EvaluatorKind};
 use anneal_graph::generate::{fork_join, gnp_dag, layered_random, LayeredConfig, Range};
@@ -176,8 +176,8 @@ proptest! {
 }
 
 /// Long chains on a fixed instance: hundreds of moves with commits and
-/// rejections interleaved must not drift (exercises snapshot reuse,
-/// lazy-commit erosion and timeline rebuilds many times over).
+/// rejections interleaved must not drift (every run reuses the
+/// previous runs' buffers).
 #[test]
 fn long_move_chains_do_not_drift() {
     let mut rng = StdRng::seed_from_u64(99);

@@ -1,29 +1,23 @@
 //! The shared fast-path scheduling kernel.
 //!
-//! PR 4's incremental evaluator ([`FixedEval`](crate::FixedEval))
-//! proved that a specialized re-implementation of the discrete-event
-//! engine — packed 16-byte events in a 4-ary heap, per-processor
+//! A specialized re-implementation of the discrete-event engine —
+//! packed 16-byte events in a 4-ary heap, per-processor
 //! compute-completion registers, precomputed all-pairs routes, and
-//! fully reused buffers — prices fixed-mapping schedules several times
-//! faster than [`simulate`](crate::simulate) while staying
-//! bit-identical. But that machinery lived *inside* `eval.rs`, welded
-//! to the fixed-mapping dispatch rule, so every other evaluation in the
-//! workspace (heuristic portfolio entries, tournament and campaign
-//! cells, adversarial-search candidates) still paid the general engine
-//! path: a fresh route table, a fresh `BinaryHeap`, Gantt spans,
-//! statistics and a fully allocated [`SimResult`](crate::SimResult) per
-//! call — all to read one number.
+//! fully reused buffers — that computes makespans several times faster
+//! than [`simulate`](crate::simulate) while staying bit-identical. The
+//! general engine pays, per call, a fresh route table, a fresh
+//! `BinaryHeap`, Gantt spans, statistics and a fully allocated
+//! [`SimResult`](crate::SimResult), all to read one number.
 //!
-//! This module extracts the kernel into a shared home with two clients:
+//! The kernel has two clients:
 //!
 //! * `KernelState` + the `Driver` trait (crate-private) — the engine
-//!   state and event loop,
-//!   parameterized over the *dispatch policy*. `FixedEval` plugs in its
-//!   waiting-list dispatch (and its snapshot hooks); the fast path
-//!   plugs in any [`OnlineScheduler`] behind the same epoch contract
-//!   the general engine uses. There is exactly **one** implementation
-//!   of the event heap, the route flattening and the σ/τ/transfer
-//!   plumbing in the workspace.
+//!   state and event loop, parameterized over the *dispatch policy*.
+//!   [`FixedEval`](crate::FixedEval) plugs in its waiting-list dispatch
+//!   for fixed mappings; the fast path plugs in any [`OnlineScheduler`]
+//!   behind the same epoch contract the general engine uses. There is
+//!   exactly **one** implementation of the event heap, the route
+//!   flattening and the σ/τ/transfer plumbing in the workspace.
 //! * [`SimScratch`] + [`simulate_makespan`] — the public fast-path
 //!   entry point: when a caller needs only the makespan (no Gantt, no
 //!   trace, no statistics), it runs the kernel out of a reusable
@@ -59,7 +53,7 @@ use crate::scheduler::{EpochContext, OnlineScheduler};
 use crate::SimTime;
 
 pub(crate) const NONE: u32 = u32::MAX;
-pub(crate) const NOT_RUNNING: SimTime = SimTime::MAX;
+const NOT_RUNNING: SimTime = SimTime::MAX;
 
 /// A heap entry is `(time, rest)` with
 /// `rest = seq << 32 | kind << 30 | arg`: 16 bytes total, ordered by
@@ -70,14 +64,14 @@ pub(crate) const NOT_RUNNING: SimTime = SimTime::MAX;
 /// `seq` is a per-run push counter; it cannot wrap because a run
 /// processes at most `max_events` (and pushes at most a small multiple
 /// of that before erroring).
-pub(crate) type HeapEv = (SimTime, u64);
+type HeapEv = (SimTime, u64);
 
-pub(crate) const KIND_OVERHEAD_DONE: u64 = 1;
-pub(crate) const KIND_TRANSFER_DONE: u64 = 2;
-pub(crate) const ARG_MASK: u64 = (1 << 30) - 1;
+const KIND_OVERHEAD_DONE: u64 = 1;
+const KIND_TRANSFER_DONE: u64 = 2;
+const ARG_MASK: u64 = (1 << 30) - 1;
 
 #[inline]
-pub(crate) fn pack(seq: u64, kind: u64, arg: u32) -> u64 {
+fn pack(seq: u64, kind: u64, arg: u32) -> u64 {
     debug_assert!(seq < (1 << 32) && (arg as u64) <= ARG_MASK);
     seq << 32 | kind << 30 | arg as u64
 }
@@ -92,43 +86,39 @@ pub(crate) fn pack(seq: u64, kind: u64, arg: u32) -> u64 {
 /// `(time, seq)` (seq lives in the high bits of `rest`), so pops
 /// reproduce the engine's insertion-order tie-breaking exactly.
 #[derive(Debug, Default)]
-pub(crate) struct EventHeap {
+struct EventHeap {
     v: Vec<HeapEv>,
 }
 
 impl EventHeap {
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.v.clear();
     }
 
     #[inline]
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
+    fn peek_time(&self) -> Option<SimTime> {
         self.v.first().map(|e| e.0)
     }
 
     #[inline]
-    pub(crate) fn peek(&self) -> Option<&HeapEv> {
+    fn peek(&self) -> Option<&HeapEv> {
         self.v.first()
     }
 
-    pub(crate) fn iter(&self) -> std::slice::Iter<'_, HeapEv> {
-        self.v.iter()
-    }
-
     #[inline]
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.v.len()
     }
 
     /// Guarantees capacity for `cap` resident events.
-    pub(crate) fn reserve_total(&mut self, cap: usize) {
+    fn reserve_total(&mut self, cap: usize) {
         if self.v.capacity() < cap {
             self.v.reserve(cap - self.v.len());
         }
     }
 
     #[inline]
-    pub(crate) fn push(&mut self, x: HeapEv) {
+    fn push(&mut self, x: HeapEv) {
         let mut i = self.v.len();
         self.v.push(x);
         while i > 0 {
@@ -143,7 +133,7 @@ impl EventHeap {
     }
 
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<HeapEv> {
+    fn pop(&mut self) -> Option<HeapEv> {
         let len = self.v.len();
         if len == 0 {
             return None;
@@ -180,32 +170,31 @@ impl EventHeap {
 
 /// σ/τ overhead kinds (send, intermediate route, destination receive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OhKind {
+enum OhKind {
     Send,
     Route,
     Receive,
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Oh {
-    pub(crate) kind: OhKind,
-    pub(crate) dur: SimTime,
-    pub(crate) msg: u32,
+struct Oh {
+    kind: OhKind,
+    dur: SimTime,
+    msg: u32,
 }
 
 /// Mutable per-processor state (the engine's `Proc`, minus
-/// statistics). Deliberately not `Clone`: snapshots flatten the queues
-/// into shared arenas (`eval.rs`) instead of cloning nested
-/// `VecDeque`s, which keeps snapshot buffers capacity-stable.
+/// statistics). Reset in place between runs, so its warm queue buffers
+/// are kept.
 #[derive(Debug, Default)]
 pub(crate) struct ProcState {
     pub(crate) assigned: u32,
-    pub(crate) task: u32,
-    pub(crate) remaining: SimTime,
-    pub(crate) running_since: SimTime,
-    pub(crate) cur_oh: Option<Oh>,
-    pub(crate) incoming: VecDeque<Oh>,
-    pub(crate) sends: VecDeque<Oh>,
+    task: u32,
+    remaining: SimTime,
+    running_since: SimTime,
+    cur_oh: Option<Oh>,
+    incoming: VecDeque<Oh>,
+    sends: VecDeque<Oh>,
     /// The compute-completion *register*: when a task is running, the
     /// time it will finish (`NOT_RUNNING` when idle or preempted) and
     /// the sequence number drawn when it was armed. Task completions
@@ -217,12 +206,12 @@ pub(crate) struct ProcState {
     /// pop. `OverheadDone` needs no counterpart because nothing can
     /// preempt a running overhead (`pump` is a no-op while `cur_oh` is
     /// occupied), so overhead timers are never stale.
-    pub(crate) done_at: SimTime,
-    pub(crate) done_seq: u64,
+    done_at: SimTime,
+    done_seq: u64,
 }
 
 impl ProcState {
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.assigned = NONE;
         self.task = NONE;
         self.remaining = 0;
@@ -235,27 +224,24 @@ impl ProcState {
     }
 }
 
-/// Channel state; not `Clone` for the same snapshot-arena reason as
-/// [`ProcState`].
+/// Channel state, reset in place like [`ProcState`].
 #[derive(Debug, Default)]
-pub(crate) struct ChanState {
-    pub(crate) busy: bool,
-    pub(crate) queue: VecDeque<u32>,
+struct ChanState {
+    busy: bool,
+    queue: VecDeque<u32>,
 }
 
 /// Message state, addressed by the *predecessor-edge id* of the edge it
 /// carries (`pred_base[task] + k` for the task's `k`-th incoming edge).
-/// Edge ids are stable across runs — unlike creation-order ids — so a
-/// rejected candidate's messages can never corrupt slots that baseline
-/// snapshots still reference: every slot a snapshot's in-flight set
-/// names is rewritten from the snapshot itself on restore, and every
-/// other slot is rewritten at assignment before it is read.
+/// An edge carries at most one message per run, so one slot per edge,
+/// sized at reset, holds every message without a free list; a slot is
+/// written at assignment before it is read.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MsgMeta {
-    pub(crate) dest_task: u32,
-    pub(crate) src: u32,
-    pub(crate) dest: u32,
-    pub(crate) weight: SimTime,
+struct MsgMeta {
+    dest_task: u32,
+    src: u32,
+    dest: u32,
+    weight: SimTime,
 }
 
 /// Flattened all-pairs routes: for pair `s*P + d`, `route_procs` holds
@@ -281,7 +267,7 @@ impl FlatRoutes {
 
     /// Re-flattens in place, reusing the buffers.
     // lint:allow(panic) reason="routes come from the routing table, so consecutive hops share a channel"
-    pub(crate) fn rebuild(&mut self, topo: &Topology, routes: &RouteTable) {
+    fn rebuild(&mut self, topo: &Topology, routes: &RouteTable) {
         let np = topo.num_procs();
         self.num_procs = np;
         self.proc_off.clear();
@@ -307,13 +293,13 @@ impl FlatRoutes {
     }
 
     #[inline]
-    pub(crate) fn hop_proc(&self, src: u32, dst: u32, hop: usize) -> u32 {
+    fn hop_proc(&self, src: u32, dst: u32, hop: usize) -> u32 {
         let pair = src as usize * self.num_procs + dst as usize;
         self.route_procs[self.proc_off[pair] as usize + hop]
     }
 
     #[inline]
-    pub(crate) fn hop_chan(&self, src: u32, dst: u32, hop: usize) -> u32 {
+    fn hop_chan(&self, src: u32, dst: u32, hop: usize) -> u32 {
         let pair = src as usize * self.num_procs + dst as usize;
         self.route_chans[self.chan_off[pair] as usize + hop]
     }
@@ -341,8 +327,8 @@ pub(crate) struct KernelCtx<'a> {
 /// preemption, completion registers); a driver decides **which ready
 /// task each idle processor takes** at an epoch, and may mirror state
 /// transitions for its own bookkeeping. `FixedEval`'s driver keeps
-/// per-processor waiting lists and records snapshots; the fast path's
-/// driver adapts any [`OnlineScheduler`].
+/// per-processor waiting lists; the fast path's driver adapts any
+/// [`OnlineScheduler`].
 pub(crate) trait Driver {
     /// Dispatch decisions for the current epoch: inspect `k` (notably
     /// `k.ready`, sorted by task id, and `k.procs[p].assigned == NONE`
@@ -360,19 +346,11 @@ pub(crate) trait Driver {
     /// set).
     fn task_assigned(&mut self, _t: u32, _q: u32) {}
 
-    /// Task `t` became ready at time `now` (inserted into the ready
-    /// set).
-    fn task_ready(&mut self, _t: u32, _now: SimTime) {}
+    /// Task `t` became ready (inserted into the ready set).
+    fn task_ready(&mut self, _t: u32) {}
 
     /// Task `t` finished at time `now`.
     fn task_finished(&mut self, _t: u32, _now: SimTime) {}
-
-    /// An epoch is about to run (state is exactly the pre-epoch state).
-    fn epoch_begin(&mut self, _k: &KernelState) {}
-
-    /// The epoch's assignments have been applied; `k.assign_buf` holds
-    /// the decisions made.
-    fn epoch_end(&mut self, _k: &KernelState) {}
 }
 
 /// The mutable engine state of one run: every buffer is reused across
@@ -381,53 +359,48 @@ pub(crate) trait Driver {
 /// statistics.
 #[derive(Debug, Default)]
 pub(crate) struct KernelState {
-    pub(crate) now: SimTime,
-    pub(crate) heap: EventHeap,
-    pub(crate) seq: u64,
-    pub(crate) events: u64,
+    now: SimTime,
+    heap: EventHeap,
+    seq: u64,
+    events: u64,
     /// Dispatch epochs run. Plain always-on counters (this and the two
     /// below): one integer op per occurrence, no allocation, no effect
     /// on event ordering or RNG streams, so they stay live even with
     /// the recorder off.
-    pub(crate) epochs: u64,
+    epochs: u64,
     /// Most events ever resident in the heap this run (completion
     /// registers excluded — they never enter the heap).
-    pub(crate) heap_hwm: u64,
+    heap_hwm: u64,
     /// Cross-processor messages created (= predecessor edges that
     /// actually traveled; same-processor dependencies are free).
-    pub(crate) messages: u64,
-    pub(crate) epoch_pending: bool,
+    messages: u64,
+    epoch_pending: bool,
     /// Logical processor count of the current run. `procs` never
     /// shrinks (shrinking would free warm queue buffers); entries at
     /// `num_procs..` are leftovers from a larger instance and must not
     /// be read — use [`KernelState::procs`] for iteration.
-    pub(crate) num_procs: usize,
+    num_procs: usize,
     /// Logical channel count of the current run (same never-shrink
     /// rule as `num_procs`).
-    pub(crate) num_channels: usize,
-    pub(crate) procs: Vec<ProcState>,
-    pub(crate) channels: Vec<ChanState>,
-    pub(crate) msgs: Vec<MsgMeta>,
-    pub(crate) msg_hop: Vec<u32>,
-    /// Edge ids of messages currently in flight, plus each live edge's
-    /// position in that list (`NONE` when not live). Only used to bound
-    /// what snapshots must capture.
-    pub(crate) live: Vec<u32>,
-    pub(crate) live_pos: Vec<u32>,
-    pub(crate) placement: Vec<u32>,
-    pub(crate) unfinished: Vec<u32>,
-    pub(crate) pending: Vec<u32>,
+    num_channels: usize,
+    procs: Vec<ProcState>,
+    channels: Vec<ChanState>,
+    msgs: Vec<MsgMeta>,
+    msg_hop: Vec<u32>,
+    placement: Vec<u32>,
+    unfinished: Vec<u32>,
+    pending: Vec<u32>,
     /// Ready, unassigned tasks; sorted by id.
     pub(crate) ready: Vec<u32>,
-    pub(crate) finished: u32,
-    pub(crate) max_finish: SimTime,
-    pub(crate) assign_buf: Vec<(u32, u32)>,
+    finished: u32,
+    max_finish: SimTime,
+    assign_buf: Vec<(u32, u32)>,
     /// Cached minimum over the per-proc completion registers as
     /// `(done_at, done_seq, proc)`; `None` = no register armed. Marked
     /// stale (`reg_cache_valid = false`) whenever the cached processor
     /// disarms.
-    pub(crate) reg_cache: Option<(SimTime, u64, u32)>,
-    pub(crate) reg_cache_valid: bool,
+    reg_cache: Option<(SimTime, u64, u32)>,
+    reg_cache_valid: bool,
 }
 
 impl KernelState {
@@ -481,10 +454,6 @@ impl KernelState {
         self.msgs.resize(num_pred_edges, MsgMeta::default());
         self.msg_hop.clear();
         self.msg_hop.resize(num_pred_edges, 0);
-        self.live.clear();
-        self.live.reserve(num_pred_edges);
-        self.live_pos.clear();
-        self.live_pos.resize(num_pred_edges, NONE);
         let n = g.num_tasks();
         self.placement.clear();
         self.placement.resize(n, NONE);
@@ -534,9 +503,7 @@ impl KernelState {
                 if next.is_none_or(|t| t > self.now) {
                     self.epoch_pending = false;
                     self.epochs += 1;
-                    driver.epoch_begin(self);
                     self.run_epoch(ctx, driver)?;
-                    driver.epoch_end(self);
                     continue;
                 }
             }
@@ -649,9 +616,6 @@ impl KernelState {
                     weight: link_occupancy_time(ctx.params, e.weight),
                 };
                 self.msg_hop[msg_id as usize] = 0;
-                debug_assert_eq!(self.live_pos[msg_id as usize], NONE);
-                self.live_pos[msg_id as usize] = self.live.len() as u32;
-                self.live.push(msg_id);
                 pending += 1;
                 self.enqueue_overhead(
                     src,
@@ -675,7 +639,7 @@ impl KernelState {
         }
     }
 
-    pub(crate) fn enqueue_overhead(&mut self, p: u32, oh: Oh) {
+    fn enqueue_overhead(&mut self, p: u32, oh: Oh) {
         let pr = &mut self.procs[p as usize];
         match oh.kind {
             OhKind::Send => pr.sends.push_back(oh),
@@ -687,7 +651,7 @@ impl KernelState {
     /// Keeps processor `p` busy with the right thing (the engine's
     /// `pump`): pending overheads preempt compute; otherwise compute
     /// (re)starts.
-    pub(crate) fn pump(&mut self, p: u32) {
+    fn pump(&mut self, p: u32) {
         let now = self.now;
         let pr = &mut self.procs[p as usize];
         if pr.cur_oh.is_some() {
@@ -746,7 +710,7 @@ impl KernelState {
 
     /// The minimum completion register as `(time, seq, proc)`.
     #[inline]
-    pub(crate) fn min_register(&mut self) -> Option<(SimTime, u64, u32)> {
+    fn min_register(&mut self) -> Option<(SimTime, u64, u32)> {
         if !self.reg_cache_valid {
             let mut min: Option<(SimTime, u64, u32)> = None;
             for (i, pr) in self.procs[..self.num_procs].iter().enumerate() {
@@ -819,14 +783,6 @@ impl KernelState {
     }
 
     fn deliver(&mut self, msg_id: u32, ctx: &KernelCtx<'_>) {
-        // The message is done: drop it from the live set.
-        let pos = self.live_pos[msg_id as usize] as usize;
-        debug_assert_eq!(self.live[pos], msg_id);
-        self.live.swap_remove(pos);
-        self.live_pos[msg_id as usize] = NONE;
-        if let Some(&moved) = self.live.get(pos) {
-            self.live_pos[moved as usize] = pos as u32;
-        }
         let t = self.msgs[msg_id as usize].dest_task;
         let c = &mut self.pending[t as usize];
         debug_assert!(*c > 0);
@@ -866,7 +822,7 @@ impl KernelState {
                 let tid = e.target.index() as u32;
                 let pos = self.ready.partition_point(|&x| x < tid);
                 self.ready.insert(pos, tid);
-                driver.task_ready(tid, now);
+                driver.task_ready(tid);
             }
         }
         self.epoch_pending = true;
@@ -916,7 +872,7 @@ impl KernelRunStats {
 }
 
 impl KernelState {
-    pub(crate) fn run_stats(&self) -> KernelRunStats {
+    fn run_stats(&self) -> KernelRunStats {
         KernelRunStats {
             events: self.events,
             epochs: self.epochs,

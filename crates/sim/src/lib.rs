@@ -38,7 +38,7 @@ pub mod result;
 pub mod scheduler;
 
 pub use engine::{simulate, SimConfig, SimError};
-pub use eval::{EvalObsStats, FixedEval};
+pub use eval::FixedEval;
 pub use fastpath::{simulate_makespan, KernelRunStats, RouteCacheStats, SimScratch};
 pub use gantt::{Gantt, Span, SpanKind};
 pub use result::{CommStats, PacketStats, RunObs, SimResult};

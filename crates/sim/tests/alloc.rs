@@ -1,4 +1,4 @@
-//! Allocation-regression tests for the fast path and the incremental
+//! Allocation-regression tests for the fast path and the fixed-mapping
 //! evaluator.
 //!
 //! The whole point of [`SimScratch`] and [`FixedEval`]'s reused buffers
@@ -171,9 +171,9 @@ fn fast_path_alternating_instances_allocate_nothing_once_warm() {
 fn observation_with_noop_recorder_allocates_nothing() {
     // The observability layer's core bargain: with the recorder off
     // (`NoopRecorder`), the whole instrumented surface — kernel run
-    // stats, route-cache stats, evaluator obs stats, and their
-    // `record_into` flushes — adds zero steady-state allocations to
-    // the hot path.
+    // stats, route-cache stats and their `record_into` flushes — adds
+    // zero steady-state allocations to the hot path, next to a warm
+    // evaluator's move chain.
     let g = sample_graph(13);
     let n = g.num_tasks();
     let topo = hypercube(3);
@@ -216,7 +216,6 @@ fn observation_with_noop_recorder_allocates_nothing() {
             scratch.route_cache_stats().record_into(&mut noop);
         }
         step(&mut ev, i);
-        ev.obs_stats().record_into(&mut noop);
     }
     let delta = allocations() - before;
     assert_eq!(
@@ -284,8 +283,8 @@ fn incremental_move_evaluation_allocates_nothing_after_warmup() {
     let mapping: Vec<ProcId> = (0..n).map(|i| ProcId::from_index(i % 8)).collect();
     ev.reset(&mapping).unwrap();
 
-    // Warm-up: a long committed move chain grows the snapshot pool, the
-    // per-epoch snapshots and every queue to their high-water marks.
+    // Warm-up: a long committed move chain grows the kernel's queues and
+    // the waiting lists to their high-water marks.
     let mut rng = StdRng::seed_from_u64(17);
     let mut warm_moves = Vec::new();
     for _ in 0..1500 {
@@ -315,8 +314,8 @@ fn incremental_move_evaluation_allocates_nothing_after_warmup() {
     };
     apply(&mut ev, &warm_moves);
 
-    // Measured region: replay the same move mix (same distribution of
-    // divergence points, commits, rebuilds) on the warm evaluator.
+    // Measured region: replay the same move mix (relocations, swaps and
+    // commits) on the warm evaluator.
     let measured = &warm_moves[..300];
     let before = allocations();
     apply(&mut ev, measured);

@@ -143,9 +143,9 @@ proptest! {
     }
 
     /// Fast path vs engine on random fixed mappings with random
-    /// dispatch orders — the preemption- and contention-heavy case the
-    /// incremental evaluator also exercises, but through the public
-    /// online-scheduler surface.
+    /// dispatch orders — the preemption- and contention-heavy case
+    /// `FixedEval` also runs, but through the public online-scheduler
+    /// surface.
     #[test]
     fn fast_path_matches_engine_fixed_mapping(g in arb_graph(), topo in arb_topology(), seed in any::<u64>()) {
         let np = topo.num_procs();

@@ -165,3 +165,31 @@ fn heuristic_columns_are_pinned_and_only_known_duplicates_coincide() {
         "heuristic column digest {digest:#018x}"
     );
 }
+
+#[test]
+fn static_sa_column_is_pinned() {
+    use annealsched::arena::campaign_instances;
+
+    let instances = campaign_instances(7, 60);
+    let cfg = TournamentConfig {
+        base_seed: 7,
+        ..TournamentConfig::default()
+    };
+    let r = run_tournament(&Portfolio::standard(), &instances, &cfg).unwrap();
+    let row = r
+        .schedulers
+        .iter()
+        .position(|name| name == "static-sa")
+        .expect("the standard portfolio runs static SA");
+
+    // Whole-graph SA prices every move with a simulation, so this pins
+    // the move evaluator bit for bit on a campaign family.
+    let mut digest = fnv1a(0xcbf2_9ce4_8422_2325, b"static-sa");
+    for m in &r.makespans[row] {
+        digest = fnv1a(digest, &m.to_le_bytes());
+    }
+    assert_eq!(
+        digest, 0x7ed7_d09d_f416_31ed,
+        "static-sa column digest {digest:#018x}"
+    );
+}
