@@ -37,9 +37,9 @@
 //!   the hit count).
 //!
 //! Identical seeds give identical searches either way. The static-SA
-//! entry prices its annealing moves through `anneal-core`'s shared
-//! evaluator layer, and the evaluator kind cannot change a ratio (only
-//! how fast it is computed).
+//! entry prices each annealing move with one simulation of its whole
+//! mapping, and the evaluator kind cannot change a ratio (only how fast
+//! it is computed).
 
 use std::collections::BTreeMap;
 

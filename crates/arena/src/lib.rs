@@ -12,13 +12,12 @@
 //!   list family, MCT, greedy, HEFT, CPOP, staged SA and whole-graph
 //!   static SA) behind one factory interface, and [`run_tournament`]
 //!   evaluates the full portfolio × instance matrix in parallel with a
-//!   deterministic seed per cell. Static SA prices its annealing moves
-//!   through `anneal-core`'s shared evaluation layer —
-//!   [`Portfolio::standard_with_lanes`] pins the
-//!   [`EvaluatorKind`](anneal_core::EvaluatorKind) (full replay vs the
+//!   deterministic seed per cell. Static SA prices each annealing move
+//!   with one simulation of its whole mapping —
+//!   [`Portfolio::standard_with_lanes`] pins how
+//!   ([`EvaluatorKind`](anneal_core::EvaluatorKind): full replay vs the
 //!   fast-path fixed-mapping kernel; bit-identical results, very
-//!   different cost)
-//!   and the [`SaLane`](anneal_core::SaLane).
+//!   different cost) and the [`SaLane`](anneal_core::SaLane).
 //!   Results feed `anneal-report`: a head-to-head CSV table and an SVG
 //!   win/loss matrix.
 //! * **Adversarial instance search** ([`adversary`]) — PISA-style

@@ -1,34 +1,40 @@
-//! Move-evaluation throughput: full replay vs the fast-path kernel.
+//! Mapping-pricing throughput: full replay vs the fast-path kernel.
 //!
-//! Benchmarks the two [`anneal_core::Evaluator`] implementations on the
-//! same deterministic move chains, across the three size tiers of the
-//! campaign instance family (`anneal_arena::campaign_instance` sweeps
-//! six graph shapes × three size tiers; this bench rebuilds one
-//! instance per shape at each tier on the campaign's host rotation).
-//! Probes mirror `static_sa`'s proposal distribution — 50% single-task
-//! relocations to a different processor, 50% swaps — with greedy
-//! commits, and the chains assert bit-identical makespans between the
-//! two implementations while measuring.
+//! Benchmarks the two ways whole-graph static SA can price a mapping
+//! (`EvaluatorKind::Full`, one `replay_mapping`; `EvaluatorKind::
+//! Incremental`, one `FixedEval::makespan`) on the same deterministic
+//! move chains, across the three size tiers of the campaign instance
+//! family (`anneal_arena::campaign_instance` sweeps six graph shapes ×
+//! three size tiers; this bench rebuilds one instance per shape at each
+//! tier on the campaign's host rotation). A chain works like
+//! `static_sa`: it applies a move to its mapping in place (50%
+//! single-task relocations to a different processor, 50% swaps), prices
+//! the whole mapping, and undoes the move unless it improved the
+//! makespan. A swap within one processor leaves the mapping unchanged
+//! and is priced as the current makespan without a run, as in
+//! `static_sa`. The chains assert bit-identical makespans between the
+//! two kinds on every priced mapping while measuring.
 //!
 //! Besides the Criterion console report, the bench writes a
 //! machine-readable summary to `results/BENCH_evaluator.json`: per-tier
-//! and per-shape ns/move for both implementations, the per-shape
-//! speedup, the arithmetic mean speedup over shapes and the
-//! moves-weighted (total-time) speedup — so the perf trajectory of the
-//! evaluation layer is tracked as an artifact.
+//! and per-shape ns/move for both kinds as the median and interquartile
+//! range over repeated timed chains (the two kinds alternate rep by
+//! rep), the per-shape speedup of the medians, the arithmetic mean
+//! speedup over shapes and the moves-weighted (total-time) speedup, so
+//! the perf trajectory of mapping pricing is tracked as an artifact.
 //!
 //! Set `EVALUATOR_BENCH_SMOKE=1` for a fast CI pass: fewer moves and
 //! repetitions, same equivalence assertions, same JSON artifact.
 
 use std::time::Instant;
 
-use anneal_core::{level_dispatch_order, Evaluator, EvaluatorKind};
+use anneal_core::{level_dispatch_order, replay_mapping, EvaluatorKind};
 use anneal_graph::generate::{
     chain, fork_join, gnp_dag, independent, layered_random, series_parallel, LayeredConfig, Range,
 };
 use anneal_graph::units::us;
-use anneal_graph::{TaskGraph, TaskId};
-use anneal_sim::SimConfig;
+use anneal_graph::TaskGraph;
+use anneal_sim::{FixedEval, SimConfig};
 use anneal_topology::builders::{bus, hypercube, mesh, ring, star, torus};
 use anneal_topology::{CommParams, ProcId, Topology};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -101,104 +107,162 @@ impl Probes {
     }
 }
 
-/// Runs a probe chain with greedy commits and returns every candidate
-/// makespan.
-fn run_chain(
-    ev: &mut dyn Evaluator,
-    case: &ShapeCase,
-    probes: Probes,
-    moves: usize,
-    seed: u64,
-) -> Vec<u64> {
-    let n = case.graph.num_tasks();
-    let np = case.topo.num_procs();
+/// Prices complete mappings of one case the way `static_sa` does under
+/// `kind`: the fast-path kernel, or a complete engine replay.
+struct Pricer<'a> {
+    case: &'a ShapeCase,
+    params: &'a CommParams,
+    cfg: &'a SimConfig,
+    order: Vec<u64>,
+    kernel: Option<FixedEval<'a>>,
+}
+
+impl<'a> Pricer<'a> {
+    fn new(
+        kind: EvaluatorKind,
+        case: &'a ShapeCase,
+        params: &'a CommParams,
+        cfg: &'a SimConfig,
+    ) -> Self {
+        let order = level_dispatch_order(&case.graph);
+        let kernel = match kind {
+            EvaluatorKind::Incremental => Some(
+                FixedEval::new(&case.graph, &case.topo, params, cfg, order.clone())
+                    .expect("kernel builds"),
+            ),
+            EvaluatorKind::Full => None,
+        };
+        Pricer {
+            case,
+            params,
+            cfg,
+            order,
+            kernel,
+        }
+    }
+
+    fn makespan(&mut self, mapping: &[ProcId]) -> u64 {
+        match self.kernel.as_mut() {
+            Some(kernel) => kernel.makespan(mapping).expect("mapping prices"),
+            None => {
+                replay_mapping(
+                    &self.case.graph,
+                    &self.case.topo,
+                    self.params,
+                    self.cfg,
+                    mapping.to_vec(),
+                    Some(self.order.clone()),
+                )
+                .expect("mapping replays")
+                .makespan
+            }
+        }
+    }
+}
+
+/// Runs a move chain that keeps only improving moves and returns every
+/// candidate makespan.
+fn run_chain(pricer: &mut Pricer<'_>, probes: Probes, moves: usize, seed: u64) -> Vec<u64> {
+    let n = pricer.case.graph.num_tasks();
+    let np = pricer.case.topo.num_procs();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mapping: Vec<ProcId> = (0..n).map(|i| ProcId::from_index(i % np)).collect();
-    let mut mapping = mapping;
-    let mut cur = ev.reset(&mapping).expect("baseline evaluates");
+    let mut mapping: Vec<ProcId> = (0..n).map(|i| ProcId::from_index(i % np)).collect();
+    let mut cur = pricer.makespan(&mapping);
     let mut out = Vec::with_capacity(moves);
     for _ in 0..moves {
         let a = rng.gen_range(0..n);
-        let cand;
-        enum Mv {
-            Relocate(usize, usize),
-            Swap(usize, usize),
-        }
-        let mv;
+        let prev = mapping[a];
+        let mut b = a;
         if np > 1 && (probes == Probes::Relocate || rng.gen_bool(0.5)) {
             let mut p = rng.gen_range(0..np);
-            while ProcId::from_index(p) == mapping[a] {
+            while ProcId::from_index(p) == prev {
                 p = rng.gen_range(0..np);
             }
-            cand = ev
-                .eval_relocate(TaskId::from_index(a), ProcId::from_index(p))
-                .expect("relocate evaluates");
-            mv = Mv::Relocate(a, p);
+            mapping[a] = ProcId::from_index(p);
         } else {
-            let mut b = rng.gen_range(0..n);
-            while b == a {
-                if n == 1 {
-                    break;
-                }
+            b = rng.gen_range(0..n);
+            while b == a && n > 1 {
                 b = rng.gen_range(0..n);
             }
-            cand = ev
-                .eval_swap(TaskId::from_index(a), TaskId::from_index(b))
-                .expect("swap evaluates");
-            mv = Mv::Swap(a, b);
+            mapping.swap(a, b);
         }
+        let cand = if mapping[a] == prev {
+            cur
+        } else {
+            pricer.makespan(&mapping)
+        };
         if cand < cur {
-            ev.commit();
-            match mv {
-                Mv::Relocate(t, p) => mapping[t] = ProcId::from_index(p),
-                Mv::Swap(t, u) => mapping.swap(t, u),
-            }
             cur = cand;
+        } else if b == a {
+            mapping[a] = prev;
+        } else {
+            mapping.swap(a, b);
         }
         out.push(cand);
     }
     out
 }
 
-fn build<'a>(
-    kind: EvaluatorKind,
-    case: &'a ShapeCase,
-    params: &'a CommParams,
-    cfg: &'a SimConfig,
-) -> Box<dyn Evaluator + 'a> {
-    kind.build(
-        &case.graph,
-        &case.topo,
-        params,
-        cfg,
-        level_dispatch_order(&case.graph),
-    )
-    .expect("evaluator builds")
+/// Median and interquartile range of a sample.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    q1: f64,
+    q3: f64,
 }
 
-/// Best-of-`reps` mean ns/move over full chains.
-fn time_chain(
-    kind: EvaluatorKind,
+impl Spread {
+    /// Quantiles by linear interpolation between order statistics.
+    fn of(mut v: Vec<f64>) -> Spread {
+        v.sort_by(f64::total_cmp);
+        let q = |p: f64| {
+            let x = p * (v.len() - 1) as f64;
+            let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+            v[lo] + (v[hi] - v[lo]) * (x - lo as f64)
+        };
+        Spread {
+            median: q(0.5),
+            q1: q(0.25),
+            q3: q(0.75),
+        }
+    }
+
+    fn json(self) -> String {
+        format!(
+            "{{\"median\": {:.0}, \"q1\": {:.0}, \"q3\": {:.0}}}",
+            self.median, self.q1, self.q3
+        )
+    }
+}
+
+/// Per-rep mean ns/move over full chains for both kinds, alternating
+/// the kinds rep by rep so drift on the host hits both alike.
+fn time_chains(
     case: &ShapeCase,
     probes: Probes,
     moves: usize,
     reps: usize,
-) -> f64 {
-    let params = CommParams::paper();
-    let cfg = SimConfig::default();
-    let mut ev = build(kind, case, &params, &cfg);
-    let mut best = f64::MAX;
-    for _ in 0..reps {
+    params: &CommParams,
+    cfg: &SimConfig,
+) -> (Spread, Spread) {
+    let mut full = Pricer::new(EvaluatorKind::Full, case, params, cfg);
+    let mut incr = Pricer::new(EvaluatorKind::Incremental, case, params, cfg);
+    let time = |pricer: &mut Pricer<'_>| {
         let start = Instant::now();
-        run_chain(ev.as_mut(), case, probes, moves, 7);
-        best = best.min(start.elapsed().as_nanos() as f64 / moves as f64);
+        std::hint::black_box(run_chain(pricer, probes, moves, 7));
+        start.elapsed().as_nanos() as f64 / moves as f64
+    };
+    let (mut full_ns, mut incr_ns) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        full_ns.push(time(&mut full));
+        incr_ns.push(time(&mut incr));
     }
-    best
+    (Spread::of(full_ns), Spread::of(incr_ns))
 }
 
 fn bench_evaluator(c: &mut Criterion) {
     let smoke = std::env::var("EVALUATOR_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    let (moves, reps) = if smoke { (40, 1) } else { (300, 5) };
+    let (moves, reps) = if smoke { (40, 3) } else { (300, 11) };
     let params = CommParams::paper();
     let cfg = SimConfig::default();
 
@@ -212,58 +276,56 @@ fn bench_evaluator(c: &mut Criterion) {
             let mut speedups = Vec::new();
             for case in &cases {
                 // Equivalence gate on the fixed seed: the fast-path
-                // kernel must agree with full replay on every probe.
+                // kernel must agree with full replay on every priced
+                // mapping.
                 let full_chain = run_chain(
-                    build(EvaluatorKind::Full, case, &params, &cfg).as_mut(),
-                    case,
+                    &mut Pricer::new(EvaluatorKind::Full, case, &params, &cfg),
                     probes,
                     moves,
                     7,
                 );
                 let incr_chain = run_chain(
-                    build(EvaluatorKind::Incremental, case, &params, &cfg).as_mut(),
-                    case,
+                    &mut Pricer::new(EvaluatorKind::Incremental, case, &params, &cfg),
                     probes,
                     moves,
                     7,
                 );
                 assert_eq!(
                     full_chain, incr_chain,
-                    "evaluator divergence on {tier}/{}",
+                    "pricing divergence on {tier}/{}",
                     case.shape
                 );
 
-                let full_ns = time_chain(EvaluatorKind::Full, case, probes, moves, reps);
-                let incr_ns = time_chain(EvaluatorKind::Incremental, case, probes, moves, reps);
-                let speedup = full_ns / incr_ns;
-                sum_full += full_ns;
-                sum_incr += incr_ns;
+                let (full_ns, incr_ns) = time_chains(case, probes, moves, reps, &params, &cfg);
+                let speedup = full_ns.median / incr_ns.median;
+                sum_full += full_ns.median;
+                sum_incr += incr_ns.median;
                 speedups.push(speedup);
                 shape_rows.push(format!(
                     "        {{\"shape\": \"{}\", \"tasks\": {}, \"host\": \"{}\", \
-                     \"full_ns_per_move\": {:.0}, \"incremental_ns_per_move\": {:.0}, \
+                     \"full_ns_per_move\": {}, \"incremental_ns_per_move\": {}, \
                      \"speedup\": {:.2}}}",
                     case.shape,
                     case.graph.num_tasks(),
                     case.topo.name(),
-                    full_ns,
-                    incr_ns,
+                    full_ns.json(),
+                    incr_ns.json(),
                     speedup
                 ));
             }
             // Criterion rows: one full-chain timing per
-            // (impl, tier, probe mix), chaining all six shapes.
+            // (kind, tier, probe mix), chaining all six shapes.
             for kind in [EvaluatorKind::Full, EvaluatorKind::Incremental] {
                 group.bench_function(
                     BenchmarkId::new(kind.name(), format!("{tier}/{}", probes.name())),
                     |b| {
-                        let mut evs: Vec<_> = cases
+                        let mut pricers: Vec<_> = cases
                             .iter()
-                            .map(|case| (build(kind, case, &params, &cfg), case))
+                            .map(|case| Pricer::new(kind, case, &params, &cfg))
                             .collect();
                         b.iter(|| {
-                            for (ev, case) in &mut evs {
-                                run_chain(ev.as_mut(), case, probes, moves, 7);
+                            for pricer in &mut pricers {
+                                run_chain(pricer, probes, moves, 7);
                             }
                         })
                     },
@@ -295,7 +357,9 @@ fn bench_evaluator(c: &mut Criterion) {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     let json = format!(
-        "{{\n  \"bench\": \"evaluator\",\n  \"mode\": \"{}\",\n  \"tiers\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"evaluator\",\n  \"mode\": \"{}\",\n  \
+         \"ns_per_move\": \"median, q1 and q3 over {reps} timed chains per kind\",\n  \
+         \"tiers\": [\n{}\n  ]\n}}\n",
         if smoke { "smoke" } else { "full" },
         tier_rows.join(",\n")
     );

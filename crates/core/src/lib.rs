@@ -56,12 +56,12 @@
 //! * [`parallel`] — the thread-cap-invariant job fan-out (workers claim
 //!   job indices from a shared counter) with pooled per-worker scratch
 //!   that portfolio evaluation runs on.
-//! * [`eval`] — the shared [`Evaluator`] layer for mapping-based
-//!   schedulers: a full-replay reference and the fast-path
-//!   fixed-mapping kernel, with bit-identical makespans.
+//! * [`eval`] — pricing a complete mapping: [`EvaluatorKind`] picks
+//!   the fast-path fixed-mapping kernel or the full-replay reference
+//!   ([`replay_mapping`]), with bit-identical makespans.
 //! * [`static_sa`] — whole-graph annealing (the §3 balancing-problem
-//!   style) with simulated-makespan cost priced through [`eval`], for
-//!   comparison with the staged algorithm.
+//!   style) with simulated-makespan cost, one pricing call per move,
+//!   for comparison with the staged algorithm.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,7 +84,7 @@ pub mod sa;
 pub mod static_sa;
 pub mod trace;
 
-pub use eval::{level_dispatch_order, replay_mapping, Evaluator, EvaluatorKind};
+pub use eval::{level_dispatch_order, replay_mapping, EvaluatorKind};
 pub use lane::{accept_table, AcceptTable, LaneCounters, SaLane, SaScratch, EXACT_PACKET_LIMIT};
 pub use list::HlfScheduler;
 pub use parallel::{PoolStats, ScratchPool};

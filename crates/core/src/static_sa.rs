@@ -8,15 +8,17 @@
 //! mapping is annealed with the *simulated makespan itself* as the cost
 //! function.
 //!
-//! Candidate moves are priced through the shared
-//! [`Evaluator`](crate::eval::Evaluator) layer ([`crate::eval`]). The
-//! default [`EvaluatorKind::Incremental`] evaluator is the fast-path
-//! fixed-mapping kernel: one allocation-free simulation per move,
-//! several times cheaper than the general engine's full replay
-//! (`EvaluatorKind::Full`) and bit-identical to it, so results are
-//! independent of the choice. This is the trade-off the paper's staged
-//! formulation highlights: a whole-graph move costs one simulation,
-//! while the packet annealer prices a move with an O(1) eq. 2–3 delta.
+//! The annealer owns its mapping: it applies each relocation or swap
+//! in place, prices the whole mapping with one call, and undoes the
+//! move when it is rejected. The default [`EvaluatorKind::Incremental`]
+//! prices with [`FixedEval::makespan`], the fast-path fixed-mapping
+//! kernel: one allocation-free simulation per move, several times
+//! cheaper than the general engine's full replay
+//! (`EvaluatorKind::Full`, [`replay_mapping`]) and bit-identical to it,
+//! so results are independent of the choice. This is the trade-off the
+//! paper's staged formulation highlights: a whole-graph move costs one
+//! simulation, while the packet annealer prices a move with an O(1)
+//! eq. 2–3 delta.
 //!
 //! Moves are priced under [`level_dispatch_order`], and the outcome's
 //! `result` replays the best `mapping` under that same order. The
@@ -24,8 +26,8 @@
 //! `FixedMapping` with the level order, so its cells score
 //! `result.makespan`.
 
-use anneal_graph::{TaskGraph, TaskId};
-use anneal_sim::{SimConfig, SimError, SimResult};
+use anneal_graph::TaskGraph;
+use anneal_sim::{FixedEval, SimConfig, SimError, SimResult};
 use anneal_topology::{CommParams, ProcId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,10 +53,11 @@ pub struct StaticSaConfig {
     pub acceptance: AcceptanceRule,
     /// RNG seed.
     pub seed: u64,
-    /// How candidate mappings are priced. Both kinds return identical
-    /// makespans (enforced by the equivalence suite); `Incremental`,
-    /// the fast-path fixed-mapping kernel, is several times faster per
-    /// move.
+    /// How each candidate mapping is priced: `Incremental` runs the
+    /// fast-path fixed-mapping kernel ([`FixedEval::makespan`]), `Full`
+    /// one complete engine replay ([`replay_mapping`]). Both return
+    /// identical makespans (enforced by the equivalence suite); the
+    /// kernel is several times faster per move.
     pub evaluator: EvaluatorKind,
     /// Which acceptance rule decides the moves: the default
     /// [`SaLane::Turbo`] uses the tabulated midpoint threshold
@@ -141,7 +144,9 @@ impl StaticSaOutcome {
 }
 
 /// Anneals a complete mapping of `g` onto `topo`, pricing every move
-/// with the configured [`Evaluator`](crate::eval::Evaluator).
+/// by the simulated makespan of the whole mapping (one
+/// [`FixedEval::makespan`] or [`replay_mapping`] call, per
+/// [`StaticSaConfig::evaluator`]).
 pub fn static_sa(
     g: &TaskGraph,
     topo: &Topology,
@@ -154,9 +159,24 @@ pub fn static_sa(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     // Dispatch ties broken by level, like the list baselines.
     let order = level_dispatch_order(g);
-    let mut evaluator = cfg
-        .evaluator
-        .build(g, topo, params, sim_cfg, order.clone())?;
+    let mut kernel = match cfg.evaluator {
+        EvaluatorKind::Incremental => {
+            Some(FixedEval::new(g, topo, params, sim_cfg, order.clone())?)
+        }
+        EvaluatorKind::Full => None,
+    };
+    let mut price = |mapping: &[ProcId]| match kernel.as_mut() {
+        Some(kernel) => kernel.makespan(mapping),
+        None => replay_mapping(
+            g,
+            topo,
+            params,
+            sim_cfg,
+            mapping.to_vec(),
+            Some(order.clone()),
+        )
+        .map(|r| r.makespan),
+    };
 
     // Initial mapping: round-robin in topological order (balanced and
     // feasible; annealing reshuffles from here).
@@ -164,9 +184,11 @@ pub fn static_sa(
     for (i, &t) in g.topo_order().iter().enumerate() {
         mapping[t.index()] = ProcId::from_index(i % np);
     }
-    let norm = g.total_work() as f64;
-    let mut cur_cost = evaluator.reset(&mapping)? as f64 / norm;
-    let mut best = (cur_cost, mapping.clone());
+    // A graph whose loads are all 0 has no work to normalise by: divide
+    // by 1 there, since 0 would make every cost NaN or infinite.
+    let norm = g.total_work().max(1) as f64;
+    let mut cur_makespan = price(&mapping)?;
+    let mut best = (cur_makespan as f64 / norm, mapping.clone());
 
     let moves_per_temp = if cfg.moves_per_temp == 0 {
         (n / 4).max(8)
@@ -175,11 +197,6 @@ pub fn static_sa(
     };
     let table = accept_table(cfg.acceptance);
     let mut lane_counters = LaneCounters::default();
-
-    enum Mv {
-        Relocate(usize),
-        Swap(usize),
-    }
 
     let mut stable = 0u64;
     let mut k = 0u64;
@@ -190,31 +207,33 @@ pub fn static_sa(
         let mut changed = false;
         for _ in 0..moves_per_temp {
             proposed += 1;
-            // Move: relocate one task, or swap two tasks' processors.
+            // Move, applied in place: relocate task `a` (leaving
+            // `b == a`), or swap the processors of `a` and `b`.
             let a = rng.gen_range(0..n);
-            let (mv, cand_makespan);
+            let prev = mapping[a];
+            let mut b = a;
             if np > 1 && rng.gen_bool(0.5) {
                 let mut p = rng.gen_range(0..np);
-                while ProcId::from_index(p) == mapping[a] {
+                while ProcId::from_index(p) == prev {
                     p = rng.gen_range(0..np);
                 }
-                mv = Mv::Relocate(p);
-                cand_makespan =
-                    evaluator.eval_relocate(TaskId::from_index(a), ProcId::from_index(p))?;
+                mapping[a] = ProcId::from_index(p);
             } else {
-                let mut bidx = rng.gen_range(0..n);
-                while bidx == a {
-                    if n == 1 {
-                        break;
-                    }
-                    bidx = rng.gen_range(0..n);
+                b = rng.gen_range(0..n);
+                while b == a && n > 1 {
+                    b = rng.gen_range(0..n);
                 }
-                mv = Mv::Swap(bidx);
-                cand_makespan =
-                    evaluator.eval_swap(TaskId::from_index(a), TaskId::from_index(bidx))?;
+                mapping.swap(a, b);
             }
+            // A swap within one processor leaves the mapping unchanged:
+            // its makespan is the current one, without a run.
+            let cand_makespan = if mapping[a] == prev {
+                cur_makespan
+            } else {
+                price(&mapping)?
+            };
             let cand_cost = cand_makespan as f64 / norm;
-            let delta = cand_cost - cur_cost;
+            let delta = cand_cost - cur_makespan as f64 / norm;
             let acc = match cfg.lane {
                 SaLane::Exact => accept(cfg.acceptance, delta, temp, &mut rng),
                 // Acceptance-only turbo: the midpoint rule on the
@@ -224,18 +243,17 @@ pub fn static_sa(
             };
             if acc {
                 accepted_moves += 1;
-                evaluator.commit();
-                match mv {
-                    Mv::Relocate(p) => mapping[a] = ProcId::from_index(p),
-                    Mv::Swap(bidx) => mapping.swap(a, bidx),
-                }
                 if delta.abs() > 1e-15 {
                     changed = true;
                 }
-                cur_cost = cand_cost;
-                if cur_cost < best.0 {
-                    best = (cur_cost, mapping.clone());
+                cur_makespan = cand_makespan;
+                if cand_cost < best.0 {
+                    best = (cand_cost, mapping.clone());
                 }
+            } else if b == a {
+                mapping[a] = prev;
+            } else {
+                mapping.swap(a, b);
             }
         }
         if changed {
@@ -246,12 +264,12 @@ pub fn static_sa(
         k += 1;
     }
 
-    let evaluations = evaluator.evaluations();
     let result = replay_mapping(g, topo, params, sim_cfg, best.1.clone(), Some(order))?;
     Ok(StaticSaOutcome {
         result,
         mapping: best.1,
-        evaluations,
+        // The initial mapping plus one per proposed move.
+        evaluations: proposed + 1,
         iterations: k,
         proposed,
         accepted: accepted_moves,

@@ -15,11 +15,11 @@ use anneal_core::cost::{BalanceRange, CostModel};
 use anneal_core::mapping::PacketMapping;
 use anneal_core::packet::AnnealingPacket;
 use anneal_core::static_sa::{static_sa, StaticSaConfig};
-use anneal_core::{SaConfig, SaScheduler};
+use anneal_core::{level_dispatch_order, EvaluatorKind, SaConfig, SaLane, SaScheduler};
 use anneal_graph::units::us;
 use anneal_graph::{TaskGraphBuilder, TaskId};
-use anneal_sim::{simulate, SimConfig};
-use anneal_topology::builders::{hypercube, linear};
+use anneal_sim::{simulate, FixedMapping, SimConfig};
+use anneal_topology::builders::{bus, hypercube, linear};
 use anneal_topology::{CommParams, ProcId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -178,4 +178,62 @@ fn static_sa_two_tasks_one_proc_terminates() {
     )
     .unwrap();
     assert_eq!(out.result.makespan, g.total_work());
+}
+
+#[test]
+fn static_sa_handles_a_graph_with_zero_total_work() {
+    // Every load is 0, so the makespan normaliser `total_work()` is 0:
+    // dividing by it made every cost NaN or infinite, which panicked the
+    // exact lane's acceptance draw and left the turbo lane stuck on its
+    // initial mapping.
+    let mut b = TaskGraphBuilder::new();
+    let root = b.add_task(0);
+    for _ in 0..5 {
+        let leaf = b.add_task(0);
+        b.add_edge(root, leaf, us(4.0)).unwrap();
+    }
+    let g = b.build().unwrap();
+    assert_eq!(g.total_work(), 0);
+    let order = level_dispatch_order(&g);
+    for topo in [bus(4), hypercube(2)] {
+        let np = topo.num_procs();
+        let mut round_robin = vec![ProcId::from_index(0); g.num_tasks()];
+        for (i, &t) in g.topo_order().iter().enumerate() {
+            round_robin[t.index()] = ProcId::from_index(i % np);
+        }
+        for comm_enabled in [true, false] {
+            let sim_cfg = SimConfig {
+                comm_enabled,
+                ..SimConfig::default()
+            };
+            let mut initial = FixedMapping::new(round_robin.clone()).with_order(order.clone());
+            let initial = simulate(&g, &topo, &CommParams::paper(), &mut initial, &sim_cfg)
+                .unwrap()
+                .makespan;
+            for lane in [SaLane::Exact, SaLane::Turbo] {
+                for evaluator in [EvaluatorKind::Full, EvaluatorKind::Incremental] {
+                    let cfg = StaticSaConfig {
+                        max_iters: 40,
+                        stable_iters: 6,
+                        seed: 3,
+                        evaluator,
+                        lane,
+                        ..StaticSaConfig::default()
+                    };
+                    let out = static_sa(&g, &topo, &CommParams::paper(), &sim_cfg, &cfg).unwrap();
+                    let what = format!("{} comm={comm_enabled} {lane:?} {evaluator}", topo.name());
+                    out.result.audit(&g).unwrap();
+                    assert_eq!(out.evaluations, out.proposed + 1, "{what}");
+                    if comm_enabled {
+                        // Only messages cost time here, and tasks that
+                        // share a processor exchange none: a lane stuck
+                        // on its initial mapping fails this.
+                        assert!(out.result.makespan < initial, "{what}");
+                    } else {
+                        assert_eq!(out.result.makespan, 0, "{what}");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -1,20 +1,21 @@
-//! The evaluator equivalence suite.
+//! The mapping-pricing equivalence suite.
 //!
-//! The whole evaluation layer rests on one contract: for any graph,
-//! topology, communication model, dispatch order, baseline mapping and
-//! *any history of relocate/swap probes with arbitrary commits*, every
-//! makespan an [`Evaluator`] returns is **bit-identical** to a
-//! from-scratch replay of the candidate mapping through the full
-//! discrete-event engine. These property tests drive random move
-//! chains (including long ones, guarding against state drift in the
-//! fast-path kernel's reused buffers) and check every single probe
+//! Whole-graph static SA rests on one contract: for any graph,
+//! topology, communication model, dispatch order and mapping, and
+//! *however long the chain of mappings priced before it* on the same
+//! pricer, [`FixedEval::makespan`] is **bit-identical** to a
+//! from-scratch replay of the mapping through the full discrete-event
+//! engine. These property tests walk random chains of one-move
+//! neighbours (relocations and swaps, kept or undone as an annealer
+//! would), including long ones that guard against state drift in the
+//! fast-path kernel's reused buffers, and check every priced mapping
 //! against `simulate`.
 
-use anneal_core::{level_dispatch_order, EvaluatorKind};
+use anneal_core::level_dispatch_order;
 use anneal_graph::generate::{fork_join, gnp_dag, layered_random, LayeredConfig, Range};
 use anneal_graph::units::us;
-use anneal_graph::{TaskGraph, TaskId};
-use anneal_sim::{simulate, FixedMapping, SimConfig};
+use anneal_graph::TaskGraph;
+use anneal_sim::{simulate, FixedEval, FixedMapping, SimConfig};
 use anneal_topology::builders::*;
 use anneal_topology::{CommParams, ProcId, Topology};
 use proptest::prelude::*;
@@ -69,9 +70,10 @@ fn engine_replay(
     simulate(g, topo, params, &mut s, cfg).unwrap().makespan
 }
 
-/// Drives `moves` random probes (50/50 relocate/swap, committing with
-/// probability `commit_p`) against both evaluator kinds and the engine,
-/// asserting three-way bit-identity at every step.
+/// Walks `moves` one-move neighbours (50/50 relocate/swap, keeping
+/// each with probability `keep_p` and undoing it otherwise), pricing
+/// every neighbour with one `FixedEval` and asserting bit-identity with
+/// the engine at every step.
 #[allow(clippy::too_many_arguments)]
 fn drive_chain(
     g: &TaskGraph,
@@ -80,62 +82,41 @@ fn drive_chain(
     cfg: &SimConfig,
     chain_seed: u64,
     moves: usize,
-    commit_p: f64,
+    keep_p: f64,
     order: &[u64],
 ) -> Result<(), TestCaseError> {
     let n = g.num_tasks();
     let np = topo.num_procs();
-    let mut full = EvaluatorKind::Full
-        .build(g, topo, params, cfg, order.to_vec())
-        .unwrap();
-    let mut incr = EvaluatorKind::Incremental
-        .build(g, topo, params, cfg, order.to_vec())
-        .unwrap();
+    let mut ev = FixedEval::new(g, topo, params, cfg, order.to_vec()).unwrap();
 
     let mut rng = StdRng::seed_from_u64(chain_seed);
     let mut mapping: Vec<ProcId> = (0..n)
         .map(|_| ProcId::from_index(rng.gen_range(0..np)))
         .collect();
-    let base = engine_replay(g, topo, params, cfg, &mapping, order);
-    prop_assert_eq!(full.reset(&mapping).unwrap(), base);
-    prop_assert_eq!(incr.reset(&mapping).unwrap(), base);
+    prop_assert_eq!(
+        ev.makespan(&mapping).unwrap(),
+        engine_replay(g, topo, params, cfg, &mapping, order)
+    );
 
     for step in 0..moves {
-        let mut cand = mapping.clone();
-        let (a, b);
+        let kept = mapping.clone();
+        let t = rng.gen_range(0..n);
         if rng.gen_bool(0.5) {
-            let t = rng.gen_range(0..n);
-            let q = rng.gen_range(0..np);
-            cand[t] = ProcId::from_index(q);
-            a = full
-                .eval_relocate(TaskId::from_index(t), ProcId::from_index(q))
-                .unwrap();
-            b = incr
-                .eval_relocate(TaskId::from_index(t), ProcId::from_index(q))
-                .unwrap();
+            mapping[t] = ProcId::from_index(rng.gen_range(0..np));
         } else {
-            let t = rng.gen_range(0..n);
-            let u = rng.gen_range(0..n);
-            cand.swap(t, u);
-            a = full
-                .eval_swap(TaskId::from_index(t), TaskId::from_index(u))
-                .unwrap();
-            b = incr
-                .eval_swap(TaskId::from_index(t), TaskId::from_index(u))
-                .unwrap();
+            mapping.swap(t, rng.gen_range(0..n));
         }
-        let expected = engine_replay(g, topo, params, cfg, &cand, order);
-        prop_assert_eq!(a, expected, "full replay diverged at step {}", step);
-        prop_assert_eq!(b, expected, "incremental diverged at step {}", step);
-        if rng.gen_bool(commit_p) {
-            full.commit();
-            incr.commit();
-            mapping = cand;
-            prop_assert_eq!(full.mapping(), mapping.as_slice());
-            prop_assert_eq!(incr.mapping(), mapping.as_slice());
+        let expected = engine_replay(g, topo, params, cfg, &mapping, order);
+        prop_assert_eq!(
+            ev.makespan(&mapping).unwrap(),
+            expected,
+            "kernel diverged at step {}",
+            step
+        );
+        if !rng.gen_bool(keep_p) {
+            mapping = kept;
         }
     }
-    prop_assert_eq!(full.evaluations(), incr.evaluations());
     Ok(())
 }
 
@@ -143,7 +124,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(28))]
 
     /// Random graphs × topologies × mappings × short move chains, with
-    /// the paper's communication model: every probed makespan matches a
+    /// the paper's communication model: every priced makespan matches a
     /// from-scratch full-DES replay bit for bit.
     #[test]
     fn incremental_matches_full_des_replay(
@@ -175,9 +156,9 @@ proptest! {
     }
 }
 
-/// Long chains on a fixed instance: hundreds of moves with commits and
-/// rejections interleaved must not drift (every run reuses the
-/// previous runs' buffers).
+/// Long chains on a fixed instance: hundreds of moves, kept and undone
+/// interleaved, must not drift (every run reuses the previous runs'
+/// buffers).
 #[test]
 fn long_move_chains_do_not_drift() {
     let mut rng = StdRng::seed_from_u64(99);

@@ -1,4 +1,4 @@
-//! Fast makespan evaluation of fixed mappings under single-task moves.
+//! Fast makespan pricing of fixed mappings.
 //!
 //! Whole-graph annealing (`anneal-core`'s `static_sa`) prices every
 //! candidate mapping by its simulated makespan. A complete
@@ -11,26 +11,24 @@
 //! packed 16-byte 4-ary event heap, per-processor compute-completion
 //! registers, precomputed all-pairs routes, fully reused buffers) under
 //! the [`FixedMapping`](crate::FixedMapping) dispatch rule, kept as
-//! per-processor waiting lists. Each move is priced by one plain run of
-//! that kernel from time 0 under the candidate mapping; a move that
-//! leaves the mapping unchanged returns the baseline makespan without a
-//! run. [`FixedEval::commit`] adopts the candidate's mapping and
-//! makespan.
+//! per-processor waiting lists. [`FixedEval::makespan`] prices a whole
+//! mapping with one plain run of that kernel from time 0; the caller
+//! owns the mapping and applies or undoes its moves itself.
 //!
 //! A whole-graph move therefore costs one simulation. Resuming each
-//! candidate from a snapshot of the baseline does not pay on campaign
-//! traffic: a move there diverges after about a third of a run's
-//! epochs, and commits erode a recorded timeline faster than it can be
-//! reused (`docs/PAPER_MAP.md`, "Cost deltas").
+//! candidate from a snapshot of the previous mapping does not pay on
+//! campaign traffic: a move there diverges after about a third of a
+//! run's epochs, and accepted moves erode a recorded timeline faster
+//! than it can be reused (`docs/PAPER_MAP.md`, "Cost deltas").
 //!
 //! The equivalence contract (every makespan equals a from-scratch
-//! engine replay of the same mapping, including after arbitrarily long
-//! relocate/swap/commit chains) is enforced by unit tests here and the
+//! engine replay of the same mapping, however long the chain of
+//! mappings priced before it) is enforced by unit tests here and the
 //! proptest suite in `anneal-core/tests/evaluator.rs`; the
 //! allocation-regression test in `tests/alloc.rs` pins steady-state
-//! move evaluation at zero heap allocation.
+//! pricing at zero heap allocation.
 
-use anneal_graph::{TaskGraph, TaskId};
+use anneal_graph::TaskGraph;
 use anneal_topology::{CommParams, ProcId, RouteTable, Topology};
 
 use crate::engine::{SimConfig, SimError};
@@ -91,14 +89,12 @@ impl Driver for FixedDriver<'_> {
     }
 }
 
-/// Fixed-mapping makespan evaluator.
+/// Fixed-mapping makespan pricer.
 ///
 /// Create one per `(graph, topology, params, config, dispatch order)`
-/// instance, establish a baseline with [`FixedEval::reset`], then probe
-/// single-task moves with [`FixedEval::eval_relocate`] /
-/// [`FixedEval::eval_swap`] and adopt accepted candidates with
-/// [`FixedEval::commit`]. Every makespan returned is bit-identical to
-/// `simulate(..)` with `FixedMapping::new(mapping).with_order(order)`.
+/// instance, then price complete mappings with [`FixedEval::makespan`].
+/// Every makespan returned is bit-identical to `simulate(..)` with
+/// `FixedMapping::new(mapping).with_order(order)`.
 #[derive(Debug)]
 pub struct FixedEval<'a> {
     g: &'a TaskGraph,
@@ -112,29 +108,17 @@ pub struct FixedEval<'a> {
     /// `pred_base[t]` = first predecessor-edge id of task `t` (edge ids
     /// number the incoming edges of all tasks consecutively).
     pred_base: Vec<u32>,
-
-    // Committed baseline.
-    base_mapping: Vec<ProcId>,
-    base_makespan: SimTime,
-    has_base: bool,
-
-    // Last evaluated candidate.
-    cand_mapping: Vec<ProcId>,
-    cand_makespan: SimTime,
-    has_candidate: bool,
-
     /// The engine state of the run in progress (the shared fast-path
     /// kernel; every buffer reused).
     k: KernelState,
-    /// `waiting[p]` = ready tasks mapped to processor `p` under the
-    /// running candidate (unordered; dispatch selects the minimum by
+    /// `waiting[p]` = ready tasks mapped to processor `p` in the run in
+    /// progress (unordered; dispatch selects the minimum by
     /// `(order, id)`).
     waiting: Vec<Vec<u32>>,
-    evaluations: u64,
 }
 
 impl<'a> FixedEval<'a> {
-    /// Builds an evaluator for one instance. `order` is the dispatch
+    /// Builds a pricer for one instance. `order` is the dispatch
     /// priority per task (lower dispatches first, ties by task id) —
     /// exactly [`FixedMapping::with_order`](crate::FixedMapping).
     ///
@@ -166,100 +150,47 @@ impl<'a> FixedEval<'a> {
             order,
             routes,
             pred_base,
-            base_mapping: Vec::new(),
-            base_makespan: 0,
-            has_base: false,
-            cand_mapping: Vec::new(),
-            cand_makespan: 0,
-            has_candidate: false,
             k: KernelState::default(),
             waiting: vec![Vec::new(); np],
-            evaluations: 0,
         })
     }
 
-    /// The committed baseline mapping.
+    /// The simulated makespan of `mapping` (task index → processor):
+    /// one kernel run from the empty time-0 state.
     ///
-    /// # Panics
-    ///
-    /// Panics before the first successful [`FixedEval::reset`].
-    pub fn mapping(&self) -> &[ProcId] {
-        assert!(self.has_base, "no baseline: call reset() first");
-        &self.base_mapping
-    }
-
-    /// The committed baseline makespan.
-    ///
-    /// # Panics
-    ///
-    /// Panics before the first successful [`FixedEval::reset`].
-    pub fn makespan(&self) -> SimTime {
-        assert!(self.has_base, "no baseline: call reset() first");
-        self.base_makespan
-    }
-
-    /// Candidate evaluations performed (resets + moves).
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Establishes `mapping` as the committed baseline by a full run,
-    /// returning its makespan.
-    pub fn reset(&mut self, mapping: &[ProcId]) -> Result<SimTime, SimError> {
+    /// Errors with [`SimError::InvalidAssignment`] when `mapping` does
+    /// not hold one processor per task or names a processor outside the
+    /// topology, and with the engine's own errors (such as
+    /// [`SimError::EventLimit`]) otherwise.
+    // lint:allow(panic) reason="build_pred_base always pushes at least one offset"
+    pub fn makespan(&mut self, mapping: &[ProcId]) -> Result<SimTime, SimError> {
         self.check_mapping(mapping)?;
-        self.has_base = false;
-        self.has_candidate = false;
-        self.cand_mapping.clear();
-        self.cand_mapping.extend_from_slice(mapping);
-        let makespan = self.run_candidate()?;
-        self.evaluations += 1;
-        self.base_mapping.clone_from(&self.cand_mapping);
-        self.base_makespan = makespan;
-        self.has_base = true;
-        Ok(makespan)
-    }
-
-    /// Makespan of the baseline with `task` relocated to `to`. The
-    /// baseline itself is unchanged until [`FixedEval::commit`].
-    ///
-    /// # Panics
-    ///
-    /// Panics without a baseline or when `task`/`to` are out of range.
-    pub fn eval_relocate(&mut self, task: TaskId, to: ProcId) -> Result<SimTime, SimError> {
-        assert!(self.has_base, "no baseline: call reset() first");
-        assert!(to.index() < self.num_procs, "{to} out of range");
-        self.cand_mapping.clone_from(&self.base_mapping);
-        let unchanged = self.cand_mapping[task.index()] == to;
-        self.cand_mapping[task.index()] = to;
-        self.eval_candidate(unchanged)
-    }
-
-    /// Makespan of the baseline with tasks `a` and `b` exchanging
-    /// processors. The baseline is unchanged until [`FixedEval::commit`].
-    ///
-    /// # Panics
-    ///
-    /// Panics without a baseline or when `a`/`b` are out of range.
-    pub fn eval_swap(&mut self, a: TaskId, b: TaskId) -> Result<SimTime, SimError> {
-        assert!(self.has_base, "no baseline: call reset() first");
-        self.cand_mapping.clone_from(&self.base_mapping);
-        let unchanged = self.cand_mapping[a.index()] == self.cand_mapping[b.index()];
-        self.cand_mapping.swap(a.index(), b.index());
-        self.eval_candidate(unchanged)
-    }
-
-    /// Adopts the most recently evaluated candidate's mapping and
-    /// makespan as the committed baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no candidate evaluation succeeded since the last
-    /// `reset`/`commit`.
-    pub fn commit(&mut self) {
-        assert!(self.has_candidate, "no candidate to commit");
-        self.has_candidate = false;
-        std::mem::swap(&mut self.base_mapping, &mut self.cand_mapping);
-        self.base_makespan = self.cand_makespan;
+        let num_pred_edges = *self.pred_base.last().expect("pred_base non-empty") as usize;
+        self.k
+            .reset(self.g, self.num_procs, self.num_channels, num_pred_edges);
+        // Worst-case bound: every task can wait on one processor.
+        let n = self.g.num_tasks();
+        for w in &mut self.waiting {
+            w.clear();
+            w.reserve(n);
+        }
+        for &t in &self.k.ready {
+            self.waiting[mapping[t as usize].index()].push(t);
+        }
+        let ctx = KernelCtx {
+            g: self.g,
+            params: &self.params,
+            comm_enabled: self.comm_enabled,
+            max_events: self.max_events,
+            routes: &self.routes,
+            pred_base: &self.pred_base,
+        };
+        let mut driver = FixedDriver {
+            order: &self.order,
+            mapping,
+            waiting: &mut self.waiting,
+        };
+        self.k.run(&ctx, &mut driver)
     }
 
     fn check_mapping(&self, mapping: &[ProcId]) -> Result<(), SimError> {
@@ -276,53 +207,6 @@ impl<'a> FixedEval<'a> {
             )));
         }
         Ok(())
-    }
-
-    /// Prices the candidate in `cand_mapping`. A move that left the
-    /// mapping `unchanged` is the baseline itself, so it needs no run.
-    fn eval_candidate(&mut self, unchanged: bool) -> Result<SimTime, SimError> {
-        self.has_candidate = false;
-        let makespan = if unchanged {
-            self.base_makespan
-        } else {
-            self.run_candidate()?
-        };
-        self.evaluations += 1;
-        self.cand_makespan = makespan;
-        self.has_candidate = true;
-        Ok(makespan)
-    }
-
-    /// Runs the kernel from the empty time-0 state under
-    /// `cand_mapping`, returning the makespan.
-    // lint:allow(panic) reason="build_pred_base always pushes at least one offset"
-    fn run_candidate(&mut self) -> Result<SimTime, SimError> {
-        let num_pred_edges = *self.pred_base.last().expect("pred_base non-empty") as usize;
-        self.k
-            .reset(self.g, self.num_procs, self.num_channels, num_pred_edges);
-        // Worst-case bound: every task can wait on one processor.
-        let n = self.g.num_tasks();
-        for w in &mut self.waiting {
-            w.clear();
-            w.reserve(n);
-        }
-        for &t in &self.k.ready {
-            self.waiting[self.cand_mapping[t as usize].index()].push(t);
-        }
-        let ctx = KernelCtx {
-            g: self.g,
-            params: &self.params,
-            comm_enabled: self.comm_enabled,
-            max_events: self.max_events,
-            routes: &self.routes,
-            pred_base: &self.pred_base,
-        };
-        let mut driver = FixedDriver {
-            order: &self.order,
-            mapping: &self.cand_mapping,
-            waiting: &mut self.waiting,
-        };
-        self.k.run(&ctx, &mut driver)
     }
 }
 
@@ -382,7 +266,7 @@ mod tests {
                 let mapping: Vec<ProcId> = (0..g.num_tasks())
                     .map(|_| p(rng.gen_range(0..np)))
                     .collect();
-                let fast = ev.reset(&mapping).unwrap();
+                let fast = ev.makespan(&mapping).unwrap();
                 let slow = replay(&g, &topo, &params, &cfg, &mapping, &order);
                 assert_eq!(fast, slow, "{}", topo.name());
             }
@@ -390,7 +274,9 @@ mod tests {
     }
 
     #[test]
-    fn incremental_moves_match_full_replay() {
+    fn one_move_neighbours_match_the_engine() {
+        // static_sa's access pattern: apply a relocation or a swap in
+        // place, price the whole mapping, keep or undo the move.
         let g = sample_graph(7);
         let n = g.num_tasks();
         let topo = hypercube(3);
@@ -400,36 +286,19 @@ mod tests {
         let mut ev = FixedEval::new(&g, &topo, &params, &cfg, order.clone()).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let mut mapping: Vec<ProcId> = (0..n).map(|i| p(i % 8)).collect();
-        ev.reset(&mapping).unwrap();
         for step in 0..200 {
+            let kept = mapping.clone();
             let t = rng.gen_range(0..n);
-            let expected;
-            let got;
             if rng.gen_bool(0.5) {
-                let q = rng.gen_range(0..8);
-                let mut cand = mapping.clone();
-                cand[t] = p(q);
-                expected = replay(&g, &topo, &params, &cfg, &cand, &order);
-                got = ev.eval_relocate(TaskId::from_index(t), p(q)).unwrap();
-                if rng.gen_bool(0.6) {
-                    ev.commit();
-                    mapping = cand;
-                }
+                mapping[t] = p(rng.gen_range(0..8));
             } else {
-                let u = rng.gen_range(0..n);
-                let mut cand = mapping.clone();
-                cand.swap(t, u);
-                expected = replay(&g, &topo, &params, &cfg, &cand, &order);
-                got = ev
-                    .eval_swap(TaskId::from_index(t), TaskId::from_index(u))
-                    .unwrap();
-                if rng.gen_bool(0.6) {
-                    ev.commit();
-                    mapping = cand;
-                }
+                mapping.swap(t, rng.gen_range(0..n));
             }
-            assert_eq!(got, expected, "step {step}");
-            assert_eq!(ev.mapping(), mapping.as_slice(), "step {step}");
+            let expected = replay(&g, &topo, &params, &cfg, &mapping, &order);
+            assert_eq!(ev.makespan(&mapping).unwrap(), expected, "step {step}");
+            if rng.gen_bool(0.4) {
+                mapping = kept;
+            }
         }
     }
 
@@ -445,13 +314,13 @@ mod tests {
         let order: Vec<u64> = (0..g.num_tasks() as u64).collect();
         let mut ev = FixedEval::new(&g, &topo, &params, &cfg, order.clone()).unwrap();
         let mapping: Vec<ProcId> = (0..g.num_tasks()).map(|i| p(i % 4)).collect();
-        let fast = ev.reset(&mapping).unwrap();
+        let fast = ev.makespan(&mapping).unwrap();
         assert_eq!(fast, replay(&g, &topo, &params, &cfg, &mapping, &order));
         // single processor serializes exactly
         let topo1 = linear(1);
         let mut ev1 = FixedEval::new(&g, &topo1, &params, &cfg, order).unwrap();
         let all0 = vec![p(0); g.num_tasks()];
-        assert_eq!(ev1.reset(&all0).unwrap(), g.total_work());
+        assert_eq!(ev1.makespan(&all0).unwrap(), g.total_work());
     }
 
     #[test]
@@ -474,18 +343,18 @@ mod tests {
             vec![p(1), p(0), p(0)],
         ] {
             assert_eq!(
-                ev.reset(&mapping).unwrap(),
+                ev.makespan(&mapping).unwrap(),
                 replay(&g, &topo, &params, &cfg, &mapping, &order)
             );
         }
     }
 
     #[test]
-    fn steady_state_move_evaluation_is_allocation_free_of_results() {
-        // Smoke for buffer reuse: thousands of evaluations on one
-        // evaluator must agree with the engine at the end of the chain.
-        // (tests/alloc.rs pins the actual zero-allocation property with
-        // a counting allocator.)
+    fn reused_buffers_do_not_drift_over_long_chains() {
+        // Smoke for buffer reuse: thousands of runs on one pricer must
+        // agree with the engine at the end of the chain. (tests/alloc.rs
+        // pins the actual zero-allocation property with a counting
+        // allocator.)
         let g = sample_graph(13);
         let n = g.num_tasks();
         let topo = ring(5);
@@ -494,22 +363,20 @@ mod tests {
         let order: Vec<u64> = vec![0; n];
         let mut ev = FixedEval::new(&g, &topo, &params, &cfg, order.clone()).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let mapping: Vec<ProcId> = (0..n).map(|i| p(i % 5)).collect();
-        ev.reset(&mapping).unwrap();
+        let mut mapping: Vec<ProcId> = (0..n).map(|i| p(i % 5)).collect();
         for _ in 0..2000 {
             let t = rng.gen_range(0..n);
-            let q = rng.gen_range(0..5);
-            ev.eval_relocate(TaskId::from_index(t), p(q)).unwrap();
-            if rng.gen_bool(0.3) {
-                ev.commit();
+            let prev = mapping[t];
+            mapping[t] = p(rng.gen_range(0..5));
+            ev.makespan(&mapping).unwrap();
+            if !rng.gen_bool(0.3) {
+                mapping[t] = prev;
             }
         }
-        let final_mapping = ev.mapping().to_vec();
         assert_eq!(
-            ev.makespan(),
-            replay(&g, &topo, &params, &cfg, &final_mapping, &order)
+            ev.makespan(&mapping).unwrap(),
+            replay(&g, &topo, &params, &cfg, &mapping, &order)
         );
-        assert_eq!(ev.evaluations(), 2001);
     }
 
     #[test]
@@ -519,17 +386,23 @@ mod tests {
         let params = CommParams::paper();
         let cfg = SimConfig::default();
         let order: Vec<u64> = (0..g.num_tasks() as u64).collect();
-        let mut ev = FixedEval::new(&g, &topo, &params, &cfg, order).unwrap();
+        let mut ev = FixedEval::new(&g, &topo, &params, &cfg, order.clone()).unwrap();
         let short = vec![p(0); g.num_tasks() - 1];
         assert!(matches!(
-            ev.reset(&short),
+            ev.makespan(&short),
             Err(SimError::InvalidAssignment(_))
         ));
         let out_of_range = vec![p(7); g.num_tasks()];
         assert!(matches!(
-            ev.reset(&out_of_range),
+            ev.makespan(&out_of_range),
             Err(SimError::InvalidAssignment(_))
         ));
+        // A refused mapping leaves the pricer usable.
+        let valid: Vec<ProcId> = (0..g.num_tasks()).map(|i| p(i % 2)).collect();
+        assert_eq!(
+            ev.makespan(&valid).unwrap(),
+            replay(&g, &topo, &params, &cfg, &valid, &order)
+        );
     }
 
     #[test]
@@ -544,6 +417,6 @@ mod tests {
         let order: Vec<u64> = (0..g.num_tasks() as u64).collect();
         let mut ev = FixedEval::new(&g, &topo, &params, &cfg, order).unwrap();
         let mapping: Vec<ProcId> = (0..g.num_tasks()).map(|i| p(i % 2)).collect();
-        assert_eq!(ev.reset(&mapping), Err(SimError::EventLimit));
+        assert_eq!(ev.makespan(&mapping), Err(SimError::EventLimit));
     }
 }

@@ -24,7 +24,7 @@ use std::cell::Cell;
 use anneal_core::{SaConfig, SaLane, SaScheduler};
 use anneal_graph::generate::{layered_random, LayeredConfig, Range};
 use anneal_graph::units::us;
-use anneal_graph::{TaskGraph, TaskId};
+use anneal_graph::TaskGraph;
 use anneal_obs::NoopRecorder;
 use anneal_sim::{
     simulate_makespan, FixedEval, FixedMapping, GreedyScheduler, SimConfig, SimScratch,
@@ -183,17 +183,19 @@ fn observation_with_noop_recorder_allocates_nothing() {
 
     let order: Vec<u64> = (0..n as u64).collect();
     let mut ev = FixedEval::new(&g, &topo, &params, &cfg, order).unwrap();
-    let mapping: Vec<ProcId> = (0..n).map(|i| ProcId::from_index(i % 8)).collect();
-    ev.reset(&mapping).unwrap();
+    let mut mapping: Vec<ProcId> = (0..n).map(|i| ProcId::from_index(i % 8)).collect();
 
     // Warm-up: same deterministic move script as the measured region,
-    // long enough to grow every buffer to its high-water mark.
+    // long enough to grow every buffer to its high-water mark. Every
+    // third move is kept; the others are undone.
     let mut expect = 0;
-    let step = |ev: &mut FixedEval<'_>, i: usize| {
-        ev.eval_relocate(TaskId::from_index(i % n), ProcId::from_index((i * 7) % 8))
-            .unwrap();
-        if i.is_multiple_of(3) {
-            ev.commit();
+    let step = |ev: &mut FixedEval<'_>, mapping: &mut [ProcId], i: usize| {
+        let t = i % n;
+        let prev = mapping[t];
+        mapping[t] = ProcId::from_index((i * 7) % 8);
+        ev.makespan(mapping).unwrap();
+        if !i.is_multiple_of(3) {
+            mapping[t] = prev;
         }
     };
     for i in 0..600usize {
@@ -202,7 +204,7 @@ fn observation_with_noop_recorder_allocates_nothing() {
                 simulate_makespan(&g, &topo, &params, &mut GreedyScheduler, &cfg, &mut scratch)
                     .unwrap();
         }
-        step(&mut ev, i);
+        step(&mut ev, &mut mapping, i);
     }
 
     let mut noop = NoopRecorder;
@@ -215,7 +217,7 @@ fn observation_with_noop_recorder_allocates_nothing() {
             scratch.last_run_stats().record_into(&mut noop);
             scratch.route_cache_stats().record_into(&mut noop);
         }
-        step(&mut ev, i);
+        step(&mut ev, &mut mapping, i);
     }
     let delta = allocations() - before;
     assert_eq!(
@@ -272,7 +274,7 @@ fn turbo_sa_lane_steady_state_allocates_nothing() {
 }
 
 #[test]
-fn incremental_move_evaluation_allocates_nothing_after_warmup() {
+fn mapping_pricing_allocates_nothing_after_warmup() {
     let g = sample_graph(7);
     let n = g.num_tasks();
     let topo = hypercube(3);
@@ -280,13 +282,13 @@ fn incremental_move_evaluation_allocates_nothing_after_warmup() {
     let cfg = SimConfig::default();
     let order: Vec<u64> = (0..n as u64).collect();
     let mut ev = FixedEval::new(&g, &topo, &params, &cfg, order).unwrap();
-    let mapping: Vec<ProcId> = (0..n).map(|i| ProcId::from_index(i % 8)).collect();
-    ev.reset(&mapping).unwrap();
+    let mut mapping: Vec<ProcId> = (0..n).map(|i| ProcId::from_index(i % 8)).collect();
 
-    // Warm-up: a long committed move chain grows the kernel's queues and
-    // the waiting lists to their high-water marks.
+    // The script: static_sa's access pattern, a chain of one-move
+    // neighbours (relocations and swaps) applied in place, each priced
+    // and then kept or undone.
     let mut rng = StdRng::seed_from_u64(17);
-    let mut warm_moves = Vec::new();
+    let mut script = Vec::new();
     for _ in 0..1500 {
         let relocate = rng.gen_bool(0.5);
         let a = rng.gen_range(0..n);
@@ -295,36 +297,43 @@ fn incremental_move_evaluation_allocates_nothing_after_warmup() {
         } else {
             rng.gen_range(0..n)
         };
-        let commit = rng.gen_bool(0.4);
-        warm_moves.push((relocate, a, b, commit));
+        let keep = rng.gen_bool(0.4);
+        script.push((relocate, a, b, keep));
     }
-    let apply = |ev: &mut FixedEval<'_>, script: &[(bool, usize, usize, bool)]| {
-        for &(relocate, a, b, commit) in script {
-            if relocate {
-                ev.eval_relocate(TaskId::from_index(a), ProcId::from_index(b))
-                    .unwrap();
-            } else {
-                ev.eval_swap(TaskId::from_index(a), TaskId::from_index(b))
-                    .unwrap();
+    let price =
+        |ev: &mut FixedEval<'_>, mapping: &mut [ProcId], script: &[(bool, usize, usize, bool)]| {
+            for &(relocate, a, b, keep) in script {
+                let prev = mapping[a];
+                if relocate {
+                    mapping[a] = ProcId::from_index(b);
+                } else {
+                    mapping.swap(a, b);
+                }
+                ev.makespan(mapping).unwrap();
+                if keep {
+                    continue;
+                }
+                if relocate {
+                    mapping[a] = prev;
+                } else {
+                    mapping.swap(a, b);
+                }
             }
-            if commit {
-                ev.commit();
-            }
-        }
-    };
-    apply(&mut ev, &warm_moves);
+        };
+    // Warm-up: the whole chain grows the kernel's queues and the
+    // waiting lists to their high-water marks.
+    price(&mut ev, &mut mapping, &script);
 
-    // Measured region: replay the same move mix (relocations, swaps and
-    // commits) on the warm evaluator.
-    let measured = &warm_moves[..300];
+    // Measured region: the same mix of mappings on the warm pricer.
+    let measured = &script[..300];
     let before = allocations();
-    apply(&mut ev, measured);
+    price(&mut ev, &mut mapping, measured);
     let delta = allocations() - before;
     assert_eq!(
         delta,
         0,
-        "steady-state FixedEval move evaluation must not allocate \
-         ({delta} allocations in {} moves)",
+        "steady-state FixedEval pricing must not allocate \
+         ({delta} allocations in {} mappings)",
         measured.len()
     );
 }

@@ -193,3 +193,43 @@ fn static_sa_column_is_pinned() {
         "static-sa column digest {digest:#018x}"
     );
 }
+
+#[test]
+fn static_sa_outcomes_are_pinned_on_both_lanes() {
+    use annealsched::arena::{campaign_instances, static_sa_cell_config};
+    use annealsched::core::{EvaluatorKind, SaLane};
+
+    // The static-sa column pin above sees only the final makespans of
+    // the default lane. This one folds in the exact lane and the move
+    // counters too, so any change to the RNG stream, the move mix or
+    // the pricing of a move shows up bit for bit.
+    let mut digest = fnv1a(0xcbf2_9ce4_8422_2325, b"static_sa");
+    for (j, inst) in campaign_instances(7, 12).iter().enumerate() {
+        for lane in [SaLane::Exact, SaLane::Turbo] {
+            let cfg = static_sa_cell_config(j as u64, EvaluatorKind::Incremental, lane);
+            let out = static_sa(
+                &inst.graph,
+                &inst.topology,
+                &inst.params,
+                &inst.sim_cfg,
+                &cfg,
+            )
+            .unwrap();
+            for v in [
+                out.result.makespan,
+                out.evaluations,
+                out.proposed,
+                out.accepted,
+            ] {
+                digest = fnv1a(digest, &v.to_le_bytes());
+            }
+            for p in &out.mapping {
+                digest = fnv1a(digest, &(p.index() as u64).to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(
+        digest, 0xd08e_907b_f51d_b447,
+        "static_sa outcome digest {digest:#018x}"
+    );
+}
