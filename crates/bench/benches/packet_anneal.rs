@@ -1,15 +1,15 @@
-//! Per-packet annealing loop: the paper's inner optimization, across
-//! packet shapes (the NE average is ~15 candidates for ~1.5 idle
-//! processors; MM packets reach 100 candidates), and across the two SA
-//! lanes that run it (`exact` — the paper-literal `anneal_packet`, the
-//! oracle; `turbo` — the production lane on counter-based RNG streams).
-//! The 2x2 packet has two mappings, so its turbo row times the exact
-//! enumeration that replaces annealing for packets that small.
+//! Settling one packet, the paper's inner optimization, across packet
+//! shapes (the NE average is ~15 candidates for ~1.5 idle processors;
+//! MM packets reach 100 candidates), on both SA lanes: `exact` times
+//! the paper-literal annealing loop (`anneal_packet`, the oracle), and
+//! `turbo-solve` times the production lane's exact assignment solve
+//! (`SaScratch::solve`, tie shuffle included), which replaces
+//! annealing.
 
 use anneal_core::annealer::{anneal_packet, AnnealParams};
 use anneal_core::cost::{BalanceRange, CostModel};
 use anneal_core::packet::AnnealingPacket;
-use anneal_core::{CounterRng, LaneCounters, SaScratch};
+use anneal_core::{CounterRng, SaScratch};
 use anneal_graph::TaskId;
 use anneal_topology::ProcId;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -54,22 +54,19 @@ fn bench_anneal(c: &mut Criterion) {
                 ))
             })
         });
-        group.bench_function(BenchmarkId::new("turbo", format!("{tasks}x{procs}")), |b| {
-            let mut scratch = SaScratch::new();
-            let mut counters = LaneCounters::default();
-            let mut packet_idx = 0u64;
-            b.iter(|| {
-                scratch.load_packet(&packet, 0.5, 0.5, BalanceRange::Full);
-                let mut rng = CounterRng::new(7, packet_idx);
-                packet_idx += 1;
-                black_box(scratch.anneal_turbo(
-                    &AnnealParams::default(),
-                    &mut rng,
-                    false,
-                    &mut counters,
-                ))
-            })
-        });
+        group.bench_function(
+            BenchmarkId::new("turbo-solve", format!("{tasks}x{procs}")),
+            |b| {
+                let mut scratch = SaScratch::new();
+                let mut packet_idx = 0u64;
+                b.iter(|| {
+                    scratch.load_packet(&packet, 0.5, 0.5, BalanceRange::Full);
+                    let mut rng = CounterRng::new(7, packet_idx);
+                    packet_idx += 1;
+                    black_box(scratch.solve(&mut rng, false))
+                })
+            },
+        );
     }
     group.finish();
 }

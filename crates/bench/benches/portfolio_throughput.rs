@@ -15,8 +15,8 @@
 //! * `turbo` — [`PortfolioEntry::evaluate_makespan`] on
 //!   `Portfolio::fast()`, what campaigns run: the shared fast-path
 //!   kernel out of one reused `SimScratch` per sweep, with staged SA on
-//!   the production turbo lane (flat cost tables, counter-based RNG
-//!   streams, midpoint-table acceptance; certified statistically by
+//!   the production turbo lane (each packet's eq. 6 minimum solved
+//!   exactly instead of annealed; certified statistically by
 //!   `lane_study`).
 //!
 //! Before anything is timed, every cell of `Portfolio::fast()` is

@@ -1,5 +1,6 @@
 //! Scheduling throughput: wall time of a full schedule-and-simulate run
-//! for SA vs HLF across the paper workloads on the hypercube.
+//! for SA (the default lane, named in the benchmark id) vs HLF across
+//! the paper workloads on the hypercube.
 
 use anneal_bench::{run_hlf, run_sa, CommMode};
 use anneal_core::SaConfig;
@@ -14,8 +15,10 @@ fn bench_schedulers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("hlf", name), &g, |b, g| {
             b.iter(|| run_hlf(g, &host, CommMode::On))
         });
-        group.bench_with_input(BenchmarkId::new("sa", name), &g, |b, g| {
-            b.iter(|| run_sa(g, &host, CommMode::On, SaConfig::default()))
+        let sa = SaConfig::default();
+        let id = BenchmarkId::new(format!("sa-{}", sa.lane), name);
+        group.bench_with_input(id, &g, |b, g| {
+            b.iter(|| run_sa(g, &host, CommMode::On, sa.clone()))
         });
     }
     group.finish();

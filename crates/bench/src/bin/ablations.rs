@@ -13,7 +13,10 @@
 //!    the value of placement awareness from stochastic search and of
 //!    staging from whole-graph annealing.
 //!
-//! All runs: Newton-Euler with communication unless stated. Writes
+//! All runs: Newton-Euler with communication unless stated. Staged SA
+//! runs the paper's annealer (`SaLane::Exact`, set on every config): the
+//! production turbo lane solves each packet exactly and ignores the
+//! cooling, acceptance and keep-best settings compared here. Writes
 //! `results/ablations.csv`.
 
 use anneal_bench::{results_dir, run_hlf, run_sa, CommMode};
@@ -22,13 +25,14 @@ use anneal_core::cooling::CoolingSchedule;
 use anneal_core::cost::BalanceRange;
 use anneal_core::list::ListScheduler;
 use anneal_core::static_sa::{static_sa, StaticSaConfig};
-use anneal_core::SaConfig;
+use anneal_core::{SaConfig, SaLane};
 use anneal_report::{csv::f, Csv, Table};
 use anneal_sim::simulate;
 use anneal_topology::builders::{bus, hypercube, shared_bus};
 use anneal_workloads::{ne_paper, paper_workloads};
 
 fn main() {
+    let annealer = SaConfig::default().with_lane(SaLane::Exact);
     let g = ne_paper();
     let cube = hypercube(3);
     let mut csv = Csv::new();
@@ -65,7 +69,7 @@ fn main() {
     ] {
         let cfg = SaConfig {
             cooling,
-            ..SaConfig::default()
+            ..annealer.clone()
         };
         let r = run_sa(&g, &cube, CommMode::On, cfg);
         t1.row(vec![name.to_string(), f(r.speedup, 2)]);
@@ -89,7 +93,7 @@ fn main() {
     ] {
         let cfg = SaConfig {
             acceptance,
-            ..SaConfig::default()
+            ..annealer.clone()
         };
         let r = run_sa(&g, &cube, CommMode::On, cfg);
         t2.row(vec![name.to_string(), f(r.speedup, 2)]);
@@ -110,7 +114,7 @@ fn main() {
     for wb in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0] {
         let mut cells = vec![f(wb, 1)];
         for (name, wg) in paper_workloads() {
-            let cfg = SaConfig::default().with_balance_weight(wb);
+            let cfg = annealer.clone().with_balance_weight(wb);
             let r = run_sa(&wg, &cube, CommMode::On, cfg);
             cells.push(f(r.speedup, 2));
             csv.row(&[
@@ -135,7 +139,7 @@ fn main() {
     ] {
         let cfg = SaConfig {
             balance_range,
-            ..SaConfig::default()
+            ..annealer.clone()
         };
         let r = run_sa(&g, &cube, CommMode::On, cfg);
         t4.row(vec![name.to_string(), f(r.speedup, 2)]);
@@ -156,7 +160,7 @@ fn main() {
     for keep_best in [true, false] {
         let cfg = SaConfig {
             keep_best,
-            ..SaConfig::default()
+            ..annealer.clone()
         };
         let r = run_sa(&g, &cube, CommMode::On, cfg);
         t5.row(vec![keep_best.to_string(), f(r.speedup, 2)]);
@@ -178,7 +182,7 @@ fn main() {
         ("bus(8) dedicated", bus(8)),
         ("shared_bus(8)", shared_bus(8)),
     ] {
-        let rs = run_sa(&g, &topo, CommMode::On, SaConfig::default());
+        let rs = run_sa(&g, &topo, CommMode::On, annealer.clone());
         let rh = run_hlf(&g, &topo, CommMode::On);
         t6.row(vec![name.to_string(), f(rs.speedup, 2), f(rh.speedup, 2)]);
         csv.row(&[
@@ -213,7 +217,7 @@ fn main() {
             &CommMode::On.sim_config(),
         )
         .expect("mct run");
-        let rs = run_sa(&wg, &cube, CommMode::On, SaConfig::default());
+        let rs = run_sa(&wg, &cube, CommMode::On, annealer.clone());
         let st = static_sa(
             &wg,
             &cube,

@@ -2,13 +2,13 @@
 //! solve the Graham list scheduling anomalies."
 //!
 //! For each Graham (1969) anomaly scenario, compares the classic FIFO
-//! list schedule, HLF, SA (no communication) and the exact
-//! branch-and-bound optimum.
+//! list schedule, HLF, SA (the paper's annealer, `SaLane::Exact`; no
+//! communication) and the exact branch-and-bound optimum.
 
 use anneal_core::anomaly::{anomaly_scenarios, UNIT};
 use anneal_core::list::{ListScheduler, PriorityPolicy};
 use anneal_core::optimal::optimal_makespan;
-use anneal_core::{HlfScheduler, SaConfig, SaScheduler};
+use anneal_core::{HlfScheduler, SaConfig, SaLane, SaScheduler};
 use anneal_report::Table;
 use anneal_sim::{simulate, SimConfig};
 use anneal_topology::builders::bus;
@@ -39,7 +39,7 @@ fn main() {
         let m_hlf = simulate(&g, &topo, &CommParams::zero(), &mut hlf, &cfg)
             .unwrap_or_else(|e| panic!("scenario '{name}': HLF run failed: {e}"))
             .makespan;
-        let mut sa = SaScheduler::new(SaConfig::default());
+        let mut sa = SaScheduler::new(SaConfig::default().with_lane(SaLane::Exact));
         let m_sa = simulate(&g, &topo, &CommParams::zero(), &mut sa, &cfg)
             .unwrap_or_else(|e| panic!("scenario '{name}': SA run failed: {e}"))
             .makespan;

@@ -42,9 +42,10 @@
 //! * `--full` — use `Portfolio::standard()` including whole-graph
 //!   static SA (slower; default is `Portfolio::fast()`). Both run the
 //!   production SA lane (`SaLane::default()`, turbo), stamped into
-//!   `campaign.meta` as `sa-lane=` together with its exact-packet limit
-//!   (`packet-enum=`), so a directory written under another lane is
-//!   refused on resume (exit 1).
+//!   `campaign.meta` as `sa-lane=` together with how it settles a
+//!   packet (`packet-solve=assignment`), so a directory written under
+//!   another lane, or by a turbo lane that annealed packets, is refused
+//!   on resume (exit 1).
 //! * `--shard K` — restrict this invocation to shard `K`.
 //! * `--threads T` — cap the per-shard evaluation thread pool (default
 //!   `0` = available parallelism). Never changes results.
@@ -78,7 +79,7 @@ use anneal_arena::{
     CampaignConfig, Portfolio, SLOWEST_CELLS,
 };
 use anneal_bench::cli::Cli;
-use anneal_core::{SaLane, EXACT_PACKET_LIMIT};
+use anneal_core::SaLane;
 use anneal_fleet::{
     commit_bytes, read_attempts, read_sealed, render_report, run_worker, seal, shard_state, unseal,
     FaultPlan, FleetConfig, FleetEvent, FleetStats, KillMode, ShardReport, ShardRunner, ShardState,
@@ -182,18 +183,19 @@ fn parse_args() -> Args {
 /// seed would merge cleanly (same header, same shape) into a silently
 /// wrong matrix. (`--threads`/`--metrics`/`--chaos` are deliberately
 /// absent: they never change a cell.) The SA lane is the production
-/// default, and `packet-enum=` the turbo lane's exact-packet limit;
-/// both are recorded so that a directory written under another lane,
-/// or by a turbo lane that annealed every packet, is refused.
+/// default, and `packet-solve=assignment` says that its turbo lane
+/// solves every packet with the assignment solver; both are recorded
+/// so that a directory written under another lane, or by a turbo lane
+/// that annealed packets (stamped `packet-enum=24` or with no packet
+/// line), is refused.
 fn provenance(cfg: &CampaignConfig, full: bool) -> String {
     format!(
-        "instances={}\nshards={}\nseed={}\nportfolio={}\nsa-lane={}\npacket-enum={}\n",
+        "instances={}\nshards={}\nseed={}\nportfolio={}\nsa-lane={}\npacket-solve=assignment\n",
         cfg.instances,
         cfg.shards,
         cfg.base_seed,
         if full { "standard" } else { "fast" },
         SaLane::default(),
-        EXACT_PACKET_LIMIT
     )
 }
 

@@ -2,7 +2,9 @@
 //! (communication) and F_tot (weighted sum) of a Newton-Euler annealing
 //! packet for an 8 node hypercube. The weights are w_b = w_c = 0.5."
 //!
-//! Runs NE on the hypercube with trace recording, picks the packet with
+//! Runs NE on the hypercube with trace recording on the paper's
+//! annealer (`SaLane::Exact`; the production turbo lane solves each
+//! packet without annealing it), picks the packet with
 //! the most candidates (the paper shows a "rich" packet with a long
 //! trajectory), renders an ASCII chart and writes
 //! `results/figure1.csv` with every sample of the chosen packet plus
@@ -10,7 +12,7 @@
 //! `anneal-obs` trace-event export).
 
 use anneal_bench::results_dir;
-use anneal_core::{SaConfig, SaScheduler};
+use anneal_core::{SaConfig, SaLane, SaScheduler};
 use anneal_obs::JsonlSink;
 use anneal_report::{csv::f, Chart, Csv, Series};
 use anneal_sim::{simulate, SimConfig};
@@ -23,7 +25,9 @@ fn main() {
     let topo = hypercube(3);
     let cfg = SaConfig {
         record_traces: true,
-        ..SaConfig::default().with_balance_weight(0.5)
+        ..SaConfig::default()
+            .with_balance_weight(0.5)
+            .with_lane(SaLane::Exact)
     };
     let mut sa = SaScheduler::new(cfg);
     let result = simulate(

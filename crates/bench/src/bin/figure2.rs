@@ -2,12 +2,13 @@
 //! an 8 processor Hypercube (detail)": numbered compute blocks with
 //! send/receive half-blocks and routing marks.
 //!
-//! Renders the first 30 % of the SA run (the paper shows the start of
+//! Runs the paper's annealer (`SaLane::Exact`). Renders the first 30 %
+//! of the SA run (the paper shows the start of
 //! the program) plus the whole run at coarser resolution, and writes
 //! `results/figure2.csv` with every span.
 
 use anneal_bench::results_dir;
-use anneal_core::{SaConfig, SaScheduler};
+use anneal_core::{SaConfig, SaLane, SaScheduler};
 use anneal_report::gantt::{render_gantt, GanttOptions};
 use anneal_report::svg::{render_svg, SvgOptions};
 use anneal_report::{csv::f, Csv};
@@ -19,7 +20,11 @@ use anneal_workloads::ne_paper;
 fn main() {
     let g = ne_paper();
     let topo = hypercube(3);
-    let mut sa = SaScheduler::new(SaConfig::default().with_balance_weight(0.5));
+    let mut sa = SaScheduler::new(
+        SaConfig::default()
+            .with_balance_weight(0.5)
+            .with_lane(SaLane::Exact),
+    );
     let r = simulate(
         &g,
         &topo,

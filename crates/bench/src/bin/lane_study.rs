@@ -2,9 +2,10 @@
 //! (`results/LANE_EQUIV.json`) — the certification of the production
 //! lane against its oracle.
 //!
-//! The turbo lane (`anneal_core::SaLane::Turbo`, the default every bin
-//! runs) changes the annealing trajectory: counter-based RNG streams
-//! and midpoint-table acceptance. What it must **not** change is the
+//! The turbo lane (`anneal_core::SaLane::Turbo`, the production
+//! default) does not anneal at all: it solves each packet's eq. 6
+//! minimum exactly as a linear assignment problem and breaks ties from
+//! a counter-based RNG stream. What it must **not** change is the
 //! *result distribution*: scheduler comparisons are properly made on
 //! final-makespan distributions (Workflow-Schedulers, PAPERS.md), and a
 //! lane must be stress-tested where it is most likely to crack — the

@@ -5,7 +5,7 @@
 //!
 //! Generates a population of small random layered graphs, computes the
 //! exact optimum (branch and bound, no communication) and reports how
-//! close HLF and SA get.
+//! close HLF and SA (the paper's annealer, `SaLane::Exact`) get.
 //!
 //! Usage: `random_survey [count] [procs]` (defaults 100 graphs on 3
 //! processors). A count or processor number that is not a positive
@@ -14,7 +14,7 @@
 
 use anneal_bench::cli::Cli;
 use anneal_core::optimal::optimal_makespan;
-use anneal_core::{HlfScheduler, SaConfig, SaScheduler};
+use anneal_core::{HlfScheduler, SaConfig, SaLane, SaScheduler};
 use anneal_report::{csv::f, Csv, Table};
 use anneal_sim::{simulate, SimConfig};
 use anneal_topology::builders::bus;
@@ -72,7 +72,11 @@ fn main() {
         let mh = simulate(&g, &topo, &CommParams::zero(), &mut hlf, &cfg)
             .unwrap_or_else(|e| panic!("instance {i}: HLF run failed: {e}"))
             .makespan;
-        let mut sa = SaScheduler::new(SaConfig::default().with_seed(i as u64));
+        let mut sa = SaScheduler::new(
+            SaConfig::default()
+                .with_seed(i as u64)
+                .with_lane(SaLane::Exact),
+        );
         let ms = simulate(&g, &topo, &CommParams::zero(), &mut sa, &cfg)
             .unwrap_or_else(|e| panic!("instance {i}: SA run failed: {e}"))
             .makespan;

@@ -23,12 +23,19 @@
 //!
 //! This library holds the shared experiment runners and the argument
 //! parser ([`cli`]) so the binaries and the Criterion benches stay thin.
+//!
+//! Every bin that reproduces a paper table or figure (`table2`,
+//! `figure1`, `figure2`, `annealing_stats`, `anomalies`,
+//! `random_survey`, `ablations`, `scaling`) runs the paper's annealer,
+//! [`SaLane::Exact`]: the production turbo lane solves each packet
+//! without annealing it, so it has no trajectory to chart and no
+//! cooling, acceptance or keep-best setting to compare.
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
 
-use anneal_core::{HlfScheduler, SaConfig, SaScheduler};
+use anneal_core::{HlfScheduler, SaConfig, SaLane, SaScheduler};
 use anneal_graph::TaskGraph;
 use anneal_sim::{simulate, SimConfig, SimResult};
 use anneal_topology::{CommParams, Topology};
@@ -80,7 +87,7 @@ pub fn run_hlf(g: &TaskGraph, topo: &Topology, mode: CommMode) -> SimResult {
     simulate(g, topo, &mode.params(), &mut s, &mode.sim_config()).expect("HLF run failed")
 }
 
-/// Runs SA once with an explicit configuration.
+/// Runs SA once with an explicit configuration, on the lane it names.
 // lint:allow(panic) reason="bench harness entry point: a failed simulation should abort the experiment"
 pub fn run_sa(g: &TaskGraph, topo: &Topology, mode: CommMode, cfg: SaConfig) -> SimResult {
     let mut s = SaScheduler::new(cfg);
@@ -90,14 +97,20 @@ pub fn run_sa(g: &TaskGraph, topo: &Topology, mode: CommMode, cfg: SaConfig) -> 
 /// The tuning grid used by the Table-2 harness. The paper states the
 /// weights "are chosen such that w_b + w_c = 1 and can be tuned to
 /// optimize the allocation for the highest speed-up"; this mirrors that
-/// methodology with a small deterministic sweep.
+/// methodology with a small deterministic sweep of the paper's
+/// annealer ([`SaLane::Exact`]).
 pub fn tuning_grid(fast: bool) -> Vec<SaConfig> {
     let weights: &[f64] = if fast { &[0.5] } else { &[0.3, 0.5, 0.7] };
     let seeds: &[u64] = if fast { &[42] } else { &[42, 1, 2] };
     let mut out = Vec::new();
     for &wb in weights {
         for &seed in seeds {
-            out.push(SaConfig::default().with_balance_weight(wb).with_seed(seed));
+            out.push(
+                SaConfig::default()
+                    .with_balance_weight(wb)
+                    .with_seed(seed)
+                    .with_lane(SaLane::Exact),
+            );
         }
     }
     out

@@ -293,7 +293,7 @@ fn default_run_stamps_the_production_lane_into_campaign_meta() {
     let body = anneal_fleet::unseal(&meta).expect("campaign.meta is sealed");
     for expected in [
         format!("sa-lane={}", anneal_core::SaLane::default()),
-        format!("packet-enum={}", anneal_core::EXACT_PACKET_LIMIT),
+        "packet-solve=assignment".to_string(),
     ] {
         assert!(
             body.lines().any(|l| l == expected),
@@ -304,6 +304,7 @@ fn default_run_stamps_the_production_lane_into_campaign_meta() {
         !body.contains("evaluator="),
         "the evaluator never changes a cell and is not provenance:\n{body}"
     );
+    assert!(!body.contains("packet-enum="), "{body}");
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -362,13 +363,10 @@ fn mismatched_parameters_are_refused_on_resume() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// A directory stamped by the turbo lane that annealed every packet
-/// (no `packet-enum=` line) is refused: its shards would merge cleanly
-/// with shards that enumerate small packets.
-#[test]
-fn directory_from_the_annealing_only_turbo_lane_is_refused() {
-    let dir = fresh_dir("pre-enum");
-    let body = "instances=10\nshards=3\nseed=7\nportfolio=fast\nsa-lane=turbo\n";
+/// Refuses, before any shard runs, a directory whose `campaign.meta`
+/// holds `body`.
+fn assert_stamp_refused(name: &str, body: &str) {
+    let dir = fresh_dir(name);
     std::fs::write(dir.join("campaign.meta"), anneal_fleet::seal(body)).unwrap();
     let out = campaign(&dir, &[]).output().unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -377,6 +375,28 @@ fn directory_from_the_annealing_only_turbo_lane_is_refused() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!dir.join("shard-000.csv").exists(), "no shard may run");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A directory stamped by the turbo lane that annealed every packet
+/// (no packet line) is refused: its shards would merge cleanly with
+/// shards whose packets are solved.
+#[test]
+fn directory_from_the_annealing_only_turbo_lane_is_refused() {
+    assert_stamp_refused(
+        "pre-enum",
+        "instances=10\nshards=3\nseed=7\nportfolio=fast\nsa-lane=turbo\n",
+    );
+}
+
+/// A directory stamped by the turbo lane that enumerated packets with
+/// at most 24 mappings and annealed the rest (`packet-enum=24`) is
+/// refused for the same reason.
+#[test]
+fn directory_from_the_enumerating_turbo_lane_is_refused() {
+    assert_stamp_refused(
+        "enum",
+        "instances=10\nshards=3\nseed=7\nportfolio=fast\nsa-lane=turbo\npacket-enum=24\n",
+    );
 }
 
 #[test]

@@ -11,12 +11,17 @@ use crate::annealer::{anneal_packet, AnnealParams, InitRule};
 use crate::boltzmann::AcceptanceRule;
 use crate::cooling::CoolingSchedule;
 use crate::cost::{BalanceRange, CostModel};
-use crate::lane::{LaneCounters, SaLane, SaScratch};
+use crate::lane::{SaLane, SaScratch};
 use crate::packet::AnnealingPacket;
 use crate::rng_stream::CounterRng;
 use crate::trace::PacketTrace;
 
 /// Full configuration of the SA scheduler.
+///
+/// The annealing knobs (`cooling`, `max_iters`, `stable_iters`,
+/// `moves_per_temp`, `acceptance`, `keep_best`, `init`) act on the
+/// [`SaLane::Exact`] lane only: the turbo lane solves each packet
+/// exactly instead of annealing it.
 #[derive(Debug, Clone)]
 pub struct SaConfig {
     /// Load-balance weight `w_b` (the paper tunes `w_b + w_c = 1`;
@@ -24,20 +29,22 @@ pub struct SaConfig {
     pub wb: f64,
     /// Communication weight `w_c`.
     pub wc: f64,
-    /// Cooling schedule.
+    /// Cooling schedule (exact lane only).
     pub cooling: CoolingSchedule,
-    /// Per-packet temperature-step cap `N_I`.
+    /// Per-packet temperature-step cap `N_I` (exact lane only).
     pub max_iters: u64,
     /// Convergence rule: cost constant across this many temperature
-    /// steps (the paper uses five).
+    /// steps (the paper uses five; exact lane only).
     pub stable_iters: u64,
-    /// Moves proposed per temperature step (0 = `max(8, 2 × packet size)`).
+    /// Moves proposed per temperature step (0 = `max(8, 2 × packet
+    /// size)`; exact lane only).
     pub moves_per_temp: usize,
-    /// Acceptance rule (paper: heat bath, eq. 1).
+    /// Acceptance rule (paper: heat bath, eq. 1; exact lane only).
     pub acceptance: AcceptanceRule,
-    /// Restore the best mapping seen in a packet before dispatching.
+    /// Restore the best mapping seen in a packet before dispatching
+    /// (exact lane only).
     pub keep_best: bool,
-    /// Initial mapping rule.
+    /// Initial mapping rule (exact lane only).
     pub init: InitRule,
     /// `ΔF_b` convention.
     pub balance_range: BalanceRange,
@@ -45,9 +52,10 @@ pub struct SaConfig {
     pub seed: u64,
     /// Record per-iteration traces of every packet (Figure 1 data).
     pub record_traces: bool,
-    /// Which inner-loop implementation runs the packets: the default
-    /// [`SaLane::Turbo`] (production), or [`SaLane::Exact`], the
-    /// paper-literal loop it is certified against.
+    /// How packets are settled: the default [`SaLane::Turbo`]
+    /// (production) solves each one exactly; [`SaLane::Exact`] anneals
+    /// it as the paper does, and is the oracle turbo is certified
+    /// against.
     pub lane: SaLane,
 }
 
@@ -98,17 +106,14 @@ impl SaConfig {
 /// processors).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SaStats {
-    /// Packets scheduled, annealed or enumerated.
+    /// Packets scheduled: annealed on the exact lane, solved exactly
+    /// ([`SaScratch::solve`]) on the turbo lane.
     pub packets: u64,
-    /// Packets the turbo lane solved by enumerating every mapping
-    /// ([`crate::lane::EXACT_PACKET_LIMIT`]); they add no iterations,
-    /// moves or lane decisions.
-    pub enumerated: u64,
-    /// Total temperature steps across packets.
+    /// Total temperature steps across packets (exact lane only).
     pub iterations: u64,
-    /// Total moves proposed.
+    /// Total moves proposed (exact lane only).
     pub moves: u64,
-    /// Total accepted moves.
+    /// Total accepted moves (exact lane only).
     pub accepted: u64,
     /// Sum of candidate counts.
     pub candidates: u64,
@@ -116,12 +121,9 @@ pub struct SaStats {
     pub idle: u64,
     /// Total tasks dispatched.
     pub assigned: u64,
-    /// Turbo-lane acceptance decisions that were certain (zero on the
-    /// exact lane).
-    pub lane_shortcut: u64,
-    /// Turbo-lane decisions drawn against a table bucket midpoint.
-    pub lane_table: u64,
-    /// Counter-RNG draws consumed (turbo lane only; zero elsewhere).
+    /// Counter-RNG draws consumed by the turbo lane's tie shuffles
+    /// (`m − 1` per packet for `m = max(n, p)`; zero on the exact
+    /// lane).
     pub lane_rng_draws: u64,
 }
 
@@ -166,15 +168,12 @@ impl SaStats {
     /// every field is a pure function of graph, topology and seed.
     pub fn record_into(&self, r: &mut dyn anneal_obs::Recorder) {
         r.add("sa.packets", self.packets);
-        r.add("sa.enumerated", self.enumerated);
         r.add("sa.iterations", self.iterations);
         r.add("sa.moves", self.moves);
         r.add("sa.accepted", self.accepted);
         r.add("sa.candidates", self.candidates);
         r.add("sa.idle", self.idle);
         r.add("sa.assigned", self.assigned);
-        r.add("sa.lane.shortcut", self.lane_shortcut);
-        r.add("sa.lane.table", self.lane_table);
         r.add("sa.lane.rng_draws", self.lane_rng_draws);
     }
 }
@@ -230,18 +229,18 @@ impl OnlineScheduler for SaScheduler {
             return;
         }
         let levels = self.levels.get_or_insert_with(|| bottom_levels(ctx.graph));
-        let params = AnnealParams {
-            cooling: self.cfg.cooling,
-            max_iters: self.cfg.max_iters,
-            stable_iters: self.cfg.stable_iters,
-            moves_per_temp: self.cfg.moves_per_temp,
-            acceptance: self.cfg.acceptance,
-            keep_best: self.cfg.keep_best,
-            init: self.cfg.init,
-        };
         let before = out.len();
         let (iterations, moves, accepted, trace) = match self.cfg.lane {
             SaLane::Exact => {
+                let params = AnnealParams {
+                    cooling: self.cfg.cooling,
+                    max_iters: self.cfg.max_iters,
+                    stable_iters: self.cfg.stable_iters,
+                    moves_per_temp: self.cfg.moves_per_temp,
+                    acceptance: self.cfg.acceptance,
+                    keep_best: self.cfg.keep_best,
+                    init: self.cfg.init,
+                };
                 let packet = AnnealingPacket::from_epoch(ctx, levels);
                 let cm = CostModel::new(&packet, self.cfg.wb, self.cfg.wc, self.cfg.balance_range);
                 let o = anneal_packet(&packet, &cm, &params, &mut self.rng, self.cfg.record_traces);
@@ -260,29 +259,20 @@ impl OnlineScheduler for SaScheduler {
                     self.cfg.wc,
                     self.cfg.balance_range,
                 );
-                let mut counters = LaneCounters::default();
                 // Packet index = counter-RNG stream id: every packet
                 // gets an independent, order-free draw stream keyed by
                 // (seed, packet) — the sequential `self.rng` is not
                 // touched, so its state never depends on packet count.
                 let mut crng = CounterRng::new(self.cfg.seed, self.stats.packets);
-                let lo = self.scratch.anneal_turbo(
-                    &params,
-                    &mut crng,
-                    self.cfg.record_traces,
-                    &mut counters,
-                );
-                self.stats.enumerated += u64::from(lo.enumerated);
+                let lo = self.scratch.solve(&mut crng, self.cfg.record_traces);
                 self.stats.lane_rng_draws += crng.draws();
-                self.stats.lane_shortcut += counters.shortcut;
-                self.stats.lane_table += counters.table;
                 let (tasks, procs) = (self.scratch.task_ids(), self.scratch.proc_ids());
                 out.extend(
                     self.scratch
                         .assignments()
                         .map(|(t, p)| (tasks[t], procs[p])),
                 );
-                (lo.iterations, lo.moves, lo.accepted, lo.trace)
+                (0, 0, 0, lo.trace)
             }
         };
 
@@ -402,19 +392,29 @@ mod tests {
     #[test]
     fn stats_aggregate_sensibly() {
         let g = diamondish();
-        let mut s = SaScheduler::new(SaConfig::default());
-        simulate(
-            &g,
-            &hypercube(3),
-            &CommParams::paper(),
-            &mut s,
-            &SimConfig::default(),
-        )
-        .unwrap();
-        assert!(s.stats.avg_candidates() >= 1.0);
-        assert!(s.stats.avg_idle() >= 1.0);
-        assert!(s.stats.acceptance_rate() > 0.0 && s.stats.acceptance_rate() <= 1.0);
-        assert!(s.stats.iterations_per_packet() >= 1.0);
+        let run = |lane| {
+            let mut s = SaScheduler::new(SaConfig::default().with_lane(lane));
+            simulate(
+                &g,
+                &hypercube(3),
+                &CommParams::paper(),
+                &mut s,
+                &SimConfig::default(),
+            )
+            .unwrap();
+            s.stats
+        };
+        let exact = run(SaLane::Exact);
+        assert!(exact.avg_candidates() >= 1.0);
+        assert!(exact.avg_idle() >= 1.0);
+        assert!(exact.acceptance_rate() > 0.0 && exact.acceptance_rate() <= 1.0);
+        assert!(exact.iterations_per_packet() >= 1.0);
+        // The turbo lane solves every packet without annealing it.
+        let turbo = run(SaLane::Turbo);
+        assert!(turbo.avg_candidates() >= 1.0);
+        assert_eq!(turbo.packets, exact.packets);
+        assert_eq!((turbo.iterations, turbo.moves, turbo.accepted), (0, 0, 0));
+        assert_eq!(turbo.acceptance_rate(), 0.0);
         assert_eq!(SaStats::default().iterations_per_packet(), 0.0);
     }
 

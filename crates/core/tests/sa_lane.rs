@@ -1,24 +1,21 @@
 //! Oracle suite for the SA lanes.
 //!
-//! The exact engine is the oracle. The turbo lane changes the annealing
-//! trajectory, so it is not compared with it move for move (its
-//! final-makespan distribution is gated in `tests/sa_lane_turbo.rs`).
-//! What turbo must never get wrong is its own bookkeeping: the running
-//! cost it accumulates from directly priced deltas must price the final
-//! mapping exactly like a from-scratch `CostModel` recomputation, and
-//! every schedule it produces must be valid. A packet small enough for
-//! turbo to enumerate must come out at the brute-force eq. 6 minimum,
-//! with exact ties broken uniformly.
+//! The exact engine is the oracle. The turbo lane solves each packet
+//! instead of annealing it, so it is not compared with it move for move
+//! (its final-makespan distribution is gated in
+//! `tests/sa_lane_turbo.rs`). What turbo must never get wrong is the
+//! packet optimum: every packet it solves must come out at the
+//! brute-force eq. 6 minimum without a move, with exact ties broken
+//! uniformly, its reported cost must price its mapping like a
+//! from-scratch `CostModel` recomputation, and every schedule it
+//! produces must be valid.
 
-use anneal_core::annealer::{AnnealParams, InitRule, PacketOutcome};
-use anneal_core::boltzmann::AcceptanceRule;
+use anneal_core::annealer::{AnnealParams, PacketOutcome};
 use anneal_core::cost::{BalanceRange, CostModel};
 use anneal_core::lane::{anneal_packet_lane, LaneRun};
 use anneal_core::mapping::PacketMapping;
 use anneal_core::packet::AnnealingPacket;
-use anneal_core::{
-    CounterRng, LaneCounters, SaConfig, SaLane, SaScheduler, SaScratch, EXACT_PACKET_LIMIT,
-};
+use anneal_core::{CounterRng, SaConfig, SaLane, SaScheduler, SaScratch};
 use anneal_graph::generate::{layered_random, LayeredConfig, Range};
 use anneal_graph::levels::bottom_levels;
 use anneal_graph::TaskId;
@@ -57,30 +54,21 @@ fn recomputed_cost(pk: &AnnealingPacket, out: &PacketOutcome, cm: &CostModel) ->
 
 /// Runs one packet on the turbo lane and checks its mapping is a
 /// saturated injection and its reported cost prices that mapping.
-fn check_turbo_packet(pk: &AnnealingPacket, params: &AnnealParams, bal: BalanceRange, seed: u64) {
-    let ctx = format!(
-        "seed={seed} n={} p={} rule={:?} init={:?} keep_best={}",
-        pk.num_tasks(),
-        pk.num_procs(),
-        params.acceptance,
-        params.init,
-        params.keep_best
-    );
+fn check_turbo_packet(pk: &AnnealingPacket, bal: BalanceRange, seed: u64) {
+    let ctx = format!("seed={seed} n={} p={}", pk.num_tasks(), pk.num_procs());
     let run = LaneRun {
         wb: 0.4,
         wc: 0.6,
         balance: bal,
-        params,
+        params: &AnnealParams::default(),
         lane: SaLane::Turbo,
         want_trace: false,
     };
-    let mut counters = LaneCounters::default();
     let out = anneal_packet_lane(
         pk,
         &run,
         &mut StdRng::seed_from_u64(seed),
         &mut SaScratch::new(),
-        &mut counters,
     );
     assert_eq!(
         out.assignment.len(),
@@ -92,7 +80,7 @@ fn check_turbo_packet(pk: &AnnealingPacket, params: &AnnealParams, bal: BalanceR
         assert!(!used[q], "{ctx}: processor {q} assigned twice");
         used[q] = true;
     }
-    assert!(counters.decisions() <= out.moves, "{ctx}");
+    assert_eq!(out.moves, 0, "{ctx}");
     let cm = CostModel::new(pk, 0.4, 0.6, bal);
     let recomputed = recomputed_cost(pk, &out, &cm);
     assert!(
@@ -105,18 +93,15 @@ fn check_turbo_packet(pk: &AnnealingPacket, params: &AnnealParams, bal: BalanceR
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random packets × rules × inits × keep-best × seeds: the turbo
-    /// lane returns a valid saturated mapping whose reported cost is
-    /// the from-scratch cost of that mapping.
+    /// Random packets × seeds: the turbo lane returns a valid
+    /// saturated mapping whose reported cost is the from-scratch cost
+    /// of that mapping.
     #[test]
     fn turbo_lane_prices_its_final_mapping_on_random_packets(
         levels in prop::collection::vec(1u64..200_000, 1..10),
         comm_seed in 0u64..1_000,
         procs in 1usize..8,
         seed in 0u64..500,
-        rule_ix in 0usize..2,
-        init_ix in 0usize..2,
-        keep_best in any::<bool>(),
     ) {
         let n = levels.len();
         let mut crng = StdRng::seed_from_u64(comm_seed);
@@ -128,14 +113,8 @@ proptest! {
             })
             .collect();
         let pk = packet_from(levels, comm, procs);
-        let params = AnnealParams {
-            acceptance: [AcceptanceRule::HeatBath, AcceptanceRule::Metropolis][rule_ix],
-            init: [InitRule::Random, InitRule::InOrder][init_ix],
-            keep_best,
-            ..AnnealParams::default()
-        };
-        check_turbo_packet(&pk, &params, BalanceRange::Full, seed);
-        check_turbo_packet(&pk, &params, BalanceRange::PerIdle, seed ^ 0x9e37);
+        check_turbo_packet(&pk, BalanceRange::Full, seed);
+        check_turbo_packet(&pk, BalanceRange::PerIdle, seed ^ 0x9e37);
     }
 }
 
@@ -155,8 +134,9 @@ fn graph_for(seed: u64) -> anneal_graph::TaskGraph {
 }
 
 /// Full scheduler runs over random graphs × topologies × seeds: both
-/// lanes produce audited schedules that dispatch every task, and only
-/// the turbo lane touches the acceptance table.
+/// lanes produce audited schedules that dispatch every task; only the
+/// exact lane anneals, and only the turbo lane draws from counter
+/// streams.
 #[test]
 fn both_lanes_schedule_validly_on_random_graphs_and_topologies() {
     for gseed in [3u64, 11] {
@@ -187,75 +167,16 @@ fn both_lanes_schedule_validly_on_random_graphs_and_topologies() {
                     assert_eq!(s.stats.assigned, g.num_tasks() as u64, "{ctx}");
                     assert_eq!(s.traces.len() as u64, s.stats.packets, "{ctx}");
                 }
-                let decisions = st.stats.lane_shortcut + st.stats.lane_table;
-                assert!(decisions <= st.stats.moves, "{ctx}");
-                assert!(decisions > 0, "{ctx}: turbo lane never engaged");
+                assert_eq!(st.stats.moves, 0, "{ctx}: turbo lane annealed");
                 assert!(st.stats.lane_rng_draws > 0, "{ctx}: no counter-RNG draws");
+                assert!(se.stats.moves > 0, "{ctx}: exact lane never annealed");
                 assert_eq!(
-                    se.stats.lane_shortcut + se.stats.lane_table + se.stats.lane_rng_draws,
-                    0,
-                    "{ctx}: exact lane must not touch the table"
+                    se.stats.lane_rng_draws, 0,
+                    "{ctx}: exact lane must not draw from counter streams"
                 );
             }
         }
     }
-}
-
-/// 400+-move drift test: turbo accumulates `cost += delta` from
-/// directly priced deltas; after hundreds of accepted moves the running
-/// cost must still price the final mapping like a from-scratch
-/// `CostModel` recomputation, to 1e-9 relative.
-#[test]
-fn running_cost_does_not_drift_over_400_moves() {
-    let n = 9;
-    let p = 5;
-    let mut crng = StdRng::seed_from_u64(2024);
-    let levels: Vec<u64> = (0..n)
-        .map(|_| rand::Rng::gen_range(&mut crng, 1_000u64..150_000))
-        .collect();
-    let comm: Vec<Vec<u64>> = (0..n)
-        .map(|_| {
-            (0..p)
-                .map(|_| rand::Rng::gen_range(&mut crng, 0u64..40_000))
-                .collect()
-        })
-        .collect();
-    let pk = packet_from(levels, comm, p);
-
-    // keep_best = false so `final_cost` is the *running* cost after the
-    // last accepted move, not a restored snapshot — exactly the value
-    // that would expose accumulated float drift.
-    let params = AnnealParams {
-        keep_best: false,
-        max_iters: 200,
-        stable_iters: u64::MAX,
-        acceptance: AcceptanceRule::HeatBath,
-        ..AnnealParams::default()
-    };
-    let run = LaneRun {
-        wb: 0.5,
-        wc: 0.5,
-        balance: BalanceRange::Full,
-        params: &params,
-        lane: SaLane::Turbo,
-        want_trace: false,
-    };
-    let mut scratch = SaScratch::new();
-    let mut counters = LaneCounters::default();
-    let mut rng = StdRng::seed_from_u64(7);
-    let out = anneal_packet_lane(&pk, &run, &mut rng, &mut scratch, &mut counters);
-    assert!(out.moves >= 400, "only {} moves proposed", out.moves);
-    assert!(out.accepted >= 100, "only {} moves accepted", out.accepted);
-
-    let cm = CostModel::new(&pk, 0.5, 0.5, BalanceRange::Full);
-    let recomputed = recomputed_cost(&pk, &out, &cm);
-    assert!(
-        (out.final_cost - recomputed).abs() <= 1e-9 * recomputed.abs(),
-        "drift after {} accepted moves: running {} vs recomputed {}",
-        out.accepted,
-        out.final_cost,
-        recomputed
-    );
 }
 
 /// `SaScheduler::reseed` replays the identical run without rebuilding
@@ -295,11 +216,12 @@ fn mapping_count(n: usize, p: usize) -> u64 {
     (0..lo).fold(1, |count, k| count.saturating_mul(hi - k))
 }
 
-/// Every packet shape turbo enumerates.
-fn enumerated_shapes() -> Vec<(usize, usize)> {
+/// Every packet shape of up to 24 tasks and 24 processors with at
+/// most 5,040 saturated mappings, on both sides of `n = p`.
+fn brute_forceable_shapes() -> Vec<(usize, usize)> {
     (1..=24)
         .flat_map(|n| (1..=24).map(move |p| (n, p)))
-        .filter(|&(n, p)| mapping_count(n, p) <= EXACT_PACKET_LIMIT)
+        .filter(|&(n, p)| mapping_count(n, p) <= 5_040)
         .collect()
 }
 
@@ -355,39 +277,46 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * b.abs().max(1.0)
 }
 
-/// Runs `pk` through the turbo lane with the default parameters.
-fn turbo_outcome<R: rand::Rng>(
+/// Runs `pk` through the turbo lane with `w_b = wb`, `w_c = 1 − wb`.
+fn solved_outcome<R: rand::Rng>(
     pk: &AnnealingPacket,
+    wb: f64,
     bal: BalanceRange,
     rng: &mut R,
 ) -> PacketOutcome {
     let params = AnnealParams::default();
     let run = LaneRun {
-        wb: 0.4,
-        wc: 0.6,
+        wb,
+        wc: 1.0 - wb,
         balance: bal,
         params: &params,
         lane: SaLane::Turbo,
         want_trace: false,
     };
-    let mut counters = LaneCounters::default();
-    let out = anneal_packet_lane(pk, &run, rng, &mut SaScratch::new(), &mut counters);
-    if out.moves == 0 {
-        assert_eq!(
-            counters.decisions(),
-            0,
-            "an enumerated packet decides nothing"
-        );
-        assert_eq!((out.iterations, out.accepted), (0, 0));
-    }
+    let out = anneal_packet_lane(pk, &run, rng, &mut SaScratch::new());
+    assert_eq!(
+        (out.iterations, out.moves, out.accepted),
+        (0, 0, 0),
+        "a solved packet anneals nothing"
+    );
     out
+}
+
+/// Runs `pk` through the turbo lane with `w_b = 0.4`, `w_c = 0.6`.
+fn turbo_outcome<R: rand::Rng>(
+    pk: &AnnealingPacket,
+    bal: BalanceRange,
+    rng: &mut R,
+) -> PacketOutcome {
+    solved_outcome(pk, 0.4, bal, rng)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random packets with at most `EXACT_PACKET_LIMIT` mappings, drawn
-    /// from a few levels and costs so that ties occur: turbo returns a
+    /// Random packets with at most 5,040 mappings, on both sides of
+    /// `n = p`, drawn from a few levels and costs so that ties occur,
+    /// under mixed weights and with either weight zero: turbo returns a
     /// saturated injection without a move, and it prices to the
     /// brute-force eq. 6 minimum.
     #[test]
@@ -397,8 +326,9 @@ proptest! {
         comm_seed in 0u64..1_000,
         seed in 0u64..500,
         per_idle in any::<bool>(),
+        wb_ix in 0usize..3,
     ) {
-        let shapes = enumerated_shapes();
+        let shapes = brute_forceable_shapes();
         let (n, p) = shapes[shape_ix % shapes.len()];
         let mut crng = StdRng::seed_from_u64(comm_seed);
         let comm: Vec<Vec<u64>> = (0..n)
@@ -411,17 +341,17 @@ proptest! {
         let levels: Vec<u64> = levels[..n].iter().map(|l| l * 1_000).collect();
         let pk = packet_from(levels, comm, p);
         let bal = if per_idle { BalanceRange::PerIdle } else { BalanceRange::Full };
-        let ctx = format!("n={n} p={p} seed={seed} bal={bal:?}");
+        let wb = [0.0, 0.4, 1.0][wb_ix];
+        let ctx = format!("n={n} p={p} seed={seed} bal={bal:?} wb={wb}");
 
-        let out = turbo_outcome(&pk, bal, &mut StdRng::seed_from_u64(seed));
-        prop_assert_eq!(out.moves, 0, "{}: a small packet must be enumerated", ctx);
+        let out = solved_outcome(&pk, wb, bal, &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(out.assignment.len(), n.min(p), "{}: not saturated", ctx);
         let mut m = PacketMapping::new(n, p);
         for &(t, q) in &out.assignment {
             prop_assert!(m.task_at(q).is_none(), "{}: processor {} used twice", ctx, q);
             m.apply(m.propose(t, q).expect("free processor"));
         }
-        let cm = CostModel::new(&pk, 0.4, 0.6, bal);
+        let cm = CostModel::new(&pk, wb, 1.0 - wb, bal);
         let (min, count) = brute_force_minimum(&pk, &cm);
         prop_assert_eq!(count, mapping_count(n, p), "{}", ctx);
         let (fb, fc) = cm.raw_full(&m);
@@ -431,7 +361,7 @@ proptest! {
 }
 
 /// 3 equal-level tasks on 3 processors with no communication: all 6
-/// mappings are optimal, and the reservoir picks each about as often.
+/// mappings are optimal, and the tie shuffle picks each about as often.
 #[test]
 fn exact_ties_are_broken_uniformly() {
     let pk = packet_from(vec![5_000; 3], vec![vec![0; 3]; 3], 3);
@@ -447,28 +377,31 @@ fn exact_ties_are_broken_uniformly() {
     }
 }
 
-/// Packets with exactly `EXACT_PACKET_LIMIT` mappings are enumerated;
-/// one more mapping and the packet anneals.
+/// Packets of every size are solved without a move, including the
+/// shapes around the old 24-mapping enumeration limit and ones far
+/// past it; every shape with at most 9! mappings is checked against
+/// the brute-force minimum.
 #[test]
-fn enumeration_stops_at_the_limit() {
-    let cases = [
-        (4, 4, true),
-        (3, 4, true),
-        (1, 24, true),
-        (24, 1, true),
-        (1, 25, false),
-    ];
-    for (n, p, enumerated) in cases {
+fn packets_of_every_size_are_solved_without_a_move() {
+    for (n, p) in [
+        (4, 4),
+        (3, 4),
+        (1, 24),
+        (24, 1),
+        (1, 25),
+        (9, 9),
+        (2, 9),
+        (30, 4),
+    ] {
         let levels: Vec<u64> = (0..n as u64).map(|i| 1_000 + 37 * i).collect();
         let comm: Vec<Vec<u64>> = (0..n)
             .map(|t| (0..p).map(|q| ((t * 7 + q * 3) % 5) as u64 * 400).collect())
             .collect();
         let pk = packet_from(levels, comm, p);
-        assert_eq!(mapping_count(n, p) <= EXACT_PACKET_LIMIT, enumerated);
         let out = turbo_outcome(&pk, BalanceRange::Full, &mut StdRng::seed_from_u64(3));
-        assert_eq!(out.moves == 0, enumerated, "{n}x{p}: moves = {}", out.moves);
-        let cm = CostModel::new(&pk, 0.4, 0.6, BalanceRange::Full);
-        if enumerated {
+        assert_eq!(out.assignment.len(), n.min(p), "{n}x{p}: not saturated");
+        if mapping_count(n, p) <= 362_880 {
+            let cm = CostModel::new(&pk, 0.4, 0.6, BalanceRange::Full);
             assert!(
                 close(out.final_cost, brute_force_minimum(&pk, &cm).0),
                 "{n}x{p}"
@@ -513,7 +446,7 @@ impl OnlineScheduler for Pricing {
 
 /// Tracing only records: with `record_traces` on and off, the turbo
 /// lane takes the same path (placement, makespan, every counter), and
-/// the one sample of an enumerated packet is its final cost.
+/// every packet records exactly one sample, its final cost.
 #[test]
 fn traced_and_untraced_runs_take_the_same_path() {
     for gseed in [3u64, 11] {
@@ -548,16 +481,10 @@ fn traced_and_untraced_runs_take_the_same_path() {
                 assert_eq!(traced.sa.stats, untraced.sa.stats, "{ctx}");
                 assert!(untraced.sa.traces.is_empty(), "{ctx}");
                 let stats = &traced.sa.stats;
-                assert!(stats.enumerated > 0 && stats.moves > 0, "{ctx}: {stats:?}");
-
-                let one_sample: Vec<_> = traced
-                    .sa
-                    .traces
-                    .iter()
-                    .filter(|t| t.samples.len() == 1)
-                    .collect();
-                assert_eq!(one_sample.len() as u64, stats.enumerated, "{ctx}");
-                for tr in one_sample {
+                assert!(stats.packets > 0 && stats.moves == 0, "{ctx}: {stats:?}");
+                assert_eq!(traced.sa.traces.len() as u64, stats.packets, "{ctx}");
+                for tr in &traced.sa.traces {
+                    assert_eq!(tr.samples.len(), 1, "{ctx}: packet {}", tr.packet);
                     let s = tr.samples[0];
                     assert_eq!((s.iter, s.temp, s.accepted), (0, 0.0, false), "{ctx}");
                     let cost = traced.costs[tr.packet as usize];
