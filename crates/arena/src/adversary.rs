@@ -24,9 +24,10 @@
 //!   instance column) run through the crate's one cell loop — the one
 //!   tournaments and campaign shards use — with every worker drawing a
 //!   warm `anneal_sim::SimScratch` from a search-wide [`ScratchPool`]:
-//!   cells run on the fast-path kernel (no Gantt, no statistics, cached
-//!   route tables, zero steady-state allocation) with makespans
-//!   bit-identical to the full engine;
+//!   the column is one job, run on the calling thread, whose schedulers
+//!   share one lockstep run of the fast-path kernel (no Gantt, no
+//!   statistics, cached route tables, zero steady-state allocation)
+//!   with makespans bit-identical to the full engine;
 //! * candidates are **memoized by instance content**: the SA walk over
 //!   a small graph frequently proposes an instance it has already
 //!   priced (a rejected edit re-proposed, a perturbation that rounds
@@ -165,7 +166,7 @@ pub fn makespan_ratio_pooled(
         lineup.len() > 1,
         "portfolio must hold a rival for '{target}'"
     );
-    let cells = run_cells(
+    let (cells, _) = run_cells(
         &lineup,
         std::slice::from_ref(inst),
         &[0],

@@ -5,11 +5,26 @@
 //! shards and the adversary's ratio evaluations all fan their cells out
 //! through [`run_cells`]; tournaments and shards also share its registry
 //! fold ([`run_cells_observed`]).
+//!
+//! A column is one job: the entries' factories run in entry order, then
+//! one lockstep kernel run ([`simulate_makespans`]) simulates all their
+//! schedulers together, forking where their decisions part, so the
+//! entries that schedule an instance alike share its simulation. Each
+//! cell still gets its solo makespan and kernel counters. Its wall time
+//! stays a measurement: its factory's time plus its share of every leg
+//! it rode (a stretch of one branch with a fixed set of riders, see
+//! [`Rider`]), each leg timed by the caller's clock and split among its
+//! riders by the events each simulated there, which within a leg are
+//! the same. A column's cells sum to the column's measured time.
+
+use std::cmp::Reverse;
 
 use anneal_core::parallel::{run_chunked_pooled, ScratchPool};
 use anneal_obs::{Clock, MetricsRegistry, Recorder};
 use anneal_report::CELL_NS_PREFIX;
-use anneal_sim::{KernelRunStats, SimError, SimScratch};
+use anneal_sim::{
+    simulate_makespans, KernelRunStats, LockstepStats, OnlineScheduler, Rider, SimError, SimScratch,
+};
 
 use crate::instance::ArenaInstance;
 use crate::portfolio::{Portfolio, PortfolioEntry};
@@ -29,9 +44,11 @@ pub(crate) fn cell_seed(base: u64, row: u64, col: u64) -> u64 {
 pub(crate) struct Cell {
     /// The fast-path makespan (ns), bit-identical to the full engine.
     pub(crate) makespan: u64,
-    /// Wall time of the evaluation read from the caller's clock (ns).
+    /// The cell's share of its column's wall time, read from the
+    /// caller's clock (ns).
     pub(crate) wall_ns: u64,
-    /// The kernel counters of the cell's simulation.
+    /// The kernel counters of the cell's simulation, as its solo run
+    /// would count them.
     pub(crate) stats: KernelRunStats,
 }
 
@@ -40,16 +57,12 @@ pub(crate) struct Cell {
 /// instance's global column index, so a campaign cell keeps its seed
 /// under any sharding.
 ///
-/// The cells fan out over [`run_chunked_pooled`] (worker scratch drawn
-/// from `pool`) and come back entry-major: cell `(e, c)` sits at index
-/// `e * instances.len() + c`. The first error in that order aborts.
-///
-/// Jobs are numbered from the last entry back, so the workers claim the
-/// last entries' cells first. Portfolios register their entries
-/// cheapest first ([`Portfolio::fast`], [`Portfolio::standard`]): the
-/// annealers' cells, which cost milliseconds, start first, and the
-/// heuristics' microsecond cells fill the tail, so no worker is left
-/// with one long cell while the others idle.
+/// Each column is one job of [`run_chunked_pooled`] (worker scratch
+/// drawn from `pool`), and the workers claim the largest instances
+/// (tasks + edges) first, so no worker is left with one long column
+/// while the others idle. Cells come back entry-major: cell `(e, c)`
+/// sits at index `e * instances.len() + c`. The first error in that
+/// order aborts.
 pub(crate) fn run_cells(
     entries: &[&PortfolioEntry],
     instances: &[ArenaInstance],
@@ -58,36 +71,116 @@ pub(crate) fn run_cells(
     max_threads: usize,
     pool: &ScratchPool<SimScratch>,
     clock: &(dyn Clock + Sync),
-) -> Result<Vec<Cell>, SimError> {
+) -> Result<(Vec<Cell>, LockstepStats), SimError> {
     debug_assert_eq!(columns.len(), instances.len());
-    let cols = instances.len();
-    let last = entries.len().saturating_sub(1);
-    let mut cells = run_chunked_pooled(entries.len() * cols, max_threads, pool, |scratch, k| {
-        let (e, c) = (last - k / cols, k % cols);
-        let seed = cell_seed(base_seed, e as u64, columns[c] as u64);
-        let start = clock.now_ns();
-        let makespan = entries[e].evaluate_makespan(&instances[c], seed, scratch)?;
-        let wall_ns = clock.now_ns().saturating_sub(start);
-        Ok(Cell {
-            makespan,
-            wall_ns,
-            stats: scratch.last_run_stats(),
-        })
+    let mut order: Vec<usize> = (0..instances.len()).collect();
+    order.sort_by_key(|&c| {
+        let g = &instances[c].graph;
+        (Reverse(g.num_tasks() + g.num_edges()), c)
     });
-    // Jobs hold the entries last to first; reversing the blocks, each
-    // kept in column order, restores entry-major order.
-    cells.reverse();
-    for block in cells.chunks_mut(cols.max(1)) {
-        block.reverse();
+    let jobs = run_chunked_pooled(order.len(), max_threads, pool, |scratch, k| {
+        let c = order[k];
+        let seed_of = |e: usize| cell_seed(base_seed, e as u64, columns[c] as u64);
+        run_column(entries, &instances[c], seed_of, scratch, clock)
+    });
+    let mut by_column: Vec<(usize, _)> = order.into_iter().zip(jobs).collect();
+    by_column.sort_unstable_by_key(|&(c, _)| c);
+    let mut work = LockstepStats::default();
+    let mut column_cells = Vec::with_capacity(by_column.len());
+    for (_, (cells, column_work)) in by_column {
+        work.branches += column_work.branches;
+        work.events += column_work.events;
+        column_cells.push(cells.into_iter());
     }
-    cells.into_iter().collect()
+    let mut cells = Vec::with_capacity(entries.len() * column_cells.len());
+    for _ in entries {
+        for column in &mut column_cells {
+            if let Some(cell) = column.next() {
+                cells.push(cell?);
+            }
+        }
+    }
+    Ok((cells, work))
+}
+
+/// Evaluates every entry on one instance: the factories in entry order,
+/// then one lockstep run of the schedulers they built. Returns the
+/// cells in entry order.
+// lint:allow(panic) reason="simulate_makespans reports a result for every scheduler built; a failed factory records its own"
+fn run_column(
+    entries: &[&PortfolioEntry],
+    inst: &ArenaInstance,
+    seed_of: impl Fn(usize) -> u64,
+    scratch: &mut SimScratch,
+    clock: &(dyn Clock + Sync),
+) -> (Vec<Result<Cell, SimError>>, LockstepStats) {
+    let n = entries.len();
+    let mut wall = vec![0u64; n];
+    let mut results: Vec<Option<Result<Cell, SimError>>> = vec![None; n];
+    let mut schedulers: Vec<Option<Box<dyn OnlineScheduler>>> = Vec::with_capacity(n);
+    let mut last = clock.now_ns();
+    for (e, entry) in entries.iter().enumerate() {
+        match entry.instantiate(inst, seed_of(e)) {
+            Ok(s) => schedulers.push(Some(s)),
+            Err(err) => {
+                schedulers.push(None);
+                results[e] = Some(Err(err));
+            }
+        }
+        let now = clock.now_ns();
+        wall[e] += now.saturating_sub(last);
+        last = now;
+    }
+    let work = simulate_makespans(
+        &inst.graph,
+        &inst.topology,
+        &inst.params,
+        &mut schedulers,
+        &inst.sim_cfg,
+        scratch,
+        |riders| {
+            let now = clock.now_ns();
+            split_evenly(now.saturating_sub(last), riders, &mut wall);
+            last = now;
+            for r in riders {
+                if let Some(res) = &r.result {
+                    results[r.member] = Some(res.clone().map(|makespan| Cell {
+                        makespan,
+                        wall_ns: 0,
+                        stats: r.stats,
+                    }));
+                }
+            }
+        },
+    );
+    let cells = results
+        .into_iter()
+        .zip(wall)
+        .map(|(res, wall_ns)| {
+            res.expect("every entry's cell ended")
+                .map(|cell| Cell { wall_ns, ..cell })
+        })
+        .collect();
+    (cells, work)
+}
+
+/// Adds `spent`, one leg's wall time, to its riders' `wall`. Every
+/// rider of a leg simulated the same events in it, so each takes an
+/// equal part; the parts sum to `spent` exactly.
+fn split_evenly(spent: u64, riders: &[Rider], wall: &mut [u64]) {
+    let k = riders.len().max(1) as u64;
+    for (i, r) in riders.iter().enumerate() {
+        let i = i as u64;
+        wall[r.member] += spent * (i + 1) / k - spent * i / k;
+    }
 }
 
 /// [`run_cells`] over every entry of `portfolio` on a fresh scratch
 /// pool, folded into the registry tournaments and campaign shards
 /// report: per cell the `arena.cells` counter, the `arena.makespan_ns`,
 /// `time.cell_ns` and `time.cell_ns.<scheduler>` histograms and the
-/// kernel counters; the fan-out's wall time under `span_key`; and the
+/// kernel counters; the lockstep work ([`LockstepWork`]); the fan-out's
+/// wall time under `span_key`; and the
 /// pool and route-cache counters of the workers' scratch
 /// ([`record_pool`]).
 pub(crate) fn run_cells_observed(
@@ -112,7 +205,7 @@ pub(crate) fn run_cells_observed(
         clock,
     );
     let span_ns = clock.now_ns().saturating_sub(start);
-    let cells = cells?;
+    let (cells, work) = cells?;
 
     let mut registry = MetricsRegistry::new();
     let entry_keys: Vec<String> = entries
@@ -127,6 +220,7 @@ pub(crate) fn run_cells_observed(
         registry.observe(&entry_keys[k / instances.len()], cell.wall_ns);
         cell.stats.record_into(&mut registry);
     }
+    work.record_into(&mut registry);
     registry.add(span_key, span_ns);
     record_pool(&pool, &mut registry);
     Ok((cells, registry))
@@ -153,5 +247,47 @@ mod tests {
         assert_ne!(s, cell_seed(42, 1, 0));
         assert_ne!(s, cell_seed(43, 0, 0));
         assert_eq!(s, cell_seed(42, 0, 0));
+    }
+
+    /// A clock that advances one microsecond per reading.
+    struct Ticking(std::sync::atomic::AtomicU64);
+
+    impl Clock for Ticking {
+        fn now_ns(&self) -> u64 {
+            self.0
+                .fetch_add(1_000, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    #[test]
+    fn columns_give_each_cell_its_solo_run_and_split_their_time() {
+        let portfolio = Portfolio::standard();
+        let entries: Vec<&PortfolioEntry> = portfolio.entries().iter().collect();
+        let instances = crate::instance::smoke_instances(3);
+        let columns: Vec<usize> = (10..10 + instances.len()).collect();
+        let pool = ScratchPool::new();
+        let clock = Ticking(Default::default());
+        let (cells, work) = run_cells(&entries, &instances, &columns, 9, 1, &pool, &clock).unwrap();
+        let mut scratch = SimScratch::new();
+        let mut solo_events = 0;
+        for (k, cell) in cells.iter().enumerate() {
+            let (e, c) = (k / instances.len(), k % instances.len());
+            let seed = cell_seed(9, e as u64, columns[c] as u64);
+            let solo = entries[e]
+                .evaluate_makespan(&instances[c], seed, &mut scratch)
+                .unwrap();
+            assert_eq!(cell.makespan, solo, "{} on column {c}", entries[e].name());
+            assert_eq!(cell.stats, scratch.last_run_stats());
+            solo_events += cell.stats.events;
+        }
+        assert!(work.branches < cells.len() as u64, "some entries share");
+        assert!(work.events < solo_events);
+        // One worker reads the clock back to back, so the cells' times
+        // add up to every interval it measured: one reading opens each
+        // column, and every factory and leg closes one.
+        let readings = clock.0.into_inner() / 1_000;
+        let total: u64 = cells.iter().map(|c| c.wall_ns).sum();
+        assert_eq!(total, (readings - instances.len() as u64) * 1_000);
+        assert!(cells.iter().all(|c| c.wall_ns > 0));
     }
 }

@@ -52,8 +52,10 @@
 //! instance column) via a SplitMix64-style mixer; the adversary threads
 //! one seeded RNG; and neither thread-pool sizing nor which worker
 //! claims a cell changes results (see
-//! `anneal_core::parallel::run_chunked_pooled`). The loop claims the
-//! last-registered, costliest portfolio rows first.
+//! `anneal_core::parallel::run_chunked_pooled`). Each instance column is
+//! one job, its schedulers simulated together in one lockstep kernel
+//! run (`anneal_sim::simulate_makespans`), and the loop claims the
+//! largest instances first.
 //!
 //! ```
 //! use anneal_arena::{run_tournament, standard_instances, Portfolio, TournamentConfig};

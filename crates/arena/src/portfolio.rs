@@ -105,10 +105,9 @@ impl PortfolioEntry {
     /// every entry (tested here and asserted by the
     /// `portfolio_throughput` bench in CI).
     ///
-    /// This is what tournament cells, campaign shards and the
-    /// adversary's ratio loop call: a worker thread holds one scratch
-    /// and sweeps cells with zero steady-state allocation in the
-    /// simulation layer.
+    /// One cell on its own. Tournaments, campaign shards and the
+    /// adversary's ratio loop evaluate whole columns instead, every
+    /// entry's scheduler in one lockstep run, with the same makespans.
     pub fn evaluate_makespan(
         &self,
         inst: &ArenaInstance,
@@ -192,12 +191,12 @@ impl Portfolio {
     /// The cheap deterministic-and-light subset: the full list-scheduler
     /// family, greedy, MCT, HEFT, CPOP and staged SA. Suitable as the
     /// adversary's reference field, where every candidate instance costs
-    /// one simulation per entry. What `campaign` runs by default.
+    /// one lockstep simulation of the whole field. What `campaign` runs
+    /// by default.
     ///
-    /// Entries are registered cheapest first: the heuristics, then
-    /// staged SA. The cell loop claims cells from the last row back, so
-    /// the costliest cells start first and the cheap ones fill the
-    /// tail.
+    /// The registration order fixes each entry's row, and with it its
+    /// cell seeds; it has no bearing on cost. The cell loop evaluates a
+    /// column's entries together and claims columns by instance size.
     ///
     /// Runs the staged-SA entry on the production lane
     /// ([`SaLane::default`], turbo), whose final-makespan distribution
@@ -261,11 +260,8 @@ impl Portfolio {
     /// simulated-makespan cost, then runs it as a [`FixedMapping`]).
     /// Uses the default move evaluator ([`EvaluatorKind::Incremental`],
     /// the fast-path fixed-mapping kernel) and the production SA lane;
-    /// what `campaign --full` and `arena` run.
-    ///
-    /// Static SA is registered last because its cells cost the most
-    /// (one simulation per annealing move), so the cell loop, which
-    /// claims cells from the last row back, starts them first.
+    /// what `campaign --full` and `arena` run. Static SA is registered
+    /// last, so the rows of [`Portfolio::fast`] keep their seeds.
     pub fn standard() -> Self {
         Self::standard_with_lanes(EvaluatorKind::default(), SaLane::default())
     }

@@ -5,12 +5,13 @@
 //! the whole matrix is reproducible bit-for-bit regardless of the
 //! thread cap. The cells run through the crate's one cell loop (the
 //! one campaign shards and the adversary use): a fan-out over
-//! [`anneal_core::parallel::run_chunked_pooled`] in which each worker
-//! carries one warm `anneal_sim::SimScratch` across its cells, every
-//! cell routed through
-//! [`PortfolioEntry::evaluate_makespan`](crate::PortfolioEntry): the
-//! fast-path kernel (no Gantt, no statistics, reused buffers, cached
-//! route tables) with makespans bit-identical to the full engine.
+//! [`anneal_core::parallel::run_chunked_pooled`] with one job per
+//! instance column, in which each worker carries one warm
+//! `anneal_sim::SimScratch` across its columns and simulates each
+//! column's schedulers together in one lockstep run of the fast-path
+//! kernel (`anneal_sim::simulate_makespans`: no Gantt, no statistics,
+//! reused buffers, cached route tables), with makespans bit-identical
+//! to the full engine.
 
 use anneal_obs::{Clock, MetricsRegistry, NullClock};
 use anneal_report::{render_win_loss_matrix, Csv, WinLossOptions};
@@ -277,7 +278,7 @@ mod tests {
     #[test]
     fn tournament_runs_and_is_thread_cap_invariant() {
         let insts = smoke_instances(2);
-        // `standard` adds static SA, the row the cell loop claims first.
+        // `standard` adds static SA, whose factory anneals a mapping.
         for p in [Portfolio::fast(), Portfolio::standard()] {
             let run = |threads| {
                 run_tournament(

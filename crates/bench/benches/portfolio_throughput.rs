@@ -1,9 +1,10 @@
-//! Campaign-cell throughput: the general engine vs the fast path.
+//! Campaign-cell throughput: the general engine vs the fast path, and
+//! solo cells vs a lockstep column.
 //!
 //! A campaign cell is one `(scheduler, instance)` evaluation, and the
 //! whole portfolio subsystem (tournaments, 1000-instance campaigns,
 //! adversarial-search ratio pricing) is throughput-bound on exactly
-//! that operation. This bench measures **cells per second** over the
+//! that operation. This bench measures the cost of a cell over the
 //! full fast portfolio on one instance per campaign shape at each size
 //! tier, two ways:
 //!
@@ -13,23 +14,32 @@
 //!   per-move `exp()` annealing loop (what every cell paid before the
 //!   fast path and the turbo lane existed);
 //! * `turbo` — [`PortfolioEntry::evaluate_makespan`] on
-//!   `Portfolio::fast()`, what campaigns run: the shared fast-path
-//!   kernel out of one reused `SimScratch` per sweep, with staged SA on
-//!   the production turbo lane (each packet's eq. 6 minimum solved
-//!   exactly instead of annealed; certified statistically by
-//!   `lane_study`).
+//!   `Portfolio::fast()`: the shared fast-path kernel out of one reused
+//!   `SimScratch` per sweep, with staged SA on the production turbo
+//!   lane (each packet's eq. 6 minimum solved exactly instead of
+//!   annealed; certified statistically by `lane_study`).
+//!
+//! Campaigns go one step further and evaluate a whole instance column
+//! at once: [`simulate_makespans`] runs every entry's scheduler in one
+//! lockstep kernel run that forks where their decisions part. Each tier
+//! therefore also times a `column`: the sum of a column's solo `turbo`
+//! cells next to the same column evaluated in lockstep.
 //!
 //! Before anything is timed, every cell of `Portfolio::fast()` is
-//! asserted **bit-identical** between the general engine and the fast
-//! path on the same lane; in smoke mode this doubles as the CI
-//! equality gate. The `sa` row carries a regression assert: it must
+//! asserted **bit-identical** between the general engine, the solo
+//! fast path and the lockstep column; in smoke mode this doubles as the
+//! CI equality gate. The `sa` row carries a regression assert: it must
 //! keep beating the pre-lane committed baseline against the exact
-//! engine on every tier. Besides the Criterion report, the bench writes
-//! `results/BENCH_portfolio.json`: per-tier cells/sec for both paths,
-//! the throughput speedup, and a per-scheduler breakdown (the staged SA
-//! scheduler's cells are dominated by its own annealing logic, so its
-//! speedup bounds the portfolio-wide number — the JSON shows both the
-//! aggregate and the per-entry picture).
+//! engine on every tier.
+//!
+//! Every timing alternates the two paths it compares rep by rep, so
+//! drift on the host hits both alike. Besides the Criterion report, the
+//! bench writes `results/BENCH_portfolio.json`: per tier and per
+//! scheduler the median, q1 and q3 of ns per cell for both paths and
+//! the speedup of the medians, the heuristic sub-portfolio alone, and
+//! the column row (the staged SA scheduler's cells are dominated by its
+//! own annealing logic, so its speedup bounds the portfolio-wide number
+//! — the JSON shows both the aggregate and the per-entry picture).
 //!
 //! Set `PORTFOLIO_BENCH_SMOKE=1` for a fast CI pass: fewer repetitions,
 //! same equality assertions, same JSON artifact.
@@ -42,7 +52,7 @@ use anneal_graph::generate::{
     chain, fork_join, gnp_dag, independent, layered_random, series_parallel, LayeredConfig, Range,
 };
 use anneal_graph::units::us;
-use anneal_sim::SimScratch;
+use anneal_sim::{simulate_makespans, OnlineScheduler, SimScratch};
 use anneal_topology::builders::{bus, hypercube, mesh, ring, star, torus};
 use anneal_topology::Topology;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -99,6 +109,63 @@ fn seed_of(e: usize, j: usize) -> u64 {
         .wrapping_add((j as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9))
 }
 
+/// Median and interquartile range of a sample.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    q1: f64,
+    q3: f64,
+}
+
+impl Spread {
+    /// Quantiles by linear interpolation between order statistics.
+    fn of(mut v: Vec<f64>) -> Spread {
+        v.sort_by(f64::total_cmp);
+        let q = |p: f64| {
+            let x = p * (v.len() - 1) as f64;
+            let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+            v[lo] + (v[hi] - v[lo]) * (x - lo as f64)
+        };
+        Spread {
+            median: q(0.5),
+            q1: q(0.25),
+            q3: q(0.75),
+        }
+    }
+
+    /// The spread of `self / per`.
+    fn per(self, per: usize) -> Spread {
+        let d = per as f64;
+        Spread {
+            median: self.median / d,
+            q1: self.q1 / d,
+            q3: self.q3 / d,
+        }
+    }
+
+    fn json(self) -> String {
+        format!(
+            "{{\"median\": {:.0}, \"q1\": {:.0}, \"q3\": {:.0}}}",
+            self.median, self.q1, self.q3
+        )
+    }
+}
+
+/// Times `a` and `b` (each returns the ns it took) `reps` times each,
+/// alternating them rep by rep.
+fn alternate(
+    reps: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> (Spread, Spread) {
+    let (mut va, mut vb) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        va.push(a());
+        vb.push(b());
+    }
+    (Spread::of(va), Spread::of(vb))
+}
+
 /// Sweeps every cell through the general path; returns total ns.
 fn sweep_general(portfolio: &Portfolio, insts: &[ArenaInstance]) -> f64 {
     let start = Instant::now();
@@ -126,9 +193,45 @@ fn sweep_fast(portfolio: &Portfolio, insts: &[ArenaInstance], scratch: &mut SimS
     start.elapsed().as_nanos() as f64
 }
 
+/// Evaluates each instance as one lockstep column: every entry's
+/// factory, then one [`simulate_makespans`] run. Writes the makespans
+/// entry-major into `out`; returns total ns.
+fn sweep_lockstep(
+    portfolio: &Portfolio,
+    insts: &[ArenaInstance],
+    scratch: &mut SimScratch,
+    out: &mut [u64],
+) -> f64 {
+    let start = Instant::now();
+    for (j, inst) in insts.iter().enumerate() {
+        let mut schedulers: Vec<Option<Box<dyn OnlineScheduler>>> = portfolio
+            .entries()
+            .iter()
+            .enumerate()
+            .map(|(e, entry)| Some(entry.instantiate(inst, seed_of(e, j)).expect("factory")))
+            .collect();
+        simulate_makespans(
+            &inst.graph,
+            &inst.topology,
+            &inst.params,
+            &mut schedulers,
+            &inst.sim_cfg,
+            scratch,
+            |riders| {
+                for r in riders {
+                    if let Some(res) = &r.result {
+                        out[r.member * insts.len() + j] = *res.as_ref().expect("cell evaluates");
+                    }
+                }
+            },
+        );
+    }
+    start.elapsed().as_nanos() as f64
+}
+
 fn bench_portfolio(c: &mut Criterion) {
     let smoke = std::env::var("PORTFOLIO_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    let reps = if smoke { 2 } else { 7 };
+    let reps = if smoke { 3 } else { 11 };
     // "Before": the exact SA lane on the general engine. "After": the
     // production portfolio on the fast path. Only the `sa` entry
     // differs between the two portfolios — every other factory is
@@ -144,8 +247,11 @@ fn bench_portfolio(c: &mut Criterion) {
         let cells = portfolio.len() * insts.len();
 
         // Equality gate: every production cell bit-identical between
-        // the general engine and the fast path.
+        // the general engine, the fast path and the lockstep column.
         let mut scratch = SimScratch::new();
+        let mut column_scratch = SimScratch::new();
+        let mut lockstep = vec![0; cells];
+        sweep_lockstep(&portfolio_turbo, &insts, &mut column_scratch, &mut lockstep);
         for (e, entry) in portfolio_turbo.entries().iter().enumerate() {
             for (j, inst) in insts.iter().enumerate() {
                 let full = entry.evaluate(inst, seed_of(e, j)).unwrap().makespan;
@@ -159,11 +265,18 @@ fn bench_portfolio(c: &mut Criterion) {
                     entry.name(),
                     inst.name
                 );
+                assert_eq!(
+                    lockstep[e * insts.len() + j],
+                    fast,
+                    "lockstep column diverged from the solo cell: {} on {tier}/{}",
+                    entry.name(),
+                    inst.name
+                );
             }
         }
 
-        // Per-scheduler breakdown at this tier (best of `reps` sweeps
-        // of that scheduler's row).
+        // Per-scheduler breakdown at this tier: ns per cell over
+        // `reps` sweeps of that scheduler's row on each path.
         let mut entry_rows = Vec::new();
         for (e, (entry, turbo_entry)) in portfolio
             .entries()
@@ -171,39 +284,42 @@ fn bench_portfolio(c: &mut Criterion) {
             .zip(portfolio_turbo.entries())
             .enumerate()
         {
-            let mut best_general = f64::MAX;
-            let mut best_turbo = f64::MAX;
-            for _ in 0..reps {
-                let start = Instant::now();
-                for (j, inst) in insts.iter().enumerate() {
-                    std::hint::black_box(entry.evaluate(inst, seed_of(e, j)).unwrap().makespan);
-                }
-                best_general = best_general.min(start.elapsed().as_nanos() as f64);
-                let start = Instant::now();
-                for (j, inst) in insts.iter().enumerate() {
-                    std::hint::black_box(
-                        turbo_entry
-                            .evaluate_makespan(inst, seed_of(e, j), &mut scratch)
-                            .unwrap(),
-                    );
-                }
-                best_turbo = best_turbo.min(start.elapsed().as_nanos() as f64);
-            }
+            let (general, turbo) = alternate(
+                reps,
+                || {
+                    let start = Instant::now();
+                    for (j, inst) in insts.iter().enumerate() {
+                        std::hint::black_box(entry.evaluate(inst, seed_of(e, j)).unwrap().makespan);
+                    }
+                    start.elapsed().as_nanos() as f64
+                },
+                || {
+                    let start = Instant::now();
+                    for (j, inst) in insts.iter().enumerate() {
+                        std::hint::black_box(
+                            turbo_entry
+                                .evaluate_makespan(inst, seed_of(e, j), &mut scratch)
+                                .unwrap(),
+                        );
+                    }
+                    start.elapsed().as_nanos() as f64
+                },
+            );
+            let speedup = general.median / turbo.median;
             if entry.name() == "sa" {
-                sa_speedups.push(best_general / best_turbo);
+                sa_speedups.push(speedup);
             }
             entry_rows.push(format!(
-                "        {{\"scheduler\": \"{}\", \"general_ns_per_cell\": {:.0}, \
-                 \"turbo_ns_per_cell\": {:.0}, \"turbo_speedup\": {:.2}}}",
+                "        {{\"scheduler\": \"{}\", \"general_ns_per_cell\": {}, \
+                 \"turbo_ns_per_cell\": {}, \"turbo_speedup\": {speedup:.2}}}",
                 entry.name(),
-                best_general / insts.len() as f64,
-                best_turbo / insts.len() as f64,
-                best_general / best_turbo
+                general.per(insts.len()).json(),
+                turbo.per(insts.len()).json(),
             ));
         }
 
-        // The headline: whole-portfolio cell throughput. Reported both
-        // over the full campaign portfolio and over its heuristic
+        // The headline: whole-portfolio cell cost. Reported both over
+        // the full campaign portfolio and over its heuristic
         // sub-portfolio (everything but the staged SA scheduler):
         // staged-SA cells are dominated by the scheduler's *own*
         // annealing arithmetic, so the full-portfolio number is
@@ -211,45 +327,60 @@ fn bench_portfolio(c: &mut Criterion) {
         let heuristics = portfolio.without("sa");
         let heuristics_turbo = portfolio_turbo.without("sa");
         let h_cells = heuristics.len() * insts.len();
-        let mut best_general = f64::MAX;
-        let mut best_turbo = f64::MAX;
-        let mut h_best_general = f64::MAX;
-        let mut h_best_turbo = f64::MAX;
-        for _ in 0..reps {
-            best_general = best_general.min(sweep_general(&portfolio, &insts));
-            best_turbo = best_turbo.min(sweep_fast(&portfolio_turbo, &insts, &mut scratch));
-            h_best_general = h_best_general.min(sweep_general(&heuristics, &insts));
-            h_best_turbo = h_best_turbo.min(sweep_fast(&heuristics_turbo, &insts, &mut scratch));
-        }
-        let general_cps = cells as f64 / (best_general * 1e-9);
-        let turbo_cps = cells as f64 / (best_turbo * 1e-9);
-        let turbo_speedup = best_general / best_turbo;
-        let h_speedup = h_best_general / h_best_turbo;
+        let (general, turbo) = alternate(
+            reps,
+            || sweep_general(&portfolio, &insts),
+            || sweep_fast(&portfolio_turbo, &insts, &mut scratch),
+        );
+        let (h_general, h_turbo) = alternate(
+            reps,
+            || sweep_general(&heuristics, &insts),
+            || sweep_fast(&heuristics_turbo, &insts, &mut scratch),
+        );
+        // A whole column in lockstep next to the sum of its solo cells.
+        let (solo, column) = alternate(
+            reps,
+            || sweep_fast(&portfolio_turbo, &insts, &mut scratch),
+            || sweep_lockstep(&portfolio_turbo, &insts, &mut column_scratch, &mut lockstep),
+        );
+        let turbo_speedup = general.median / turbo.median;
+        let h_speedup = h_general.median / h_turbo.median;
+        let column_speedup = solo.median / column.median;
         println!(
-            "portfolio_throughput/{tier}: general {general_cps:.0} cells/s, \
-             turbo {turbo_cps:.0} cells/s, speedup {turbo_speedup:.2}x over {cells} cells \
-             ({h_speedup:.2}x over the {h_cells} heuristic cells)"
+            "portfolio_throughput/{tier}: general {:.0} cells/s, turbo {:.0} cells/s, \
+             speedup {turbo_speedup:.2}x over {cells} cells ({h_speedup:.2}x over the \
+             {h_cells} heuristic cells); a lockstep column is {column_speedup:.2}x its solo cells",
+            cells as f64 / (general.median * 1e-9),
+            cells as f64 / (turbo.median * 1e-9),
         );
         tier_rows.push(format!(
             "    {{\"tier\": \"{tier}\", \"cells\": {cells}, \
-             \"general_cells_per_sec\": {general_cps:.0}, \
-             \"turbo_cells_per_sec\": {turbo_cps:.0}, \
+             \"general_ns_per_cell\": {}, \"turbo_ns_per_cell\": {}, \
              \"turbo_throughput_speedup\": {turbo_speedup:.2}, \
              \"heuristic_cells\": {h_cells}, \
-             \"heuristic_general_cells_per_sec\": {:.0}, \
-             \"heuristic_fast_cells_per_sec\": {:.0}, \
+             \"heuristic_general_ns_per_cell\": {}, \"heuristic_fast_ns_per_cell\": {}, \
              \"heuristic_throughput_speedup\": {h_speedup:.2}, \
+             \"column\": {{\"entries\": {}, \"solo_ns_per_column\": {}, \
+             \"lockstep_ns_per_column\": {}, \"lockstep_speedup\": {column_speedup:.2}}}, \
              \"schedulers\": [\n{}\n    ]}}",
-            h_cells as f64 / (h_best_general * 1e-9),
-            h_cells as f64 / (h_best_turbo * 1e-9),
+            general.per(cells).json(),
+            turbo.per(cells).json(),
+            h_general.per(h_cells).json(),
+            h_turbo.per(h_cells).json(),
+            portfolio_turbo.len(),
+            solo.per(insts.len()).json(),
+            column.per(insts.len()).json(),
             entry_rows.join(",\n")
         ));
 
-        for name in ["general", "turbo"] {
+        for name in ["general", "turbo", "lockstep"] {
             group.bench_function(BenchmarkId::new(name, tier), |b| {
                 let mut scratch = SimScratch::new();
                 b.iter(|| match name {
                     "turbo" => sweep_fast(&portfolio_turbo, &insts, &mut scratch),
+                    "lockstep" => {
+                        sweep_lockstep(&portfolio_turbo, &insts, &mut scratch, &mut lockstep)
+                    }
                     _ => sweep_general(&portfolio, &insts),
                 })
             });
@@ -275,7 +406,9 @@ fn bench_portfolio(c: &mut Criterion) {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     let json = format!(
-        "{{\n  \"bench\": \"portfolio_throughput\",\n  \"mode\": \"{}\",\n  \"tiers\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"portfolio_throughput\",\n  \"mode\": \"{}\",\n  \
+         \"ns\": \"median, q1 and q3 over {reps} timed sweeps per path, the two paths \
+         of each row alternating\",\n  \"tiers\": [\n{}\n  ]\n}}\n",
         if smoke { "smoke" } else { "full" },
         tier_rows.join(",\n")
     );

@@ -12,7 +12,7 @@
 //! `anneal-obs` trace-event export).
 
 use anneal_bench::results_dir;
-use anneal_core::{SaConfig, SaLane, SaScheduler};
+use anneal_core::{PacketTrace, SaConfig, SaLane, SaScheduler};
 use anneal_obs::JsonlSink;
 use anneal_report::{csv::f, Chart, Csv, Series};
 use anneal_sim::{simulate, SimConfig};
@@ -43,20 +43,30 @@ fn main() {
     // richest packet in which both the communication term and the level
     // term actually vary (packet 0 only contains root tasks whose
     // inputs are free, and packets of equal-level candidates have a
-    // constant F_b).
+    // constant F_b). When no packet varies F_b, the richest packet
+    // whose F_c varies is the next best; packet 0 is the last resort.
     let varies = |vals: Vec<f64>| vals.iter().any(|&v| (v - vals[0]).abs() > 1e-9);
+    let fc_varies = |t: &&PacketTrace| varies(t.samples.iter().map(|s| s.f_c_raw).collect());
+    let fb_varies = |t: &&PacketTrace| varies(t.samples.iter().map(|s| s.f_b_raw).collect());
     // Prefer few idle processors (the paper's packets average 1.46, so
     // F_b stays on the same scale as F_c) and many candidates.
-    let trace = sa
+    let richest = |t: &&PacketTrace| (std::cmp::Reverse(t.idle), t.candidates, t.samples.len());
+    let (trace, case) = if let Some(t) = sa
         .traces
         .iter()
-        .filter(|t| {
-            varies(t.samples.iter().map(|s| s.f_c_raw).collect())
-                && varies(t.samples.iter().map(|s| s.f_b_raw).collect())
-        })
-        .max_by_key(|t| (std::cmp::Reverse(t.idle), t.candidates, t.samples.len()))
-        .or_else(|| sa.traces.first())
-        .expect("at least one packet traced");
+        .filter(|t| fc_varies(t) && fb_varies(t))
+        .max_by_key(richest)
+    {
+        (t, "the richest packet varying both F_b and F_c")
+    } else if let Some(t) = sa.traces.iter().filter(fc_varies).max_by_key(richest) {
+        (t, "no packet varies F_b; the richest packet varying F_c")
+    } else {
+        (
+            sa.traces.first().expect("at least one packet traced"),
+            "no packet varies F_b or F_c; packet 0",
+        )
+    };
+    println!("packet choice: {case}");
     println!(
         "Figure 1: packet #{} at t = {:.1} us ({} candidates, {} idle procs, {} moves, final cost {:.3})",
         trace.packet,

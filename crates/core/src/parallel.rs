@@ -8,9 +8,11 @@
 //! a warm scratch value from a [`ScratchPool`] and returns it when it
 //! finishes, so a caller that fans out repeatedly (the adversarial
 //! search prices every candidate instance against the whole portfolio)
-//! reuses the same few scratches across all its fan-outs. The arena's
+//! reuses the same few scratches across all its fan-outs. A fan-out
+//! that needs only one worker runs on the calling thread. The arena's
 //! cell loop (`anneal-arena`) is its one caller: tournaments, campaign
-//! shards and the adversary's ratio evaluations all go through it.
+//! shards and the adversary's ratio evaluations all go through it, one
+//! job per instance column.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -136,7 +138,9 @@ impl<S: Default> ScratchPool<S> {
 /// never holds up jobs another worker could run, and jobs start in
 /// index order (a single worker runs them strictly in order). Callers
 /// put their costliest jobs first. Which worker runs a job depends on
-/// timing, so a job's result must depend only on its index.
+/// timing, so a job's result must depend only on its index. A fan-out
+/// that needs only one worker (one job, or `max_threads == 1`) runs on
+/// the calling thread.
 ///
 /// Each worker takes one scratch from `pool` on its own thread, threads
 /// it through every job it handles, and puts it back when done. Results
@@ -164,6 +168,13 @@ where
         max_threads
     }
     .min(jobs);
+    if threads == 1 {
+        // One worker: the calling thread is it, with no thread to spawn.
+        let mut scratch = pool.take();
+        let out = (0..jobs).map(|i| f(&mut scratch, i)).collect();
+        pool.put(scratch);
+        return out;
+    }
     let f = &f;
     // The counter only hands out indices; results travel back through
     // `join`, which synchronizes on its own, so `Relaxed` is enough.
@@ -212,6 +223,17 @@ mod tests {
         }
         assert!(run_chunked_pooled(0, 3, &pool, |(), i| i).is_empty());
         assert!(default_max_threads() >= 1);
+    }
+
+    #[test]
+    fn one_worker_fanouts_run_on_the_caller() {
+        let pool: ScratchPool<()> = ScratchPool::new();
+        let caller = std::thread::current().id();
+        let on_caller = |(): &mut (), _| std::thread::current().id() == caller;
+        assert_eq!(run_chunked_pooled(1, 4, &pool, on_caller), [true]);
+        assert_eq!(run_chunked_pooled(5, 1, &pool, on_caller), [true; 5]);
+        // the inline worker draws and returns its scratch like any other
+        assert_eq!(pool.len(), 1);
     }
 
     #[test]

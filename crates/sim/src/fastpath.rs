@@ -18,16 +18,20 @@
 //!   behind the same epoch contract the general engine uses. There is
 //!   exactly **one** implementation of the event heap, the route
 //!   flattening and the σ/τ/transfer plumbing in the workspace.
-//! * [`SimScratch`] + [`simulate_makespan`] — the public fast-path
-//!   entry point: when a caller needs only the makespan (no Gantt, no
+//! * [`SimScratch`] + [`simulate_makespans`] — the public fast-path
+//!   entry point: when a caller needs only makespans (no Gantt, no
 //!   trace, no statistics), it runs the kernel out of a reusable
-//!   scratch instead of the general engine. Makespans are
+//!   scratch instead of the general engine, for a whole set of
+//!   schedulers at once. The schedulers share one kernel state while
+//!   their decisions agree and fork where they part
+//!   ([`simulate_makespan`] is the one-scheduler case). Makespans are
 //!   **bit-identical** to [`simulate`](crate::simulate) — same events,
 //!   same tie-breaking, same σ/τ preemption and channel-FIFO
-//!   contention, and the scheduler observes byte-for-byte the same
-//!   [`EpochContext`] sequence — enforced by the proptest equivalence
-//!   suite in `tests/proptests.rs` and the allocation-regression test
-//!   in `tests/alloc.rs`.
+//!   contention, and every scheduler observes byte-for-byte the same
+//!   [`EpochContext`] sequence — enforced by the lockstep oracle in
+//!   `tests/lockstep.rs`, the proptest equivalence suite in
+//!   `tests/proptests.rs` and the allocation-regression test in
+//!   `tests/alloc.rs`.
 //!
 //! A [`SimScratch`] additionally caches route tables keyed by the
 //! topology's channel matrix, so a worker thread sweeping tournament
@@ -44,6 +48,7 @@
 //! makespan agrees.
 
 use std::collections::VecDeque;
+use std::ops::DerefMut;
 
 use anneal_graph::{TaskGraph, TaskId};
 use anneal_topology::{CommParams, ProcId, RouteTable, Topology};
@@ -221,6 +226,30 @@ impl ProcState {
         self.sends.clear();
         self.done_at = NOT_RUNNING;
         self.done_seq = 0;
+    }
+
+    /// Copies `src` into `self`, reusing `self`'s queue buffers.
+    fn copy_from(&mut self, src: &ProcState) {
+        let ProcState {
+            assigned,
+            task,
+            remaining,
+            running_since,
+            cur_oh,
+            incoming,
+            sends,
+            done_at,
+            done_seq,
+        } = src;
+        self.assigned = *assigned;
+        self.task = *task;
+        self.remaining = *remaining;
+        self.running_since = *running_since;
+        self.cur_oh = *cur_oh;
+        self.incoming.clone_from(incoming);
+        self.sends.clone_from(sends);
+        self.done_at = *done_at;
+        self.done_seq = *done_seq;
     }
 }
 
@@ -477,6 +506,74 @@ impl KernelState {
         self.reg_cache_valid = false;
     }
 
+    /// Copies `src`'s run state into `self`, reusing `self`'s buffers:
+    /// a lockstep fork parks the running state this way, and a resume
+    /// restores a parked one. Buffers never shrink, and a queue grows
+    /// only to what `src` holds, so a parked state stays live-sized
+    /// while the running one keeps its worst-case reservations. The
+    /// dispatch buffer (`assign_buf`) is scratch, not state, and is left
+    /// alone.
+    fn copy_from(&mut self, src: &KernelState) {
+        let KernelState {
+            now,
+            heap,
+            seq,
+            events,
+            epochs,
+            heap_hwm,
+            messages,
+            epoch_pending,
+            num_procs,
+            num_channels,
+            procs,
+            channels,
+            msgs,
+            msg_hop,
+            placement,
+            unfinished,
+            pending,
+            ready,
+            finished,
+            max_finish,
+            assign_buf: _,
+            reg_cache,
+            reg_cache_valid,
+        } = src;
+        self.now = *now;
+        self.heap.v.clone_from(&heap.v);
+        self.seq = *seq;
+        self.events = *events;
+        self.epochs = *epochs;
+        self.heap_hwm = *heap_hwm;
+        self.messages = *messages;
+        self.epoch_pending = *epoch_pending;
+        self.num_procs = *num_procs;
+        self.num_channels = *num_channels;
+        if self.procs.len() < *num_procs {
+            self.procs.resize_with(*num_procs, ProcState::default);
+        }
+        for (d, s) in self.procs.iter_mut().zip(&procs[..*num_procs]) {
+            d.copy_from(s);
+        }
+        if self.channels.len() < *num_channels {
+            self.channels.resize_with(*num_channels, ChanState::default);
+        }
+        for (d, s) in self.channels.iter_mut().zip(&channels[..*num_channels]) {
+            d.busy = s.busy;
+            d.queue.clone_from(&s.queue);
+        }
+        self.msgs.clone_from(msgs);
+        self.msg_hop.clone_from(msg_hop);
+        self.placement.clone_from(placement);
+        self.unfinished.clone_from(unfinished);
+        self.pending.clone_from(pending);
+        self.ready.clone_from(ready);
+        self.finished = *finished;
+        self.max_finish = *max_finish;
+        self.reg_cache = *reg_cache;
+        self.reg_cache_valid = *reg_cache_valid;
+    }
+
     /// The current run's processors (excluding grown-but-unused
     /// leftover slots).
     #[inline]
@@ -580,13 +677,20 @@ impl KernelState {
         } else {
             driver.dispatch(self, ctx, &mut buf)
         };
+        self.assign_buf = buf;
         if res.is_ok() {
-            for &(t, p) in &buf {
-                self.assign(t, p, ctx, driver);
-            }
+            self.apply_dispatch(ctx, driver);
+        }
+        res
+    }
+
+    /// Applies the validated dispatch held in `assign_buf`.
+    fn apply_dispatch<D: Driver>(&mut self, ctx: &KernelCtx<'_>, driver: &mut D) {
+        let buf = std::mem::take(&mut self.assign_buf);
+        for &(t, p) in &buf {
+            self.assign(t, p, ctx, driver);
         }
         self.assign_buf = buf;
-        res
     }
 
     // lint:allow(panic) reason="schedulers only assign ready tasks"
@@ -920,15 +1024,16 @@ struct CachedRoutes {
     flat: FlatRoutes,
 }
 
-/// Reusable state for [`simulate_makespan`]: every buffer of the
-/// fast-path kernel, plus a small cache of route tables keyed by the
-/// topology's channel matrix.
+/// Reusable state for [`simulate_makespans`] and [`simulate_makespan`]:
+/// every buffer of the fast-path kernel, the parked states of lockstep
+/// branches, and a small cache of route tables keyed by the topology's
+/// channel matrix.
 ///
 /// Create one per worker thread and reuse it across evaluations; after
-/// the first call per `(graph size, topology)` shape, evaluations
-/// perform no heap allocation (enforced by `tests/alloc.rs`). A scratch
-/// is cheap to create (empty buffers), so dropping one between batches
-/// only costs re-warming.
+/// the first call per `(graph size, topology, member set)` shape,
+/// evaluations perform no heap allocation (enforced by
+/// `tests/alloc.rs`). A scratch is cheap to create (empty buffers), so
+/// dropping one between batches only costs re-warming.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     kernel: KernelState,
@@ -937,7 +1042,7 @@ pub struct SimScratch {
     route_builds: u64,
     pred_base: Vec<u32>,
     fingerprint: Vec<u32>,
-    // OnlineDriver buffers.
+    // Online-driver buffers.
     placement: Vec<Option<ProcId>>,
     finish: Vec<Option<SimTime>>,
     ready: Vec<TaskId>,
@@ -945,6 +1050,7 @@ pub struct SimScratch {
     out: Vec<(TaskId, ProcId)>,
     used_task: Vec<bool>,
     used_proc: Vec<bool>,
+    lockstep: Lockstep,
 }
 
 /// Route caches kept per scratch before the oldest half is evicted;
@@ -998,7 +1104,9 @@ impl SimScratch {
     }
 
     /// The counters of the most recent [`simulate_makespan`] run out of
-    /// this scratch (zeroed state before any run).
+    /// this scratch (zeroed state before any run). After a
+    /// [`simulate_makespans`] run they are the last branch's; each
+    /// member's own counters come with its result.
     pub fn last_run_stats(&self) -> KernelRunStats {
         self.kernel.run_stats()
     }
@@ -1012,11 +1120,137 @@ impl SimScratch {
     }
 }
 
-/// Adapts an [`OnlineScheduler`] to the kernel's [`Driver`] contract,
-/// mirroring exactly the state the general engine exposes through
-/// [`EpochContext`].
-struct OnlineDriver<'a> {
-    sched: &'a mut dyn OnlineScheduler,
+/// One member's part in one leg of a [`simulate_makespans`] run.
+///
+/// A *branch* is one kernel state run from where it starts (time 0, or
+/// the fork that parked it) to where it ends; the members whose
+/// decisions agree ride it together. A *leg* is a stretch of a branch
+/// with a fixed set of riders: it ends whenever members leave the
+/// branch (at a fork, at an invalid dispatch, or when the branch ends),
+/// so every rider of a leg simulated the same events in it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rider {
+    /// The member's index in the `schedulers` slice.
+    pub member: usize,
+    /// The member's kernel counters at the end of the leg: its solo
+    /// run's counters when `result` is set.
+    pub stats: KernelRunStats,
+    /// The member's solo outcome when its run ended in this leg; `None`
+    /// while it rides on (in this branch or a forked one).
+    pub result: Option<Result<SimTime, SimError>>,
+}
+
+/// The kernel work one [`simulate_makespans`] run actually did, next to
+/// the solo-equivalent [`KernelRunStats`] of its members. Deterministic:
+/// a pure function of the instance and the members' decisions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LockstepStats {
+    /// Branches run (kernel states simulated): one, plus one per fork.
+    pub branches: u64,
+    /// Events simulated across all branches.
+    pub events: u64,
+}
+
+impl LockstepStats {
+    /// Accumulates into `r` as `sim.lockstep.branches` /
+    /// `sim.lockstep.events` counters.
+    pub fn record_into(&self, r: &mut dyn anneal_obs::Recorder) {
+        r.add("sim.lockstep.branches", self.branches);
+        r.add("sim.lockstep.events", self.events);
+    }
+}
+
+/// The state parked at one fork: the kernel state and online mirrors
+/// at the fork, and the branches still waiting to start from it, each
+/// a group of riders with the dispatch they chose there (applied when
+/// the branch resumes). One copy of the state serves every group that
+/// left at the fork. Pooled in [`SimScratch`] and filled with
+/// `copy_from`/`clone_from`, so each holds buffers only as large as
+/// the live state it last parked.
+#[derive(Debug, Default)]
+struct Parked {
+    kernel: KernelState,
+    placement: Vec<Option<ProcId>>,
+    finish: Vec<Option<SimTime>>,
+    /// The waiting groups' riders and dispatches, back to back; group
+    /// `i` ends at `ends[i]` in both.
+    riders: Vec<usize>,
+    dispatch: Vec<(u32, u32)>,
+    ends: Vec<(usize, usize)>,
+}
+
+/// Lockstep bookkeeping of a [`simulate_makespans`] run.
+#[derive(Debug, Default)]
+struct Lockstep {
+    /// Members riding the running branch, in member order.
+    riders: Vec<usize>,
+    /// Events of the running state when its branch began.
+    start_events: u64,
+    stats: LockstepStats,
+    /// This epoch's distinct dispatches, back to back; `group_end[g]`
+    /// is where dispatch `g` ends, `group_of[i]` the dispatch of rider
+    /// `i`.
+    outputs: Vec<(TaskId, ProcId)>,
+    group_end: Vec<usize>,
+    group_of: Vec<usize>,
+    /// Parked forks; the first `waiting` hold branches waiting to run,
+    /// last parked first.
+    parked: Vec<Parked>,
+    waiting: usize,
+    /// The running leg's riders, handed to the caller when it ends.
+    report: Vec<Rider>,
+}
+
+/// Checks one dispatch against the epoch's state, replicating the
+/// general engine's checks and messages. Leaves `used_task` and
+/// `used_proc` all `false`, as it found them: other dispatches of the
+/// same epoch are checked with them next.
+fn validate(
+    pairs: &[(TaskId, ProcId)],
+    k: &KernelState,
+    used_task: &mut [bool],
+    used_proc: &mut [bool],
+) -> Result<(), SimError> {
+    let np = used_proc.len();
+    let mut res = Ok(());
+    let mut marked = 0usize;
+    for &(t, p) in pairs {
+        if t.index() >= used_task.len() || k.ready.binary_search(&(t.index() as u32)).is_err() {
+            res = Err(SimError::InvalidAssignment(format!("{t} is not ready")));
+            break;
+        }
+        if p.index() >= np || k.procs[p.index()].assigned != NONE {
+            res = Err(SimError::InvalidAssignment(format!("{p} is not idle")));
+            break;
+        }
+        if used_task[t.index()] {
+            res = Err(SimError::InvalidAssignment(format!("{t} assigned twice")));
+            break;
+        }
+        if used_proc[p.index()] {
+            res = Err(SimError::InvalidAssignment(format!(
+                "{p} received two tasks"
+            )));
+            break;
+        }
+        used_task[t.index()] = true;
+        used_proc[p.index()] = true;
+        marked += 1;
+    }
+    for &(t, p) in pairs.iter().take(marked) {
+        used_task[t.index()] = false;
+        used_proc[p.index()] = false;
+    }
+    res
+}
+
+/// Adapts a set of [`OnlineScheduler`]s to the kernel's [`Driver`]
+/// contract, mirroring exactly the state the general engine exposes
+/// through [`EpochContext`]. Every rider of the running branch sees the
+/// same context; riders whose dispatches agree stay on the branch, and
+/// the others are parked for branches of their own.
+struct OnlineDriver<'a, S, F> {
+    members: &'a mut [Option<S>],
     topo: &'a Topology,
     table: &'a RouteTable,
     placement: &'a mut Vec<Option<ProcId>>,
@@ -1026,9 +1260,126 @@ struct OnlineDriver<'a> {
     out: &'a mut Vec<(TaskId, ProcId)>,
     used_task: &'a mut [bool],
     used_proc: &'a mut [bool],
+    ls: &'a mut Lockstep,
+    on_leg: F,
 }
 
-impl Driver for OnlineDriver<'_> {
+impl<S, T, F> OnlineDriver<'_, S, F>
+where
+    S: DerefMut<Target = T>,
+    T: OnlineScheduler + ?Sized,
+    F: FnMut(&[Rider]),
+{
+    /// Adds each rider in dispatch group `g` (every rider when `g` is
+    /// `None`) to the running leg's report with `result`; a member whose
+    /// run ended drops its scheduler.
+    fn report_group(
+        &mut self,
+        g: Option<usize>,
+        k: &KernelState,
+        result: &Option<Result<SimTime, SimError>>,
+    ) {
+        for i in 0..self.ls.riders.len() {
+            if g.is_none_or(|g| self.ls.group_of[i] == g) {
+                let m = self.ls.riders[i];
+                if result.is_some() {
+                    self.members[m] = None;
+                }
+                self.ls.report.push(Rider {
+                    member: m,
+                    stats: k.run_stats(),
+                    result: result.clone(),
+                });
+            }
+        }
+    }
+
+    /// Ends the running leg: hands its report to the caller.
+    fn end_leg(&mut self) {
+        (self.on_leg)(&self.ls.report);
+        self.ls.report.clear();
+    }
+
+    /// Parks the riders of dispatch `g`, which starts at `start` in
+    /// `outputs`, for a branch of their own; the first group parked at
+    /// an epoch (`first`) parks a copy of the running state for every
+    /// group of that epoch.
+    fn park(&mut self, k: &KernelState, g: usize, start: usize, first: bool) {
+        let ls = &mut *self.ls;
+        if first {
+            if ls.parked.len() == ls.waiting {
+                ls.parked.push(Parked::default());
+            }
+            let p = &mut ls.parked[ls.waiting];
+            p.kernel.copy_from(k);
+            p.placement.clone_from(self.placement);
+            p.finish.clone_from(self.finish);
+            p.riders.clear();
+            p.dispatch.clear();
+            p.ends.clear();
+            ls.waiting += 1;
+        }
+        ls.stats.branches += 1;
+        let p = &mut ls.parked[ls.waiting - 1];
+        p.dispatch.extend(
+            ls.outputs[start..ls.group_end[g]]
+                .iter()
+                .map(|&(t, q)| (t.index() as u32, q.index() as u32)),
+        );
+        p.riders.extend(
+            ls.riders
+                .iter()
+                .zip(&ls.group_of)
+                .filter(|&(_, &gi)| gi == g)
+                .map(|(&m, _)| m),
+        );
+        p.ends.push((p.riders.len(), p.dispatch.len()));
+    }
+
+    /// Runs the branches of one lockstep run, from the running state
+    /// (already reset to time 0 with every member riding) to the last
+    /// parked branch.
+    fn run_branches(&mut self, kernel: &mut KernelState, ctx: &KernelCtx<'_>) {
+        self.ls.stats.branches = 1;
+        loop {
+            let res = Some(kernel.run(ctx, self));
+            self.ls.stats.events += kernel.events - self.ls.start_events;
+            if !self.ls.riders.is_empty() {
+                self.report_group(None, kernel, &res);
+                self.ls.riders.clear();
+                self.end_leg();
+            }
+            if self.ls.waiting == 0 {
+                return;
+            }
+            // Resume the last group parked at the last fork.
+            let ls = &mut *self.ls;
+            let p = &mut ls.parked[ls.waiting - 1];
+            p.ends.pop();
+            let (riders, dispatch) = p.ends.last().copied().unwrap_or((0, 0));
+            kernel.copy_from(&p.kernel);
+            self.placement.clone_from(&p.placement);
+            self.finish.clone_from(&p.finish);
+            ls.riders.clear();
+            ls.riders.extend(p.riders.drain(riders..));
+            kernel.assign_buf.clear();
+            kernel.assign_buf.extend(p.dispatch.drain(dispatch..));
+            if p.ends.is_empty() {
+                ls.waiting -= 1;
+            }
+            ls.start_events = kernel.events;
+            kernel.apply_dispatch(ctx, self);
+        }
+    }
+}
+
+impl<S, T, F> Driver for OnlineDriver<'_, S, F>
+where
+    S: DerefMut<Target = T>,
+    T: OnlineScheduler + ?Sized,
+    F: FnMut(&[Rider]),
+{
+    // lint:allow(panic) reason="riders are members whose runs have not ended, so their slots hold a scheduler; an epoch with riders has a dispatch group"
     fn dispatch(
         &mut self,
         k: &KernelState,
@@ -1052,7 +1403,12 @@ impl Driver for OnlineDriver<'_> {
         self.ready.clear();
         self.ready
             .extend(k.ready.iter().map(|&t| TaskId::from_index(t as usize)));
-        self.out.clear();
+        // Every rider decides on the same context; equal dispatches
+        // (the same pairs in the same order) form one group.
+        let ls = &mut *self.ls;
+        ls.outputs.clear();
+        ls.group_end.clear();
+        ls.group_of.clear();
         {
             let ectx = EpochContext {
                 time: k.now,
@@ -1066,48 +1422,92 @@ impl Driver for OnlineDriver<'_> {
                 finish: self.finish,
                 comm_enabled: ctx.comm_enabled,
             };
-            self.sched.on_epoch(&ectx, self.out);
+            for &m in &ls.riders {
+                self.out.clear();
+                self.members[m]
+                    .as_mut()
+                    .expect("a rider's run has not ended")
+                    .on_epoch(&ectx, self.out);
+                let mut start = 0;
+                let mut group = None;
+                for (g, &end) in ls.group_end.iter().enumerate() {
+                    if ls.outputs[start..end] == self.out[..] {
+                        group = Some(g);
+                        break;
+                    }
+                    start = end;
+                }
+                let g = group.unwrap_or_else(|| {
+                    ls.outputs.extend_from_slice(self.out);
+                    ls.group_end.push(ls.outputs.len());
+                    ls.group_end.len() - 1
+                });
+                ls.group_of.push(g);
+            }
         }
-        // Validate, replicating the engine's checks and messages.
-        let np = self.used_proc.len();
-        let mut res = Ok(());
-        let mut marked = 0usize;
-        for &(t, p) in self.out.iter() {
-            if t.index() >= self.used_task.len()
-                || k.ready.binary_search(&(t.index() as u32)).is_err()
-            {
-                res = Err(SimError::InvalidAssignment(format!("{t} is not ready")));
-                break;
+        // Validate each distinct dispatch once. An invalid one ends its
+        // riders' runs, the first valid one stays on this branch, and
+        // every later valid one is parked with its riders. The leg ends
+        // when any rider leaves.
+        let parted = ls.group_end.len() > 1;
+        let mut kept = None;
+        let mut first_err = None;
+        let mut parked = false;
+        let mut start = 0;
+        for g in 0..self.ls.group_end.len() {
+            let end = self.ls.group_end[g];
+            let res = validate(
+                &self.ls.outputs[start..end],
+                k,
+                self.used_task,
+                self.used_proc,
+            );
+            match res {
+                Err(e) => {
+                    self.report_group(Some(g), k, &Some(Err(e.clone())));
+                    first_err.get_or_insert(e);
+                }
+                Ok(()) if kept.is_none() => {
+                    if parted {
+                        self.report_group(Some(g), k, &None);
+                    }
+                    kept = Some((g, start));
+                }
+                Ok(()) => {
+                    self.report_group(Some(g), k, &None);
+                    self.park(k, g, start, !parked);
+                    parked = true;
+                }
             }
-            if p.index() >= np || k.procs[p.index()].assigned != NONE {
-                res = Err(SimError::InvalidAssignment(format!("{p} is not idle")));
-                break;
-            }
-            if self.used_task[t.index()] {
-                res = Err(SimError::InvalidAssignment(format!("{t} assigned twice")));
-                break;
-            }
-            self.used_task[t.index()] = true;
-            if self.used_proc[p.index()] {
-                res = Err(SimError::InvalidAssignment(format!(
-                    "{p} received two tasks"
-                )));
-                break;
-            }
-            self.used_proc[p.index()] = true;
-            marked += 1;
+            start = end;
         }
-        for &(t, p) in self.out.iter().take(marked) {
-            self.used_task[t.index()] = false;
-            self.used_proc[p.index()] = false;
+        if parted || kept.is_none() {
+            self.end_leg();
         }
-        res?;
-        out.extend(
-            self.out
-                .iter()
-                .map(|&(t, p)| (t.index() as u32, p.index() as u32)),
-        );
-        Ok(())
+        let Lockstep {
+            riders,
+            group_of,
+            outputs,
+            group_end,
+            ..
+        } = &mut *self.ls;
+        let mut i = 0;
+        riders.retain(|_| {
+            i += 1;
+            kept.is_some_and(|(g, _)| group_of[i - 1] == g)
+        });
+        match kept {
+            Some((g, start)) => {
+                out.extend(
+                    outputs[start..group_end[g]]
+                        .iter()
+                        .map(|&(t, p)| (t.index() as u32, p.index() as u32)),
+                );
+                Ok(())
+            }
+            // Every rider's run ended here; the branch stops.
+            None => Err(first_err.expect("an epoch with riders has a dispatch")),
+        }
     }
 
     fn task_assigned(&mut self, t: u32, q: u32) {
@@ -1119,31 +1519,86 @@ impl Driver for OnlineDriver<'_> {
     }
 }
 
-/// Simulates `graph` on `topology` driven by `scheduler` and returns
-/// **only the makespan** — the fast path for the thousands of
-/// evaluations (tournament cells, campaign cells, adversarial-search
+/// Simulates `graph` on `topology` under every scheduler in
+/// `schedulers` (the *members*) in one lockstep kernel run, and reports
+/// **only each member's makespan** — the fast path for the thousands
+/// of evaluations (tournament and campaign columns, adversarial-search
 /// candidates) that never read a Gantt chart, a trace or statistics.
 ///
-/// Bit-identical to [`simulate`](crate::simulate)'s
-/// `SimResult::makespan` for every scheduler: the scheduler observes
-/// the same [`EpochContext`] sequence, assignments are validated the
-/// same way, and event ordering (σ/τ preemption, channel FIFO,
-/// insertion-order tie-breaking) is reproduced exactly. The only
-/// divergence is *when* `SimError::EventLimit` can fire, because stale
-/// preempted timers never enter this queue (see the module docs).
+/// The members ride one kernel state while their dispatch decisions
+/// agree. At the first epoch where they part, the state forks: the
+/// riders of the first distinct valid dispatch stay on it, and the
+/// other groups are parked with one copy of the state, each to run its
+/// own branch from it once the current branch ends. So every member observes exactly the [`EpochContext`]
+/// sequence of its solo run and ends with its solo makespan or error
+/// and its solo [`KernelRunStats`], while an instance whose members
+/// mostly agree costs about one kernel run. Each distinct dispatch is
+/// validated once; an invalid one ends the runs of the members that
+/// produced it, each with the error its solo run returns.
 ///
-/// `scratch` carries every buffer and a route-table cache across
-/// calls; reuse one per worker thread for zero steady-state allocation.
-pub fn simulate_makespan(
+/// Each member's result is **bit-identical** to
+/// [`simulate`](crate::simulate)'s for the same scheduler: assignments
+/// are validated the same way, and event ordering (σ/τ preemption,
+/// channel FIFO, insertion-order tie-breaking) is reproduced exactly.
+/// The only divergence is *when* `SimError::EventLimit` can fire,
+/// because stale preempted timers never enter this queue (see the
+/// module docs).
+///
+/// `on_leg` is called as each leg ends (see [`Rider`]), with the
+/// members that rode it, in member order within each dispatch group.
+/// Legs run one after another, so a caller can time each one between
+/// two calls. Every member with a scheduler appears with a result
+/// exactly once, and its slot is emptied (dropping the scheduler) when
+/// its run ends; empty slots are not members. Returns the kernel work
+/// done.
+///
+/// `scratch` carries every buffer, the parked branches and a
+/// route-table cache across calls; reuse one per worker thread for
+/// zero steady-state allocation.
+// lint:allow(panic) reason="build_pred_base always pushes at least one offset"
+pub fn simulate_makespans<S, T, F>(
     graph: &TaskGraph,
     topology: &Topology,
     params: &CommParams,
-    scheduler: &mut dyn OnlineScheduler,
+    schedulers: &mut [Option<S>],
     config: &SimConfig,
     scratch: &mut SimScratch,
-) -> Result<SimTime, SimError> {
+    mut on_leg: F,
+) -> LockstepStats
+where
+    S: DerefMut<Target = T>,
+    T: OnlineScheduler + ?Sized,
+    F: FnMut(&[Rider]),
+{
+    let ls = &mut scratch.lockstep;
+    ls.riders.clear();
+    ls.riders
+        .extend((0..schedulers.len()).filter(|&m| schedulers[m].is_some()));
+    ls.report.clear();
+    ls.waiting = 0;
+    ls.start_events = 0;
+    ls.stats = LockstepStats::default();
+    if ls.riders.is_empty() {
+        return ls.stats;
+    }
     let np = topology.num_procs();
-    let ri = scratch.route_entry(topology)?;
+    let ri = match scratch.route_entry(topology) {
+        Ok(ri) => ri,
+        Err(e) => {
+            let ls = &mut scratch.lockstep;
+            for &m in &ls.riders {
+                schedulers[m] = None;
+                ls.report.push(Rider {
+                    member: m,
+                    stats: KernelRunStats::default(),
+                    result: Some(Err(e.clone())),
+                });
+            }
+            on_leg(&ls.report);
+            ls.report.clear();
+            return ls.stats;
+        }
+    };
     let SimScratch {
         kernel,
         routes,
@@ -1155,11 +1610,11 @@ pub fn simulate_makespan(
         out,
         used_task,
         used_proc,
+        lockstep: ls,
         ..
     } = scratch;
     let entry = &routes[ri];
     build_pred_base(graph, pred_base);
-    // lint:allow(panic) reason="build_pred_base always pushes at least one offset"
     let num_pred_edges = *pred_base.last().expect("pred_base is non-empty") as usize;
     // Packed-event ids: `arg` carries a processor index (OverheadDone)
     // or a predecessor-edge id (TransferDone), both in 30 bits.
@@ -1186,7 +1641,7 @@ pub fn simulate_makespan(
         pred_base,
     };
     let mut driver = OnlineDriver {
-        sched: scheduler,
+        members: schedulers,
         topo: topology,
         table: &entry.table,
         placement,
@@ -1196,8 +1651,43 @@ pub fn simulate_makespan(
         out,
         used_task,
         used_proc,
+        ls,
+        on_leg,
     };
-    kernel.run(&ctx, &mut driver)
+    driver.run_branches(kernel, &ctx);
+    driver.ls.stats
+}
+
+/// Simulates `graph` on `topology` driven by `scheduler` and returns
+/// **only the makespan**: [`simulate_makespans`] with one member.
+///
+/// Bit-identical to [`simulate`](crate::simulate)'s
+/// `SimResult::makespan` (see [`simulate_makespans`]); afterwards
+/// [`SimScratch::last_run_stats`] holds the run's counters.
+// lint:allow(panic) reason="simulate_makespans reports every member's result exactly once"
+pub fn simulate_makespan(
+    graph: &TaskGraph,
+    topology: &Topology,
+    params: &CommParams,
+    scheduler: &mut dyn OnlineScheduler,
+    config: &SimConfig,
+    scratch: &mut SimScratch,
+) -> Result<SimTime, SimError> {
+    let mut result = None;
+    simulate_makespans(
+        graph,
+        topology,
+        params,
+        &mut [Some(scheduler)],
+        config,
+        scratch,
+        |riders| {
+            if let Some(r) = riders.iter().find_map(|r| r.result.as_ref()) {
+                result = Some(r.clone());
+            }
+        },
+    );
+    result.expect("the member's run ended")
 }
 
 #[cfg(test)]

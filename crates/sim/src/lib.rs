@@ -39,7 +39,10 @@ pub mod scheduler;
 
 pub use engine::{simulate, SimConfig, SimError};
 pub use eval::FixedEval;
-pub use fastpath::{simulate_makespan, KernelRunStats, RouteCacheStats, SimScratch};
+pub use fastpath::{
+    simulate_makespan, simulate_makespans, KernelRunStats, LockstepStats, Rider, RouteCacheStats,
+    SimScratch,
+};
 pub use gantt::{Gantt, Span, SpanKind};
 pub use result::{CommStats, PacketStats, RunObs, SimResult};
 pub use scheduler::{EpochContext, FixedMapping, GreedyScheduler, OnlineScheduler};

@@ -27,7 +27,8 @@ use anneal_graph::units::us;
 use anneal_graph::TaskGraph;
 use anneal_obs::NoopRecorder;
 use anneal_sim::{
-    simulate_makespan, FixedEval, FixedMapping, GreedyScheduler, SimConfig, SimScratch,
+    simulate_makespan, simulate_makespans, FixedEval, FixedMapping, GreedyScheduler,
+    OnlineScheduler, SimConfig, SimScratch,
 };
 use anneal_topology::builders::{hypercube, ring};
 use anneal_topology::{CommParams, ProcId};
@@ -132,6 +133,58 @@ fn fast_path_steady_state_allocates_nothing() {
     assert_eq!(
         delta, 0,
         "steady-state fast-path simulation must not allocate ({delta} allocations in 100 runs)"
+    );
+}
+
+#[test]
+fn warm_lockstep_column_allocates_nothing() {
+    // A column whose members part at different epochs (two mappings and
+    // greedy) and coincide (duplicates of each): once the parked
+    // branches are warm, re-running the column must not allocate.
+    let g = sample_graph(21);
+    let n = g.num_tasks();
+    let topo = hypercube(3);
+    let params = CommParams::paper();
+    let cfg = SimConfig::default();
+    let mut scratch = SimScratch::new();
+    let spread: Vec<ProcId> = (0..n).map(|i| ProcId::from_index(i % 8)).collect();
+    let packed: Vec<ProcId> = (0..n).map(|i| ProcId::from_index(i % 3)).collect();
+    let (mut a, mut b) = (FixedMapping::new(spread.clone()), FixedMapping::new(spread));
+    let mut c = FixedMapping::new(packed);
+    let (mut g1, mut g2) = (GreedyScheduler, GreedyScheduler);
+    let mut column = |scratch: &mut SimScratch| {
+        let mut slots: [Option<&mut dyn OnlineScheduler>; 5] = [
+            Some(&mut a),
+            Some(&mut g1),
+            Some(&mut c),
+            Some(&mut b),
+            Some(&mut g2),
+        ];
+        let mut makespans = [0u64; 5];
+        let work = simulate_makespans(&g, &topo, &params, &mut slots, &cfg, scratch, |riders| {
+            for r in riders {
+                if let Some(res) = &r.result {
+                    makespans[r.member] = *res.as_ref().unwrap();
+                }
+            }
+        });
+        (makespans, work)
+    };
+    let (expect, work) = column(&mut scratch);
+    assert_eq!(work.branches, 3, "three distinct schedules");
+    assert_eq!(expect[0], expect[3]);
+    assert_eq!(expect[1], expect[4]);
+    for _ in 0..2 {
+        column(&mut scratch);
+    }
+    let before = allocations();
+    for _ in 0..50 {
+        assert_eq!(column(&mut scratch), (expect, work));
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "a warm lockstep column must not allocate ({delta} allocations in 50 columns)"
     );
 }
 
