@@ -9,7 +9,7 @@
 //! a [`FixedMapping`] under the level dispatch order it annealed with.
 //!
 //! [`Portfolio::standard`] registers every scheduler in the workspace on
-//! the production lane ([`SaLane::default`]) and the default
+//! the production staged-SA lane ([`SaLane::default`]) and the default
 //! [`EvaluatorKind`]; [`Portfolio::standard_with_lanes`] pins either
 //! (the evaluator kind never changes a result, only its cost).
 
@@ -267,16 +267,16 @@ impl Portfolio {
     }
 
     /// [`Portfolio::standard`] with an explicit [`EvaluatorKind`] for
-    /// static SA's move pricing and an explicit [`SaLane`] for both
-    /// annealing entries (`sa` and `static-sa`). `Full` and
-    /// `Incremental` produce bit-identical cells; only the evaluation
-    /// speed differs.
+    /// static SA's move pricing and an explicit [`SaLane`] for the
+    /// staged-SA entry (`sa`); static SA anneals the same way on every
+    /// lane. `Full` and `Incremental` produce bit-identical cells; only
+    /// the evaluation speed differs.
     pub fn standard_with_lanes(evaluator: EvaluatorKind, lane: SaLane) -> Self {
         let mut p = Self::fast_with_lane(lane);
         p.register(PortfolioEntry::new_fallible(
             "static-sa",
             move |inst, seed| {
-                let cfg = static_sa_cell_config(seed, evaluator, lane);
+                let cfg = static_sa_cell_config(seed, evaluator);
                 let outcome = static_sa(
                     &inst.graph,
                     &inst.topology,
@@ -298,13 +298,12 @@ impl Portfolio {
 
 /// The static-SA settings of a portfolio cell: light, because a
 /// tournament cell is one scheduler evaluation, not a tuning study.
-pub fn static_sa_cell_config(seed: u64, evaluator: EvaluatorKind, lane: SaLane) -> StaticSaConfig {
+pub fn static_sa_cell_config(seed: u64, evaluator: EvaluatorKind) -> StaticSaConfig {
     StaticSaConfig {
         max_iters: 40,
         stable_iters: 6,
         seed,
         evaluator,
-        lane,
         ..StaticSaConfig::default()
     }
 }
@@ -436,7 +435,7 @@ mod tests {
         let mut scratch = SimScratch::new();
         for inst in &smoke_instances(3) {
             for seed in [5, 17] {
-                let cfg = static_sa_cell_config(seed, EvaluatorKind::default(), SaLane::default());
+                let cfg = static_sa_cell_config(seed, EvaluatorKind::default());
                 let outcome = static_sa(
                     &inst.graph,
                     &inst.topology,

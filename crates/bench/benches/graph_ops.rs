@@ -1,10 +1,9 @@
-//! Graph-substrate operations: level computation, critical path,
-//! transitive closure — on workload- and stress-sized DAGs.
+//! Graph-substrate operations: level computation and critical path on
+//! workload- and stress-sized DAGs.
 
 use anneal_graph::critical_path::{critical_path, critical_path_length};
 use anneal_graph::generate::{layered_random, LayeredConfig, Range};
 use anneal_graph::levels::{bottom_levels, top_levels};
-use anneal_graph::transitive::Closure;
 use anneal_graph::TaskGraph;
 use anneal_workloads::ne_paper;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -45,12 +44,6 @@ fn bench_graph(c: &mut Criterion) {
                 black_box(critical_path_length(g));
                 black_box(critical_path(g))
             })
-        });
-    }
-    // Closure only on the smaller graphs (quadratic memory).
-    for (name, g) in &graphs[..2] {
-        group.bench_with_input(BenchmarkId::new("closure", name), g, |b, g| {
-            b.iter(|| black_box(Closure::build(g)))
         });
     }
     group.finish();

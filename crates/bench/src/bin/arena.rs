@@ -22,19 +22,20 @@
 //!   measurements reproducible on shared CI runners.
 //! * `--metrics PATH` — additionally write the tournament's
 //!   `anneal-obs` registry (JSON) to `PATH` and its
-//!   deterministic-class view to `PATH.det.json`. Observation never
-//!   changes the science artifacts.
+//!   deterministic-class view to `PATH.det.json`, creating `PATH`'s
+//!   directory first (exit 1, before anything runs, if it cannot be
+//!   created). Observation never changes the science artifacts.
 //! * `--null-clock` — record metrics with the deterministic
 //!   `NullClock` (every `time.*` value 0), making the metrics files
 //!   byte-reproducible too.
 //!
-//! Both annealing entries run the production SA lane
-//! (`SaLane::default()`, turbo) and static SA the default move
-//! evaluator, the fast-path fixed-mapping kernel. An unknown flag, a
+//! Staged SA runs the production SA lane (`SaLane::default()`, turbo),
+//! and static SA anneals with eq. 1 on the default move evaluator, the
+//! fast-path fixed-mapping kernel. An unknown flag, a
 //! missing flag value, an unparsable count or seed, or a third
 //! positional argument prints the usage on stderr and exits 2.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use anneal_arena::{
     paper_instances, run_tournament_observed, standard_instances, Portfolio, TournamentConfig,
@@ -96,6 +97,14 @@ fn main() {
         metrics,
         null_clock,
     } = parse_args();
+    // Create the metrics directory before anything runs, so a metrics
+    // path that cannot be created fails before the results are written.
+    if let Some(dir) = metrics.as_deref().and_then(Path::parent) {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("arena: cannot create {}: {e}", dir.display());
+            std::process::exit(1);
+        }
+    }
     let portfolio = Portfolio::standard();
     let mut instances = standard_instances(seed, count);
     if with_paper {

@@ -45,7 +45,9 @@
 //!   `campaign.meta` as `sa-lane=` together with how it settles a
 //!   packet (`packet-solve=assignment`), so a directory written under
 //!   another lane, or by a turbo lane that annealed packets, is refused
-//!   on resume (exit 1).
+//!   on resume (exit 1). A `--full` stamp also records that static SA
+//!   accepts by eq. 1 (`static-sa=eq1`), so a `--full` directory whose
+//!   static SA accepted by a lookup table is refused too.
 //! * `--shard K` — restrict this invocation to shard `K`.
 //! * `--threads T` — cap the per-shard evaluation thread pool (default
 //!   `0` = available parallelism). Never changes results.
@@ -187,16 +189,24 @@ fn parse_args() -> Args {
 /// solves every packet with the assignment solver; both are recorded
 /// so that a directory written under another lane, or by a turbo lane
 /// that annealed packets (stamped `packet-enum=24` or with no packet
-/// line), is refused.
+/// line), is refused. A `--full` stamp ends with `static-sa=eq1`:
+/// static SA decides every move by eq. 1, and a `--full` directory
+/// without that line was written when its turbo lane accepted by a
+/// lookup table. Fast directories run no static SA and keep their
+/// stamp.
 fn provenance(cfg: &CampaignConfig, full: bool) -> String {
-    format!(
+    let mut stamp = format!(
         "instances={}\nshards={}\nseed={}\nportfolio={}\nsa-lane={}\npacket-solve=assignment\n",
         cfg.instances,
         cfg.shards,
         cfg.base_seed,
         if full { "standard" } else { "fast" },
         SaLane::default(),
-    )
+    );
+    if full {
+        stamp.push_str("static-sa=eq1\n");
+    }
+    stamp
 }
 
 /// Refuses, with exit status [`PROVENANCE_EXIT`], a directory whose

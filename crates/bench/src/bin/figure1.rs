@@ -4,15 +4,15 @@
 //!
 //! Runs NE on the hypercube with trace recording on the paper's
 //! annealer (`SaLane::Exact`; the production turbo lane solves each
-//! packet without annealing it), picks the packet with
-//! the most candidates (the paper shows a "rich" packet with a long
+//! packet without annealing it), picks the packet whose F_tot takes the
+//! most distinct values (the paper shows a "rich" packet with a long
 //! trajectory), renders an ASCII chart and writes
 //! `results/figure1.csv` with every sample of the chosen packet plus
 //! `results/figure1.jsonl` with every sample of *every* packet (the
 //! `anneal-obs` trace-event export).
 
 use anneal_bench::results_dir;
-use anneal_core::{PacketTrace, SaConfig, SaLane, SaScheduler};
+use anneal_core::{PacketTrace, SaConfig, SaLane, SaScheduler, TraceSample};
 use anneal_obs::JsonlSink;
 use anneal_report::{csv::f, Chart, Csv, Series};
 use anneal_sim::{simulate, SimConfig};
@@ -39,34 +39,27 @@ fn main() {
     )
     .expect("NE simulation");
 
-    // The paper shows a packet where both cost terms evolve; pick the
-    // richest packet in which both the communication term and the level
-    // term actually vary (packet 0 only contains root tasks whose
-    // inputs are free, and packets of equal-level candidates have a
-    // constant F_b). When no packet varies F_b, the richest packet
-    // whose F_c varies is the next best; packet 0 is the last resort.
-    let varies = |vals: Vec<f64>| vals.iter().any(|&v| (v - vals[0]).abs() > 1e-9);
-    let fc_varies = |t: &&PacketTrace| varies(t.samples.iter().map(|s| s.f_c_raw).collect());
-    let fb_varies = |t: &&PacketTrace| varies(t.samples.iter().map(|s| s.f_b_raw).collect());
-    // Prefer few idle processors (the paper's packets average 1.46, so
-    // F_b stays on the same scale as F_c) and many candidates.
-    let richest = |t: &&PacketTrace| (std::cmp::Reverse(t.idle), t.candidates, t.samples.len());
-    let (trace, case) = if let Some(t) = sa
+    // The paper shows a packet whose cost evolves over a long
+    // trajectory: chart the packet whose F_tot takes the most distinct
+    // values, then the one with the most samples, then the earliest.
+    let distinct = |t: &PacketTrace, term: fn(&TraceSample) -> f64| {
+        let mut vals: Vec<f64> = t.samples.iter().map(term).collect();
+        vals.sort_by(f64::total_cmp);
+        vals.dedup();
+        vals.len()
+    };
+    let trace = sa
         .traces
         .iter()
-        .filter(|t| fc_varies(t) && fb_varies(t))
-        .max_by_key(richest)
-    {
-        (t, "the richest packet varying both F_b and F_c")
-    } else if let Some(t) = sa.traces.iter().filter(fc_varies).max_by_key(richest) {
-        (t, "no packet varies F_b; the richest packet varying F_c")
-    } else {
-        (
-            sa.traces.first().expect("at least one packet traced"),
-            "no packet varies F_b or F_c; packet 0",
-        )
-    };
-    println!("packet choice: {case}");
+        .max_by_key(|t| {
+            (
+                distinct(t, |s| s.f_total),
+                t.samples.len(),
+                std::cmp::Reverse(t.packet),
+            )
+        })
+        .expect("at least one packet traced");
+    println!("packet choice: most distinct F_tot values, then most samples, then lowest index");
     println!(
         "Figure 1: packet #{} at t = {:.1} us ({} candidates, {} idle procs, {} moves, final cost {:.3})",
         trace.packet,
@@ -75,6 +68,12 @@ fn main() {
         trace.idle,
         trace.samples.len(),
         trace.final_cost()
+    );
+    println!(
+        "distinct values: F_b {}, F_c {}, F_tot {}",
+        distinct(trace, |s| s.f_b_raw),
+        distinct(trace, |s| s.f_c_raw),
+        distinct(trace, |s| s.f_total)
     );
 
     // The paper plots the raw cost terms in microsecond units: the

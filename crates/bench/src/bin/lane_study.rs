@@ -42,12 +42,6 @@
 //! live in `anneal_arena` and are shared with the enforced `cargo test`
 //! gate in `tests/sa_lane_turbo.rs`.
 //!
-//! The same distributions are reported for **static SA** (exact vs
-//! turbo acceptance) at the portfolio's cell settings
-//! (`anneal_arena::static_sa_cell_config`), under `"static_sa"`. Those
-//! rows are not gated: at 32 seeds a per-instance bound on them would
-//! gate on noise.
-//!
 //! The study itself is a pure function of its arguments — no timing,
 //! no threads — so two runs emit byte-identical JSON.
 //!
@@ -69,12 +63,11 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use anneal_arena::{
-    campaign_instance, lane_instance_gate, lane_study_seed, load_corpus_dir, static_sa_cell_config,
-    ArenaInstance, LANE_CORPUS_MEAN_MAX, LANE_GATE_SEEDS, LANE_INSTANCE_MEAN_MAX,
+    campaign_instance, lane_instance_gate, lane_study_seed, load_corpus_dir, ArenaInstance,
+    LANE_CORPUS_MEAN_MAX, LANE_GATE_SEEDS, LANE_INSTANCE_MEAN_MAX,
 };
 use anneal_bench::cli::Cli;
-use anneal_core::static_sa::static_sa;
-use anneal_core::{EvaluatorKind, SaConfig, SaLane, SaScheduler};
+use anneal_core::{SaConfig, SaLane, SaScheduler};
 use anneal_sim::simulate;
 
 struct StudyArgs {
@@ -130,20 +123,6 @@ fn staged_makespan(inst: &ArenaInstance, lane: SaLane, seed: u64) -> u64 {
     .makespan
 }
 
-/// Final makespan of a portfolio `static-sa` cell under `lane`.
-fn static_makespan(inst: &ArenaInstance, lane: SaLane, seed: u64) -> u64 {
-    static_sa(
-        &inst.graph,
-        &inst.topology,
-        &inst.params,
-        &inst.sim_cfg,
-        &static_sa_cell_config(seed, EvaluatorKind::default(), lane),
-    )
-    .expect("static SA anneals the study instance")
-    .result
-    .makespan
-}
-
 struct InstanceRow {
     name: String,
     source: &'static str,
@@ -182,28 +161,6 @@ impl InstanceRow {
     }
 }
 
-/// Corpus mean, worst instance and worst per-seed ratio of a study.
-struct Aggregate<'a> {
-    corpus_mean: f64,
-    worst_name: &'a str,
-    worst_mean: f64,
-    worst_seed: f64,
-}
-
-fn aggregate(rows: &[InstanceRow]) -> Aggregate<'_> {
-    let (worst_name, worst_mean) = rows
-        .iter()
-        .map(|r| (r.name.as_str(), r.makespan_ratio()))
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite means"))
-        .expect("nonempty study");
-    Aggregate {
-        corpus_mean: rows.iter().map(InstanceRow::makespan_ratio).sum::<f64>() / rows.len() as f64,
-        worst_name,
-        worst_mean,
-        worst_seed: rows.iter().map(InstanceRow::worst).fold(f64::MIN, f64::max),
-    }
-}
-
 fn study_instances(args: &StudyArgs) -> Vec<(ArenaInstance, &'static str)> {
     let corpus = load_corpus_dir("corpus").expect("corpus/ must load cleanly");
     let mut out = Vec::new();
@@ -223,14 +180,9 @@ fn study_instances(args: &StudyArgs) -> Vec<(ArenaInstance, &'static str)> {
     out
 }
 
-/// Runs exact vs turbo through `makespan` on every instance and seed,
-/// printing one line per instance under `label`.
-fn study(
-    instances: &[(ArenaInstance, &'static str)],
-    seeds: u64,
-    label: &str,
-    makespan: fn(&ArenaInstance, SaLane, u64) -> u64,
-) -> Vec<InstanceRow> {
+/// Runs exact vs turbo staged SA on every instance and seed, printing
+/// one line per instance.
+fn study(instances: &[(ArenaInstance, &'static str)], seeds: u64) -> Vec<InstanceRow> {
     let mut rows: Vec<InstanceRow> = Vec::with_capacity(instances.len());
     for (inst, source) in instances {
         let mut ratios = Vec::with_capacity(seeds as usize);
@@ -238,8 +190,8 @@ fn study(
         let mut turbo_sum = 0.0;
         for k in 0..seeds {
             let seed = lane_study_seed(&inst.name, k);
-            let exact = makespan(inst, SaLane::Exact, seed);
-            let turbo = makespan(inst, SaLane::Turbo, seed);
+            let exact = staged_makespan(inst, SaLane::Exact, seed);
+            let turbo = staged_makespan(inst, SaLane::Turbo, seed);
             ratios.push(turbo as f64 / exact as f64);
             exact_sum += exact as f64;
             turbo_sum += turbo as f64;
@@ -252,7 +204,7 @@ fn study(
             turbo_mean_ns: turbo_sum / seeds as f64,
         };
         println!(
-            "{label}{:32} makespan {:.4}  seed-mean {:.4}  p95 {:.4}  worst {:.4}",
+            "{:32} makespan {:.4}  seed-mean {:.4}  p95 {:.4}  worst {:.4}",
             row.name,
             row.makespan_ratio(),
             row.seed_mean(),
@@ -264,40 +216,23 @@ fn study(
     rows
 }
 
-/// The per-instance JSON rows, one per line at `indent`.
-fn json_rows(json: &mut String, rows: &[InstanceRow], indent: &str) {
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "{indent}{{\"name\": \"{}\", \"source\": \"{}\", \"makespan_ratio\": {:.6}, \
-             \"seed_mean_ratio\": {:.6}, \"p95_ratio\": {:.6}, \"worst_ratio\": {:.6}, \
-             \"best_ratio\": {:.6}, \"exact_mean_ns\": {:.1}, \"turbo_mean_ns\": {:.1}}}",
-            r.name,
-            r.source,
-            r.makespan_ratio(),
-            r.seed_mean(),
-            r.p95(),
-            r.worst(),
-            r.best(),
-            r.exact_mean_ns,
-            r.turbo_mean_ns
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-}
-
 fn main() {
     let args = parse_args();
     let instances = study_instances(&args);
 
-    let rows = study(&instances, args.seeds, "", staged_makespan);
-    let staged = aggregate(&rows);
+    let rows = study(&instances, args.seeds);
+    let corpus_mean = rows.iter().map(InstanceRow::makespan_ratio).sum::<f64>() / rows.len() as f64;
+    let worst = rows
+        .iter()
+        .max_by(|a, b| {
+            let (a, b) = (a.makespan_ratio(), b.makespan_ratio());
+            a.partial_cmp(&b).expect("finite means")
+        })
+        .expect("nonempty study");
+    let worst_seed = rows.iter().map(InstanceRow::worst).fold(f64::MIN, f64::max);
     let instance_max = lane_instance_gate(args.seeds);
-    let gate_pass = staged.corpus_mean <= LANE_CORPUS_MEAN_MAX
+    let gate_pass = corpus_mean <= LANE_CORPUS_MEAN_MAX
         && rows.iter().all(|r| r.makespan_ratio() <= instance_max);
-
-    let static_rows = study(&instances, args.seeds, "static-sa ", static_makespan);
-    let stat = aggregate(&static_rows);
 
     // Hand-rolled JSON (no serde in the workspace); deterministic field
     // order and fixed-precision floats, so re-runs are byte-identical.
@@ -319,29 +254,32 @@ fn main() {
          \"calibration_seeds\": {LANE_GATE_SEEDS}}},"
     );
     json.push_str("  \"instances\": [\n");
-    json_rows(&mut json, &rows, "    ");
+    for (i, r) in rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"name\": \"{}\", \"source\": \"{}\", \"makespan_ratio\": {:.6}, \
+             \"seed_mean_ratio\": {:.6}, \"p95_ratio\": {:.6}, \"worst_ratio\": {:.6}, \
+             \"best_ratio\": {:.6}, \"exact_mean_ns\": {:.1}, \"turbo_mean_ns\": {:.1}}}",
+            r.name,
+            r.source,
+            r.makespan_ratio(),
+            r.seed_mean(),
+            r.p95(),
+            r.worst(),
+            r.best(),
+            r.exact_mean_ns,
+            r.turbo_mean_ns
+        );
+        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    }
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"aggregate\": {{\"corpus_mean_ratio\": {:.6}, \
+        "  \"aggregate\": {{\"corpus_mean_ratio\": {corpus_mean:.6}, \
          \"worst_instance\": \"{}\", \"worst_instance_mean\": {:.6}, \
-         \"worst_seed_ratio\": {:.6}, \"gate_pass\": {gate_pass}}},",
-        staged.corpus_mean, staged.worst_name, staged.worst_mean, staged.worst_seed
-    );
-    let cell = static_sa_cell_config(0, EvaluatorKind::default(), SaLane::default());
-    let _ = writeln!(
-        json,
-        "  \"static_sa\": {{\"gated\": false, \"max_iters\": {}, \"stable_iters\": {}, \
-         \"instances\": [",
-        cell.max_iters, cell.stable_iters
-    );
-    json_rows(&mut json, &static_rows, "      ");
-    let _ = writeln!(
-        json,
-        "    ],\n    \"aggregate\": {{\"corpus_mean_ratio\": {:.6}, \
-         \"worst_instance\": \"{}\", \"worst_instance_mean\": {:.6}, \
-         \"worst_seed_ratio\": {:.6}}}}}\n}}",
-        stat.corpus_mean, stat.worst_name, stat.worst_mean, stat.worst_seed
+         \"worst_seed_ratio\": {worst_seed:.6}, \"gate_pass\": {gate_pass}}}\n}}",
+        worst.name,
+        worst.makespan_ratio()
     );
 
     if let Some(parent) = args.out.parent() {
@@ -349,13 +287,11 @@ fn main() {
     }
     std::fs::write(&args.out, &json).expect("write LANE_EQUIV.json");
     println!(
-        "\ncorpus makespan ratio {:.4} (max {LANE_CORPUS_MEAN_MAX}), worst instance \
-         {} {:.4} (max {instance_max:.4} at {} seeds), worst per-seed ratio {:.4}",
-        staged.corpus_mean, staged.worst_name, staged.worst_mean, args.seeds, staged.worst_seed
-    );
-    println!(
-        "static-sa (not gated): corpus makespan ratio {:.4}, worst instance {} {:.4}",
-        stat.corpus_mean, stat.worst_name, stat.worst_mean
+        "\ncorpus makespan ratio {corpus_mean:.4} (max {LANE_CORPUS_MEAN_MAX}), worst instance \
+         {} {:.4} (max {instance_max:.4} at {} seeds), worst per-seed ratio {worst_seed:.4}",
+        worst.name,
+        worst.makespan_ratio(),
+        args.seeds
     );
     println!("wrote {}", args.out.display());
 

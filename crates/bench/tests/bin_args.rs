@@ -3,7 +3,8 @@
 //! `scaling`, `table2`, all on `anneal_bench::cli`): anything a binary
 //! does not understand is refused with the usage text and exit status
 //! 2, like the root `annealsched` CLI, instead of panicking or silently
-//! running with defaults.
+//! running with defaults. `arena --metrics PATH` creates a missing
+//! directory instead of panicking.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -120,4 +121,27 @@ fn help_prints_usage_and_exits_0() {
             "{bin} --help"
         );
     }
+}
+
+/// `arena --metrics PATH` creates `PATH`'s directory when it does not
+/// exist yet, as the results directory is created, and writes both
+/// metrics files.
+#[test]
+fn arena_metrics_into_a_missing_directory() {
+    let cwd =
+        std::env::temp_dir().join(format!("annealsched-arena-metrics-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_arena"))
+        .args(["1", "7", "--null-clock", "--metrics", "nodir/M.json"])
+        .current_dir(&cwd)
+        .output()
+        .expect("run arena");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    for file in ["nodir/M.json", "nodir/M.det.json", "results/arena.csv"] {
+        let len = std::fs::metadata(cwd.join(file)).map_or(0, |m| m.len());
+        assert!(len > 0, "{file} missing or empty");
+    }
+    let _ = std::fs::remove_dir_all(cwd);
 }

@@ -305,6 +305,10 @@ fn default_run_stamps_the_production_lane_into_campaign_meta() {
         "the evaluator never changes a cell and is not provenance:\n{body}"
     );
     assert!(!body.contains("packet-enum="), "{body}");
+    assert!(
+        !body.contains("static-sa="),
+        "a fast campaign runs no static SA:\n{body}"
+    );
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -364,11 +368,11 @@ fn mismatched_parameters_are_refused_on_resume() {
 }
 
 /// Refuses, before any shard runs, a directory whose `campaign.meta`
-/// holds `body`.
-fn assert_stamp_refused(name: &str, body: &str) {
+/// holds `body`, when resumed with `extra` args.
+fn assert_stamp_refused(name: &str, body: &str, extra: &[&str]) {
     let dir = fresh_dir(name);
     std::fs::write(dir.join("campaign.meta"), anneal_fleet::seal(body)).unwrap();
-    let out = campaign(&dir, &[]).output().unwrap();
+    let out = campaign(&dir, extra).output().unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("different parameters"), "{stderr}");
@@ -385,6 +389,7 @@ fn directory_from_the_annealing_only_turbo_lane_is_refused() {
     assert_stamp_refused(
         "pre-enum",
         "instances=10\nshards=3\nseed=7\nportfolio=fast\nsa-lane=turbo\n",
+        &[],
     );
 }
 
@@ -396,6 +401,29 @@ fn directory_from_the_enumerating_turbo_lane_is_refused() {
     assert_stamp_refused(
         "enum",
         "instances=10\nshards=3\nseed=7\nportfolio=fast\nsa-lane=turbo\npacket-enum=24\n",
+        &[],
+    );
+}
+
+/// A `--full` run stamps `static-sa=eq1`, and a `--full` directory
+/// stamped without it (written when static SA's turbo lane accepted by
+/// a lookup table) is refused: its static-sa column would merge cleanly
+/// with cells annealed under eq. 1.
+#[test]
+fn full_directory_from_the_table_accepting_static_sa_is_refused() {
+    let dir = fresh_dir("full-stamp");
+    run_campaign(&dir, &["--full"]);
+    let meta = String::from_utf8(read(&dir, "campaign.meta")).unwrap();
+    let body = anneal_fleet::unseal(&meta).expect("campaign.meta is sealed");
+    assert!(
+        body.ends_with("packet-solve=assignment\nstatic-sa=eq1\n"),
+        "{body}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+    assert_stamp_refused(
+        "table-static-sa",
+        "instances=10\nshards=3\nseed=7\nportfolio=standard\nsa-lane=turbo\npacket-solve=assignment\n",
+        &["--full"],
     );
 }
 

@@ -29,6 +29,41 @@ pub enum BalanceRange {
     PerIdle,
 }
 
+/// `(ΔF_b, ΔF_c)` of a packet with `levels` (its candidates' `n_i`),
+/// `worst_comm` (each candidate's worst eq. 4 placement cost) and
+/// `idle` free processors: the one computation of eq. 6's
+/// normalization ranges, shared by [`CostModel::new`] and the turbo
+/// lane's scratch so the two agree bit for bit. Sorts both slices in
+/// place.
+pub(crate) fn normalization_ranges(
+    levels: &mut [u64],
+    worst_comm: &mut [u64],
+    idle: usize,
+    balance: BalanceRange,
+) -> (f64, f64) {
+    let k = levels.len().min(idle);
+
+    // ΔF_b from the level range.
+    levels.sort_unstable();
+    let min_sum: u64 = levels.iter().take(k).sum();
+    let max_sum: u64 = levels.iter().rev().take(k).sum();
+    let mut range_b = (max_sum - min_sum) as f64;
+    if balance == BalanceRange::PerIdle && idle > 0 {
+        range_b /= idle as f64;
+    }
+    if range_b <= 0.0 {
+        range_b = 1.0;
+    }
+
+    // ΔF_c from the top-k worst per-task placement costs.
+    worst_comm.sort_unstable();
+    let mut range_c = worst_comm.iter().rev().take(k).sum::<u64>() as f64;
+    if range_c <= 0.0 {
+        range_c = 1.0;
+    }
+    (range_b, range_c)
+}
+
 /// Evaluates packet mappings under eq. 6.
 #[derive(Debug, Clone)]
 pub struct CostModel<'p> {
@@ -46,29 +81,12 @@ impl<'p> CostModel<'p> {
     /// but any non-negative weights work.
     pub fn new(packet: &'p AnnealingPacket, wb: f64, wc: f64, balance: BalanceRange) -> Self {
         assert!(wb >= 0.0 && wc >= 0.0, "negative weights");
-        let k = packet.num_selected();
-
-        // ΔF_b from the level range.
-        let mut lv: Vec<u64> = packet.levels.clone();
-        lv.sort_unstable();
-        let min_sum: u64 = lv.iter().take(k).sum();
-        let max_sum: u64 = lv.iter().rev().take(k).sum();
-        let mut range_b = (max_sum - min_sum) as f64;
-        if balance == BalanceRange::PerIdle && packet.num_procs() > 0 {
-            range_b /= packet.num_procs() as f64;
-        }
-        if range_b <= 0.0 {
-            range_b = 1.0;
-        }
-
-        // ΔF_c from the top-k worst per-task placement costs.
-        let mut wc_costs: Vec<u64> = packet.worst_comm.clone();
-        wc_costs.sort_unstable();
-        let mut range_c: f64 = wc_costs.iter().rev().take(k).sum::<u64>() as f64;
-        if range_c <= 0.0 {
-            range_c = 1.0;
-        }
-
+        let (range_b, range_c) = normalization_ranges(
+            &mut packet.levels.clone(),
+            &mut packet.worst_comm.clone(),
+            packet.num_procs(),
+            balance,
+        );
         CostModel {
             packet,
             wb,

@@ -24,9 +24,9 @@
 //!   [`crate::boltzmann::accept`]): the oracle, and the lane of every
 //!   bin that reproduces a paper table or figure.
 //!
-//! Whole-graph static SA anneals on either lane too; its turbo lane
-//! decides acceptance with the tabulated Boltzmann rule here
-//! ([`AcceptTable::accept_turbo`]).
+//! The lane concerns staged SA only: whole-graph static SA
+//! ([`crate::static_sa`]) decides every move with
+//! [`crate::boltzmann::accept`] whatever lane it is given.
 //!
 //! # The oracle contract
 //!
@@ -43,7 +43,6 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::OnceLock;
 
 use anneal_graph::Work;
 use anneal_sim::EpochContext;
@@ -51,25 +50,22 @@ use anneal_topology::ProcId;
 use rand::{Rng, RngCore};
 
 use crate::annealer::{AnnealParams, PacketOutcome};
-use crate::boltzmann::{acceptance_probability, AcceptanceRule, TEMP_EPSILON};
-use crate::cost::{BalanceRange, CostModel};
+use crate::cost::{normalization_ranges, BalanceRange, CostModel};
 use crate::packet::AnnealingPacket;
 use crate::trace::{PacketTrace, TraceSample};
 use anneal_graph::TaskId;
 
-/// How a scheduler settles each annealing packet (staged SA) and
-/// decides acceptance (static SA).
+/// How staged SA settles each annealing packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SaLane {
     /// The original per-move `exp()` + nested-table engine (the
-    /// oracle). The only staged-SA lane that anneals, so the only one
-    /// the annealing knobs of [`crate::SaConfig`] act on.
+    /// oracle). The only lane that anneals, so the only one the
+    /// annealing knobs of [`crate::SaConfig`] act on.
     Exact,
-    /// The production lane: staged SA solves each packet's eq. 6
-    /// minimum exactly ([`SaScratch::solve`]), with ties broken from a
-    /// counter-based stream ([`crate::rng_stream`]), and ignores
-    /// [`crate::SaConfig`]'s annealing knobs; static SA accepts by the
-    /// midpoint table ([`AcceptTable::accept_turbo`]). Certified
+    /// The production lane: each packet's eq. 6 minimum is solved
+    /// exactly ([`SaScratch::solve`]), with ties broken from a
+    /// counter-based stream ([`crate::rng_stream`]), and
+    /// [`crate::SaConfig`]'s annealing knobs are ignored. Certified
     /// statistically against [`SaLane::Exact`], not bit for bit.
     #[default]
     Turbo,
@@ -122,162 +118,6 @@ impl FromStr for SaLane {
     }
 }
 
-/// How static SA's turbo lane resolved its acceptance decisions;
-/// flushed through `anneal-obs` so `--metrics` shows the table's hit
-/// profile.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LaneCounters {
-    /// Certain decisions: frozen temperature, a sure accept (threshold
-    /// 1) or a sure reject (threshold 0).
-    pub shortcut: u64,
-    /// Decided by one uniform draw against a bucket midpoint.
-    pub table: u64,
-}
-
-impl LaneCounters {
-    /// Total decisions taken.
-    pub fn decisions(&self) -> u64 {
-        self.shortcut + self.table
-    }
-}
-
-/// The vendored RNG's `[0, 1)` sample: the top 53 bits of one word.
-#[inline]
-fn unit_f64<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Tabulated Boltzmann acceptance for one [`AcceptanceRule`], built
-/// once per process ([`accept_table`]).
-///
-/// The acceptance probability of both rules is a monotone decreasing
-/// function of `x = delta / temp` alone, so one table per rule covers
-/// every `(delta, temp)` pair. The active region `(x_lo, tail_from)` is
-/// split into 4096 buckets, each storing the exact
-/// probability at its center; outside it the decision is certain
-/// (`p` rounds to 1 below `x_lo`, and lies below the smallest nonzero
-/// draw `2⁻⁵³` from `tail_from` on).
-#[derive(Debug)]
-pub struct AcceptTable {
-    x_lo: f64,
-    inv_w: f64,
-    tail_from: f64,
-    /// One threshold per bucket over `x = delta / temp`.
-    ///
-    /// **Midpoint-threshold invariant** (the turbo decision rule,
-    /// surfaced by [`AcceptTable::turbo_threshold`]): bucket `i` holds
-    /// the *exact* acceptance probability evaluated at its center
-    /// `x_center = x_lo + (i + ½)·w` — not an average, not an
-    /// interpolation — and a decision is `u < mid` for one uniform draw
-    /// `u ∈ [0, 1)`. Because both rules are monotone decreasing in `x`,
-    /// the midpoint decision can only differ from the exact decision
-    /// when `u` falls inside the bucket's probability span (≤ the
-    /// bucket width in probability, ~2.5e-4). Pinned by the
-    /// `midpoint_threshold_semantics_are_pinned` test.
-    mids: Vec<f64>,
-}
-
-/// Buckets per table: 4096 × ~18.5 milli-units of `x`.
-const TABLE_BUCKETS: usize = 4096;
-
-impl AcceptTable {
-    fn build(rule: AcceptanceRule) -> AcceptTable {
-        // HeatBath: p(x) = 1/(1+eˣ). For x ≤ −37, eˣ ≤ 8.6e-17 < 2⁻⁵³
-        // so the computed p is exactly 1.0; at x = 38, p ≈ 3.1e-17 <
-        // 2⁻⁵³ (tail).
-        // Metropolis: p(x) = e⁻ˣ for x > 0 and 1 for x ≤ 0; at x = 40,
-        // p ≈ 4.2e-18 < 2⁻⁵³ (tail).
-        let (x_lo, x_hi) = match rule {
-            AcceptanceRule::HeatBath => (-37.0, 38.0),
-            AcceptanceRule::Metropolis => (0.0, 40.0),
-        };
-        let w = (x_hi - x_lo) / TABLE_BUCKETS as f64;
-        let mids = (0..TABLE_BUCKETS)
-            .map(|i| acceptance_probability(rule, x_lo + w * i as f64 + 0.5 * w, 1.0))
-            .collect();
-        AcceptTable {
-            x_lo,
-            inv_w: 1.0 / w,
-            tail_from: x_hi,
-            mids,
-        }
-    }
-
-    /// The turbo decision rule: for `x = ΔF/T`, returns the probability
-    /// threshold `th` such that the acceptance decision is `u < th` for
-    /// a single uniform draw `u ∈ [0, 1)`.
-    ///
-    /// This is the **midpoint rule** (see the `mids` field contract):
-    ///
-    /// * `x ≤ x_lo` (certain accept region; for Metropolis this is
-    ///   `x ≤ 0`) → `1.0`;
-    /// * `x ≥ tail_from` → `0.0` (certain reject — this swallows both
-    ///   the `p < 2⁻⁵³` tail and the `x > 700` overflow region);
-    /// * otherwise → the bucket's exact center probability.
-    ///
-    /// A NaN `x` saturates to bucket 0 (threshold ≈ 1, near-certain
-    /// accept) instead of panicking — a documented divergence from the
-    /// exact lane, whose `gen_bool` panics on NaN. Monotone
-    /// non-increasing in `x`.
-    #[inline]
-    pub fn turbo_threshold(&self, x: f64) -> f64 {
-        if x <= self.x_lo {
-            return 1.0;
-        }
-        if x >= self.tail_from {
-            return 0.0;
-        }
-        let i = (((x - self.x_lo) * self.inv_w) as usize).min(self.mids.len() - 1);
-        self.mids[i]
-    }
-
-    /// Turbo accept/reject: the [`AcceptTable::turbo_threshold`]
-    /// midpoint rule with at most one uniform draw. Certain decisions
-    /// (threshold 0 or 1, frozen temperature) consume no draw, so the
-    /// RNG stream position is *not* the exact lane's. Static SA's
-    /// turbo acceptance.
-    #[inline]
-    pub fn accept_turbo<R: RngCore + ?Sized>(
-        &self,
-        delta: f64,
-        temp: f64,
-        rng: &mut R,
-        counters: &mut LaneCounters,
-    ) -> bool {
-        if temp <= TEMP_EPSILON {
-            counters.shortcut += 1;
-            return delta < 0.0;
-        }
-        let th = self.turbo_threshold(delta / temp);
-        if th >= 1.0 {
-            counters.shortcut += 1;
-            true
-        } else if th <= 0.0 {
-            counters.shortcut += 1;
-            false
-        } else {
-            counters.table += 1;
-            unit_f64(rng) < th
-        }
-    }
-}
-
-static HEAT_BATH_TABLE: OnceLock<AcceptTable> = OnceLock::new();
-static METROPOLIS_TABLE: OnceLock<AcceptTable> = OnceLock::new();
-
-/// The process-wide acceptance table for a rule (built on first use,
-/// 4096 `exp()` calls, shared by every scheduler in the process).
-pub fn accept_table(rule: AcceptanceRule) -> &'static AcceptTable {
-    match rule {
-        AcceptanceRule::HeatBath => {
-            HEAT_BATH_TABLE.get_or_init(|| AcceptTable::build(AcceptanceRule::HeatBath))
-        }
-        AcceptanceRule::Metropolis => {
-            METROPOLIS_TABLE.get_or_init(|| AcceptTable::build(AcceptanceRule::Metropolis))
-        }
-    }
-}
-
 /// Sentinel for "unassigned" in [`SaScratch`]'s mapping array.
 const NONE: u32 = u32::MAX;
 
@@ -321,8 +161,11 @@ pub struct SaScratch {
     lv: Vec<f64>,
     /// Row-major `comm_cost[t * p + j] as f64`, the eq. 4/5 operand.
     cc: Vec<f64>,
+    /// Each task's worst eq. 4 placement cost (sorted by
+    /// [`normalization_ranges`]).
     worst: Vec<u64>,
-    sort_buf: Vec<u64>,
+    /// The packet levels (sorted by [`normalization_ranges`]).
+    sorted_levels: Vec<u64>,
     preds: Vec<(ProcId, Work)>,
     // Eq. 6 normalization constants (CostModel-identical).
     wb: f64,
@@ -389,9 +232,10 @@ impl SaScratch {
         }
         self.worst.clear();
         self.worst.extend_from_slice(&packet.worst_comm);
-        self.sort_buf.clear();
-        self.sort_buf.extend_from_slice(&packet.levels);
-        self.compute_ranges(bal);
+        self.sorted_levels.clear();
+        self.sorted_levels.extend_from_slice(&packet.levels);
+        (self.range_b, self.range_c) =
+            normalization_ranges(&mut self.sorted_levels, &mut self.worst, self.p, bal);
     }
 
     /// Builds the flat packet tables straight from an epoch context —
@@ -422,10 +266,10 @@ impl SaScratch {
         self.procs.clear();
         self.procs.extend_from_slice(ctx.idle);
         self.lv.clear();
-        self.sort_buf.clear();
+        self.sorted_levels.clear();
         for &t in ctx.ready {
             let l = levels[t.index()];
-            self.sort_buf.push(l);
+            self.sorted_levels.push(l);
             self.lv.push(l as f64);
         }
         self.cc.clear();
@@ -454,32 +298,8 @@ impl SaScratch {
                 self.worst[i] = wmax;
             }
         }
-        self.compute_ranges(bal);
-    }
-
-    /// Reproduces [`CostModel::new`]'s `ΔF_b`/`ΔF_c` computation on the
-    /// scratch buffers (`sort_buf` must hold the packet levels).
-    fn compute_ranges(&mut self, bal: BalanceRange) {
-        let k = self.n.min(self.p);
-        self.sort_buf.sort_unstable();
-        let min_sum: u64 = self.sort_buf.iter().take(k).sum();
-        let max_sum: u64 = self.sort_buf.iter().rev().take(k).sum();
-        let mut range_b = (max_sum - min_sum) as f64;
-        if bal == BalanceRange::PerIdle && self.p > 0 {
-            range_b /= self.p as f64;
-        }
-        if range_b <= 0.0 {
-            range_b = 1.0;
-        }
-        self.range_b = range_b;
-        self.sort_buf.clear();
-        self.sort_buf.extend_from_slice(&self.worst);
-        self.sort_buf.sort_unstable();
-        let mut range_c = self.sort_buf.iter().rev().take(k).sum::<u64>() as f64;
-        if range_c <= 0.0 {
-            range_c = 1.0;
-        }
-        self.range_c = range_c;
+        (self.range_b, self.range_c) =
+            normalization_ranges(&mut self.sorted_levels, &mut self.worst, self.p, bal);
     }
 
     /// The loaded packet's task ids (packet-index order).
@@ -724,12 +544,6 @@ pub fn anneal_packet_lane<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn rules() -> [AcceptanceRule; 2] {
-        [AcceptanceRule::HeatBath, AcceptanceRule::Metropolis]
-    }
 
     #[test]
     fn lane_names_round_trip() {
@@ -747,104 +561,6 @@ mod tests {
             err,
             "unknown SA lane 'delta-table' (expected one of: exact, turbo)"
         );
-    }
-
-    /// Pins the midpoint-threshold invariant documented on `mids`
-    /// and surfaced by [`AcceptTable::turbo_threshold`]: the threshold
-    /// is the exact probability at the bucket center, and the region
-    /// shortcuts match the table's certain-decision seams.
-    #[test]
-    fn midpoint_threshold_semantics_are_pinned() {
-        for rule in rules() {
-            let t = accept_table(rule);
-            let w = 1.0 / t.inv_w;
-            for (i, &mid) in t.mids.iter().enumerate() {
-                let x_center = t.x_lo + (i as f64 + 0.5) * w;
-                assert_eq!(
-                    mid,
-                    acceptance_probability(rule, x_center, 1.0),
-                    "{rule:?} bucket {i}: mid must be the exact center probability"
-                );
-                assert!((0.0..=1.0).contains(&mid), "{rule:?} bucket {i}");
-                assert_eq!(t.turbo_threshold(x_center), mid, "{rule:?} bucket {i}");
-            }
-            // Region seams.
-            assert_eq!(t.turbo_threshold(t.x_lo), 1.0);
-            assert_eq!(t.turbo_threshold(f64::NEG_INFINITY), 1.0);
-            assert_eq!(t.turbo_threshold(t.tail_from), 0.0);
-            assert_eq!(t.turbo_threshold(701.0), 0.0);
-            assert_eq!(t.turbo_threshold(f64::INFINITY), 0.0);
-            // NaN saturates to bucket 0 (near-certain accept), no panic.
-            assert!(t.turbo_threshold(f64::NAN) > 0.99);
-            // Monotone non-increasing scan.
-            let mut prev = 1.0;
-            let mut x = t.x_lo;
-            while x < t.tail_from + 1.0 {
-                let th = t.turbo_threshold(x);
-                assert!(th <= prev, "{rule:?}: threshold not monotone at x={x}");
-                prev = th;
-                x += w * 0.37;
-            }
-        }
-    }
-
-    #[test]
-    fn accept_turbo_partitions_decisions_and_tracks_the_exact_rate() {
-        for rule in rules() {
-            let t = accept_table(rule);
-            let mut c = LaneCounters::default();
-            let mut r = StdRng::seed_from_u64(11);
-            let mut n = 0u64;
-            // A hostile sweep over every region of the table: certain
-            // accept, the buckets, the tail, the x > 700 overflow band
-            // and NaN.
-            for &x in &[
-                -100.0,
-                -37.0,
-                -36.9,
-                -1.0,
-                0.0,
-                1e-9,
-                0.05,
-                0.5,
-                3.0,
-                37.9,
-                39.0,
-                500.0,
-                699.0,
-                701.0,
-                1e6,
-                f64::NAN,
-            ] {
-                for _ in 0..50 {
-                    t.accept_turbo(x, 1.0, &mut r, &mut c);
-                    n += 1;
-                }
-            }
-            assert_eq!(c.decisions(), n, "{rule:?}");
-            assert!(c.shortcut > 0 && c.table > 0, "{rule:?}");
-            // Frozen temperature: strict descent, no draw.
-            let mut before = r.clone();
-            assert!(t.accept_turbo(-0.5, 0.0, &mut r, &mut c));
-            assert!(!t.accept_turbo(0.5, 0.0, &mut r, &mut c));
-            assert!(!t.accept_turbo(f64::NAN, 0.0, &mut r, &mut c));
-            assert_eq!(r.next_u64(), before.next_u64());
-            // Statistical agreement with the exact probability at a few
-            // mid-range points.
-            for &x in &[0.1, 0.7, 2.5] {
-                let p_true = acceptance_probability(rule, x, 1.0);
-                let mut r = StdRng::seed_from_u64(123);
-                let trials = 20_000;
-                let hits = (0..trials)
-                    .filter(|_| t.accept_turbo(x, 1.0, &mut r, &mut c))
-                    .count();
-                let rate = hits as f64 / trials as f64;
-                assert!(
-                    (rate - p_true).abs() < 0.02,
-                    "{rule:?} x={x}: rate {rate} vs p {p_true}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -45,12 +45,11 @@
 //! * [`anomaly`] — Graham (1969) multiprocessor anomaly instances; the
 //!   paper observes SA "is able to optimally solve the Graham list
 //!   scheduling anomalies".
-//! * [`lane`] — the SA lanes ([`lane::SaLane`]): the production
+//! * [`lane`] — the staged-SA lanes ([`lane::SaLane`]): the production
 //!   **turbo** lane solves each packet's eq. 6 minimum exactly as a
 //!   linear assignment problem, certified by a corpus-scale
 //!   statistical equivalence study against the paper-literal **exact**
-//!   annealer, which stays as the oracle; plus the tabulated Boltzmann
-//!   acceptance rule of static SA's turbo lane.
+//!   annealer, which stays as the oracle.
 //! * [`rng_stream`] — counter-based RNG streams for the turbo lane's
 //!   tie-breaking: draw `k` of stream `(seed, packet)` is a pure
 //!   function, so draws batch with no sequential dependency.
@@ -86,7 +85,7 @@ pub mod static_sa;
 pub mod trace;
 
 pub use eval::{level_dispatch_order, replay_mapping, EvaluatorKind};
-pub use lane::{accept_table, AcceptTable, LaneCounters, SaLane, SaScratch};
+pub use lane::{SaLane, SaScratch};
 pub use list::HlfScheduler;
 pub use parallel::{PoolStats, ScratchPool};
 pub use rng_stream::{stream_draw, CounterRng};

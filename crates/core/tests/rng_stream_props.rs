@@ -116,8 +116,8 @@ proptest! {
     }
 
     /// Uniformity smoke over one stream: every bit position is set in
-    /// roughly half the draws, and the unit-interval projection the
-    /// turbo acceptance uses (`(u >> 11) / 2^53`) has mean ≈ 0.5.
+    /// roughly half the draws, and the unit-interval projection
+    /// `(u >> 11) / 2^53` has mean ≈ 0.5.
     #[test]
     fn stream_prefix_passes_uniformity_smoke(
         seed in any::<u64>(),

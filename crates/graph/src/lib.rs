@@ -18,8 +18,7 @@
 //! * seeded random-graph generators ([`generate`]),
 //! * acyclicity-preserving perturbation operators for adversarial
 //!   instance search ([`perturb`]),
-//! * traversal helpers, transitive closure/reduction, Graphviz and plain
-//!   text export.
+//! * Graphviz and plain text export.
 //!
 //! All times are integer **nanoseconds** (see [`units`]); the paper's
 //! microsecond quantities convert exactly.
@@ -52,8 +51,6 @@ pub mod metrics;
 pub mod perturb;
 pub mod textio;
 pub mod topo;
-pub mod transitive;
-pub mod traversal;
 pub mod units;
 
 pub use builder::TaskGraphBuilder;

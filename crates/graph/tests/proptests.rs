@@ -5,9 +5,7 @@ use anneal_graph::generate::{gnp_dag, layered_random, LayeredConfig, Range};
 use anneal_graph::levels::{alap_starts, bottom_levels, co_levels, slacks, top_levels};
 use anneal_graph::textio::{from_text, to_text};
 use anneal_graph::topo::is_topological_order;
-use anneal_graph::transitive::{transitive_reduction, Closure};
-use anneal_graph::traversal::{ancestors, descendants, reaches};
-use anneal_graph::{TaskGraph, TaskId};
+use anneal_graph::TaskGraph;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,53 +105,6 @@ proptest! {
         let cl = co_levels(&g);
         for (a, b, _) in g.edges() {
             prop_assert!(cl[a.index()] < cl[b.index()]);
-        }
-    }
-
-    #[test]
-    fn closure_matches_traversal(g in arb_dag()) {
-        let c = Closure::build(&g);
-        // Spot-check a bounded number of pairs to keep runtime sane.
-        let n = g.num_tasks().min(12);
-        for i in 0..n {
-            let a = TaskId::from_index(i);
-            let desc = descendants(&g, a);
-            for j in 0..n {
-                let b = TaskId::from_index(j);
-                let expect = i == j || desc.contains(b);
-                prop_assert_eq!(c.reaches(a, b), expect);
-                prop_assert_eq!(reaches(&g, a, b), expect);
-            }
-        }
-    }
-
-    #[test]
-    fn reduction_preserves_reachability_and_is_minimal(g in arb_dag()) {
-        let r = transitive_reduction(&g);
-        prop_assert!(r.num_edges() <= g.num_edges());
-        let cg = Closure::build(&g);
-        let cr = Closure::build(&r);
-        let n = g.num_tasks().min(15);
-        for i in 0..n {
-            for j in 0..n {
-                let (a, b) = (TaskId::from_index(i), TaskId::from_index(j));
-                prop_assert_eq!(cg.reaches(a, b), cr.reaches(a, b));
-            }
-        }
-        // Reducing twice changes nothing.
-        let rr = transitive_reduction(&r);
-        prop_assert_eq!(rr.num_edges(), r.num_edges());
-    }
-
-    #[test]
-    fn ancestors_mirror_descendants(g in arb_dag()) {
-        let n = g.num_tasks().min(10);
-        for i in 0..n {
-            let a = TaskId::from_index(i);
-            let desc = descendants(&g, a);
-            for b in desc.iter() {
-                prop_assert!(ancestors(&g, b).contains(a));
-            }
         }
     }
 

@@ -282,10 +282,10 @@ fn observation_with_noop_recorder_allocates_nothing() {
 
 #[test]
 fn turbo_sa_lane_steady_state_allocates_nothing() {
-    // The production lane's cost tables and acceptance table are built
-    // once (first packet / process-wide `OnceLock`) and reused through
-    // `SaScratch`'s grow-only buffers, and its counter-based RNG
-    // streams are a fixed-size two-word state. Once a scheduler is
+    // The production lane's cost tables and solver buffers are built
+    // on the first packet and reused through `SaScratch`'s grow-only
+    // buffers, and its counter-based RNG streams are a fixed-size
+    // two-word state. Once a scheduler is
     // warm on its instance, `reseed` + re-simulate must not touch the
     // allocator. One scheduler per instance: `reseed` keeps the
     // per-graph level cache and the lane scratch, both valid for the

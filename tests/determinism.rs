@@ -183,13 +183,14 @@ fn static_sa_column_is_pinned() {
         .expect("the standard portfolio runs static SA");
 
     // Whole-graph SA prices every move with a simulation, so this pins
-    // the move evaluator bit for bit on a campaign family.
+    // the move evaluator and the eq. 1 acceptance bit for bit on a
+    // campaign family.
     let mut digest = fnv1a(0xcbf2_9ce4_8422_2325, b"static-sa");
     for m in &r.makespans[row] {
         digest = fnv1a(digest, &m.to_le_bytes());
     }
     assert_eq!(
-        digest, 0x7ed7_d09d_f416_31ed,
+        digest, 0xfef6_8172_62ed_fb8b,
         "static-sa column digest {digest:#018x}"
     );
 }
@@ -199,14 +200,18 @@ fn static_sa_outcomes_are_pinned_on_both_lanes() {
     use annealsched::arena::{campaign_instances, static_sa_cell_config};
     use annealsched::core::{EvaluatorKind, SaLane};
 
-    // The static-sa column pin above sees only the final makespans of
-    // the default lane. This one folds in the exact lane and the move
-    // counters too, so any change to the RNG stream, the move mix or
-    // the pricing of a move shows up bit for bit.
+    // The static-sa column pin above sees only the final makespans.
+    // This one folds in the move counters and the mapping too, so any
+    // change to the RNG stream, the move mix, the acceptance rule or the
+    // pricing of a move shows up bit for bit. Both lanes fold in: the
+    // lane is a staged-SA setting and must not move static SA.
     let mut digest = fnv1a(0xcbf2_9ce4_8422_2325, b"static_sa");
     for (j, inst) in campaign_instances(7, 12).iter().enumerate() {
         for lane in [SaLane::Exact, SaLane::Turbo] {
-            let cfg = static_sa_cell_config(j as u64, EvaluatorKind::Incremental, lane);
+            let cfg = StaticSaConfig {
+                lane,
+                ..static_sa_cell_config(j as u64, EvaluatorKind::Incremental)
+            };
             let out = static_sa(
                 &inst.graph,
                 &inst.topology,
@@ -229,7 +234,7 @@ fn static_sa_outcomes_are_pinned_on_both_lanes() {
         }
     }
     assert_eq!(
-        digest, 0xd08e_907b_f51d_b447,
+        digest, 0xdb6e_15e4_e69d_c150,
         "static_sa outcome digest {digest:#018x}"
     );
 }

@@ -1,9 +1,12 @@
 //! Statistical equivalence gate for the turbo SA lane.
 //!
-//! The turbo lane (`SaLane::Turbo`, the production default) changes
-//! the annealing trajectory by design — counter-based RNG streams and
-//! midpoint-table acceptance — so it cannot be gated bit-for-bit
-//! against the exact lane. Instead it is gated the way scheduler
+//! The turbo lane (`SaLane::Turbo`, the production default) does not
+//! anneal: it solves each packet's eq. 6 minimum exactly as a linear
+//! assignment problem and breaks ties by a shuffle drawn from the
+//! packet's counter-based RNG stream. The annealer ends a packet on the
+//! same mapping only when it finds that optimum and breaks its ties the
+//! same way, so turbo cannot be gated bit-for-bit against the exact
+//! lane. Instead it is gated the way scheduler
 //! heuristics are properly compared (final-makespan distributions, not
 //! trajectories): exact vs turbo on the frozen corpus plus a
 //! campaign-family slice, 32 seeds per instance, bound on the **ratio
