@@ -46,12 +46,6 @@ impl ArenaInstance {
         self.params = params;
         self
     }
-
-    /// Replaces the engine configuration.
-    pub fn with_sim_config(mut self, sim_cfg: SimConfig) -> Self {
-        self.sim_cfg = sim_cfg;
-        self
-    }
 }
 
 /// A deterministic family of `count` small synthetic instances rotating

@@ -4,8 +4,6 @@
 use anneal_core::cost::{BalanceRange, CostModel};
 use anneal_core::mapping::PacketMapping;
 use anneal_core::packet::AnnealingPacket;
-use anneal_graph::TaskId;
-use anneal_topology::ProcId;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,18 +15,7 @@ fn synthetic_packet(tasks: usize, procs: usize, seed: u64) -> AnnealingPacket {
     let comm_cost: Vec<Vec<u64>> = (0..tasks)
         .map(|_| (0..procs).map(|_| rng.gen_range(0..60_000)).collect())
         .collect();
-    let worst_comm = comm_cost
-        .iter()
-        .map(|r| r.iter().copied().max().unwrap())
-        .collect();
-    AnnealingPacket {
-        tasks: (0..tasks).map(TaskId::from_index).collect(),
-        procs: (0..procs).map(ProcId::from_index).collect(),
-        levels,
-        comm_cost,
-        worst_comm,
-        epoch_time: 0,
-    }
+    AnnealingPacket::from_rows(&levels, &comm_cost)
 }
 
 fn bench_cost(c: &mut Criterion) {
@@ -66,7 +53,7 @@ fn bench_cost(c: &mut Criterion) {
             &m,
             |b, m| {
                 b.iter(|| {
-                    let (fb, fc) = cm.raw_full(black_box(m));
+                    let (fb, fc) = cm.raw_full(black_box(m).assignments());
                     black_box(cm.total(fb, fc))
                 })
             },

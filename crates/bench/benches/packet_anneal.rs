@@ -1,17 +1,19 @@
 //! Settling one packet, the paper's inner optimization, across packet
 //! shapes (the NE average is ~15 candidates for ~1.5 idle processors;
-//! MM packets reach 100 candidates), on both SA lanes: `exact` times
-//! the paper-literal annealing loop (`anneal_packet`, the oracle), and
-//! `turbo-solve` times the production lane's exact assignment solve
-//! (`SaScratch::solve`, tie shuffle included), which replaces
-//! annealing.
+//! MM packets reach 100 candidates), on both SA lanes. Both rows read
+//! one `AnnealingPacket` through one `CostModel`, built outside the
+//! timed loop: `exact` times the paper-literal annealing loop
+//! (`anneal_packet`, the oracle), and `turbo-solve` times the
+//! production lane's exact assignment solve (`SaScratch::solve`: tie
+//! shuffle, cost matrix from the packet's tables, solve, pricing of the
+//! solved mapping), which replaces annealing. Loading the packet from
+//! an epoch is untimed here; `sched_throughput` times it inside whole
+//! schedule-and-simulate runs.
 
 use anneal_core::annealer::{anneal_packet, AnnealParams};
 use anneal_core::cost::{BalanceRange, CostModel};
 use anneal_core::packet::AnnealingPacket;
 use anneal_core::{CounterRng, SaScratch};
-use anneal_graph::TaskId;
-use anneal_topology::ProcId;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,18 +25,7 @@ fn synthetic_packet(tasks: usize, procs: usize, seed: u64) -> AnnealingPacket {
     let comm_cost: Vec<Vec<u64>> = (0..tasks)
         .map(|_| (0..procs).map(|_| rng.gen_range(0..60_000)).collect())
         .collect();
-    let worst_comm = comm_cost
-        .iter()
-        .map(|r| r.iter().copied().max().unwrap())
-        .collect();
-    AnnealingPacket {
-        tasks: (0..tasks).map(TaskId::from_index).collect(),
-        procs: (0..procs).map(ProcId::from_index).collect(),
-        levels,
-        comm_cost,
-        worst_comm,
-        epoch_time: 0,
-    }
+    AnnealingPacket::from_rows(&levels, &comm_cost)
 }
 
 fn bench_anneal(c: &mut Criterion) {
@@ -46,7 +37,6 @@ fn bench_anneal(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(7);
             b.iter(|| {
                 black_box(anneal_packet(
-                    &packet,
                     &cm,
                     &AnnealParams::default(),
                     &mut rng,
@@ -60,10 +50,9 @@ fn bench_anneal(c: &mut Criterion) {
                 let mut scratch = SaScratch::new();
                 let mut packet_idx = 0u64;
                 b.iter(|| {
-                    scratch.load_packet(&packet, 0.5, 0.5, BalanceRange::Full);
                     let mut rng = CounterRng::new(7, packet_idx);
                     packet_idx += 1;
-                    black_box(scratch.solve(&mut rng, false))
+                    black_box(scratch.solve(&cm, &mut rng, false))
                 })
             },
         );

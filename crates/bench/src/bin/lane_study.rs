@@ -20,10 +20,11 @@
 //!   (`anneal_arena::campaign_instance`, random),
 //!
 //! across many seeds, and reports per-instance makespan-ratio
-//! (`turbo / exact`) distributions. Because one flipped accept decision
-//! re-routes every later packet, a *per-seed* ratio is trajectory
-//! noise, and the mean of per-seed ratios is Jensen-biased upward
-//! whenever both lanes have variance. The gates therefore bind the
+//! (`turbo / exact`) distributions. Both lanes vary by seed: the exact
+//! lane through its accept decisions, the turbo lane through its tie
+//! draws. Because one different decision re-routes every later packet,
+//! a *per-seed* ratio is trajectory noise, and the mean of per-seed
+//! ratios is Jensen-biased upward whenever both lanes have variance. The gates therefore bind the
 //! **ratio of mean final makespans** (`mean(turbo) / mean(exact)` over
 //! the seed set):
 //!

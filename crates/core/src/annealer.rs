@@ -6,7 +6,6 @@ use crate::boltzmann::{accept, AcceptanceRule};
 use crate::cooling::CoolingSchedule;
 use crate::cost::CostModel;
 use crate::mapping::PacketMapping;
-use crate::packet::AnnealingPacket;
 use crate::trace::{PacketTrace, TraceSample};
 
 /// Initial-mapping policy.
@@ -82,15 +81,15 @@ pub struct PacketOutcome {
     pub trace: Option<PacketTrace>,
 }
 
-/// Runs the annealing loop on one packet and returns the converged
-/// mapping.
+/// Runs the annealing loop on the packet `cm` prices and returns the
+/// converged mapping.
 pub fn anneal_packet<R: Rng + ?Sized>(
-    packet: &AnnealingPacket,
     cm: &CostModel<'_>,
     params: &AnnealParams,
     rng: &mut R,
     want_trace: bool,
 ) -> PacketOutcome {
+    let packet = cm.packet();
     let n = packet.num_tasks();
     let p = packet.num_procs();
     assert!(n > 0 && p > 0, "empty packet");
@@ -100,7 +99,7 @@ pub fn anneal_packet<R: Rng + ?Sized>(
         InitRule::Random => m.saturate_random(rng),
         InitRule::InOrder => m.saturate_in_order(),
     }
-    let (mut fb, mut fc) = cm.raw_full(&m);
+    let (mut fb, mut fc) = cm.raw_full(m.assignments());
     let mut cost = cm.total(fb, fc);
     // The best-so-far mapping is kept in a reused buffer: `clone_from`
     // instead of `clone` per improvement, so the hot loop allocates
@@ -110,7 +109,7 @@ pub fn anneal_packet<R: Rng + ?Sized>(
 
     let mut trace = want_trace.then(|| PacketTrace {
         packet: 0,
-        epoch_time: packet.epoch_time,
+        epoch_time: packet.epoch_time(),
         candidates: n,
         idle: p,
         samples: Vec::with_capacity(params.max_iters as usize),
@@ -214,33 +213,17 @@ pub fn anneal_packet<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::cost::BalanceRange;
-    use anneal_graph::TaskId;
-    use anneal_topology::ProcId;
+    use crate::packet::AnnealingPacket;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn packet(levels: Vec<u64>, comm: Vec<Vec<u64>>, procs: usize) -> AnnealingPacket {
-        let worst = comm
-            .iter()
-            .map(|r| r.iter().copied().max().unwrap_or(0))
-            .collect();
-        AnnealingPacket {
-            tasks: (0..levels.len()).map(TaskId::from_index).collect(),
-            procs: (0..procs).map(ProcId::from_index).collect(),
-            levels,
-            comm_cost: comm,
-            worst_comm: worst,
-            epoch_time: 0,
-        }
-    }
 
     #[test]
     fn selects_highest_level_tasks(/* pure balancing, no comm */) {
         // 4 tasks, levels 100, 90, 10, 5; 2 procs; no communication.
-        let p = packet(vec![100, 90, 10, 5], vec![vec![0, 0]; 4], 2);
+        let p = AnnealingPacket::from_rows(&[100, 90, 10, 5], &[[0, 0]; 4]);
         let cm = CostModel::new(&p, 1.0, 0.0, BalanceRange::Full);
         let mut rng = StdRng::seed_from_u64(11);
-        let out = anneal_packet(&p, &cm, &AnnealParams::default(), &mut rng, false);
+        let out = anneal_packet(&cm, &AnnealParams::default(), &mut rng, false);
         let mut chosen: Vec<usize> = out.assignment.iter().map(|&(t, _)| t).collect();
         chosen.sort_unstable();
         assert_eq!(chosen, vec![0, 1], "must select the two highest levels");
@@ -249,10 +232,10 @@ mod tests {
     #[test]
     fn avoids_expensive_processors(/* pure communication */) {
         // 2 tasks, 2 procs; task 0 cheap on p0, task 1 cheap on p1.
-        let p = packet(vec![50, 50], vec![vec![0, 1000], vec![1000, 0]], 2);
+        let p = AnnealingPacket::from_rows(&[50, 50], &[[0, 1000], [1000, 0]]);
         let cm = CostModel::new(&p, 0.0, 1.0, BalanceRange::Full);
         let mut rng = StdRng::seed_from_u64(7);
-        let out = anneal_packet(&p, &cm, &AnnealParams::default(), &mut rng, false);
+        let out = anneal_packet(&cm, &AnnealParams::default(), &mut rng, false);
         let mut map = out.assignment.clone();
         map.sort_unstable();
         assert_eq!(map, vec![(0, 0), (1, 1)]);
@@ -264,22 +247,22 @@ mod tests {
         // Task 0: high level but terrible comm on every proc; task 1:
         // low level, free comm. With w_b = 1 task 0 wins; with w_c = 1
         // task 1 wins.
-        let p = packet(vec![100, 10], vec![vec![500], vec![0]], 1);
+        let p = AnnealingPacket::from_rows(&[100, 10], &[[500], [0]]);
         let mut rng = StdRng::seed_from_u64(3);
         let cm_b = CostModel::new(&p, 1.0, 0.0, BalanceRange::Full);
-        let out_b = anneal_packet(&p, &cm_b, &AnnealParams::default(), &mut rng, false);
+        let out_b = anneal_packet(&cm_b, &AnnealParams::default(), &mut rng, false);
         assert_eq!(out_b.assignment, vec![(0, 0)]);
         let cm_c = CostModel::new(&p, 0.0, 1.0, BalanceRange::Full);
-        let out_c = anneal_packet(&p, &cm_c, &AnnealParams::default(), &mut rng, false);
+        let out_c = anneal_packet(&cm_c, &AnnealParams::default(), &mut rng, false);
         assert_eq!(out_c.assignment, vec![(1, 0)]);
     }
 
     #[test]
     fn saturation_invariant_holds() {
-        let p = packet(vec![10, 20, 30, 40, 50], vec![vec![0, 0, 0]; 5], 3);
+        let p = AnnealingPacket::from_rows(&[10, 20, 30, 40, 50], &[[0, 0, 0]; 5]);
         let cm = CostModel::new(&p, 0.5, 0.5, BalanceRange::Full);
         let mut rng = StdRng::seed_from_u64(1);
-        let out = anneal_packet(&p, &cm, &AnnealParams::default(), &mut rng, false);
+        let out = anneal_packet(&cm, &AnnealParams::default(), &mut rng, false);
         assert_eq!(out.assignment.len(), 3);
         // distinct tasks, distinct procs
         let mut ts: Vec<_> = out.assignment.iter().map(|a| a.0).collect();
@@ -294,19 +277,19 @@ mod tests {
 
     #[test]
     fn fewer_tasks_than_procs() {
-        let p = packet(vec![10, 20], vec![vec![0, 5, 9]; 2], 3);
+        let p = AnnealingPacket::from_rows(&[10, 20], &[[0, 5, 9]; 2]);
         let cm = CostModel::new(&p, 0.5, 0.5, BalanceRange::Full);
         let mut rng = StdRng::seed_from_u64(2);
-        let out = anneal_packet(&p, &cm, &AnnealParams::default(), &mut rng, false);
+        let out = anneal_packet(&cm, &AnnealParams::default(), &mut rng, false);
         assert_eq!(out.assignment.len(), 2);
     }
 
     #[test]
     fn single_task_single_proc() {
-        let p = packet(vec![42], vec![vec![7]], 1);
+        let p = AnnealingPacket::from_rows(&[42], &[[7]]);
         let cm = CostModel::new(&p, 0.5, 0.5, BalanceRange::Full);
         let mut rng = StdRng::seed_from_u64(2);
-        let out = anneal_packet(&p, &cm, &AnnealParams::default(), &mut rng, false);
+        let out = anneal_packet(&cm, &AnnealParams::default(), &mut rng, false);
         assert_eq!(out.assignment, vec![(0, 0)]);
         // converges via the stable-cost rule well before max_iters
         assert!(out.iterations <= AnnealParams::default().max_iters);
@@ -314,14 +297,10 @@ mod tests {
 
     #[test]
     fn trace_records_iterations() {
-        let p = packet(
-            vec![100, 90, 10],
-            vec![vec![0, 50], vec![50, 0], vec![25, 25]],
-            2,
-        );
+        let p = AnnealingPacket::from_rows(&[100, 90, 10], &[[0, 50], [50, 0], [25, 25]]);
         let cm = CostModel::new(&p, 0.5, 0.5, BalanceRange::Full);
         let mut rng = StdRng::seed_from_u64(4);
-        let out = anneal_packet(&p, &cm, &AnnealParams::default(), &mut rng, true);
+        let out = anneal_packet(&cm, &AnnealParams::default(), &mut rng, true);
         let tr = out.trace.unwrap();
         assert_eq!(tr.samples.len() as u64, out.moves);
         // auto moves_per_temp for a 3-task packet is max(8, 2*3) = 8
@@ -339,7 +318,7 @@ mod tests {
         // One task, one proc: after the first draw the cost can never
         // change, so the run must stop after exactly `stable_iters`
         // additional iterations (plus the initial one).
-        let p = packet(vec![42], vec![vec![0]], 1);
+        let p = AnnealingPacket::from_rows(&[42], &[[0]]);
         let cm = CostModel::new(&p, 0.5, 0.5, BalanceRange::Full);
         let mut rng = StdRng::seed_from_u64(6);
         let params = AnnealParams {
@@ -347,21 +326,17 @@ mod tests {
             max_iters: 1000,
             ..AnnealParams::default()
         };
-        let out = anneal_packet(&p, &cm, &params, &mut rng, false);
+        let out = anneal_packet(&cm, &params, &mut rng, false);
         assert_eq!(out.iterations, 5);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let p = packet(
-            vec![100, 90, 80, 10],
-            vec![vec![0, 9], vec![9, 0], vec![5, 5], vec![1, 8]],
-            2,
-        );
+        let p = AnnealingPacket::from_rows(&[100, 90, 80, 10], &[[0, 9], [9, 0], [5, 5], [1, 8]]);
         let cm = CostModel::new(&p, 0.5, 0.5, BalanceRange::Full);
         let run = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            anneal_packet(&p, &cm, &AnnealParams::default(), &mut rng, false).assignment
+            anneal_packet(&cm, &AnnealParams::default(), &mut rng, false).assignment
         };
         assert_eq!(run(123), run(123));
     }

@@ -12,10 +12,16 @@
 //! the maximum communication cost by placing the tasks with the highest
 //! communication at the largest distance — here computed exactly as the
 //! sum of the `min(N, N_idle)` largest per-task worst-case placement
-//! costs. Both ranges fall back to 1 when degenerate so the normalized
-//! terms stay finite.
+//! costs. The packet takes both integer sums when it is loaded
+//! ([`AnnealingPacket`]); [`CostModel::new`] turns them into the two
+//! ranges, each falling back to 1 when degenerate so the normalized
+//! terms stay finite, and allocates nothing. Both SA lanes price with
+//! one model: the exact lane's annealer by [`CostModel::delta`] per move,
+//! the turbo lane's solver by the matrix `k_c·c_tq − k_b·n_t`
+//! ([`crate::lane`]), and both by [`CostModel::raw_full`] for a whole
+//! mapping.
 
-use crate::mapping::{Move, PacketMapping};
+use crate::mapping::Move;
 use crate::packet::AnnealingPacket;
 
 /// How `ΔF_b` is derived from the level range.
@@ -27,41 +33,6 @@ pub enum BalanceRange {
     /// paper's "(Max − Min)/N_idle"; equivalent to `Full` up to a
     /// rescaling of `w_b`.
     PerIdle,
-}
-
-/// `(ΔF_b, ΔF_c)` of a packet with `levels` (its candidates' `n_i`),
-/// `worst_comm` (each candidate's worst eq. 4 placement cost) and
-/// `idle` free processors: the one computation of eq. 6's
-/// normalization ranges, shared by [`CostModel::new`] and the turbo
-/// lane's scratch so the two agree bit for bit. Sorts both slices in
-/// place.
-pub(crate) fn normalization_ranges(
-    levels: &mut [u64],
-    worst_comm: &mut [u64],
-    idle: usize,
-    balance: BalanceRange,
-) -> (f64, f64) {
-    let k = levels.len().min(idle);
-
-    // ΔF_b from the level range.
-    levels.sort_unstable();
-    let min_sum: u64 = levels.iter().take(k).sum();
-    let max_sum: u64 = levels.iter().rev().take(k).sum();
-    let mut range_b = (max_sum - min_sum) as f64;
-    if balance == BalanceRange::PerIdle && idle > 0 {
-        range_b /= idle as f64;
-    }
-    if range_b <= 0.0 {
-        range_b = 1.0;
-    }
-
-    // ΔF_c from the top-k worst per-task placement costs.
-    worst_comm.sort_unstable();
-    let mut range_c = worst_comm.iter().rev().take(k).sum::<u64>() as f64;
-    if range_c <= 0.0 {
-        range_c = 1.0;
-    }
-    (range_b, range_c)
 }
 
 /// Evaluates packet mappings under eq. 6.
@@ -78,15 +49,24 @@ pub struct CostModel<'p> {
 
 impl<'p> CostModel<'p> {
     /// Builds the model; `wb + wc` should be 1 (the paper's convention)
-    /// but any non-negative weights work.
+    /// but any finite non-negative weights work.
     pub fn new(packet: &'p AnnealingPacket, wb: f64, wc: f64, balance: BalanceRange) -> Self {
-        assert!(wb >= 0.0 && wc >= 0.0, "negative weights");
-        let (range_b, range_c) = normalization_ranges(
-            &mut packet.levels.clone(),
-            &mut packet.worst_comm.clone(),
-            packet.num_procs(),
-            balance,
+        assert!(
+            wb >= 0.0 && wc >= 0.0 && wb.is_finite() && wc.is_finite(),
+            "weights must be finite and non-negative"
         );
+        let per = match balance {
+            BalanceRange::Full => 1.0,
+            BalanceRange::PerIdle => packet.num_procs() as f64,
+        };
+        let range_b = match packet.level_span {
+            0 => 1.0,
+            span => span as f64 / per,
+        };
+        let range_c = match packet.worst_sum {
+            0 => 1.0,
+            sum => sum as f64,
+        };
         CostModel {
             packet,
             wb,
@@ -94,6 +74,11 @@ impl<'p> CostModel<'p> {
             range_b,
             range_c,
         }
+    }
+
+    /// The packet this model prices.
+    pub fn packet(&self) -> &'p AnnealingPacket {
+        self.packet
     }
 
     /// The `ΔF_b` normalization constant.
@@ -106,13 +91,15 @@ impl<'p> CostModel<'p> {
         self.range_c
     }
 
-    /// Raw `(F_b, F_c)` of a mapping, by full recomputation.
-    pub fn raw_full(&self, m: &PacketMapping) -> (f64, f64) {
+    /// Raw `(F_b, F_c)` of a mapping given as its `(task index,
+    /// processor index)` pairs, by full recomputation in the pairs'
+    /// order.
+    pub fn raw_full(&self, assignments: impl IntoIterator<Item = (usize, usize)>) -> (f64, f64) {
         let mut fb = 0.0;
         let mut fc = 0.0;
-        for (t, p) in m.assignments() {
-            fb -= self.packet.levels[t] as f64;
-            fc += self.packet.comm_cost[t][p] as f64;
+        for (t, p) in assignments {
+            fb -= self.packet.levels()[t] as f64;
+            fc += self.packet.comm_cost(t, p) as f64;
         }
         (fb, fc)
     }
@@ -137,8 +124,8 @@ impl<'p> CostModel<'p> {
     /// already carries the affected occupancies, so no mapping lookup
     /// is needed.
     pub fn delta(&self, mv: Move) -> (f64, f64) {
-        let lv = |t: usize| self.packet.levels[t] as f64;
-        let cc = |t: usize, p: usize| self.packet.comm_cost[t][p] as f64;
+        let lv = |t: usize| self.packet.levels()[t] as f64;
+        let cc = |t: usize, p: usize| self.packet.comm_cost(t, p) as f64;
         match mv {
             Move::Transfer { task, to, from } => {
                 let old_fc = from.map_or(0.0, |f| cc(task, f));
@@ -166,26 +153,13 @@ impl<'p> CostModel<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::AnnealingPacket;
-    use anneal_graph::TaskId;
-    use anneal_topology::ProcId;
+    use crate::mapping::PacketMapping;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     /// 3 tasks (levels 100, 60, 30) on 2 procs with a comm table.
     fn packet() -> AnnealingPacket {
-        AnnealingPacket {
-            tasks: vec![
-                TaskId::from_index(0),
-                TaskId::from_index(1),
-                TaskId::from_index(2),
-            ],
-            procs: vec![ProcId::from_index(0), ProcId::from_index(1)],
-            levels: vec![100, 60, 30],
-            comm_cost: vec![vec![0, 40], vec![10, 0], vec![5, 25]],
-            worst_comm: vec![40, 10, 25],
-            epoch_time: 0,
-        }
+        AnnealingPacket::from_rows(&[100, 60, 30], &[[0, 40], [10, 0], [5, 25]])
     }
 
     #[test]
@@ -203,14 +177,7 @@ mod tests {
 
     #[test]
     fn degenerate_ranges_fall_back_to_one() {
-        let p = AnnealingPacket {
-            tasks: vec![TaskId::from_index(0)],
-            procs: vec![ProcId::from_index(0)],
-            levels: vec![50],
-            comm_cost: vec![vec![0]],
-            worst_comm: vec![0],
-            epoch_time: 0,
-        };
+        let p = AnnealingPacket::from_rows(&[50], &[[0]]);
         let cm = CostModel::new(&p, 0.5, 0.5, BalanceRange::Full);
         assert_eq!(cm.range_b(), 1.0);
         assert_eq!(cm.range_c(), 1.0);
@@ -222,7 +189,7 @@ mod tests {
         let cm = CostModel::new(&p, 0.5, 0.5, BalanceRange::Full);
         let mut m = PacketMapping::new(3, 2);
         m.saturate_in_order(); // t0->p0, t1->p1
-        let (fb, fc) = cm.raw_full(&m);
+        let (fb, fc) = cm.raw_full(m.assignments());
         assert_eq!(fb, -160.0);
         assert_eq!(fc, 0.0);
         let f = cm.total(fb, fc);
@@ -237,7 +204,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut m = PacketMapping::new(3, 2);
         m.saturate_random(&mut rng);
-        let (mut fb, mut fc) = cm.raw_full(&m);
+        let (mut fb, mut fc) = cm.raw_full(m.assignments());
         for _ in 0..500 {
             let task = rng.gen_range(0..3);
             let proc = rng.gen_range(0..2);
@@ -248,7 +215,7 @@ mod tests {
             m.apply(mv);
             fb += dfb;
             fc += dfc;
-            let (fb2, fc2) = cm.raw_full(&m);
+            let (fb2, fc2) = cm.raw_full(m.assignments());
             assert!((fb - fb2).abs() < 1e-9, "fb drift: {fb} vs {fb2}");
             assert!((fc - fc2).abs() < 1e-9, "fc drift: {fc} vs {fc2}");
         }
@@ -261,15 +228,22 @@ mod tests {
         let cm_c = CostModel::new(&p, 0.0, 1.0, BalanceRange::Full);
         let mut m = PacketMapping::new(3, 2);
         m.saturate_in_order();
-        let (fb, fc) = cm_b.raw_full(&m);
+        let (fb, fc) = cm_b.raw_full(m.assignments());
         assert_eq!(cm_b.total(fb, fc), cm_b.balance_term(fb));
         assert_eq!(cm_c.total(fb, fc), cm_c.comm_term(fc));
     }
 
     #[test]
-    #[should_panic(expected = "negative weights")]
+    #[should_panic(expected = "finite and non-negative")]
     fn negative_weights_rejected() {
         let p = packet();
         CostModel::new(&p, -0.1, 1.1, BalanceRange::Full);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn infinite_weights_rejected() {
+        let p = packet();
+        CostModel::new(&p, 0.5, f64::INFINITY, BalanceRange::Full);
     }
 }

@@ -9,7 +9,10 @@
 //! a rectangular linear assignment problem with an exact polynomial
 //! solution; annealing searches for the same minimum.
 //!
-//! [`SaLane`] selects how a scheduler settles each packet:
+//! [`SaLane`] selects how a scheduler settles each packet. Both lanes
+//! read the same [`AnnealingPacket`](crate::packet::AnnealingPacket)
+//! through the same [`CostModel`], so they differ in the settling rule
+//! alone:
 //!
 //! * [`SaLane::Turbo`] — the production lane and the default.
 //!   [`SaScratch::solve`] finds the packet's eq. 6 minimum with a
@@ -18,7 +21,9 @@
 //!   `m = max(n, p)` columns, and breaks exact ties uniformly from the
 //!   packet's counter-based stream ([`crate::rng_stream`]). It proposes
 //!   no moves, so the annealing knobs of
-//!   [`AnnealParams`] do not act on it.
+//!   [`AnnealParams`](crate::annealer::AnnealParams) do not act on it.
+//!   [`SaScratch`] holds only the solver's buffers and the solved
+//!   mapping.
 //! * [`SaLane::Exact`] — the paper-literal engine
 //!   ([`crate::annealer::anneal_packet`] with
 //!   [`crate::boltzmann::accept`]): the oracle, and the lane of every
@@ -44,16 +49,10 @@
 use std::fmt;
 use std::str::FromStr;
 
-use anneal_graph::Work;
-use anneal_sim::EpochContext;
-use anneal_topology::ProcId;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
-use crate::annealer::{AnnealParams, PacketOutcome};
-use crate::cost::{normalization_ranges, BalanceRange, CostModel};
-use crate::packet::AnnealingPacket;
+use crate::cost::CostModel;
 use crate::trace::{PacketTrace, TraceSample};
-use anneal_graph::TaskId;
 
 /// How staged SA settles each annealing packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -147,34 +146,15 @@ pub struct LaneOutcome {
     pub trace: Option<PacketTrace>,
 }
 
-/// Reusable turbo-lane state: the flat per-packet cost tables, the
-/// assignment solver's buffers and the solved mapping. Built once per
-/// instance and reused across packets and across
+/// Reusable turbo-lane state: the assignment solver's buffers and the
+/// solved mapping. The packet tables it solves over belong to the
+/// [`AnnealingPacket`](crate::packet::AnnealingPacket) its
+/// [`CostModel`] prices. Built once per instance and reused across
+/// packets and across
 /// [`SaScheduler::reseed`](crate::SaScheduler::reseed) reruns, so a
 /// warm solve performs zero heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SaScratch {
-    // Flat packet tables (eqs. 2–5 constants).
-    tasks: Vec<TaskId>,
-    procs: Vec<ProcId>,
-    /// `levels[i] as f64`, the eq. 3 pricing operand.
-    lv: Vec<f64>,
-    /// Row-major `comm_cost[t * p + j] as f64`, the eq. 4/5 operand.
-    cc: Vec<f64>,
-    /// Each task's worst eq. 4 placement cost (sorted by
-    /// [`normalization_ranges`]).
-    worst: Vec<u64>,
-    /// The packet levels (sorted by [`normalization_ranges`]).
-    sorted_levels: Vec<u64>,
-    preds: Vec<(ProcId, Work)>,
-    // Eq. 6 normalization constants (CostModel-identical).
-    wb: f64,
-    wc: f64,
-    range_b: f64,
-    range_c: f64,
-    n: usize,
-    p: usize,
-    epoch_time: u64,
     /// The solved mapping: task index → processor index, or `NONE`.
     proc_of: Vec<u32>,
     // Assignment solver state over `k` rows (the packet's smaller side)
@@ -206,112 +186,6 @@ impl SaScratch {
         SaScratch::default()
     }
 
-    /// Loads an already-assembled [`AnnealingPacket`] plus the eq. 6
-    /// weights, reproducing [`CostModel::new`]'s normalization ranges
-    /// bit-for-bit.
-    pub fn load_packet(&mut self, packet: &AnnealingPacket, wb: f64, wc: f64, bal: BalanceRange) {
-        assert!(
-            wb >= 0.0 && wc >= 0.0 && wb.is_finite() && wc.is_finite(),
-            "weights must be finite and non-negative"
-        );
-        self.n = packet.num_tasks();
-        self.p = packet.num_procs();
-        self.wb = wb;
-        self.wc = wc;
-        self.epoch_time = packet.epoch_time;
-        self.tasks.clear();
-        self.tasks.extend_from_slice(&packet.tasks);
-        self.procs.clear();
-        self.procs.extend_from_slice(&packet.procs);
-        self.lv.clear();
-        self.lv.extend(packet.levels.iter().map(|&l| l as f64));
-        self.cc.clear();
-        self.cc.reserve(self.n * self.p);
-        for row in &packet.comm_cost {
-            self.cc.extend(row.iter().map(|&c| c as f64));
-        }
-        self.worst.clear();
-        self.worst.extend_from_slice(&packet.worst_comm);
-        self.sorted_levels.clear();
-        self.sorted_levels.extend_from_slice(&packet.levels);
-        (self.range_b, self.range_c) =
-            normalization_ranges(&mut self.sorted_levels, &mut self.worst, self.p, bal);
-    }
-
-    /// Builds the flat packet tables straight from an epoch context —
-    /// the allocation-free analogue of [`AnnealingPacket::from_epoch`]
-    /// followed by [`CostModel::new`], computing identical values.
-    // lint:allow(panic) reason="ready tasks have placed predecessors"
-    pub fn load_epoch(
-        &mut self,
-        ctx: &EpochContext<'_>,
-        levels: &[Work],
-        wb: f64,
-        wc: f64,
-        bal: BalanceRange,
-    ) {
-        assert!(
-            wb >= 0.0 && wc >= 0.0 && wb.is_finite() && wc.is_finite(),
-            "weights must be finite and non-negative"
-        );
-        let n = ctx.ready.len();
-        let p = ctx.idle.len();
-        self.n = n;
-        self.p = p;
-        self.wb = wb;
-        self.wc = wc;
-        self.epoch_time = ctx.time;
-        self.tasks.clear();
-        self.tasks.extend_from_slice(ctx.ready);
-        self.procs.clear();
-        self.procs.extend_from_slice(ctx.idle);
-        self.lv.clear();
-        self.sorted_levels.clear();
-        for &t in ctx.ready {
-            let l = levels[t.index()];
-            self.sorted_levels.push(l);
-            self.lv.push(l as f64);
-        }
-        self.cc.clear();
-        self.cc.resize(n * p, 0.0);
-        self.worst.clear();
-        self.worst.resize(n, 0);
-        if ctx.comm_enabled {
-            for (i, &t) in ctx.ready.iter().enumerate() {
-                // Predecessor placements are all known: ready ⇒ finished.
-                self.preds.clear();
-                self.preds.extend(ctx.graph.predecessors(t).iter().map(|e| {
-                    let src = ctx.placement[e.target.index()]
-                        .expect("predecessor of a ready task is placed");
-                    (src, e.weight)
-                }));
-                let mut wmax = 0u64;
-                for (j, &q) in ctx.idle.iter().enumerate() {
-                    let mut c = 0u64;
-                    for &(src, w) in &self.preds {
-                        let d = ctx.routes.distance(src, q);
-                        c += ctx.params.eq4_cost(w, d, src == q);
-                    }
-                    self.cc[i * p + j] = c as f64;
-                    wmax = wmax.max(c);
-                }
-                self.worst[i] = wmax;
-            }
-        }
-        (self.range_b, self.range_c) =
-            normalization_ranges(&mut self.sorted_levels, &mut self.worst, self.p, bal);
-    }
-
-    /// The loaded packet's task ids (packet-index order).
-    pub fn task_ids(&self) -> &[TaskId] {
-        &self.tasks
-    }
-
-    /// The loaded packet's processor ids (packet-index order).
-    pub fn proc_ids(&self) -> &[ProcId] {
-        &self.procs
-    }
-
     /// The solved `(task index, proc index)` assignments in task order
     /// — the form of `PacketMapping::assignments`.
     pub fn assignments(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
@@ -321,21 +195,7 @@ impl SaScratch {
             .filter_map(|(t, &p)| (p != NONE).then_some((t, p as usize)))
     }
 
-    /// Raw `(F_b, F_c)` by full recomputation — same task-order
-    /// summation as [`CostModel::raw_full`].
-    fn raw_full(&self) -> (f64, f64) {
-        let mut fb = 0.0;
-        let mut fc = 0.0;
-        for (t, &pr) in self.proc_of.iter().enumerate() {
-            if pr != NONE {
-                fb -= self.lv[t];
-                fc += self.cc[t * self.p + pr as usize];
-            }
-        }
-        (fb, fc)
-    }
-
-    /// Solves the loaded packet exactly: leaves a mapping with the
+    /// Solves the packet `cm` prices exactly: leaves a mapping with the
     /// least eq. 6 cost over all its saturated mappings in the scratch
     /// ([`SaScratch::assignments`]).
     ///
@@ -355,17 +215,23 @@ impl SaScratch {
     /// a fully tied packet every saturated mapping is equally likely.
     ///
     /// The reported cost is recomputed from the chosen mapping's raw
-    /// sums; levels and eq. 4 costs are integers far below 2⁵³, so
-    /// equal mappings price equal. Debug builds check it against the
-    /// solver's own optimum. A traced solve records one sample:
-    /// iteration 0, temperature 0, the optimum.
-    pub fn solve<R: RngCore + ?Sized>(&mut self, rng: &mut R, want_trace: bool) -> LaneOutcome {
-        let (n, p) = (self.n, self.p);
+    /// sums ([`CostModel::raw_full`]); levels and eq. 4 costs are
+    /// integers far below 2⁵³, so equal mappings price equal. Debug
+    /// builds check it against the solver's own optimum. A traced solve
+    /// records one sample: iteration 0, temperature 0, the optimum.
+    pub fn solve<R: RngCore + ?Sized>(
+        &mut self,
+        cm: &CostModel<'_>,
+        rng: &mut R,
+        want_trace: bool,
+    ) -> LaneOutcome {
+        let pk = cm.packet();
+        let (n, p) = (pk.num_tasks(), pk.num_procs());
         assert!(n > 0 && p > 0, "empty packet");
         debug_assert!(n < NONE as usize && p < NONE as usize);
         // Eq. 6 with the divisions hoisted: total = kb·F_b + kc·F_c.
-        let kb = self.wb / self.range_b;
-        let kc = self.wc / self.range_c;
+        let kb = cm.wb / cm.range_b();
+        let kc = cm.wc / cm.range_c();
         let tasks_are_rows = n <= p;
         let (k, m) = if tasks_are_rows { (n, p) } else { (p, n) };
         self.perm.clear();
@@ -378,7 +244,8 @@ impl SaScratch {
         for r in 0..k {
             for &c in &self.perm {
                 let (t, q) = if tasks_are_rows { (r, c) } else { (c, r) };
-                self.w.push(kc * self.cc[t * p + q] - kb * self.lv[t]);
+                self.w
+                    .push(kc * pk.comm_cost(t, q) as f64 - kb * pk.levels()[t] as f64);
             }
         }
         let optimum = self.assign(k, m);
@@ -390,7 +257,7 @@ impl SaScratch {
                 self.proc_of[t] = q as u32;
             }
         }
-        let (fb, fc) = self.raw_full();
+        let (fb, fc) = cm.raw_full(self.assignments());
         let final_cost = kb * fb + kc * fc;
         debug_assert!(
             prices_to(final_cost, optimum),
@@ -398,7 +265,7 @@ impl SaScratch {
         );
         let trace = want_trace.then(|| PacketTrace {
             packet: 0,
-            epoch_time: self.epoch_time,
+            epoch_time: pk.epoch_time(),
             candidates: n,
             idle: p,
             samples: vec![TraceSample {
@@ -492,55 +359,6 @@ impl SaScratch {
     }
 }
 
-/// Shared configuration for [`anneal_packet_lane`].
-#[derive(Debug, Clone)]
-pub struct LaneRun<'a> {
-    /// Load-balance weight `w_b`.
-    pub wb: f64,
-    /// Communication weight `w_c`.
-    pub wc: f64,
-    /// `ΔF_b` derivation.
-    pub balance: BalanceRange,
-    /// Annealing-loop knobs (the exact lane only).
-    pub params: &'a AnnealParams,
-    /// Which lane settles the packet.
-    pub lane: SaLane,
-    /// Record the packet's trajectory.
-    pub want_trace: bool,
-}
-
-/// Runs one packet through the selected lane and returns an exact-lane
-/// compatible [`PacketOutcome`] — the single entry point the oracle
-/// tests drive for both lanes. The turbo arm draws its tie shuffle from
-/// the caller's `rng` as-is ([`crate::sa::SaScheduler`] hands it a
-/// per-packet counter-based stream) and reports 0 iterations, moves
-/// and accepted moves.
-pub fn anneal_packet_lane<R: Rng + ?Sized>(
-    packet: &AnnealingPacket,
-    run: &LaneRun<'_>,
-    rng: &mut R,
-    scratch: &mut SaScratch,
-) -> PacketOutcome {
-    match run.lane {
-        SaLane::Exact => {
-            let cm = CostModel::new(packet, run.wb, run.wc, run.balance);
-            crate::annealer::anneal_packet(packet, &cm, run.params, rng, run.want_trace)
-        }
-        SaLane::Turbo => {
-            scratch.load_packet(packet, run.wb, run.wc, run.balance);
-            let out = scratch.solve(rng, run.want_trace);
-            PacketOutcome {
-                assignment: scratch.assignments().collect(),
-                iterations: 0,
-                moves: 0,
-                accepted: 0,
-                final_cost: out.final_cost,
-                trace: out.trace,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,18 +388,11 @@ mod tests {
         // Same packet + same (seed, packet-index) stream → identical
         // outcome. Every mapping of this packet ties, so the stream
         // alone picks among the optima and distinct streams can differ.
-        let packet = crate::packet::AnnealingPacket {
-            tasks: (0..6).map(TaskId::from_index).collect(),
-            procs: (0..3).map(ProcId::from_index).collect(),
-            levels: vec![5; 6],
-            comm_cost: vec![vec![2; 3]; 6],
-            worst_comm: vec![2; 6],
-            epoch_time: 0,
-        };
+        let packet = crate::packet::AnnealingPacket::from_rows(&[5; 6], &[[2; 3]; 6]);
+        let cm = CostModel::new(&packet, 0.5, 0.5, crate::cost::BalanceRange::Full);
         let run = |seed: u64, stream: u64| {
             let mut scratch = SaScratch::new();
-            scratch.load_packet(&packet, 0.5, 0.5, BalanceRange::Full);
-            let out = scratch.solve(&mut CounterRng::new(seed, stream), false);
+            let out = scratch.solve(&cm, &mut CounterRng::new(seed, stream), false);
             (out.final_cost, scratch.proc_of.clone())
         };
         assert_eq!(run(42, 0), run(42, 0));

@@ -185,6 +185,8 @@ pub struct SaScheduler {
     cfg: SaConfig,
     rng: StdRng,
     levels: Option<Vec<Work>>,
+    /// The current epoch's packet, reloaded in place.
+    packet: AnnealingPacket,
     scratch: SaScratch,
     /// Run statistics (reset per scheduler instance).
     pub stats: SaStats,
@@ -200,6 +202,7 @@ impl SaScheduler {
             cfg,
             rng,
             levels: None,
+            packet: AnnealingPacket::default(),
             scratch: SaScratch::new(),
             stats: SaStats::default(),
             traces: Vec::new(),
@@ -212,7 +215,8 @@ impl SaScheduler {
     }
 
     /// Resets the RNG to `seed` and clears statistics and traces while
-    /// keeping the warmed buffers (levels cache, fast-lane scratch).
+    /// keeping the warmed buffers (levels cache, packet, turbo-lane
+    /// scratch).
     /// Only valid for re-running the *same* instance: the cached
     /// bottom levels belong to the graph of the previous run.
     pub fn reseed(&mut self, seed: u64) {
@@ -229,6 +233,9 @@ impl OnlineScheduler for SaScheduler {
             return;
         }
         let levels = self.levels.get_or_insert_with(|| bottom_levels(ctx.graph));
+        self.packet.load(ctx, levels);
+        let packet = &self.packet;
+        let cm = CostModel::new(packet, self.cfg.wb, self.cfg.wc, self.cfg.balance_range);
         let before = out.len();
         let (iterations, moves, accepted, trace) = match self.cfg.lane {
             SaLane::Exact => {
@@ -241,36 +248,26 @@ impl OnlineScheduler for SaScheduler {
                     keep_best: self.cfg.keep_best,
                     init: self.cfg.init,
                 };
-                let packet = AnnealingPacket::from_epoch(ctx, levels);
-                let cm = CostModel::new(&packet, self.cfg.wb, self.cfg.wc, self.cfg.balance_range);
-                let o = anneal_packet(&packet, &cm, &params, &mut self.rng, self.cfg.record_traces);
+                let o = anneal_packet(&cm, &params, &mut self.rng, self.cfg.record_traces);
                 out.extend(
                     o.assignment
                         .iter()
-                        .map(|&(t, p)| (packet.tasks[t], packet.procs[p])),
+                        .map(|&(t, p)| (packet.tasks()[t], packet.procs()[p])),
                 );
                 (o.iterations, o.moves, o.accepted, o.trace)
             }
             SaLane::Turbo => {
-                self.scratch.load_epoch(
-                    ctx,
-                    levels,
-                    self.cfg.wb,
-                    self.cfg.wc,
-                    self.cfg.balance_range,
-                );
                 // Packet index = counter-RNG stream id: every packet
                 // gets an independent, order-free draw stream keyed by
                 // (seed, packet) — the sequential `self.rng` is not
                 // touched, so its state never depends on packet count.
                 let mut crng = CounterRng::new(self.cfg.seed, self.stats.packets);
-                let lo = self.scratch.solve(&mut crng, self.cfg.record_traces);
+                let lo = self.scratch.solve(&cm, &mut crng, self.cfg.record_traces);
                 self.stats.lane_rng_draws += crng.draws();
-                let (tasks, procs) = (self.scratch.task_ids(), self.scratch.proc_ids());
                 out.extend(
                     self.scratch
                         .assignments()
-                        .map(|(t, p)| (tasks[t], procs[p])),
+                        .map(|(t, p)| (packet.tasks()[t], packet.procs()[p])),
                 );
                 (0, 0, 0, lo.trace)
             }

@@ -17,7 +17,7 @@ use anneal_core::packet::AnnealingPacket;
 use anneal_core::static_sa::{static_sa, StaticSaConfig};
 use anneal_core::{level_dispatch_order, EvaluatorKind, SaConfig, SaLane, SaScheduler};
 use anneal_graph::units::us;
-use anneal_graph::{TaskGraphBuilder, TaskId};
+use anneal_graph::TaskGraphBuilder;
 use anneal_sim::{simulate, FixedMapping, SimConfig};
 use anneal_topology::builders::{bus, hypercube, linear};
 use anneal_topology::{CommParams, ProcId};
@@ -26,14 +26,8 @@ use rand::SeedableRng;
 
 /// A synthetic packet with `tasks × procs` shape and small levels.
 fn packet(tasks: usize, procs: usize) -> AnnealingPacket {
-    AnnealingPacket {
-        tasks: (0..tasks).map(TaskId::from_index).collect(),
-        procs: (0..procs).map(ProcId::from_index).collect(),
-        levels: (0..tasks).map(|i| 1_000 * (i as u64 + 1)).collect(),
-        comm_cost: vec![vec![100; procs]; tasks],
-        worst_comm: vec![100; tasks],
-        epoch_time: 0,
-    }
+    let levels: Vec<u64> = (0..tasks).map(|i| 1_000 * (i as u64 + 1)).collect();
+    AnnealingPacket::from_rows(&levels, &vec![vec![100; procs]; tasks])
 }
 
 fn anneal(pk: &AnnealingPacket, seed: u64) -> anneal_core::annealer::PacketOutcome {
@@ -43,7 +37,7 @@ fn anneal(pk: &AnnealingPacket, seed: u64) -> anneal_core::annealer::PacketOutco
         ..AnnealParams::default()
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    anneal_packet(pk, &cm, &params, &mut rng, false)
+    anneal_packet(&cm, &params, &mut rng, false)
 }
 
 /// A single-task graph (the smallest legal `TaskGraph`).

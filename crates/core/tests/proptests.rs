@@ -7,8 +7,6 @@ use anneal_core::cooling::CoolingSchedule;
 use anneal_core::cost::{BalanceRange, CostModel};
 use anneal_core::mapping::PacketMapping;
 use anneal_core::packet::AnnealingPacket;
-use anneal_graph::TaskId;
-use anneal_topology::ProcId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,18 +19,7 @@ fn arb_packet() -> impl Strategy<Value = AnnealingPacket> {
         let comm_cost: Vec<Vec<u64>> = (0..tasks)
             .map(|_| (0..procs).map(|_| rng.gen_range(0..80_000)).collect())
             .collect();
-        let worst_comm = comm_cost
-            .iter()
-            .map(|r| r.iter().copied().max().unwrap())
-            .collect();
-        AnnealingPacket {
-            tasks: (0..tasks).map(TaskId::from_index).collect(),
-            procs: (0..procs).map(ProcId::from_index).collect(),
-            levels,
-            comm_cost,
-            worst_comm,
-            epoch_time: 0,
-        }
+        AnnealingPacket::from_rows(&levels, &comm_cost)
     })
 }
 
@@ -71,7 +58,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut m = PacketMapping::new(packet.num_tasks(), packet.num_procs());
         m.saturate_random(&mut rng);
-        let (mut fb, mut fc) = cm.raw_full(&m);
+        let (mut fb, mut fc) = cm.raw_full(m.assignments());
         for _ in 0..150 {
             let t = rng.gen_range(0..packet.num_tasks());
             let q = rng.gen_range(0..packet.num_procs());
@@ -80,7 +67,7 @@ proptest! {
             m.apply(mv);
             fb += dfb;
             fc += dfc;
-            let (fb2, fc2) = cm.raw_full(&m);
+            let (fb2, fc2) = cm.raw_full(m.assignments());
             prop_assert!((fb - fb2).abs() < 1e-6, "fb {fb} vs {fb2}");
             prop_assert!((fc - fc2).abs() < 1e-6, "fc {fc} vs {fc2}");
         }
@@ -114,7 +101,7 @@ proptest! {
             max_iters: 60,
             ..AnnealParams::default()
         };
-        let out = anneal_packet(&packet, &cm, &params, &mut rng, false);
+        let out = anneal_packet(&cm, &params, &mut rng, false);
         prop_assert_eq!(out.assignment.len(), packet.num_selected());
         let mut ts: Vec<_> = out.assignment.iter().map(|a| a.0).collect();
         let mut ps: Vec<_> = out.assignment.iter().map(|a| a.1).collect();

@@ -10,9 +10,7 @@
 //! from-scratch `CostModel` recomputation, and every schedule it
 //! produces must be valid.
 
-use anneal_core::annealer::{AnnealParams, PacketOutcome};
 use anneal_core::cost::{BalanceRange, CostModel};
-use anneal_core::lane::{anneal_packet_lane, LaneRun};
 use anneal_core::mapping::PacketMapping;
 use anneal_core::packet::AnnealingPacket;
 use anneal_core::{CounterRng, SaConfig, SaLane, SaScheduler, SaScratch};
@@ -24,69 +22,41 @@ use anneal_topology::builders::{hypercube, linear, mesh, ring};
 use anneal_topology::{CommParams, ProcId, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
-/// Builds a packet straight from raw tables (no simulator needed).
-fn packet_from(levels: Vec<u64>, comm: Vec<Vec<u64>>, procs: usize) -> AnnealingPacket {
-    let worst: Vec<u64> = comm
-        .iter()
-        .map(|row| row.iter().copied().max().unwrap_or(0))
-        .collect();
-    AnnealingPacket {
-        tasks: (0..levels.len()).map(TaskId::from_index).collect(),
-        procs: (0..procs).map(ProcId::from_index).collect(),
-        levels,
-        comm_cost: comm,
-        worst_comm: worst,
-        epoch_time: 0,
-    }
+/// A solved packet: its mapping as `(task index, processor index)`
+/// pairs in task order, and the eq. 6 cost the solver reported.
+type Solved = (Vec<(usize, usize)>, f64);
+
+/// Solves `pk` on the turbo lane with `w_b = wb`, `w_c = 1 − wb`.
+fn solve(pk: &AnnealingPacket, wb: f64, bal: BalanceRange, rng: &mut dyn RngCore) -> Solved {
+    let cm = CostModel::new(pk, wb, 1.0 - wb, bal);
+    let mut scratch = SaScratch::new();
+    let out = scratch.solve(&cm, rng, false);
+    (scratch.assignments().collect(), out.final_cost)
 }
 
-/// The eq. 6 cost of `out`'s final mapping, recomputed from scratch.
-fn recomputed_cost(pk: &AnnealingPacket, out: &PacketOutcome, cm: &CostModel) -> f64 {
-    let (mut fb, mut fc) = (0.0, 0.0);
-    for &(t, q) in &out.assignment {
-        fb -= pk.levels[t] as f64;
-        fc += pk.comm_cost[t][q] as f64;
-    }
-    cm.total(fb, fc)
-}
-
-/// Runs one packet on the turbo lane and checks its mapping is a
+/// Solves one packet on the turbo lane and checks its mapping is a
 /// saturated injection and its reported cost prices that mapping.
 fn check_turbo_packet(pk: &AnnealingPacket, bal: BalanceRange, seed: u64) {
     let ctx = format!("seed={seed} n={} p={}", pk.num_tasks(), pk.num_procs());
-    let run = LaneRun {
-        wb: 0.4,
-        wc: 0.6,
-        balance: bal,
-        params: &AnnealParams::default(),
-        lane: SaLane::Turbo,
-        want_trace: false,
-    };
-    let out = anneal_packet_lane(
-        pk,
-        &run,
-        &mut StdRng::seed_from_u64(seed),
-        &mut SaScratch::new(),
-    );
+    let (assignment, final_cost) = solve(pk, 0.4, bal, &mut StdRng::seed_from_u64(seed));
     assert_eq!(
-        out.assignment.len(),
+        assignment.len(),
         pk.num_tasks().min(pk.num_procs()),
         "{ctx}: mapping not saturated"
     );
     let mut used = vec![false; pk.num_procs()];
-    for &(_, q) in &out.assignment {
+    for &(_, q) in &assignment {
         assert!(!used[q], "{ctx}: processor {q} assigned twice");
         used[q] = true;
     }
-    assert_eq!(out.moves, 0, "{ctx}");
     let cm = CostModel::new(pk, 0.4, 0.6, bal);
-    let recomputed = recomputed_cost(pk, &out, &cm);
+    let (fb, fc) = cm.raw_full(assignment);
+    let recomputed = cm.total(fb, fc);
     assert!(
-        (out.final_cost - recomputed).abs() <= 1e-9 * recomputed.abs().max(1.0),
-        "{ctx}: reported {} vs recomputed {recomputed}",
-        out.final_cost
+        (final_cost - recomputed).abs() <= 1e-9 * recomputed.abs().max(1.0),
+        "{ctx}: reported {final_cost} vs recomputed {recomputed}"
     );
 }
 
@@ -112,7 +82,7 @@ proptest! {
                     .collect()
             })
             .collect();
-        let pk = packet_from(levels, comm, procs);
+        let pk = AnnealingPacket::from_rows(&levels, &comm);
         check_turbo_packet(&pk, BalanceRange::Full, seed);
         check_turbo_packet(&pk, BalanceRange::PerIdle, seed ^ 0x9e37);
     }
@@ -266,7 +236,7 @@ fn brute_force_minimum(pk: &AnnealingPacket, cm: &CostModel) -> (f64, u64) {
     let mut best = f64::INFINITY;
     let mut count = 0u64;
     for_each_saturated(pk, &mut |m| {
-        let (fb, fc) = cm.raw_full(m);
+        let (fb, fc) = cm.raw_full(m.assignments());
         best = best.min(cm.total(fb, fc));
         count += 1;
     });
@@ -275,40 +245,6 @@ fn brute_force_minimum(pk: &AnnealingPacket, cm: &CostModel) -> (f64, u64) {
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * b.abs().max(1.0)
-}
-
-/// Runs `pk` through the turbo lane with `w_b = wb`, `w_c = 1 − wb`.
-fn solved_outcome<R: rand::Rng>(
-    pk: &AnnealingPacket,
-    wb: f64,
-    bal: BalanceRange,
-    rng: &mut R,
-) -> PacketOutcome {
-    let params = AnnealParams::default();
-    let run = LaneRun {
-        wb,
-        wc: 1.0 - wb,
-        balance: bal,
-        params: &params,
-        lane: SaLane::Turbo,
-        want_trace: false,
-    };
-    let out = anneal_packet_lane(pk, &run, rng, &mut SaScratch::new());
-    assert_eq!(
-        (out.iterations, out.moves, out.accepted),
-        (0, 0, 0),
-        "a solved packet anneals nothing"
-    );
-    out
-}
-
-/// Runs `pk` through the turbo lane with `w_b = 0.4`, `w_c = 0.6`.
-fn turbo_outcome<R: rand::Rng>(
-    pk: &AnnealingPacket,
-    bal: BalanceRange,
-    rng: &mut R,
-) -> PacketOutcome {
-    solved_outcome(pk, 0.4, bal, rng)
 }
 
 proptest! {
@@ -339,24 +275,24 @@ proptest! {
             })
             .collect();
         let levels: Vec<u64> = levels[..n].iter().map(|l| l * 1_000).collect();
-        let pk = packet_from(levels, comm, p);
+        let pk = AnnealingPacket::from_rows(&levels, &comm);
         let bal = if per_idle { BalanceRange::PerIdle } else { BalanceRange::Full };
         let wb = [0.0, 0.4, 1.0][wb_ix];
         let ctx = format!("n={n} p={p} seed={seed} bal={bal:?} wb={wb}");
 
-        let out = solved_outcome(&pk, wb, bal, &mut StdRng::seed_from_u64(seed));
-        prop_assert_eq!(out.assignment.len(), n.min(p), "{}: not saturated", ctx);
+        let (assignment, final_cost) = solve(&pk, wb, bal, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(assignment.len(), n.min(p), "{}: not saturated", ctx);
         let mut m = PacketMapping::new(n, p);
-        for &(t, q) in &out.assignment {
+        for &(t, q) in &assignment {
             prop_assert!(m.task_at(q).is_none(), "{}: processor {} used twice", ctx, q);
             m.apply(m.propose(t, q).expect("free processor"));
         }
         let cm = CostModel::new(&pk, wb, 1.0 - wb, bal);
         let (min, count) = brute_force_minimum(&pk, &cm);
         prop_assert_eq!(count, mapping_count(n, p), "{}", ctx);
-        let (fb, fc) = cm.raw_full(&m);
+        let (fb, fc) = cm.raw_full(m.assignments());
         prop_assert!(close(cm.total(fb, fc), min), "{}: mapping costs {} vs minimum {}", ctx, cm.total(fb, fc), min);
-        prop_assert!(close(out.final_cost, min), "{}: reported {} vs minimum {}", ctx, out.final_cost, min);
+        prop_assert!(close(final_cost, min), "{}: reported {} vs minimum {}", ctx, final_cost, min);
     }
 }
 
@@ -364,12 +300,16 @@ proptest! {
 /// mappings are optimal, and the tie shuffle picks each about as often.
 #[test]
 fn exact_ties_are_broken_uniformly() {
-    let pk = packet_from(vec![5_000; 3], vec![vec![0; 3]; 3], 3);
+    let pk = AnnealingPacket::from_rows(&[5_000; 3], &[[0; 3]; 3]);
     let mut picks = std::collections::BTreeMap::new();
     for stream in 0..600 {
-        let out = turbo_outcome(&pk, BalanceRange::Full, &mut CounterRng::new(17, stream));
-        assert_eq!(out.moves, 0);
-        *picks.entry(out.assignment).or_insert(0u32) += 1;
+        let (assignment, _) = solve(
+            &pk,
+            0.4,
+            BalanceRange::Full,
+            &mut CounterRng::new(17, stream),
+        );
+        *picks.entry(assignment).or_insert(0u32) += 1;
     }
     assert_eq!(picks.len(), 6, "every optimum must be reachable: {picks:?}");
     for (mapping, &hits) in &picks {
@@ -397,13 +337,14 @@ fn packets_of_every_size_are_solved_without_a_move() {
         let comm: Vec<Vec<u64>> = (0..n)
             .map(|t| (0..p).map(|q| ((t * 7 + q * 3) % 5) as u64 * 400).collect())
             .collect();
-        let pk = packet_from(levels, comm, p);
-        let out = turbo_outcome(&pk, BalanceRange::Full, &mut StdRng::seed_from_u64(3));
-        assert_eq!(out.assignment.len(), n.min(p), "{n}x{p}: not saturated");
+        let pk = AnnealingPacket::from_rows(&levels, &comm);
+        let (assignment, final_cost) =
+            solve(&pk, 0.4, BalanceRange::Full, &mut StdRng::seed_from_u64(3));
+        assert_eq!(assignment.len(), n.min(p), "{n}x{p}: not saturated");
         if mapping_count(n, p) <= 362_880 {
             let cm = CostModel::new(&pk, 0.4, 0.6, BalanceRange::Full);
             assert!(
-                close(out.final_cost, brute_force_minimum(&pk, &cm).0),
+                close(final_cost, brute_force_minimum(&pk, &cm).0),
                 "{n}x{p}"
             );
         }
@@ -429,13 +370,11 @@ impl OnlineScheduler for Pricing {
         let pk = AnnealingPacket::from_epoch(ctx, levels);
         let cfg = self.sa.config();
         let cm = CostModel::new(&pk, cfg.wb, cfg.wc, cfg.balance_range);
-        let (mut fb, mut fc) = (0.0, 0.0);
-        for &(t, q) in &out[before..] {
-            let ti = pk.tasks.iter().position(|&x| x == t).unwrap();
-            let qi = pk.procs.iter().position(|&x| x == q).unwrap();
-            fb -= pk.levels[ti] as f64;
-            fc += pk.comm_cost[ti][qi] as f64;
-        }
+        let (fb, fc) = cm.raw_full(out[before..].iter().map(|&(t, q)| {
+            let ti = pk.tasks().iter().position(|&x| x == t).unwrap();
+            let qi = pk.procs().iter().position(|&x| x == q).unwrap();
+            (ti, qi)
+        }));
         self.costs.push(cm.total(fb, fc));
     }
 

@@ -282,14 +282,15 @@ fn observation_with_noop_recorder_allocates_nothing() {
 
 #[test]
 fn turbo_sa_lane_steady_state_allocates_nothing() {
-    // The production lane's cost tables and solver buffers are built
-    // on the first packet and reused through `SaScratch`'s grow-only
-    // buffers, and its counter-based RNG streams are a fixed-size
-    // two-word state. Once a scheduler is
+    // The production lane's packet tables (the scheduler's reloaded
+    // `AnnealingPacket`) and solver buffers (`SaScratch`) are built on
+    // the first packet and reused through grow-only buffers, each
+    // epoch's `CostModel` allocates nothing, and its counter-based RNG
+    // streams are a fixed-size two-word state. Once a scheduler is
     // warm on its instance, `reseed` + re-simulate must not touch the
     // allocator. One scheduler per instance: `reseed` keeps the
-    // per-graph level cache and the lane scratch, both valid for the
-    // same instance only.
+    // per-graph level cache, the packet and the lane scratch, valid
+    // for the same instance only.
     let g1 = sample_graph(9);
     let g2 = sample_graph(15);
     let t1 = hypercube(3);

@@ -58,20 +58,6 @@ impl Population {
         }
     }
 
-    /// A medium population exercising the schedulers at paper scale
-    /// (~100 tasks).
-    pub fn survey_medium(seed: u64, count: usize) -> Self {
-        Population {
-            seed,
-            count,
-            kind: PopulationKind::Layered {
-                layers: 10,
-                width: 10,
-                edge_prob: 0.3,
-            },
-        }
-    }
-
     /// Generates instance `i` of the population.
     pub fn instance(&self, i: usize) -> TaskGraph {
         assert!(i < self.count, "instance index out of range");
