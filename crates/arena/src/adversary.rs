@@ -145,7 +145,11 @@ pub fn makespan_ratio(
 /// # Panics
 ///
 /// Panics when `target` is not in the portfolio or is its only entry.
-// lint:allow(panic) reason="callers pass a portfolio member as target, with at least one rival; jobs >= 2"
+#[expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "callers pass a portfolio member as target, with at least one rival; jobs >= 2"
+)]
 pub fn makespan_ratio_pooled(
     portfolio: &Portfolio,
     target: &str,

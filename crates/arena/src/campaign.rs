@@ -527,12 +527,12 @@ mod tests {
     #[test]
     fn family_sweeps_shapes_and_hosts() {
         let insts = campaign_instances(3, 24);
-        let shapes: std::collections::HashSet<&str> = insts
+        let shapes: std::collections::BTreeSet<&str> = insts
             .iter()
             .map(|i| i.name.split('-').nth(1).unwrap())
             .collect();
         assert!(shapes.len() >= 12, "24 instances should sweep many shapes");
-        let hosts: std::collections::HashSet<&str> = insts
+        let hosts: std::collections::BTreeSet<&str> = insts
             .iter()
             .map(|i| i.name.rsplit('-').next().unwrap())
             .collect();
@@ -546,7 +546,7 @@ mod tests {
         // Host/intensity/size come from hashed bits, not `i mod k`, so
         // every shape must meet every host — a `i % 6` vs `i % 8`
         // scheme would confine even shapes to even hosts forever.
-        let mut pairs = std::collections::HashSet::new();
+        let mut pairs = std::collections::BTreeSet::new();
         for i in 0..240 {
             let inst = campaign_instance(3, i);
             let shape = i % 6;

@@ -106,7 +106,10 @@ pub(crate) fn run_cells(
 /// Evaluates every entry on one instance: the factories in entry order,
 /// then one lockstep run of the schedulers they built. Returns the
 /// cells in entry order.
-// lint:allow(panic) reason="simulate_makespans reports a result for every scheduler built; a failed factory records its own"
+#[expect(
+    clippy::expect_used,
+    reason = "simulate_makespans reports a result for every scheduler built; a failed factory records its own"
+)]
 fn run_column(
     entries: &[&PortfolioEntry],
     inst: &ArenaInstance,

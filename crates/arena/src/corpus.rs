@@ -117,7 +117,10 @@ impl FrozenInstance {
     ///
     /// Panics when `topology_spec` does not parse — freezing an
     /// unreplayable instance is a bug at the call site.
-    // lint:allow(panic) reason="freezing an unreplayable topology spec is a caller bug, as documented"
+    #[expect(
+        clippy::panic,
+        reason = "freezing an unreplayable topology spec is a caller bug, as documented"
+    )]
     pub fn new(
         name: impl Into<String>,
         topology_spec: impl Into<String>,
@@ -138,13 +141,19 @@ impl FrozenInstance {
     }
 
     /// The instance name.
-    // lint:allow(panic) reason="the constructor always records name and topology meta"
+    #[expect(
+        clippy::expect_used,
+        reason = "the constructor always records name and topology meta"
+    )]
     pub fn name(&self) -> &str {
         self.meta.get("name").expect("constructor guarantees name")
     }
 
     /// The host-topology spec.
-    // lint:allow(panic) reason="the constructor always records name and topology meta"
+    #[expect(
+        clippy::expect_used,
+        reason = "the constructor always records name and topology meta"
+    )]
     pub fn topology_spec(&self) -> &str {
         self.meta
             .get("topology")

@@ -72,6 +72,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

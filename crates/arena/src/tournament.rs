@@ -53,7 +53,10 @@ pub struct TournamentResult {
 impl TournamentResult {
     /// The winning row on instance `j` and its makespan; ties break
     /// toward the earlier portfolio entry.
-    // lint:allow(panic) reason="tournaments are built from non-empty portfolios"
+    #[expect(
+        clippy::expect_used,
+        reason = "tournaments are built from non-empty portfolios"
+    )]
     pub fn best_for_instance(&self, j: usize) -> (usize, u64) {
         self.makespans
             .iter()
@@ -98,20 +101,6 @@ impl TournamentResult {
             }
         }
         wins
-    }
-
-    /// Head-to-head record of row `a` against row `b`:
-    /// `(a wins, b wins, ties)` over all instances.
-    pub fn head_to_head(&self, a: usize, b: usize) -> (usize, usize, usize) {
-        let mut rec = (0, 0, 0);
-        for j in 0..self.instances.len() {
-            match self.makespans[a][j].cmp(&self.makespans[b][j]) {
-                std::cmp::Ordering::Less => rec.0 += 1,
-                std::cmp::Ordering::Greater => rec.1 += 1,
-                std::cmp::Ordering::Equal => rec.2 += 1,
-            }
-        }
-        rec
     }
 
     /// The head-to-head CSV table: one row per scheduler with its
@@ -226,7 +215,6 @@ mod tests {
         assert_eq!(t.ratio(1, 0), 1.2);
         assert_eq!(t.ratio(0, 1), 1.25);
         assert_eq!(t.wins(), vec![2, 2]); // both tie on z
-        assert_eq!(t.head_to_head(0, 1), (1, 1, 1));
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //!
 //! Set `EVALUATOR_BENCH_SMOKE=1` for a fast CI pass: fewer moves and
 //! repetitions, same equivalence assertions, same JSON artifact.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a timing bench reads the wall clock and its smoke-mode variable"
+)]
 
 use std::time::Instant;
 

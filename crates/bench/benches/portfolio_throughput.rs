@@ -43,6 +43,11 @@
 //!
 //! Set `PORTFOLIO_BENCH_SMOKE=1` for a fast CI pass: fewer repetitions,
 //! same equality assertions, same JSON artifact.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a timing bench reads the wall clock and its smoke-mode variable"
+)]
 
 use std::time::Instant;
 

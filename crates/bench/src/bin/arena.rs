@@ -32,8 +32,9 @@
 //! Staged SA runs the production SA lane (`SaLane::default()`, turbo),
 //! and static SA anneals with eq. 1 on the default move evaluator, the
 //! fast-path fixed-mapping kernel. An unknown flag, a
-//! missing flag value, an unparsable count or seed, or a third
-//! positional argument prints the usage on stderr and exits 2.
+//! missing flag value, an unparsable count or seed, a third positional
+//! argument, or a count of 0 without `--paper` (no instances) prints
+//! the usage on stderr and exits 2.
 
 use std::path::{Path, PathBuf};
 
@@ -84,6 +85,9 @@ fn parse_args() -> Args {
                 positional += 1;
             }
         }
+    }
+    if args.count == 0 && !args.with_paper {
+        cli.fail("no instances: give a positive count or --paper");
     }
     args
 }

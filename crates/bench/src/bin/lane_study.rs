@@ -57,8 +57,10 @@
 //! * `--out PATH` — output path (default `results/LANE_EQUIV.json`).
 //!
 //! Exit status is 1 when a gate fails, so CI can run the binary
-//! directly. An unknown flag, a missing or unparsable value or
-//! `--seeds 0` prints the usage on stderr and exits 2.
+//! directly, and when `corpus/` does not load from the working
+//! directory (run it from the repository root). An unknown flag, a
+//! missing or unparsable value or `--seeds 0` prints the usage on
+//! stderr and exits 2.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -162,8 +164,16 @@ impl InstanceRow {
     }
 }
 
+/// Prints why the working directory's `corpus/` cannot be studied and
+/// exits 1.
+fn refuse_corpus(reason: &str) -> ! {
+    eprintln!("lane_study: {reason} (run from the repository root)");
+    std::process::exit(1)
+}
+
 fn study_instances(args: &StudyArgs) -> Vec<(ArenaInstance, &'static str)> {
-    let corpus = load_corpus_dir("corpus").expect("corpus/ must load cleanly");
+    let corpus = load_corpus_dir("corpus")
+        .unwrap_or_else(|e| refuse_corpus(&format!("cannot load corpus/: {e}")));
     let mut out = Vec::new();
     for fi in &corpus {
         // Smoke keeps only the instances frozen *against staged SA* —
@@ -174,7 +184,9 @@ fn study_instances(args: &StudyArgs) -> Vec<(ArenaInstance, &'static str)> {
         let inst = fi.to_instance().expect("frozen instance replays");
         out.push((inst, "corpus"));
     }
-    assert!(!out.is_empty(), "corpus must hold study instances");
+    if out.is_empty() {
+        refuse_corpus("corpus/ holds no study instance");
+    }
     for i in 0..args.campaign {
         out.push((campaign_instance(42, i), "campaign"));
     }

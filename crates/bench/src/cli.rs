@@ -20,6 +20,10 @@ pub struct Cli {
 
 impl Cli {
     /// The process arguments. `usage` starts with `usage: <binary>`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the harness binaries read their arguments here and nowhere else"
+    )]
     pub fn from_env(usage: impl Into<String>) -> Cli {
         Cli::new(usage, std::env::args().skip(1).collect())
     }

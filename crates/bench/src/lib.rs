@@ -32,6 +32,14 @@
 //! cooling, acceptance or keep-best setting to compare.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod cli;
 
@@ -81,14 +89,20 @@ impl CommMode {
 }
 
 /// Runs the deterministic HLF baseline.
-// lint:allow(panic) reason="bench harness entry point: a failed simulation should abort the experiment"
+#[expect(
+    clippy::expect_used,
+    reason = "bench harness entry point: a failed simulation should abort the experiment"
+)]
 pub fn run_hlf(g: &TaskGraph, topo: &Topology, mode: CommMode) -> SimResult {
     let mut s = HlfScheduler::new();
     simulate(g, topo, &mode.params(), &mut s, &mode.sim_config()).expect("HLF run failed")
 }
 
 /// Runs SA once with an explicit configuration, on the lane it names.
-// lint:allow(panic) reason="bench harness entry point: a failed simulation should abort the experiment"
+#[expect(
+    clippy::expect_used,
+    reason = "bench harness entry point: a failed simulation should abort the experiment"
+)]
 pub fn run_sa(g: &TaskGraph, topo: &Topology, mode: CommMode, cfg: SaConfig) -> SimResult {
     let mut s = SaScheduler::new(cfg);
     simulate(g, topo, &mode.params(), &mut s, &mode.sim_config()).expect("SA run failed")
@@ -119,6 +133,10 @@ pub fn tuning_grid(fast: bool) -> Vec<SaConfig> {
 /// Runs SA over the tuning grid and keeps the best (highest-speedup)
 /// result; ties break toward the earlier grid entry. Returns the result
 /// and the winning configuration.
+#[expect(
+    clippy::expect_used,
+    reason = "the tuning grid is a non-empty constant"
+)]
 pub fn run_sa_tuned(
     g: &TaskGraph,
     topo: &Topology,
@@ -136,7 +154,6 @@ pub fn run_sa_tuned(
             best = Some((r, cfg));
         }
     }
-    // lint:allow(panic) reason="the tuning grid is a non-empty constant"
     best.expect("non-empty grid")
 }
 

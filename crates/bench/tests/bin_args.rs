@@ -4,7 +4,8 @@
 //! does not understand is refused with the usage text and exit status
 //! 2, like the root `annealsched` CLI, instead of panicking or silently
 //! running with defaults. `arena --metrics PATH` creates a missing
-//! directory instead of panicking.
+//! directory instead of panicking, and `lane_study` run away from the
+//! repository root names `corpus/` and exits 1.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -48,6 +49,7 @@ fn bad_arguments_exit_2_with_usage() {
         ("arena", &["2", "7", "--threads"]),
         ("arena", &["2", "7", "--threads", "two"]),
         ("arena", &["2", "7", "--metrics"]),
+        ("arena", &["0", "7"]),
         // the multi-process fleet flags are gone
         ("campaign", &["4", "2", "--dir", d, "--procs", "2"]),
         ("campaign", &["4", "2", "--dir", d, "--join", "d"]),
@@ -121,6 +123,31 @@ fn help_prints_usage_and_exits_0() {
             "{bin} --help"
         );
     }
+}
+
+/// `lane_study` reads `corpus/` from the working directory; without it,
+/// or with an empty one, it names the directory and exits 1 before
+/// studying anything.
+#[test]
+fn lane_study_without_a_corpus_exits_1() {
+    let cwd = std::env::temp_dir().join(format!("annealsched-lane-cwd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    for make_corpus in [false, true] {
+        if make_corpus {
+            std::fs::create_dir(cwd.join("corpus")).unwrap();
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_lane_study"))
+            .arg("--smoke")
+            .current_dir(&cwd)
+            .output()
+            .expect("run lane_study");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("corpus/"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(cwd);
 }
 
 /// `arena --metrics PATH` creates `PATH`'s directory when it does not

@@ -26,7 +26,11 @@ const TIMES: [Work; 9] = [3, 2, 2, 2, 4, 4, 4, 4, 9];
 /// Edges in 0-based indices: T1→T9, T4→{T5,T6,T7,T8}.
 const EDGES: [(usize, usize); 5] = [(0, 8), (3, 4), (3, 5), (3, 6), (3, 7)];
 
-// lint:allow(panic) reason="the hard-coded Graham instances are valid DAGs"
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "the hard-coded Graham instances are valid DAGs"
+)]
 fn build(times: &[Work; 9], edges: &[(usize, usize)]) -> TaskGraph {
     let mut b = TaskGraphBuilder::with_capacity(9, edges.len());
     let ids: Vec<_> = times

@@ -163,7 +163,7 @@ impl ListScheduler {
 
 /// The eq. 4 input-communication estimate of placing ready task `t` on
 /// `q`, summed over its predecessors.
-// lint:allow(panic) reason="ready tasks have placed predecessors"
+#[expect(clippy::expect_used, reason = "ready tasks have placed predecessors")]
 fn input_comm(ctx: &EpochContext<'_>, t: TaskId, q: ProcId) -> Work {
     ctx.graph
         .predecessors(t)
@@ -178,7 +178,10 @@ fn input_comm(ctx: &EpochContext<'_>, t: TaskId, q: ProcId) -> Work {
 
 /// Estimated finish time of ready task `t` on `q`: data-ready time
 /// under eq. 4 (clamped to "now"), plus the task's load.
-// lint:allow(panic) reason="t is ready, so every predecessor is placed and finished"
+#[expect(
+    clippy::expect_used,
+    reason = "t is ready, so every predecessor is placed and finished"
+)]
 fn estimated_finish(ctx: &EpochContext<'_>, t: TaskId, q: ProcId) -> Work {
     let ready = ctx
         .graph
@@ -199,7 +202,7 @@ fn estimated_finish(ctx: &EpochContext<'_>, t: TaskId, q: ProcId) -> Work {
 
 /// CPOP's priorities (top plus bottom level, both with communication),
 /// the critical-path length and its host processor.
-// lint:allow(panic) reason="topologies have at least one processor"
+#[expect(clippy::expect_used, reason = "topologies have at least one processor")]
 fn cpop_ranks(ctx: &EpochContext<'_>) -> (Vec<Work>, (Work, ProcId)) {
     let tl = top_levels_with_comm(ctx.graph);
     let bl = bottom_levels_with_comm(ctx.graph);
@@ -223,7 +226,10 @@ fn cpop_ranks(ctx: &EpochContext<'_>) -> (Vec<Work>, (Work, ProcId)) {
 }
 
 impl OnlineScheduler for ListScheduler {
-    // lint:allow(panic) reason="the loop breaks before `free` can be empty"
+    #[expect(
+        clippy::expect_used,
+        reason = "the loop breaks before `free` can be empty"
+    )]
     fn on_epoch(&mut self, ctx: &EpochContext<'_>, out: &mut Vec<(TaskId, ProcId)>) {
         let pr = self.priorities.get_or_insert_with(|| match self.rule {
             Rule::InOrder(policy) => policy.priorities(ctx.graph),

@@ -68,7 +68,7 @@ impl AnnealingPacket {
     /// Reloads this packet in place for an epoch, reusing its buffers.
     /// `levels` is the full per-task bottom-level vector for the graph
     /// (cached by the scheduler).
-    // lint:allow(panic) reason="ready tasks have placed predecessors"
+    #[expect(clippy::expect_used, reason = "ready tasks have placed predecessors")]
     pub fn load(&mut self, ctx: &EpochContext<'_>, levels: &[Work]) {
         let p = ctx.idle.len();
         self.tasks.clear();

@@ -87,7 +87,10 @@ impl<S: Default> ScratchPool<S> {
     }
 
     /// Takes a pooled (warm) scratch, or a fresh default one.
-    // lint:allow(panic) reason="pool users do not panic while holding the lock"
+    #[expect(
+        clippy::expect_used,
+        reason = "pool users do not panic while holding the lock"
+    )]
     pub fn take(&self) -> S {
         let mut inner = self.pool.lock().expect("scratch pool poisoned");
         match inner.items.pop() {
@@ -104,7 +107,10 @@ impl<S: Default> ScratchPool<S> {
     }
 
     /// Returns a scratch to the pool for the next fan-out.
-    // lint:allow(panic) reason="pool users do not panic while holding the lock"
+    #[expect(
+        clippy::expect_used,
+        reason = "pool users do not panic while holding the lock"
+    )]
     pub fn put(&self, s: S) {
         self.pool
             .lock()
@@ -114,7 +120,10 @@ impl<S: Default> ScratchPool<S> {
     }
 
     /// Number of pooled scratches (diagnostics).
-    // lint:allow(panic) reason="pool users do not panic while holding the lock"
+    #[expect(
+        clippy::expect_used,
+        reason = "pool users do not panic while holding the lock"
+    )]
     pub fn len(&self) -> usize {
         self.pool.lock().expect("scratch pool poisoned").items.len()
     }
@@ -125,7 +134,10 @@ impl<S: Default> ScratchPool<S> {
     }
 
     /// Hit/miss statistics accumulated since construction.
-    // lint:allow(panic) reason="pool users do not panic while holding the lock"
+    #[expect(
+        clippy::expect_used,
+        reason = "pool users do not panic while holding the lock"
+    )]
     pub fn stats(&self) -> PoolStats {
         self.pool.lock().expect("scratch pool poisoned").stats
     }
@@ -147,7 +159,10 @@ impl<S: Default> ScratchPool<S> {
 /// must not depend on the scratch state (scratch is an optimization,
 /// never an input), so the output stays reproducible under any thread
 /// cap.
-// lint:allow(panic) reason="worker panics are propagated; the claim counter hands out every job index once"
+#[expect(
+    clippy::expect_used,
+    reason = "worker panics are propagated; the claim counter hands out every job index once"
+)]
 pub fn run_chunked_pooled<T, S, F>(
     jobs: usize,
     max_threads: usize,
@@ -226,6 +241,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test checks which thread ran the jobs"
+    )]
     fn one_worker_fanouts_run_on_the_caller() {
         let pool: ScratchPool<()> = ScratchPool::new();
         let caller = std::thread::current().id();

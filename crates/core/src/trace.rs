@@ -51,11 +51,6 @@ impl PacketTrace {
         self.samples.last().map_or(0.0, |s| s.f_total)
     }
 
-    /// Initial total cost (0 if no samples).
-    pub fn initial_cost(&self) -> f64 {
-        self.samples.first().map_or(0.0, |s| s.f_total)
-    }
-
     /// Fraction of accepted moves.
     pub fn acceptance_rate(&self) -> f64 {
         if self.samples.is_empty() {
@@ -134,7 +129,6 @@ mod tests {
                 sample(2, 1.0, true),
             ],
         };
-        assert_eq!(t.initial_cost(), 5.0);
         assert_eq!(t.final_cost(), 1.0);
         assert!((t.acceptance_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
@@ -176,7 +170,6 @@ mod tests {
     #[test]
     fn empty_trace() {
         let t = PacketTrace::default();
-        assert_eq!(t.initial_cost(), 0.0);
         assert_eq!(t.final_cost(), 0.0);
         assert_eq!(t.acceptance_rate(), 0.0);
     }

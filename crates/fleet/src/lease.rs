@@ -28,9 +28,9 @@
 //!
 //! Leases read the real wall clock ([`unix_time_ms`] — `SystemTime`,
 //! shared across processes, unlike a per-process monotonic origin).
-//! This crate is the sanctioned home for that read (`anneal-lint`'s
-//! `obs-clock` config); lease timestamps never touch science
-//! artifacts.
+//! That function is the sanctioned home for that read (its
+//! `#[expect(clippy::disallowed_types)]`); lease timestamps never touch
+//! science artifacts.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -58,6 +58,10 @@ impl Default for LeaseConfig {
 
 /// Milliseconds since the Unix epoch — the shared cross-process time
 /// base leases are stamped with.
+#[expect(
+    clippy::disallowed_types,
+    reason = "leases need a clock shared across processes; no science artifact carries it"
+)]
 pub fn unix_time_ms() -> u64 {
     match std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH) {
         Ok(d) => d.as_secs().saturating_mul(1000) + u64::from(d.subsec_millis()),

@@ -96,7 +96,10 @@ impl TaskGraphBuilder {
             Err(GraphError::DuplicateEdge(..)) => {
                 // Linear scan is fine: merging is a construction-time
                 // convenience, never on a hot path.
-                // lint:allow(panic) reason="guarded by the DuplicateEdge arm: the edge is present"
+                #[expect(
+                    clippy::expect_used,
+                    reason = "guarded by the DuplicateEdge arm: the edge is present"
+                )]
                 let e = self
                     .edges
                     .iter_mut()
@@ -188,7 +191,10 @@ impl TaskGraphBuilder {
         }
         if topo.len() != n {
             // Some task is on a cycle: any with nonzero in-degree left.
-            // lint:allow(panic) reason="topo.len() != n means a cycle, so some in-degree stays positive"
+            #[expect(
+                clippy::expect_used,
+                reason = "topo.len() != n means a cycle, so some in-degree stays positive"
+            )]
             let culprit = indeg
                 .iter()
                 .position(|&d| d > 0)

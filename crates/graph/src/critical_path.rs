@@ -36,7 +36,10 @@ pub fn critical_path(g: &TaskGraph) -> Vec<TaskId> {
             break;
         }
         // Successor slices are sorted by id, so `find` picks smallest id.
-        // lint:allow(panic) reason="bottom-level accounting guarantees a successor with bl == need"
+        #[expect(
+            clippy::expect_used,
+            reason = "bottom-level accounting guarantees a successor with bl == need"
+        )]
         let next = g
             .successors(cur)
             .iter()
@@ -57,16 +60,6 @@ pub fn max_speedup(g: &TaskGraph) -> f64 {
         return 0.0;
     }
     g.total_work() as f64 / cp as f64
-}
-
-/// Critical path including communication weights on edges (a lower bound
-/// on makespan when every adjacent pair is on *different* processors at
-/// unit distance).
-pub fn critical_path_length_with_comm(g: &TaskGraph) -> Work {
-    crate::levels::bottom_levels_with_comm(g)
-        .into_iter()
-        .max()
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -110,12 +103,6 @@ mod tests {
     fn max_speedup_diamond() {
         let g = diamond();
         assert!((max_speedup(&g) - 100.0 / 80.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cp_with_comm_diamond() {
-        // a -> c -> d with comm: 10 + 2 + 30 + 4 + 40 = 86.
-        assert_eq!(critical_path_length_with_comm(&diamond()), 86);
     }
 
     #[test]

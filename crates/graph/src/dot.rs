@@ -30,7 +30,7 @@ impl Default for DotOptions {
 }
 
 /// Renders `g` in Graphviz DOT format.
-// lint:allow(panic) reason="fmt::Write into a String is infallible"
+#[expect(clippy::unwrap_used, reason = "fmt::Write into a String is infallible")]
 pub fn to_dot(g: &TaskGraph, opts: &DotOptions) -> String {
     let mut out = String::new();
     writeln!(out, "digraph {} {{", sanitize(&opts.name)).unwrap();

@@ -75,7 +75,11 @@ impl Default for LayeredConfig {
 /// edges only between consecutive layers, each drawn with probability
 /// `edge_prob`. Every non-first-layer task is guaranteed at least one
 /// predecessor (drawn uniformly) so the layer structure is respected.
-// lint:allow(panic) reason="layer edges go strictly forward; the builder cannot fail"
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "layer edges go strictly forward; the builder cannot fail"
+)]
 pub fn layered_random<R: Rng + ?Sized>(cfg: &LayeredConfig, rng: &mut R) -> TaskGraph {
     assert!(cfg.layers >= 1 && cfg.width >= 1);
     let mut b = TaskGraphBuilder::with_capacity(
@@ -110,7 +114,11 @@ pub fn layered_random<R: Rng + ?Sized>(cfg: &LayeredConfig, rng: &mut R) -> Task
 /// An Erdős–Rényi-style random DAG on `n` tasks: each pair `(i, j)` with
 /// `i < j` receives an edge with probability `p` (orientation low → high
 /// id guarantees acyclicity).
-// lint:allow(panic) reason="edges are oriented low id -> high id, so the DAG check cannot fail"
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "edges are oriented low id -> high id, so the DAG check cannot fail"
+)]
 pub fn gnp_dag<R: Rng + ?Sized>(
     n: usize,
     p: f64,
@@ -133,7 +141,11 @@ pub fn gnp_dag<R: Rng + ?Sized>(
 
 /// A fork-join graph: one fork task, `width` parallel body tasks, one
 /// join task.
-// lint:allow(panic) reason="fork -> body -> join edges are forward and unique"
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "fork -> body -> join edges are forward and unique"
+)]
 pub fn fork_join<R: Rng + ?Sized>(
     width: usize,
     load: Range,
@@ -154,7 +166,11 @@ pub fn fork_join<R: Rng + ?Sized>(
 }
 
 /// A linear chain of `n` tasks.
-// lint:allow(panic) reason="consecutive-id chain edges are forward and unique"
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "consecutive-id chain edges are forward and unique"
+)]
 pub fn chain<R: Rng + ?Sized>(n: usize, load: Range, comm: Range, rng: &mut R) -> TaskGraph {
     assert!(n >= 1);
     let mut b = TaskGraphBuilder::with_capacity(n, n);
@@ -167,7 +183,7 @@ pub fn chain<R: Rng + ?Sized>(n: usize, load: Range, comm: Range, rng: &mut R) -
 
 /// `n` fully independent tasks (no edges): the pure load-balancing case
 /// (the "balancing problem" of Hwang & Xu that the paper generalizes).
-// lint:allow(panic) reason="an edgeless graph always builds"
+#[expect(clippy::expect_used, reason = "an edgeless graph always builds")]
 pub fn independent<R: Rng + ?Sized>(n: usize, load: Range, rng: &mut R) -> TaskGraph {
     assert!(n >= 1);
     let mut b = TaskGraphBuilder::with_capacity(n, 0);
@@ -180,7 +196,11 @@ pub fn independent<R: Rng + ?Sized>(n: usize, load: Range, rng: &mut R) -> TaskG
 /// A random series-parallel graph built by `ops` random series/parallel
 /// compositions starting from single edges. Series-parallel DAGs are a
 /// common model of structured parallel programs.
-// lint:allow(panic) reason="SP composition only adds edges from earlier to later tasks"
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "SP composition only adds edges from earlier to later tasks"
+)]
 pub fn series_parallel<R: Rng + ?Sized>(
     ops: usize,
     load: Range,

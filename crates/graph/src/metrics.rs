@@ -4,7 +4,7 @@
 use crate::critical_path::{critical_path_length, max_speedup};
 use crate::dag::TaskGraph;
 use crate::levels::layers;
-use crate::units::{as_us, Work};
+use crate::units::Work;
 
 /// Summary statistics of a task graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,11 +85,6 @@ impl GraphMetrics {
     pub fn avg_comm_per_task_us(&self) -> f64 {
         self.avg_comm_per_task / 1_000.0
     }
-
-    /// Critical path in µs.
-    pub fn critical_path_us(&self) -> f64 {
-        as_us(self.critical_path)
-    }
 }
 
 impl std::fmt::Display for GraphMetrics {
@@ -151,7 +146,6 @@ mod tests {
     fn unit_helpers() {
         let m = GraphMetrics::compute(&diamond());
         assert!((m.avg_duration_us() - 0.025).abs() < 1e-12);
-        assert!((m.critical_path_us() - 0.08).abs() < 1e-12);
     }
 
     #[test]

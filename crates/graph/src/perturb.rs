@@ -102,7 +102,10 @@ impl DagEdit {
     /// Freezes the edit back into a [`TaskGraph`]. Infallible: the
     /// pinned extension guarantees acyclicity and the task set is
     /// non-empty by construction.
-    // lint:allow(panic) reason="the pinned linear extension keeps edges forward, unique and acyclic"
+    #[expect(
+        clippy::expect_used,
+        reason = "the pinned linear extension keeps edges forward, unique and acyclic"
+    )]
     pub fn build(&self) -> TaskGraph {
         let mut b = TaskGraphBuilder::with_capacity(self.loads.len(), self.edges.len());
         for (load, name) in self.loads.iter().zip(&self.names) {

@@ -103,7 +103,7 @@ pub fn to_text(g: &TaskGraph) -> String {
 /// Serializes `g` with a version-1 `format`/`meta` header. The declared
 /// version is always [`TG_TEXT_VERSION`]; `meta.version` is ignored on
 /// output.
-// lint:allow(panic) reason="fmt::Write into a String is infallible"
+#[expect(clippy::unwrap_used, reason = "fmt::Write into a String is infallible")]
 pub fn to_text_with_meta(g: &TaskGraph, meta: &TextMeta) -> String {
     let mut out = String::new();
     writeln!(out, "format tg {TG_TEXT_VERSION}").unwrap();
@@ -118,7 +118,7 @@ pub fn to_text_with_meta(g: &TaskGraph, meta: &TextMeta) -> String {
     out
 }
 
-// lint:allow(panic) reason="fmt::Write into a String is infallible"
+#[expect(clippy::unwrap_used, reason = "fmt::Write into a String is infallible")]
 fn write_comment_and_body(out: &mut String, g: &TaskGraph) {
     writeln!(
         out,
@@ -252,7 +252,10 @@ pub fn from_text_with_meta(text: &str) -> Result<(TaskGraph, TextMeta), GraphErr
                 b.add_edge(TaskId::from_index(from), TaskId::from_index(to), w)?;
             }
             Some(tok) => return Err(parse_err(&format!("unknown directive '{tok}'"))),
-            // lint:allow(panic) reason="empty lines are skipped before splitting"
+            #[expect(
+                clippy::unreachable,
+                reason = "empty lines are skipped before splitting"
+            )]
             None => unreachable!("blank lines filtered above"),
         }
     }

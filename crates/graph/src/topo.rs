@@ -1,12 +1,11 @@
 //! Topological-order utilities.
 //!
 //! The canonical order is computed once at build time and cached on the
-//! graph ([`crate::TaskGraph::topo_order`]); this module adds validation
-//! and alternative orders used by list schedulers and tests.
+//! graph ([`crate::TaskGraph::topo_order`]); this module validates
+//! orders.
 
 use crate::dag::TaskGraph;
 use crate::ids::TaskId;
-use crate::units::Work;
 
 /// Checks that `order` is a permutation of all tasks that respects every
 /// precedence edge.
@@ -24,52 +23,10 @@ pub fn is_topological_order(g: &TaskGraph, order: &[TaskId]) -> bool {
     g.edges().all(|(a, b, _)| pos[a.index()] < pos[b.index()])
 }
 
-/// A topological order where ties are broken by *descending* priority
-/// (then ascending id). With bottom levels as priorities this is exactly
-/// the dispatch order of the Highest Level First list algorithm on a
-/// single ready queue.
-pub fn topo_order_by_priority(g: &TaskGraph, priority: &[Work]) -> Vec<TaskId> {
-    assert_eq!(priority.len(), g.num_tasks());
-    let mut indeg: Vec<usize> = g.tasks().map(|t| g.in_degree(t)).collect();
-    // Max-heap on (priority, Reverse(id)).
-    let mut heap: std::collections::BinaryHeap<(Work, std::cmp::Reverse<u32>)> =
-        std::collections::BinaryHeap::new();
-    for t in g.tasks() {
-        if indeg[t.index()] == 0 {
-            heap.push((priority[t.index()], std::cmp::Reverse(t.raw())));
-        }
-    }
-    let mut out = Vec::with_capacity(g.num_tasks());
-    while let Some((_, std::cmp::Reverse(raw))) = heap.pop() {
-        let t = TaskId::from_index(raw as usize);
-        out.push(t);
-        for e in g.successors(t) {
-            let d = &mut indeg[e.target.index()];
-            *d -= 1;
-            if *d == 0 {
-                heap.push((
-                    priority[e.target.index()],
-                    std::cmp::Reverse(e.target.raw()),
-                ));
-            }
-        }
-    }
-    debug_assert_eq!(out.len(), g.num_tasks());
-    out
-}
-
-/// A reverse topological order (every successor before its predecessors).
-pub fn reverse_topo_order(g: &TaskGraph) -> Vec<TaskId> {
-    let mut v: Vec<TaskId> = g.topo_order().to_vec();
-    v.reverse();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::TaskGraphBuilder;
-    use crate::levels::bottom_levels;
 
     fn diamond() -> TaskGraph {
         let mut b = TaskGraphBuilder::new();
@@ -101,37 +58,5 @@ mod tests {
         // duplicate entry
         let dup = vec![order[0], order[0], order[1], order[2]];
         assert!(!is_topological_order(&g, &dup));
-    }
-
-    #[test]
-    fn priority_order_prefers_high_levels() {
-        let g = diamond();
-        let bl = bottom_levels(&g);
-        let order = topo_order_by_priority(&g, &bl);
-        assert!(is_topological_order(&g, &order));
-        // After the root, c (level 70) must come before b (level 60).
-        let pos = |i: usize| order.iter().position(|t| t.index() == i).unwrap();
-        assert!(pos(2) < pos(1));
-    }
-
-    #[test]
-    fn priority_order_breaks_ties_by_id() {
-        let mut b = TaskGraphBuilder::new();
-        for _ in 0..4 {
-            b.add_task(5);
-        }
-        let g = b.build().unwrap();
-        let order = topo_order_by_priority(&g, &[5, 5, 5, 5]);
-        let ids: Vec<usize> = order.iter().map(|t| t.index()).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn reverse_order_reverses() {
-        let g = diamond();
-        let fwd = g.topo_order().to_vec();
-        let mut rev = reverse_topo_order(&g);
-        rev.reverse();
-        assert_eq!(fwd, rev);
     }
 }

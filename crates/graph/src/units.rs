@@ -11,9 +11,6 @@ pub type Work = u64;
 /// Nanoseconds per microsecond.
 pub const NS_PER_US: u64 = 1_000;
 
-/// Nanoseconds per millisecond.
-pub const NS_PER_MS: u64 = 1_000_000;
-
 /// Converts microseconds (possibly fractional) to nanoseconds, rounding to
 /// the nearest nanosecond.
 ///
@@ -28,22 +25,10 @@ pub fn us(micros: f64) -> Work {
     (micros * NS_PER_US as f64).round() as Work
 }
 
-/// Converts whole microseconds to nanoseconds.
-#[inline]
-pub const fn us_int(micros: u64) -> Work {
-    micros * NS_PER_US
-}
-
 /// Converts nanoseconds back to (fractional) microseconds.
 #[inline]
 pub fn as_us(ns: Work) -> f64 {
     ns as f64 / NS_PER_US as f64
-}
-
-/// Converts nanoseconds to (fractional) milliseconds.
-#[inline]
-pub fn as_ms(ns: Work) -> f64 {
-    ns as f64 / NS_PER_MS as f64
 }
 
 /// Message transfer time over one link: `w = L / BW` (paper §4.2b).
@@ -81,13 +66,6 @@ mod tests {
     }
 
     #[test]
-    fn us_int_matches_us() {
-        for v in [0u64, 1, 7, 9, 1000] {
-            assert_eq!(us_int(v), us(v as f64));
-        }
-    }
-
-    #[test]
     fn transfer_time_examples() {
         // 40 bits over 10 Mb/s = 4 us.
         assert_eq!(transfer_time_ns(40, 10_000_000), 4_000);
@@ -97,11 +75,6 @@ mod tests {
         assert_eq!(transfer_time_ns(1, 1_000_000_000), 1);
         // Rounding: 1 bit over 3 bps = 333_333_333.33 ns -> rounds down.
         assert_eq!(transfer_time_ns(1, 3), 333_333_333);
-    }
-
-    #[test]
-    fn as_ms_scales() {
-        assert_eq!(as_ms(1_500_000), 1.5);
     }
 
     #[test]

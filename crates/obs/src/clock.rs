@@ -1,12 +1,17 @@
 //! The explicit [`Clock`] abstraction and [`Span`] timing scopes.
 //!
-//! This module is the **only** sanctioned home of `std::time::Instant`
-//! in the workspace (`anneal-lint`'s `obs-clock` pass enforces it).
+//! This module is the library crates' **only** sanctioned home of
+//! `std::time::Instant` (`clippy.toml` disallows it everywhere else but
+//! the bench harnesses).
 //! Library code never reads time directly: it takes a `&dyn Clock` and
 //! the binary decides whether that is a [`WallClock`] (real timing, for
 //! `time.*` metrics) or a [`NullClock`] (deterministic CI mode — every
 //! duration is zero, so artifacts containing timings still compare
 //! byte-for-byte).
+#![expect(
+    clippy::disallowed_types,
+    reason = "WallClock is the library crates' one sanctioned reader of `Instant`"
+)]
 
 /// A monotonic nanosecond source.
 pub trait Clock {

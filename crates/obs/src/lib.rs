@@ -20,8 +20,8 @@
 //! * [`Clock`] / [`Span`] — the only sanctioned way to read time.
 //!   [`WallClock`] lives *here* (and is constructed only by binaries);
 //!   [`NullClock`] replaces it in deterministic CI mode, pinning every
-//!   duration to zero. `anneal-lint` enforces that no other crate
-//!   touches `std::time` directly.
+//!   duration to zero. `clippy.toml` disallows `Instant` and
+//!   `SystemTime` everywhere else (docs/LINTS.md, rule L5).
 //! * [`JsonlSink`] — an append-only JSON-lines buffer with caller-fixed
 //!   field order, so emitted artifacts diff cleanly and CI can compare
 //!   them byte for byte.
@@ -42,6 +42,14 @@
 //! resume.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

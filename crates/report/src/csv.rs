@@ -33,12 +33,6 @@ impl Csv {
         self
     }
 
-    /// Appends a row of displayable values.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        let strings: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&strings)
-    }
-
     /// The document text.
     pub fn as_str(&self) -> &str {
         &self.buf
@@ -95,13 +89,6 @@ mod tests {
             c.as_str(),
             "plain,\"with,comma\",\"with\"\"quote\",\"multi\nline\"\n"
         );
-    }
-
-    #[test]
-    fn display_rows() {
-        let mut c = Csv::new();
-        c.row_display(&[1.5, 2.25]);
-        assert_eq!(c.as_str(), "1.5,2.25\n");
     }
 
     #[test]

@@ -268,7 +268,10 @@ impl MergedCampaign {
         let mut ratio_sum = vec![0.0f64; self.schedulers.len()];
         let mut ratio_max = vec![0.0f64; self.schedulers.len()];
         for row in &self.rows {
-            // lint:allow(panic) reason="merge() rejected shards with empty scheduler headers"
+            #[expect(
+                clippy::expect_used,
+                reason = "merge() rejected shards with empty scheduler headers"
+            )]
             let best = *row.makespans.iter().min().expect("non-empty header");
             for (i, &m) in row.makespans.iter().enumerate() {
                 if m == best {

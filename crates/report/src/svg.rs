@@ -40,8 +40,8 @@ const MARGIN_TOP: u32 = 20;
 const MARGIN_BOTTOM: u32 = 28;
 
 /// Renders the trace as an SVG document string.
+#[expect(clippy::expect_used, reason = "fmt::Write into a String is infallible")]
 pub fn render_svg(g: &Gantt, num_procs: usize, opts: &SvgOptions) -> String {
-    // lint:allow(panic) reason="fmt::Write into a String is infallible"
     render_svg_impl(g, num_procs, opts).expect("String formatting cannot fail")
 }
 

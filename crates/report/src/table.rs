@@ -1,14 +1,5 @@
 //! ASCII table rendering.
 
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    /// Left-aligned cell text.
-    Left,
-    /// Right-aligned cell text.
-    Right,
-}
-
 /// A simple ASCII table builder.
 ///
 /// ```
@@ -21,22 +12,16 @@ pub enum Align {
 #[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
     title: Option<String>,
 }
 
 impl Table {
-    /// Creates a table with the given column headers. The first column
-    /// defaults to left alignment, the rest to right.
+    /// Creates a table with the given column headers. Headers and the
+    /// first column are left-aligned, the other data cells right-aligned.
     pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
-        let headers: Vec<String> = headers.into_iter().map(Into::into).collect();
-        let aligns = (0..headers.len())
-            .map(|i| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Table {
-            headers,
-            aligns,
+            headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
             title: None,
         }
@@ -45,13 +30,6 @@ impl Table {
     /// Sets a title printed above the table.
     pub fn with_title(mut self, title: impl Into<String>) -> Self {
         self.title = Some(title.into());
-        self
-    }
-
-    /// Overrides column alignments (must match the column count).
-    pub fn with_aligns(mut self, aligns: Vec<Align>) -> Self {
-        assert_eq!(aligns.len(), self.headers.len());
-        self.aligns = aligns;
         self
     }
 
@@ -66,14 +44,8 @@ impl Table {
         self.rows.push(Vec::new()); // empty row = separator sentinel
     }
 
-    /// Number of data rows (separators excluded).
-    pub fn num_rows(&self) -> usize {
-        self.rows.iter().filter(|r| !r.is_empty()).count()
-    }
-
     /// Renders to a string (trailing newline included).
     pub fn render(&self) -> String {
-        let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -89,22 +61,19 @@ impl Table {
             s.push('\n');
             s
         };
-        let fmt_row = |cells: &[String], aligns: &[Align]| -> String {
+        let fmt_row = |cells: &[String], header: bool| -> String {
             let mut s = String::from("|");
-            for i in 0..cols {
+            for (i, width) in widths.iter().enumerate() {
                 let cell = cells.get(i).map(String::as_str).unwrap_or("");
-                let pad = widths[i] - cell.chars().count();
-                match aligns[i] {
-                    Align::Left => {
-                        s.push(' ');
-                        s.push_str(cell);
-                        s.push_str(&" ".repeat(pad + 1));
-                    }
-                    Align::Right => {
-                        s.push_str(&" ".repeat(pad + 1));
-                        s.push_str(cell);
-                        s.push(' ');
-                    }
+                let pad = width - cell.chars().count();
+                if header || i == 0 {
+                    s.push(' ');
+                    s.push_str(cell);
+                    s.push_str(&" ".repeat(pad + 1));
+                } else {
+                    s.push_str(&" ".repeat(pad + 1));
+                    s.push_str(cell);
+                    s.push(' ');
                 }
                 s.push('|');
             }
@@ -117,8 +86,7 @@ impl Table {
             out.push('\n');
         }
         out.push_str(&sep);
-        let header_aligns = vec![Align::Left; cols];
-        out.push_str(&fmt_row(&self.headers, &header_aligns));
+        out.push_str(&fmt_row(&self.headers, true));
         out.push_str(&sep);
         // A trailing separator row would double the bottom border.
         let last_data = self.rows.iter().rposition(|r| !r.is_empty());
@@ -128,7 +96,7 @@ impl Table {
                     out.push_str(&sep);
                 }
             } else {
-                out.push_str(&fmt_row(row, &self.aligns));
+                out.push_str(&fmt_row(row, false));
             }
         }
         out.push_str(&sep);
@@ -162,15 +130,6 @@ mod tests {
         let s = t.render();
         assert!(s.starts_with("My Table\n"));
         assert_eq!(s.matches("+---+").count(), 4); // top, header, mid, bottom
-        assert_eq!(t.num_rows(), 2);
-    }
-
-    #[test]
-    fn custom_alignment() {
-        let mut t = Table::new(vec!["x", "y"]).with_aligns(vec![Align::Right, Align::Left]);
-        t.row(vec!["1".into(), "2".into()]);
-        let s = t.render();
-        assert!(s.contains("| 1 | 2 |"));
     }
 
     #[test]

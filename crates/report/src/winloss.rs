@@ -38,6 +38,7 @@ const HEADER_H: u32 = 78;
 /// # Panics
 ///
 /// Panics when the ratio matrix shape disagrees with the label slices.
+#[expect(clippy::expect_used, reason = "fmt::Write into a String is infallible")]
 pub fn render_win_loss_matrix(
     schedulers: &[String],
     instances: &[String],
@@ -52,7 +53,6 @@ pub fn render_win_loss_matrix(
     for row in ratios {
         assert_eq!(row.len(), instances.len(), "one ratio per instance");
     }
-    // lint:allow(panic) reason="fmt::Write into a String is infallible"
     render_impl(schedulers, instances, ratios, opts).expect("String formatting cannot fail")
 }
 

@@ -85,7 +85,10 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 #[derive(Debug, Clone, Copy)]
-#[allow(clippy::enum_variant_names)] // events are naturally all completions
+#[expect(
+    clippy::enum_variant_names,
+    reason = "events are naturally all completions"
+)]
 enum Ev {
     TaskDone { p: ProcId, gen: u64 },
     OverheadDone { p: ProcId, gen: u64 },
@@ -338,7 +341,10 @@ impl<'a> Engine<'a> {
         self.pump(p);
     }
 
-    // lint:allow(panic) reason="routes come from the routing table, so consecutive hops share a channel"
+    #[expect(
+        clippy::expect_used,
+        reason = "routes come from the routing table, so consecutive hops share a channel"
+    )]
     fn channel_push(&mut self, msg_id: u32) {
         let m = &self.msgs[msg_id as usize];
         let (u, v) = (m.route[m.hop], m.route[m.hop + 1]);
@@ -359,7 +365,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    // lint:allow(panic) reason="routes come from the routing table, so consecutive hops share a channel"
+    #[expect(
+        clippy::expect_used,
+        reason = "routes come from the routing table, so consecutive hops share a channel"
+    )]
     fn current_channel(&self, msg_id: u32) -> ChannelId {
         let m = &self.msgs[msg_id as usize];
         let (u, v) = (m.route[m.hop], m.route[m.hop + 1]);
@@ -403,7 +412,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    // lint:allow(panic) reason="the generation check above rejects stale timers, so the overhead is present and never Compute"
+    #[expect(
+        clippy::expect_used,
+        clippy::unreachable,
+        reason = "the generation check above rejects stale timers, so the overhead is present and never Compute"
+    )]
     fn on_overhead_done(&mut self, p: ProcId, gen: u64) {
         if self.procs[p.index()].gen != gen {
             return; // stale
@@ -430,7 +443,10 @@ impl<'a> Engine<'a> {
         self.pump(p);
     }
 
-    // lint:allow(panic) reason="messages are only created for assigned destination tasks"
+    #[expect(
+        clippy::expect_used,
+        reason = "messages are only created for assigned destination tasks"
+    )]
     fn deliver(&mut self, msg_id: u32) {
         let t = self.msgs[msg_id as usize].dest_task;
         let pending = &mut self.pending_inputs[t.index()];
@@ -448,7 +464,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    // lint:allow(panic) reason="the generation check above rejects stale timers, so the compute state is live"
+    #[expect(
+        clippy::expect_used,
+        reason = "the generation check above rejects stale timers, so the compute state is live"
+    )]
     fn on_task_done(&mut self, p: ProcId, gen: u64) {
         if self.procs[p.index()].gen != gen {
             return; // stale
@@ -484,7 +503,10 @@ impl<'a> Engine<'a> {
         self.pump(p);
     }
 
-    // lint:allow(panic) reason="schedulers only assign ready tasks, whose predecessors have all finished"
+    #[expect(
+        clippy::expect_used,
+        reason = "schedulers only assign ready tasks, whose predecessors have all finished"
+    )]
     fn assign(&mut self, t: TaskId, q: ProcId) {
         self.placement[t.index()] = Some(q);
         self.procs[q.index()].assigned = Some(t);
@@ -598,7 +620,10 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    // lint:allow(panic) reason="the deadlock check above guarantees every task was placed, started and finished"
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the deadlock check above guarantees every task was placed, started and finished"
+    )]
     fn run(mut self, sched: &mut dyn OnlineScheduler) -> Result<SimResult, SimError> {
         let mut events: u64 = 0;
         loop {

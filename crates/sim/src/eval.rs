@@ -77,7 +77,10 @@ impl Driver for FixedDriver<'_> {
         Ok(())
     }
 
-    // lint:allow(panic) reason="the kernel assigns only tasks it previously reported ready"
+    #[expect(
+        clippy::expect_used,
+        reason = "the kernel assigns only tasks it previously reported ready"
+    )]
     fn task_assigned(&mut self, t: u32, q: u32) {
         let w = &mut self.waiting[q as usize];
         let pos = w.iter().position(|&x| x == t).expect("task was waiting");
@@ -162,7 +165,10 @@ impl<'a> FixedEval<'a> {
     /// not hold one processor per task or names a processor outside the
     /// topology, and with the engine's own errors (such as
     /// [`SimError::EventLimit`]) otherwise.
-    // lint:allow(panic) reason="build_pred_base always pushes at least one offset"
+    #[expect(
+        clippy::expect_used,
+        reason = "build_pred_base always pushes at least one offset"
+    )]
     pub fn makespan(&mut self, mapping: &[ProcId]) -> Result<SimTime, SimError> {
         self.check_mapping(mapping)?;
         let num_pred_edges = *self.pred_base.last().expect("pred_base non-empty") as usize;

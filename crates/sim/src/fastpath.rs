@@ -295,7 +295,10 @@ impl FlatRoutes {
     }
 
     /// Re-flattens in place, reusing the buffers.
-    // lint:allow(panic) reason="routes come from the routing table, so consecutive hops share a channel"
+    #[expect(
+        clippy::expect_used,
+        reason = "routes come from the routing table, so consecutive hops share a channel"
+    )]
     fn rebuild(&mut self, topo: &Topology, routes: &RouteTable) {
         let np = topo.num_procs();
         self.num_procs = np;
@@ -583,7 +586,10 @@ impl KernelState {
 
     /// The main event loop; a transliteration of the general engine's
     /// `run` with dispatch delegated to the driver.
-    // lint:allow(panic) reason="`reg` was checked Some on the use_reg branches"
+    #[expect(
+        clippy::expect_used,
+        reason = "`reg` was checked Some on the use_reg branches"
+    )]
     pub(crate) fn run<D: Driver>(
         &mut self,
         ctx: &KernelCtx<'_>,
@@ -693,7 +699,7 @@ impl KernelState {
         self.assign_buf = buf;
     }
 
-    // lint:allow(panic) reason="schedulers only assign ready tasks"
+    #[expect(clippy::expect_used, reason = "schedulers only assign ready tasks")]
     fn assign<D: Driver>(&mut self, t: u32, q: u32, ctx: &KernelCtx<'_>, driver: &mut D) {
         self.placement[t as usize] = q;
         self.procs[q as usize].assigned = t;
@@ -873,7 +879,10 @@ impl KernelState {
         );
     }
 
-    // lint:allow(panic) reason="overhead timers are only armed with a current overhead in place"
+    #[expect(
+        clippy::expect_used,
+        reason = "overhead timers are only armed with a current overhead in place"
+    )]
     fn on_overhead_done(&mut self, p: u32, ctx: &KernelCtx<'_>) {
         let oh = self.procs[p as usize]
             .cur_oh
@@ -1379,7 +1388,10 @@ where
     T: OnlineScheduler + ?Sized,
     F: FnMut(&[Rider]),
 {
-    // lint:allow(panic) reason="riders are members whose runs have not ended, so their slots hold a scheduler; an epoch with riders has a dispatch group"
+    #[expect(
+        clippy::expect_used,
+        reason = "riders are members whose runs have not ended, so their slots hold a scheduler; an epoch with riders has a dispatch group"
+    )]
     fn dispatch(
         &mut self,
         k: &KernelState,
@@ -1555,7 +1567,10 @@ where
 /// `scratch` carries every buffer, the parked branches and a
 /// route-table cache across calls; reuse one per worker thread for
 /// zero steady-state allocation.
-// lint:allow(panic) reason="build_pred_base always pushes at least one offset"
+#[expect(
+    clippy::expect_used,
+    reason = "build_pred_base always pushes at least one offset"
+)]
 pub fn simulate_makespans<S, T, F>(
     graph: &TaskGraph,
     topology: &Topology,
@@ -1664,7 +1679,10 @@ where
 /// Bit-identical to [`simulate`](crate::simulate)'s
 /// `SimResult::makespan` (see [`simulate_makespans`]); afterwards
 /// [`SimScratch::last_run_stats`] holds the run's counters.
-// lint:allow(panic) reason="simulate_makespans reports every member's result exactly once"
+#[expect(
+    clippy::expect_used,
+    reason = "simulate_makespans reports every member's result exactly once"
+)]
 pub fn simulate_makespan(
     graph: &TaskGraph,
     topology: &Topology,

@@ -70,15 +70,6 @@ impl Gantt {
             .collect()
     }
 
-    /// Busy time per kind on processor `p`.
-    pub fn busy_by_kind(&self, p: ProcId, kind: SpanKind) -> SimTime {
-        self.spans
-            .iter()
-            .filter(|s| s.proc == p && s.kind == kind)
-            .map(Span::duration)
-            .sum()
-    }
-
     /// Checks that no two spans of the same processor overlap (a
     /// processor does one thing at a time). Returns the first violating
     /// pair if any.
@@ -125,7 +116,6 @@ mod tests {
         };
         assert_eq!(g.spans[0].duration(), 10);
         assert_eq!(g.proc_spans(ProcId::from_index(0)).len(), 2);
-        assert_eq!(g.busy_by_kind(ProcId::from_index(0), SpanKind::Send), 7);
         assert_eq!(g.task_segments(TaskId::from_index(0)).len(), 2);
         assert!(g.find_overlap().is_none());
     }

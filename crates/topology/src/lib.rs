@@ -24,6 +24,14 @@
 //!   τ = 2S + H + O and the eq. 4 point-to-point cost estimate.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

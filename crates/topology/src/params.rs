@@ -126,16 +126,6 @@ impl CommParams {
         let setup = (1 - delta) * self.sigma;
         volume + routing + setup
     }
-
-    /// Worst-case eq. 4 cost for weight `w` in a network of diameter
-    /// `diam` — used for the `ΔF_c` normalization range.
-    pub fn eq4_cost_at_diameter(&self, w: Work, diam: u32) -> Work {
-        if diam == 0 {
-            0
-        } else {
-            self.eq4_cost(w, diam, false)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -193,15 +183,5 @@ mod tests {
         assert_eq!(p.eq4_cost(w, 1, false), w + p.sigma);
         // d=3: 3w + 2tau + sigma
         assert_eq!(p.eq4_cost(w, 3, false), 3 * w + 2 * p.tau + p.sigma);
-    }
-
-    #[test]
-    fn eq4_at_diameter() {
-        let p = CommParams::paper();
-        assert_eq!(p.eq4_cost_at_diameter(4_000, 0), 0);
-        assert_eq!(
-            p.eq4_cost_at_diameter(4_000, 4),
-            p.eq4_cost(4_000, 4, false)
-        );
     }
 }

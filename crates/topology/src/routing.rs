@@ -20,7 +20,10 @@ pub struct RouteTable {
 
 impl RouteTable {
     /// Builds routes for `t`; errors if disconnected.
-    // lint:allow(panic) reason="the BFS just reached `cur`, so a next hop toward the source exists"
+    #[expect(
+        clippy::expect_used,
+        reason = "the BFS just reached `cur`, so a next hop toward the source exists"
+    )]
     pub fn build(t: &Topology) -> Result<Self, Disconnected> {
         let dist = DistanceMatrix::build(t)?;
         let n = t.num_procs();

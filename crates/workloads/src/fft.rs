@@ -61,7 +61,11 @@ pub fn task_count(cfg: &FftConfig) -> usize {
 }
 
 /// Builds the recombination-tree FFT task graph.
-// lint:allow(panic) reason="the workload generator emits forward, duplicate-free edges"
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "the workload generator emits forward, duplicate-free edges"
+)]
 pub fn fft_recombine(cfg: &FftConfig) -> TaskGraph {
     assert!(cfg.radix >= 1);
     let r = cfg.radix;
@@ -107,7 +111,11 @@ impl Default for ButterflyConfig {
 /// `log₂N` stages of `N/2` butterflies; the butterfly owning points
 /// `(i, i ^ 2^s)` at stage `s` reads the two stage-`s−1` butterflies that
 /// produced those points.
-// lint:allow(panic) reason="the workload generator emits forward, duplicate-free edges"
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "the workload generator emits forward, duplicate-free edges"
+)]
 pub fn fft_butterfly(cfg: &ButterflyConfig) -> TaskGraph {
     let n = cfg.n;
     assert!(

@@ -52,7 +52,11 @@ pub fn task_count(cfg: &GaussJordanConfig) -> usize {
 ///
 /// Row indices run `0..n`; index `n` denotes the right-hand side, which
 /// is updated every stage but never pivots.
-// lint:allow(panic) reason="the workload generator emits forward, duplicate-free edges"
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "the workload generator emits forward, duplicate-free edges"
+)]
 pub fn gauss_jordan(cfg: &GaussJordanConfig) -> TaskGraph {
     assert!(cfg.n >= 1, "need at least a 1x1 system");
     let n = cfg.n;
@@ -72,7 +76,7 @@ pub fn gauss_jordan(cfg: &GaussJordanConfig) -> TaskGraph {
             b.add_edge(src, pivot, row_vals * cfg.value_comm).unwrap();
         }
 
-        #[allow(clippy::needless_range_loop)] // r is a row *index* with skips
+        #[expect(clippy::needless_range_loop, reason = "r is a row *index* with skips")]
         for r in 0..=n {
             if r == k {
                 continue;
@@ -94,7 +98,10 @@ pub fn gauss_jordan(cfg: &GaussJordanConfig) -> TaskGraph {
     // Solution extraction: gathers every row's final state (the solution
     // lives in the RHS column after full Gauss-Jordan elimination).
     let x = b.add_named_task(cfg.extract_op, "x");
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "r is a row *index*, as in the elimination loop above"
+    )]
     for r in 0..=n {
         if let Some(src) = latest[r] {
             b.add_edge(src, x, cfg.value_comm).unwrap();

@@ -50,7 +50,11 @@ pub fn task_count(cfg: &MatMulConfig) -> usize {
 }
 
 /// Builds the matrix-multiply task graph.
-// lint:allow(panic) reason="the workload generator emits forward, duplicate-free edges"
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "the workload generator emits forward, duplicate-free edges"
+)]
 pub fn matmul(cfg: &MatMulConfig) -> TaskGraph {
     assert!(cfg.n >= 1);
     let n = cfg.n;

@@ -58,7 +58,11 @@ pub fn task_count(cfg: &NewtonEulerConfig) -> usize {
 }
 
 /// Builds the Newton-Euler inverse-dynamics task graph.
-// lint:allow(panic) reason="the workload generator emits forward, duplicate-free edges"
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "the workload generator emits forward, duplicate-free edges"
+)]
 pub fn newton_euler(cfg: &NewtonEulerConfig) -> TaskGraph {
     assert!(cfg.links >= 1, "need at least one link");
     let l = cfg.links;
@@ -87,7 +91,7 @@ pub fn newton_euler(cfg: &NewtonEulerConfig) -> TaskGraph {
     // per-task communication of ~1 variable implies an in-degree close
     // to one).
     for i in 1..l {
-        #[allow(clippy::needless_range_loop)] // k indexes two parallel blocks
+        #[expect(clippy::needless_range_loop, reason = "k indexes two parallel blocks")]
         for k in 0..FORWARD_OPS {
             let t = fwd[i][k];
             b.add_edge(fwd[i - 1][k], t, cfg.value_comm).unwrap();

@@ -41,7 +41,11 @@ pub fn task_count(cfg: &StencilConfig) -> usize {
 }
 
 /// Builds the wavefront task graph.
-// lint:allow(panic) reason="the workload generator emits forward, duplicate-free edges"
+#[expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "the workload generator emits forward, duplicate-free edges"
+)]
 pub fn stencil(cfg: &StencilConfig) -> TaskGraph {
     assert!(cfg.width >= 1 && cfg.height >= 1);
     let mut b = TaskGraphBuilder::with_capacity(task_count(cfg), 2 * task_count(cfg));

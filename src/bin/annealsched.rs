@@ -55,6 +55,10 @@ fn parse_topology(spec: &str) -> Topology {
 }
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the CLI reads its arguments here and nowhere else"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage();
@@ -84,6 +88,7 @@ fn main() {
                 wb = it
                     .next()
                     .and_then(|s| s.parse().ok())
+                    .filter(|w: &f64| (0.0..=1.0).contains(w))
                     .unwrap_or_else(|| usage())
             }
             "--gantt" => want_gantt = true,

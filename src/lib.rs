@@ -56,6 +56,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub use anneal_arena as arena;
 pub use anneal_core as core;

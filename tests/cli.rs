@@ -84,6 +84,13 @@ fn rejects_bad_arguments() {
         assert_eq!(out.status.code(), Some(2), "{topo}: {stderr}");
         assert!(!stderr.contains("panicked"), "{topo}: {stderr}");
     }
+    // So is a balance weight outside [0, 1].
+    for wb in ["2", "-0.1", "NaN"] {
+        let out = bin().args(["@ne", "--wb", wb]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--wb {wb}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--wb {wb}: {stderr}");
+    }
     let out = bin().output().unwrap();
     assert!(!out.status.success());
 }
