@@ -1,6 +1,5 @@
-//! Sharded campaign runner: resumable crash-safe shards, a per-shard
-//! retry budget, deterministic chaos and an incremental,
-//! byte-reproducible merge, all in one process.
+//! Sharded campaign runner: resumable crash-safe shards and an
+//! incremental, byte-reproducible merge, all in one process.
 //!
 //! A campaign evaluates a scheduler portfolio on a large generated
 //! instance family (`anneal_arena::campaign_instance`), split into
@@ -19,22 +18,18 @@
 //!   the same reason several invocations may share a directory (say,
 //!   one `--shard K` per core, then `--merge-only`): an overlap only
 //!   duplicates work;
-//! * a shard that exhausts `--max-attempts` is reported in
-//!   `fleet.report.json` and the campaign exits 3 after writing
-//!   `matrix.partial.csv`/`standings.partial.csv` — degraded results
-//!   are flagged, never silently dropped;
+//! * a shard whose run returns an error is run once and not retried
+//!   (the error is a pure function of the parameters too): the other
+//!   shards still run, and the invocation names it and exits 1 without
+//!   merging;
 //! * when every shard is done, the runner merges the shard artifacts
 //!   into `matrix.csv` and `standings.csv` via
 //!   `anneal_report::merge_shard_csvs` — order-independent and
-//!   byte-identical across runs, thread counts, re-sharding and resume;
-//! * `--chaos SPEC` (e.g. `seed=7,kill=40,truncate=30`) injects
-//!   deterministic faults for certification: a kill exits the process
-//!   with status 17, and CI byte-compares a campaign recovered by a
-//!   resume loop against the fault-free run.
+//!   byte-identical across runs, thread counts, re-sharding and resume.
 //!
 //! Usage: `campaign [instances] [shards] [seed] [--full] [--shard K]
 //! [--threads T] [--merge-only] [--dir PATH] [--metrics PATH]
-//! [--null-clock] [--progress] [--chaos SPEC] [--max-attempts N]`
+//! [--null-clock] [--progress]`
 //!
 //! * `instances` — family size (default 1000).
 //! * `shards` — shard count (default 8).
@@ -64,15 +59,14 @@
 //!   deleting it makes the next `--metrics` run redo its shard.
 //! * `--null-clock` — metrics under the deterministic `NullClock`.
 //! * `--progress` — per-shard progress lines on stderr.
-//! * `--chaos SPEC` — seeded deterministic fault injection
-//!   (`seed=..,kill=..,truncate=..,corrupt=..,only=K`, percentages
-//!   0–100). Debug/certification only.
-//! * `--max-attempts N` — per-shard retry budget before the shard is
-//!   declared failed (default 5, at least 1).
 //!
-//! An unknown flag, a missing or unparsable value, a fourth positional
-//! argument, `--max-attempts 0`, an out-of-range `--shard` or fewer
-//! instances than shards print the usage on stderr and exit 2.
+//! Exit status: 0 when merged, or when the merge waits for shards
+//! outside this invocation's `--shard`; 1 when a shard's run failed,
+//! the directory's `campaign.meta` refuses the parameters, or the
+//! `--metrics` merge refuses an artifact; 2 when an unknown flag, a
+//! missing or unparsable value, a fourth positional argument, an
+//! out-of-range `--shard` or fewer instances than shards print the
+//! usage on stderr.
 
 use std::path::{Path, PathBuf};
 
@@ -83,31 +77,20 @@ use anneal_arena::{
 use anneal_bench::cli::Cli;
 use anneal_core::SaLane;
 use anneal_fleet::{
-    commit_bytes, read_attempts, read_sealed, render_report, run_worker, seal, shard_state, unseal,
-    FaultPlan, FleetConfig, FleetEvent, FleetStats, KillMode, ShardReport, ShardRunner, ShardState,
-    CHAOS_KILL_EXIT,
+    commit_bytes, read_sealed, run_worker, seal, shard_done, unseal, FleetEvent, FleetStats,
+    ShardRunner,
 };
 use anneal_obs::{Clock, MetricsRegistry, NullClock, WallClock};
 use anneal_report::{cell_time_shares, merge_shard_csvs, scan_sealed_shards, Table};
 
-/// Exit status of a campaign whose `--metrics` merge found a shard
-/// metrics artifact it cannot use.
-const METRICS_EXIT: i32 = 1;
-
-/// Exit status of a campaign refused by the directory's
-/// `campaign.meta`.
-const PROVENANCE_EXIT: i32 = 1;
-
-/// Exit status of a campaign that completed but left failed shards
-/// behind — degraded, documented in `fleet.report.json`.
-const DEGRADED_EXIT: i32 = 3;
+/// Exit status of a campaign that cannot finish: a shard's run failed,
+/// the directory's `campaign.meta` refuses the parameters, or the
+/// `--metrics` merge found a shard metrics artifact it cannot use.
+const FAILURE_EXIT: i32 = 1;
 
 const USAGE: &str =
     "usage: campaign [instances] [shards] [seed] [--full] [--shard K] [--threads T]\n\
-     \x20               [--merge-only] [--dir PATH] [--metrics PATH] [--null-clock] [--progress]\n\
-     \x20               [--chaos SPEC] [--max-attempts N]\n\
-     \n\
-     --chaos SPEC example: seed=7,kill=40,truncate=30,corrupt=10,only=2";
+     \x20               [--merge-only] [--dir PATH] [--metrics PATH] [--null-clock] [--progress]";
 
 struct Args {
     cfg: CampaignConfig,
@@ -118,8 +101,6 @@ struct Args {
     metrics: Option<PathBuf>,
     null_clock: bool,
     progress: bool,
-    chaos: Option<FaultPlan>,
-    max_attempts: u32,
 }
 
 fn parse_args() -> Args {
@@ -134,8 +115,6 @@ fn parse_args() -> Args {
         metrics: None,
         null_clock: false,
         progress: false,
-        chaos: None,
-        max_attempts: FleetConfig::default().max_attempts,
     };
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
@@ -147,16 +126,6 @@ fn parse_args() -> Args {
             "--threads" => args.cfg.max_threads = cli.value(&arg),
             "--dir" => args.dir = cli.value(&arg),
             "--metrics" => args.metrics = Some(cli.value(&arg)),
-            "--chaos" => {
-                let spec: String = cli.value(&arg);
-                args.chaos = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| cli.fail(e)));
-            }
-            "--max-attempts" => {
-                args.max_attempts = cli.value(&arg);
-                if args.max_attempts == 0 {
-                    cli.fail("--max-attempts must be at least 1");
-                }
-            }
             flag if flag.starts_with('-') => cli.fail(format!("unknown flag {flag:?}")),
             value => {
                 let v: u64 = cli.parse(value);
@@ -183,8 +152,8 @@ fn parse_args() -> Args {
 /// parameters of their own, so resuming must refuse to mix artifacts
 /// produced under different settings — a shard computed with another
 /// seed would merge cleanly (same header, same shape) into a silently
-/// wrong matrix. (`--threads`/`--metrics`/`--chaos` are deliberately
-/// absent: they never change a cell.) The SA lane is the production
+/// wrong matrix. (`--threads`/`--metrics` are deliberately absent:
+/// they never change a cell.) The SA lane is the production
 /// default, and `packet-solve=assignment` says that its turbo lane
 /// solves every packet with the assignment solver; both are recorded
 /// so that a directory written under another lane, or by a turbo lane
@@ -209,7 +178,7 @@ fn provenance(cfg: &CampaignConfig, full: bool) -> String {
     stamp
 }
 
-/// Refuses, with exit status [`PROVENANCE_EXIT`], a directory whose
+/// Refuses, with exit status [`FAILURE_EXIT`], a directory whose
 /// `campaign.meta` is corrupt or records other parameters; stamps a
 /// directory that has none.
 fn check_provenance(dir: &Path, expected: &str) {
@@ -229,7 +198,7 @@ fn check_provenance(dir: &Path, expected: &str) {
                 Ok(_) => return,
             };
             eprintln!("campaign: {refusal}");
-            std::process::exit(PROVENANCE_EXIT);
+            std::process::exit(FAILURE_EXIT);
         }
         Err(_) => commit_bytes(&path, seal(expected).as_bytes()).expect("write campaign.meta"),
     }
@@ -289,11 +258,6 @@ fn print_event(dir: &Path, ev: &FleetEvent) {
                 dir.join(shard_file_name(*shard)).display()
             );
         }
-        FleetEvent::Started { shard, attempt } => {
-            if *attempt > 1 {
-                println!("shard {shard}: attempt {attempt}");
-            }
-        }
         FleetEvent::Quarantined {
             shard,
             path,
@@ -301,43 +265,24 @@ fn print_event(dir: &Path, ev: &FleetEvent) {
         } => {
             println!("shard {shard}: corrupt artifact quarantined to {path} ({reason})");
         }
-        FleetEvent::Chaos {
-            shard,
-            attempt,
-            kind,
-        } => {
-            println!("shard {shard}: chaos {kind} injected (attempt {attempt})");
-        }
-        FleetEvent::ShardDone { shard, attempt } => {
+        FleetEvent::ShardDone { shard } => {
             println!(
-                "shard {shard}: done (attempt {attempt}) -> {}",
+                "shard {shard}: done -> {}",
                 dir.join(shard_file_name(*shard)).display()
             );
         }
-        FleetEvent::RunFailed {
-            shard,
-            attempt,
-            msg,
-        } => {
-            eprintln!("shard {shard}: attempt {attempt} failed: {msg}");
-        }
-        FleetEvent::Exhausted { shard, attempts } => {
-            eprintln!("shard {shard}: FAILED after {attempts} attempts");
+        FleetEvent::RunFailed { shard, msg } => {
+            eprintln!("shard {shard}: run failed: {msg}");
         }
     }
 }
 
 /// Runs `shards` through the worker, then adds this invocation's
 /// counters to the process's sealed `fleet-metrics-<pid>.jsonl`.
-fn run_shards(args: &Args, shards: &[usize], runner: &CampaignRunner) {
-    let cfg = FleetConfig {
-        max_attempts: args.max_attempts,
-        chaos: args.chaos,
-        // a chaos kill is a real death of this process
-        kill_mode: KillMode::ExitProcess(CHAOS_KILL_EXIT),
-    };
+/// Returns the shards whose run failed.
+fn run_shards(args: &Args, shards: &[usize], runner: &CampaignRunner) -> Vec<usize> {
     let mut stats = FleetStats::default();
-    run_worker(&args.dir, shards, &cfg, runner, &mut stats, &mut |ev| {
+    let failed = run_worker(&args.dir, shards, runner, &mut stats, &mut |ev| {
         print_event(&args.dir, ev)
     })
     .expect("fleet worker I/O");
@@ -355,6 +300,7 @@ fn run_shards(args: &Args, shards: &[usize], runner: &CampaignRunner) {
         reg.write_jsonl(&mut sink);
         commit_bytes(&path, seal(sink.as_str()).as_bytes()).expect("write fleet metrics");
     }
+    failed
 }
 
 /// Reads every invocation's sealed `fleet-metrics-*.jsonl` into one
@@ -385,10 +331,9 @@ fn read_fleet_metrics(dir: &Path) -> MetricsRegistry {
     reg
 }
 
-/// Validates and merges shard artifacts; writes the failure manifest.
-/// Returns the process exit code: 0 on a clean (or deferred) merge,
-/// [`DEGRADED_EXIT`] when shards exhausted their retries,
-/// [`METRICS_EXIT`] when the `--metrics` merge refuses an artifact.
+/// Validates and merges shard artifacts. Returns the process exit
+/// code: 0 on a clean (or deferred) merge, [`FAILURE_EXIT`] when the
+/// `--metrics` merge refuses an artifact.
 fn merge_campaign(args: &Args, runner: &CampaignRunner) -> i32 {
     let scan = scan_sealed_shards(&args.dir, args.cfg.shards, shard_file_name)
         .expect("scan shard artifacts");
@@ -397,65 +342,19 @@ fn merge_campaign(args: &Args, runner: &CampaignRunner) -> i32 {
             "shard {k}: corrupt artifact quarantined to {path} ({reason}); re-run to regenerate"
         );
     }
-    let fleet_reg = read_fleet_metrics(&args.dir);
-    let states: Vec<ShardState> = (0..args.cfg.shards)
-        .map(|k| shard_state(&args.dir, k, &runner.artifact_names(k), args.max_attempts))
+    let waiting: Vec<usize> = (0..args.cfg.shards)
+        .filter(|&k| !shard_done(&args.dir, &runner.artifact_names(k)))
         .collect();
-    let in_state = |want: ShardState| -> Vec<usize> {
-        (0..states.len()).filter(|&k| states[k] == want).collect()
-    };
-    let failed = in_state(ShardState::Failed);
-    let reports: Vec<ShardReport> = (0..args.cfg.shards)
-        .map(|k| ShardReport {
-            shard: k,
-            state: states[k],
-            attempts: read_attempts(&args.dir, k),
-        })
-        .collect();
-    let report_path = args.dir.join("fleet.report.json");
-    commit_bytes(&report_path, render_report(&reports, &fleet_reg).as_bytes())
-        .expect("write fleet report");
-    let done: Vec<&str> = scan
-        .valid
-        .iter()
-        .filter(|(k, _)| states[*k] == ShardState::Done)
-        .map(|(_, t)| t.as_str())
-        .collect();
-
-    if !failed.is_empty() {
-        // degraded: merge what is done into .partial artifacts, report
-        // loudly, exit non-zero — never pretend the campaign is whole
-        if !done.is_empty() {
-            let partial = merge_shard_csvs(&done).expect("valid shard artifacts are inconsistent");
-            commit_bytes(
-                &args.dir.join("matrix.partial.csv"),
-                seal(partial.matrix_csv().as_str()).as_bytes(),
-            )
-            .expect("write partial matrix");
-            commit_bytes(
-                &args.dir.join("standings.partial.csv"),
-                seal(partial.standings_csv().as_str()).as_bytes(),
-            )
-            .expect("write partial standings");
-        }
-        eprintln!(
-            "campaign degraded: shards {failed:?} exhausted {} attempts; see {}",
-            args.max_attempts,
-            report_path.display()
-        );
-        return DEGRADED_EXIT;
-    }
-
-    let waiting = in_state(ShardState::Pending);
     if !waiting.is_empty() {
         println!(
             "merge deferred: {}/{} shards done (missing {waiting:?})",
-            done.len(),
+            args.cfg.shards - waiting.len(),
             args.cfg.shards
         );
         return 0;
     }
 
+    let done: Vec<&str> = scan.valid.iter().map(|(_, t)| t.as_str()).collect();
     let merged = merge_shard_csvs(&done).expect("shard artifacts are inconsistent");
     assert_eq!(
         merged.num_instances(),
@@ -495,9 +394,9 @@ fn merge_campaign(args: &Args, runner: &CampaignRunner) -> i32 {
     println!("wrote {}", standings_path.display());
 
     if let Some(metrics_path) = &args.metrics {
-        if let Err(e) = merge_metrics(args, metrics_path, &fleet_reg) {
+        if let Err(e) = merge_metrics(args, metrics_path, &read_fleet_metrics(&args.dir)) {
             eprintln!("campaign: {e}");
-            return METRICS_EXIT;
+            return FAILURE_EXIT;
         }
     }
     0
@@ -524,7 +423,11 @@ fn main() {
             Some(k) => vec![k],
             None => (0..args.cfg.shards).collect(),
         };
-        run_shards(&args, &shards, &runner);
+        let failed = run_shards(&args, &shards, &runner);
+        if !failed.is_empty() {
+            eprintln!("campaign: shards {failed:?} failed (see above); not merging");
+            std::process::exit(FAILURE_EXIT);
+        }
     }
     std::process::exit(merge_campaign(&args, &runner));
 }

@@ -60,6 +60,7 @@ fn bad_arguments_exit_2_with_usage() {
             &["4", "2", "--dir", d, "--stall-timeout-ms", "5"],
         ),
         ("campaign", &["4", "2", "--dir", d, "--no-merge"]),
+        // so are the retry budget and chaos injection
         ("campaign", &["4", "2", "--dir", d, "--max-attempts", "0"]),
         ("campaign", &["4", "2", "--dir", d, "--max-attempts", "x"]),
         ("campaign", &["4", "2", "--dir", d, "--chaos", "stall=5"]),
@@ -118,10 +119,11 @@ fn help_prints_usage_and_exits_0() {
     ] {
         let out = run(bin, &["--help"]);
         assert_eq!(out.status.code(), Some(0), "{bin} --help");
-        assert!(
-            String::from_utf8_lossy(&out.stdout).contains(&format!("usage: {bin}")),
-            "{bin} --help"
-        );
+        let usage = String::from_utf8_lossy(&out.stdout);
+        assert!(usage.contains(&format!("usage: {bin}")), "{bin} --help");
+        for removed in ["--chaos", "--max-attempts", "--procs"] {
+            assert!(!usage.contains(removed), "{bin} --help: {usage}");
+        }
     }
 }
 

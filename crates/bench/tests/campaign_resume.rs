@@ -4,9 +4,10 @@
 //! `matrix.csv`/`standings.csv` (and, under `--metrics --null-clock`,
 //! the deterministic metrics view and the time-share tables) are
 //! byte-identical whether the shards ran in one invocation, one at a
-//! time in any order, in two processes at once, or in a campaign
-//! killed halfway and resumed — including a directory written by the
-//! lease-based campaign that came before campaigns ran in one process.
+//! time in any order, in two processes at once, in a campaign killed
+//! halfway and resumed, or in one resumed after its artifacts were
+//! damaged — including a directory written by the lease-based campaign
+//! that came before campaigns ran in one process.
 //! Metrics artifacts written before shards recorded per-scheduler cell
 //! times are refused until regenerated. A directory stamped with other
 //! parameters, or with a corrupt `campaign.meta`, is refused with exit
@@ -112,10 +113,10 @@ fn shards_run_one_at_a_time_in_reverse_order_merge_identically() {
 }
 
 /// A directory the lease-based campaign wrote — shard 1 finished, then
-/// a chaos kill on shard 0 left a stale `lease-000.lock` and a counted
-/// attempt behind — resumes under a plain invocation to the same bytes
-/// as a fresh run. The stale lease is ignored and the old per-worker
-/// fleet counters still reach the manifest.
+/// a kill on shard 0 left a stale `lease-000.lock`, attempt counters
+/// and a `fleet.report.json` behind — resumes under a plain invocation
+/// to the same bytes as a fresh run. The stray files are ignored: left
+/// as they were, and no shard is held back by them.
 #[test]
 fn lease_era_directory_resumes() {
     let reference = fresh_dir("lease-era-ref");
@@ -128,14 +129,12 @@ fn lease_era_directory_resumes() {
         stdout.contains("shard-001.csv exists, skipping (resume)"),
         "{stdout}"
     );
-    assert!(stdout.contains("shard 0: done (attempt 2)"), "{stdout}");
+    assert!(stdout.contains("shard 0: done"), "{stdout}");
     assert_same(&dir, &reference, SCIENCE, "resumed lease-era campaign");
-    let report = String::from_utf8(read(&dir, "fleet.report.json")).unwrap();
-    assert!(report.contains("\"status\": \"ok\""), "{report}");
-    assert!(
-        report.contains("\"sched.fleet.shards_run\": 3"),
-        "one shard from the old run plus two now: {report}"
-    );
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/lease_era_campaign");
+    for stray in ["attempts-000.txt", "fleet.report.json", "lease-000.lock"] {
+        assert_eq!(read(&dir, stray), read(&fixture, stray), "{stray}");
+    }
     let _ = std::fs::remove_dir_all(reference);
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -263,25 +262,46 @@ fn stale_metrics_artifacts_are_refused_until_regenerated() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// A corrupt metrics artifact in a finished directory is quarantined
-/// and its shard re-run, instead of failing every later merge.
+/// Certification by damage on the real binary. A finished `--metrics`
+/// campaign loses what a kill or bit rot can take: one shard CSV is
+/// truncated, a byte of another shard's metrics flips, a third shard's
+/// CSV is deleted, and a half-written temp file is left behind. One
+/// re-run quarantines the corrupt artifacts, runs exactly the three
+/// damaged shards, and merges to the fault-free bytes.
 #[test]
-fn corrupt_metrics_artifact_is_quarantined_and_rerun() {
-    let dir = fresh_dir("metrics-rot");
+fn damaged_campaign_resumes_to_fault_free_bytes() {
+    let reference = fresh_dir("damage-ref");
+    run_observed(&reference);
+
+    let dir = fresh_dir("damage");
     run_observed(&dir);
-    let det = read(&dir, "m.det.json");
-    let mut bytes = read(&dir, "metrics-001.jsonl");
-    bytes[10] ^= 0x21;
-    std::fs::write(dir.join("metrics-001.jsonl"), bytes).unwrap();
-    std::fs::remove_file(dir.join("matrix.csv")).unwrap();
+    let csv = read(&dir, "shard-000.csv");
+    std::fs::write(dir.join("shard-000.csv"), &csv[..csv.len() / 2]).unwrap();
+    let mut metrics = read(&dir, "metrics-001.jsonl");
+    metrics[10] ^= 0x21;
+    std::fs::write(dir.join("metrics-001.jsonl"), metrics).unwrap();
+    std::fs::remove_file(dir.join("shard-002.csv")).unwrap();
+    std::fs::write(dir.join(".shard-002.csv.tmp-1"), &csv[..7]).unwrap();
+    // the merged outputs must come from the re-run, not survive it
+    for file in ["matrix.csv", "standings.csv", "m.det.json"] {
+        std::fs::remove_file(dir.join(file)).unwrap();
+    }
 
     let stdout = run_observed(&dir);
-    assert!(
-        stdout.contains("metrics-001.jsonl.quarantined-1"),
-        "{stdout}"
-    );
-    assert!(dir.join("matrix.csv").exists());
-    assert_eq!(read(&dir, "m.det.json"), det);
+    for quarantined in [
+        "shard-000.csv.quarantined-1",
+        "metrics-001.jsonl.quarantined-1",
+    ] {
+        assert!(stdout.contains(quarantined), "{stdout}");
+        assert!(dir.join(quarantined).exists(), "{quarantined}");
+    }
+    for k in 0..3 {
+        assert!(stdout.contains(&format!("shard {k}: done")), "{stdout}");
+    }
+    assert!(!stdout.contains("skipping (resume)"), "{stdout}");
+    let files = ["matrix.csv", "standings.csv", "m.det.json"];
+    assert_same(&dir, &reference, &files, "damaged campaign");
+    let _ = std::fs::remove_dir_all(reference);
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -8,16 +8,6 @@ use crate::cost::CostModel;
 use crate::mapping::PacketMapping;
 use crate::trace::{PacketTrace, TraceSample};
 
-/// Initial-mapping policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InitRule {
-    /// Random saturating assignment (the paper's arbitrary start).
-    Random,
-    /// Deterministic task-`i` → processor-`i` saturation (tests,
-    /// reproducibility studies).
-    InOrder,
-}
-
 /// Knobs of the per-packet loop.
 ///
 /// One *iteration* is one temperature step `Temp_k` during which
@@ -45,8 +35,6 @@ pub struct AnnealParams {
     /// Track and restore the best mapping seen (guards against a late
     /// uphill wander at non-zero final temperature).
     pub keep_best: bool,
-    /// Initial mapping.
-    pub init: InitRule,
 }
 
 impl Default for AnnealParams {
@@ -58,7 +46,6 @@ impl Default for AnnealParams {
             moves_per_temp: 0,
             acceptance: AcceptanceRule::HeatBath,
             keep_best: true,
-            init: InitRule::Random,
         }
     }
 }
@@ -94,11 +81,9 @@ pub fn anneal_packet<R: Rng + ?Sized>(
     let p = packet.num_procs();
     assert!(n > 0 && p > 0, "empty packet");
 
+    // the paper's arbitrary start: a random saturating assignment
     let mut m = PacketMapping::new(n, p);
-    match params.init {
-        InitRule::Random => m.saturate_random(rng),
-        InitRule::InOrder => m.saturate_in_order(),
-    }
+    m.saturate_random(rng);
     let (mut fb, mut fc) = cm.raw_full(m.assignments());
     let mut cost = cm.total(fb, fc);
     // The best-so-far mapping is kept in a reused buffer: `clone_from`

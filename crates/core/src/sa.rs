@@ -7,7 +7,7 @@ use anneal_topology::ProcId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::annealer::{anneal_packet, AnnealParams, InitRule};
+use crate::annealer::{anneal_packet, AnnealParams};
 use crate::boltzmann::AcceptanceRule;
 use crate::cooling::CoolingSchedule;
 use crate::cost::{BalanceRange, CostModel};
@@ -19,7 +19,7 @@ use crate::trace::PacketTrace;
 /// Full configuration of the SA scheduler.
 ///
 /// The annealing knobs (`cooling`, `max_iters`, `stable_iters`,
-/// `moves_per_temp`, `acceptance`, `keep_best`, `init`) act on the
+/// `moves_per_temp`, `acceptance`, `keep_best`) act on the
 /// [`SaLane::Exact`] lane only: the turbo lane solves each packet
 /// exactly instead of annealing it.
 #[derive(Debug, Clone)]
@@ -44,8 +44,6 @@ pub struct SaConfig {
     /// Restore the best mapping seen in a packet before dispatching
     /// (exact lane only).
     pub keep_best: bool,
-    /// Initial mapping rule (exact lane only).
-    pub init: InitRule,
     /// `ΔF_b` convention.
     pub balance_range: BalanceRange,
     /// RNG seed; identical seeds give identical schedules.
@@ -70,7 +68,6 @@ impl Default for SaConfig {
             moves_per_temp: 0,
             acceptance: AcceptanceRule::HeatBath,
             keep_best: true,
-            init: InitRule::Random,
             balance_range: BalanceRange::Full,
             seed: 42,
             record_traces: false,
@@ -246,7 +243,6 @@ impl OnlineScheduler for SaScheduler {
                     moves_per_temp: self.cfg.moves_per_temp,
                     acceptance: self.cfg.acceptance,
                     keep_best: self.cfg.keep_best,
-                    init: self.cfg.init,
                 };
                 let o = anneal_packet(&cm, &params, &mut self.rng, self.cfg.record_traces);
                 out.extend(

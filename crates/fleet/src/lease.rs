@@ -23,8 +23,7 @@
 //! shard results are pure functions of the campaign parameters, so
 //! duplicate execution commits byte-identical artifacts, and
 //! [`commit_bytes`] publishes them atomically.
-//! The worst outcome of any race is wasted CPU, never corruption —
-//! that invariant is what the chaos suite certifies end to end.
+//! The worst outcome of any race is wasted CPU, never corruption.
 //!
 //! Leases read the real wall clock ([`unix_time_ms`] — `SystemTime`,
 //! shared across processes, unlike a per-process monotonic origin).

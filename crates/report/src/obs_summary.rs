@@ -178,7 +178,6 @@ pub fn render_fleet_summary(reg: &anneal_obs::MetricsRegistry) -> Option<String>
     let c = |key: &str| reg.counter(&format!("sched.fleet.{key}"));
     let mut parts = vec![format!("{} shards run", c("shards_run"))];
     for (key, label) in [
-        ("retries", "retries"),
         ("run_failures", "run failures"),
         ("checksum_failures", "checksum failures"),
         ("quarantines", "quarantined"),
@@ -187,13 +186,6 @@ pub fn render_fleet_summary(reg: &anneal_obs::MetricsRegistry) -> Option<String>
         if v > 0 {
             parts.push(format!("{v} {label}"));
         }
-    }
-    let faults: u64 = ["kill", "truncate", "corrupt"]
-        .iter()
-        .map(|k| c(&format!("faults_{k}")))
-        .sum();
-    if faults > 0 {
-        parts.push(format!("{faults} faults injected"));
     }
     Some(format!("Fleet: {}\n", parts.join(", ")))
 }
@@ -312,11 +304,13 @@ mod tests {
         reg.add("sim.events", 5);
         assert_eq!(render_fleet_summary(&reg), None, "non-fleet keys ignored");
         reg.add("sched.fleet.shards_run", 4);
-        reg.add("sched.fleet.retries", 2);
-        reg.add("sched.fleet.faults_kill", 1);
-        reg.add("sched.fleet.faults_truncate", 1);
+        reg.add("sched.fleet.checksum_failures", 2);
+        reg.add("sched.fleet.quarantines", 2);
         let line = render_fleet_summary(&reg).unwrap();
-        assert_eq!(line, "Fleet: 4 shards run, 2 retries, 2 faults injected\n");
+        assert_eq!(
+            line,
+            "Fleet: 4 shards run, 2 checksum failures, 2 quarantined\n"
+        );
         // deterministic
         assert_eq!(render_fleet_summary(&reg).unwrap(), line);
     }

@@ -50,16 +50,25 @@ fn bump() {
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
+// SAFETY: every method hands its arguments to `System`, which meets
+// the `GlobalAlloc` contract, and returns its result; `bump` does not
+// allocate (a `const`-initialized thread-local `Cell<u64>`).
 unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: the caller meets `alloc`'s contract for `layout`, and
+    // `System.alloc` gets that same `layout`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();
         System.alloc(layout)
     }
 
+    // SAFETY: the caller passes a block this allocator returned for
+    // `layout`, and every such block came from `System`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
 
+    // SAFETY: as for `dealloc`, `ptr` and `layout` name a `System`
+    // block, and the caller meets `realloc`'s contract for `new_size`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump();
         System.realloc(ptr, layout, new_size)

@@ -1,8 +1,9 @@
 //! The workspace lint rules that clippy cannot state (docs/LINTS.md).
 //! Clippy enforces the others through `clippy.toml` and the deny block
 //! at each library crate root; these tests keep that block and the
-//! unsafe-code rules in place (L3) and keep the fast path's public API
-//! under its equality oracles (L4).
+//! unsafe-code rules in place (L3), keep every lint escape an
+//! `#[expect]` with a reason, and keep the fast path's public API under
+//! its equality oracles (L4).
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -55,9 +56,48 @@ fn source_dirs() -> Vec<PathBuf> {
     dirs
 }
 
+/// Every `.rs` file of the workspace's own code: the library and binary
+/// sources, integration tests, benches and examples. The vendored
+/// shims (`vendor/`) and the benchmark harness (`perfbench/`, its own
+/// workspace) are not ours to lint.
+fn workspace_rust_files() -> Vec<PathBuf> {
+    let root = Path::new(ROOT);
+    let mut dirs = source_dirs();
+    for member in fs::read_dir(root.join("crates")).expect("crates/") {
+        let member = member.expect("directory entry").path();
+        dirs.extend([member.join("tests"), member.join("benches")]);
+    }
+    dirs.extend([root.join("tests"), root.join("examples")]);
+    dirs.iter()
+        .filter(|d| d.is_dir())
+        .flat_map(|d| rust_files(d))
+        .collect()
+}
+
 /// The line with its `//` comment, if any, cut off.
 fn code(line: &str) -> &str {
     line.split("//").next().unwrap_or("")
+}
+
+/// The line's code without its comment and without the text of its
+/// string literals, so that a message or a pattern naming a keyword
+/// does not count as using it.
+fn code_outside_strings(line: &str) -> String {
+    let mut out = String::new();
+    let mut in_string = false;
+    let mut chars = line.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '\\' if in_string => {
+                chars.next();
+            }
+            '"' => in_string = !in_string,
+            '/' if !in_string && chars.peek() == Some(&'/') => break,
+            _ if !in_string => out.push(c),
+            _ => {}
+        }
+    }
+    out
 }
 
 /// The identifiers (and numbers) of `text`, comments excluded.
@@ -101,13 +141,14 @@ fn library_roots_forbid_unsafe_and_deny_panics() {
     assert!(faults.is_empty(), "{faults:#?}");
 }
 
-/// L3: every `unsafe` in the workspace's sources (binaries included,
-/// where no crate-level forbid reaches) has a `// SAFETY:` comment on
-/// its line or within the three lines above.
+/// L3: every `unsafe` in the workspace's own code (binaries, tests,
+/// benches and examples included, where no crate-level forbid reaches)
+/// has a `// SAFETY:` comment on its line or within the three lines
+/// above.
 #[test]
 fn unsafe_code_carries_a_safety_comment() {
     let mut undocumented = Vec::new();
-    for path in source_dirs().iter().flat_map(|d| rust_files(d)) {
+    for path in workspace_rust_files() {
         let text = read(&path);
         let lines: Vec<&str> = text.lines().collect();
         for (i, line) in lines.iter().enumerate() {
@@ -116,12 +157,33 @@ fn unsafe_code_carries_a_safety_comment() {
                     .iter()
                     .any(|l| l.contains("SAFETY:"))
             };
-            if words(line).any(|w| w == "unsafe") && !documented() {
+            if words(&code_outside_strings(line)).any(|w| w == "unsafe") && !documented() {
                 undocumented.push(format!("{}:{}", rel(&path), i + 1));
             }
         }
     }
     assert!(undocumented.is_empty(), "{undocumented:#?}");
+}
+
+/// A lint escape is `#[expect(clippy::<lint>, reason = "…")]`, which
+/// clippy reports once it is stale, never `#[allow]` or `#![allow]`,
+/// which stays silent. The library crate roots deny
+/// `clippy::allow_attributes`; this covers every other target.
+#[test]
+fn no_allow_attributes() {
+    let mut allows = Vec::new();
+    for path in workspace_rust_files() {
+        for (i, line) in read(&path).lines().enumerate() {
+            let flat: String = code_outside_strings(line).split_whitespace().collect();
+            if flat.contains("#[allow(") || flat.contains("#![allow(") {
+                allows.push(format!("{}:{}", rel(&path), i + 1));
+            }
+        }
+    }
+    assert!(
+        allows.is_empty(),
+        "use #[expect(.., reason = ..)]: {allows:#?}"
+    );
 }
 
 /// L4: every bare-`pub` fn of the fast-path kernel and the fixed-mapping
