@@ -28,6 +28,7 @@
 //! from the command line; `docs/ARCHITECTURE.md` shows where it sits in
 //! the crate graph.
 
+use anneal_core::parallel::{run_chunked_pooled, ScratchPool};
 use anneal_graph::generate::{
     chain, fork_join, gnp_dag, independent, layered_random, series_parallel, LayeredConfig, Range,
 };
@@ -405,7 +406,8 @@ pub fn merge_shard_metrics(
 }
 
 /// Runs shard `shard` of the campaign: generates exactly this shard's
-/// instances and evaluates every portfolio entry on each, in parallel.
+/// instances, then evaluates every portfolio entry on each, both in
+/// parallel on at most `cfg.max_threads` workers.
 ///
 /// Cell `(entry e, global column j)` uses seed
 /// `cell_seed(base_seed, e, j)` — the *global* index, not the
@@ -440,10 +442,15 @@ pub fn run_shard_observed(
     cfg.validate();
     assert!(!portfolio.is_empty(), "empty portfolio");
     let columns = shard_columns(cfg.instances, cfg.shards, shard);
-    let instances: Vec<ArenaInstance> = columns
-        .iter()
-        .map(|&j| campaign_instance(cfg.base_seed, j))
-        .collect();
+    // Generation is a fan-out of its own, ahead of the cell fan-out, so
+    // that the cell loop still sees every column and claims the
+    // costliest first.
+    let instances = run_chunked_pooled(
+        columns.len(),
+        cfg.max_threads,
+        &ScratchPool::<()>::new(),
+        |(), k| campaign_instance(cfg.base_seed, columns[k]),
+    );
     let (cells, registry) = run_cells_observed(
         portfolio,
         &instances,

@@ -20,7 +20,7 @@
 use std::cmp::Reverse;
 
 use anneal_core::parallel::{run_chunked_pooled, ScratchPool};
-use anneal_obs::{Clock, MetricsRegistry, Recorder};
+use anneal_obs::{Clock, Histogram, MetricsRegistry, Recorder};
 use anneal_report::CELL_NS_PREFIX;
 use anneal_sim::{
     simulate_makespans, KernelRunStats, LockstepStats, OnlineScheduler, Rider, SimError, SimScratch,
@@ -180,12 +180,13 @@ fn split_evenly(spent: u64, riders: &[Rider], wall: &mut [u64]) {
 
 /// [`run_cells`] over every entry of `portfolio` on a fresh scratch
 /// pool, folded into the registry tournaments and campaign shards
-/// report: per cell the `arena.cells` counter, the `arena.makespan_ns`,
+/// report: the `arena.cells` counter, the `arena.makespan_ns`,
 /// `time.cell_ns` and `time.cell_ns.<scheduler>` histograms and the
-/// kernel counters; the lockstep work ([`LockstepWork`]); the fan-out's
-/// wall time under `span_key`; and the
-/// pool and route-cache counters of the workers' scratch
-/// ([`record_pool`]).
+/// summed kernel counters of every cell; the lockstep work
+/// ([`LockstepStats`]); the fan-out's wall time under `span_key`; and
+/// the pool and route-cache counters of the workers' scratch
+/// ([`record_pool`]). The cells are folded locally, so each key is
+/// written once per call, not once per cell.
 pub(crate) fn run_cells_observed(
     portfolio: &Portfolio,
     instances: &[ArenaInstance],
@@ -211,17 +212,27 @@ pub(crate) fn run_cells_observed(
     let (cells, work) = cells?;
 
     let mut registry = MetricsRegistry::new();
-    let entry_keys: Vec<String> = entries
-        .iter()
-        .map(|e| format!("{CELL_NS_PREFIX}{}", e.name()))
-        .collect();
-    for (k, cell) in cells.iter().enumerate() {
-        registry.add("arena.cells", 1);
-        registry.observe("arena.makespan_ns", cell.makespan);
-        registry.observe("time.cell_ns", cell.wall_ns);
+    if !cells.is_empty() {
+        let (mut makespans, mut cell_ns) = (Histogram::default(), Histogram::default());
+        let mut kernel = KernelRunStats::default();
         // cells come back entry-major
-        registry.observe(&entry_keys[k / instances.len()], cell.wall_ns);
-        cell.stats.record_into(&mut registry);
+        for (entry, row) in entries.iter().zip(cells.chunks(instances.len())) {
+            let mut entry_ns = Histogram::default();
+            for cell in row {
+                makespans.observe(cell.makespan);
+                cell_ns.observe(cell.wall_ns);
+                entry_ns.observe(cell.wall_ns);
+                kernel.events += cell.stats.events;
+                kernel.epochs += cell.stats.epochs;
+                kernel.messages += cell.stats.messages;
+                kernel.heap_hwm = kernel.heap_hwm.max(cell.stats.heap_hwm);
+            }
+            registry.merge_histogram(&format!("{CELL_NS_PREFIX}{}", entry.name()), &entry_ns);
+        }
+        registry.add("arena.cells", cells.len() as u64);
+        registry.merge_histogram("arena.makespan_ns", &makespans);
+        registry.merge_histogram("time.cell_ns", &cell_ns);
+        kernel.record_into(&mut registry);
     }
     work.record_into(&mut registry);
     registry.add(span_key, span_ns);

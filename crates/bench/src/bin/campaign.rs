@@ -26,6 +26,11 @@
 //!   into `matrix.csv` and `standings.csv` via
 //!   `anneal_report::merge_shard_csvs` — order-independent and
 //!   byte-identical across runs, thread counts, re-sharding and resume.
+//!   A shard CSV that rotted after its worker pass is quarantined by
+//!   the merge, which then waits for that shard's re-run;
+//! * files that older campaign binaries left in the directory
+//!   (`fleet.report.json`, `attempts-*.txt`, `lease-*.lock`) are named
+//!   in one stdout line and otherwise left alone.
 //!
 //! Usage: `campaign [instances] [shards] [seed] [--full] [--shard K]
 //! [--threads T] [--merge-only] [--dir PATH] [--metrics PATH]
@@ -53,7 +58,8 @@
 //!   slowest cells), the merge combines them into `PATH` plus its
 //!   deterministic-class view `PATH.det.json` and a summary (text +
 //!   SVG). Fleet counters land under `sched.fleet.*` — out of the
-//!   deterministic view by class. Not part of provenance. A metrics
+//!   deterministic view by class — and count the quarantines of both
+//!   the worker pass and the merge. Not part of provenance. A metrics
 //!   artifact the merge cannot use, such as one written before shards
 //!   recorded per-scheduler cell times, exits 1 naming the file;
 //!   deleting it makes the next `--metrics` run redo its shard.
@@ -278,7 +284,7 @@ fn print_event(dir: &Path, ev: &FleetEvent) {
 }
 
 /// Runs `shards` through the worker, then adds this invocation's
-/// counters to the process's sealed `fleet-metrics-<pid>.jsonl`.
+/// counters to the process's fleet metrics ([`record_fleet_stats`]).
 /// Returns the shards whose run failed.
 fn run_shards(args: &Args, shards: &[usize], runner: &CampaignRunner) -> Vec<usize> {
     let mut stats = FleetStats::default();
@@ -286,11 +292,17 @@ fn run_shards(args: &Args, shards: &[usize], runner: &CampaignRunner) -> Vec<usi
         print_event(&args.dir, ev)
     })
     .expect("fleet worker I/O");
-    let path = args
-        .dir
-        .join(format!("fleet-metrics-{}.jsonl", std::process::id()));
+    record_fleet_stats(&args.dir, &stats);
+    failed
+}
+
+/// Adds `stats` to the process's sealed `fleet-metrics-<pid>.jsonl` in
+/// `dir`, which the `--metrics` merge sums over every invocation.
+fn record_fleet_stats(dir: &Path, stats: &FleetStats) {
+    let path = dir.join(format!("fleet-metrics-{}.jsonl", std::process::id()));
     let mut reg = MetricsRegistry::new();
-    // a reused process id adds to its predecessor's counters
+    // a reused process id, or an earlier pass of this one, adds to the
+    // counters already there
     if let Ok(prev) = read_sealed(&path) {
         let _ = reg.merge_jsonl(&prev);
     }
@@ -300,7 +312,33 @@ fn run_shards(args: &Args, shards: &[usize], runner: &CampaignRunner) -> Vec<usi
         reg.write_jsonl(&mut sink);
         commit_bytes(&path, seal(sink.as_str()).as_bytes()).expect("write fleet metrics");
     }
-    failed
+}
+
+/// The sorted names of the files in `dir` that `keep` accepts (none
+/// when `dir` cannot be read).
+fn file_names(dir: &Path, keep: impl Fn(&str) -> bool) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .filter_map(|e| e.ok())
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .filter(|n| keep(n))
+                .collect()
+        })
+        .unwrap_or_default();
+    names.sort();
+    names
+}
+
+/// Files that campaign binaries before the one-pass worker left in a
+/// campaign directory (attempt counters, the fleet report, leases).
+/// This binary neither reads nor removes them.
+fn older_binary_files(dir: &Path) -> Vec<String> {
+    file_names(dir, |n| {
+        n == "fleet.report.json"
+            || (n.starts_with("attempts-") && n.ends_with(".txt"))
+            || (n.starts_with("lease-") && n.ends_with(".lock"))
+    })
 }
 
 /// Reads every invocation's sealed `fleet-metrics-*.jsonl` into one
@@ -308,16 +346,9 @@ fn run_shards(args: &Args, shards: &[usize], runner: &CampaignRunner) -> Vec<usi
 /// skipped — fleet counters are diagnostics, not science).
 fn read_fleet_metrics(dir: &Path) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .filter_map(|e| e.ok())
-                .map(|e| e.file_name().to_string_lossy().into_owned())
-                .filter(|n| n.starts_with("fleet-metrics-") && n.ends_with(".jsonl"))
-                .collect()
-        })
-        .unwrap_or_default();
-    names.sort();
+    let names = file_names(dir, |n| {
+        n.starts_with("fleet-metrics-") && n.ends_with(".jsonl")
+    });
     for name in names {
         match read_sealed(&dir.join(&name)) {
             Ok(text) => {
@@ -340,6 +371,17 @@ fn merge_campaign(args: &Args, runner: &CampaignRunner) -> i32 {
     for (k, path, reason) in &scan.quarantined {
         println!(
             "shard {k}: corrupt artifact quarantined to {path} ({reason}); re-run to regenerate"
+        );
+    }
+    if !scan.quarantined.is_empty() {
+        let n = scan.quarantined.len() as u64;
+        record_fleet_stats(
+            &args.dir,
+            &FleetStats {
+                checksum_failures: n,
+                quarantines: n,
+                ..FleetStats::default()
+            },
         );
     }
     let waiting: Vec<usize> = (0..args.cfg.shards)
@@ -406,6 +448,13 @@ fn main() {
     let args = parse_args();
     std::fs::create_dir_all(&args.dir).expect("create campaign dir");
     check_provenance(&args.dir, &provenance(&args.cfg, args.full));
+    let stray = older_binary_files(&args.dir);
+    if !stray.is_empty() {
+        println!(
+            "ignoring files an older campaign binary left: {}",
+            stray.join(", ")
+        );
+    }
     let runner = CampaignRunner {
         portfolio: if args.full {
             Portfolio::standard()

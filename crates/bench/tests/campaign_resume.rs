@@ -115,16 +115,30 @@ fn shards_run_one_at_a_time_in_reverse_order_merge_identically() {
 /// A directory the lease-based campaign wrote — shard 1 finished, then
 /// a kill on shard 0 left a stale `lease-000.lock`, attempt counters
 /// and a `fleet.report.json` behind — resumes under a plain invocation
-/// to the same bytes as a fresh run. The stray files are ignored: left
-/// as they were, and no shard is held back by them.
+/// to the same bytes as a fresh run. The stray files are named in one
+/// line and otherwise ignored: left as they were, and no shard is held
+/// back by them.
 #[test]
 fn lease_era_directory_resumes() {
     let reference = fresh_dir("lease-era-ref");
-    run_campaign(&reference, &[]);
+    let stdout = run_campaign(&reference, &[]);
+    assert!(!stdout.contains("older campaign binary"), "{stdout}");
 
     let dir = fresh_dir("lease-era");
     copy_fixture("lease_era_campaign", &dir);
     let stdout = run_campaign(&dir, &[]);
+    let named: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("older campaign binary"))
+        .collect();
+    assert_eq!(
+        named,
+        [
+            "ignoring files an older campaign binary left: attempts-000.txt, \
+             attempts-001.txt, fleet.report.json, lease-000.lock"
+        ],
+        "{stdout}"
+    );
     assert!(
         stdout.contains("shard-001.csv exists, skipping (resume)"),
         "{stdout}"
@@ -302,6 +316,30 @@ fn damaged_campaign_resumes_to_fault_free_bytes() {
     let files = ["matrix.csv", "standings.csv", "m.det.json"];
     assert_same(&dir, &reference, &files, "damaged campaign");
     let _ = std::fs::remove_dir_all(reference);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A shard CSV that rots after its worker pass is quarantined by the
+/// merge, and that quarantine is counted: the `--merge-only` run that
+/// finds it records it in its fleet metrics, so the summary of the
+/// merge after the shard's re-run shows it.
+#[test]
+fn merge_quarantines_are_counted_in_the_fleet_summary() {
+    let dir = fresh_dir("merge-quarantine");
+    run_observed(&dir);
+    let csv = read(&dir, "shard-001.csv");
+    std::fs::write(dir.join("shard-001.csv"), &csv[..csv.len() / 2]).unwrap();
+    let m = dir.join("m.json").display().to_string();
+    let stdout = run_campaign(&dir, &["--null-clock", "--metrics", &m, "--merge-only"]);
+    assert!(stdout.contains("shard-001.csv.quarantined-1"), "{stdout}");
+    assert!(stdout.contains("merge deferred"), "{stdout}");
+    let stdout = run_observed(&dir);
+    assert!(stdout.contains("shard 1: done"), "{stdout}");
+    let summary = String::from_utf8(read(&dir, "m.summary.txt")).unwrap();
+    assert!(
+        summary.ends_with("Fleet: 4 shards run, 1 checksum failures, 1 quarantined\n"),
+        "{summary}"
+    );
     let _ = std::fs::remove_dir_all(dir);
 }
 

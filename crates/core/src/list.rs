@@ -127,6 +127,11 @@ pub struct ListScheduler {
     /// CPOP only: the critical-path length and the processor hosting
     /// the tasks that attain it, computed with the priorities.
     spine: Option<(Work, ProcId)>,
+    /// The epoch's ready tasks, best first; reused across epochs.
+    ranked: Vec<TaskId>,
+    /// The epoch's processors still free (placement rules other than
+    /// in-order); reused across epochs.
+    free: Vec<ProcId>,
 }
 
 impl ListScheduler {
@@ -135,6 +140,8 @@ impl ListScheduler {
             rule,
             priorities: None,
             spine: None,
+            ranked: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -241,14 +248,18 @@ impl OnlineScheduler for ListScheduler {
                 priority
             }
         });
-        let mut ranked: Vec<TaskId> = ctx.ready.to_vec();
+        let ranked = &mut self.ranked;
+        ranked.clear();
+        ranked.extend_from_slice(ctx.ready);
         ranked.sort_by_key(|&t| (std::cmp::Reverse(pr[t.index()]), t));
         if let Rule::InOrder(_) = self.rule {
-            out.extend(ranked.into_iter().zip(ctx.idle.iter().copied()));
+            out.extend(ranked.iter().copied().zip(ctx.idle.iter().copied()));
             return;
         }
-        let mut free: Vec<ProcId> = ctx.idle.to_vec();
-        for &t in &ranked {
+        let free = &mut self.free;
+        free.clear();
+        free.extend_from_slice(ctx.idle);
+        for &t in ranked.iter() {
             if free.is_empty() {
                 break;
             }

@@ -1,18 +1,20 @@
 //! The seeded parallel fan-out behind every portfolio evaluation.
 //!
 //! [`run_chunked_pooled`] executes `n` independent jobs on at most
-//! `max_threads` scoped worker threads (each worker claims the next
-//! unclaimed job index, results are gathered by job index), so callers
-//! never spawn one thread per job, no worker idles while jobs remain,
-//! and the output is the same under any thread cap. Each worker draws
-//! a warm scratch value from a [`ScratchPool`] and returns it when it
-//! finishes, so a caller that fans out repeatedly (the adversarial
-//! search prices every candidate instance against the whole portfolio)
-//! reuses the same few scratches across all its fan-outs. A fan-out
-//! that needs only one worker runs on the calling thread. The arena's
-//! cell loop (`anneal-arena`) is its one caller: tournaments, campaign
-//! shards and the adversary's ratio evaluations all go through it, one
-//! job per instance column.
+//! `max_threads` workers, the calling thread and scoped threads (each
+//! worker claims the next unclaimed job index, results are gathered by
+//! job index), so callers never spawn one thread per job, no worker
+//! idles while jobs remain, and the output is the same under any
+//! thread cap. Each worker draws a warm scratch value from a
+//! [`ScratchPool`] and returns it when it finishes, so a caller that
+//! fans out repeatedly (the adversarial search prices every candidate
+//! instance against the whole portfolio) reuses the same few scratches
+//! across all its fan-outs. A fan-out that needs only one worker
+//! spawns no thread. It has two callers, both in `anneal-arena`: the
+//! cell loop, through which tournaments, campaign shards and the
+//! adversary's ratio evaluations all go, one job per instance column;
+//! and a campaign shard's instance generation, one job per column,
+//! ahead of the shard's cells (its scratch is `()`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -143,16 +145,17 @@ impl<S: Default> ScratchPool<S> {
     }
 }
 
-/// Runs `jobs` independent jobs across at most `max_threads` scoped
-/// worker threads (`0` means [`default_max_threads`]) and returns the
-/// results in job order. Jobs are claimed: each worker takes the lowest
-/// job index no worker has taken yet, so a worker stuck on a long job
-/// never holds up jobs another worker could run, and jobs start in
-/// index order (a single worker runs them strictly in order). Callers
-/// put their costliest jobs first. Which worker runs a job depends on
-/// timing, so a job's result must depend only on its index. A fan-out
-/// that needs only one worker (one job, or `max_threads == 1`) runs on
-/// the calling thread.
+/// Runs `jobs` independent jobs on at most `max_threads` workers (`0`
+/// means [`default_max_threads`]) and returns the results in job order.
+/// The calling thread is one of the workers and the others are scoped
+/// threads, so a fan-out that needs only one worker (one job, or
+/// `max_threads == 1`) spawns nothing. Jobs are claimed: each worker
+/// takes the lowest job index no worker has taken yet, so a worker
+/// stuck on a long job never holds up jobs another worker could run,
+/// and jobs start in index order (a single worker runs them strictly in
+/// order). Callers put their costliest jobs first. Which worker runs a
+/// job depends on timing, so a job's result must depend only on its
+/// index.
 ///
 /// Each worker takes one scratch from `pool` on its own thread, threads
 /// it through every job it handles, and puts it back when done. Results
@@ -183,36 +186,29 @@ where
         max_threads
     }
     .min(jobs);
-    if threads == 1 {
-        // One worker: the calling thread is it, with no thread to spawn.
-        let mut scratch = pool.take();
-        let out = (0..jobs).map(|i| f(&mut scratch, i)).collect();
-        pool.put(scratch);
-        return out;
-    }
     let f = &f;
     // The counter only hands out indices; results travel back through
     // `join`, which synchronizes on its own, so `Relaxed` is enough.
     let next = &AtomicUsize::new(0);
+    let work = move || {
+        let mut scratch = pool.take();
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                break;
+            }
+            out.push((i, f(&mut scratch, i)));
+        }
+        pool.put(scratch);
+        out
+    };
     let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut scratch = pool.take();
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            break;
-                        }
-                        out.push((i, f(&mut scratch, i)));
-                    }
-                    pool.put(scratch);
-                    out
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        for (i, v) in work() {
+            slots[i] = Some(v);
+        }
         for h in handles {
             for (i, v) in h.join().expect("worker thread panicked") {
                 slots[i] = Some(v);

@@ -1,6 +1,7 @@
 //! Incremental construction of [`TaskGraph`]s.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::dag::{Edge, TaskGraph};
 use crate::error::GraphError;
@@ -13,12 +14,31 @@ use crate::units::Work;
 /// self-loops, unknown endpoints and duplicate edges immediately;
 /// [`TaskGraphBuilder::build`] performs the final acyclicity check and
 /// freezes the graph into its CSR form.
+///
+/// Adding a task or an edge allocates nothing beyond the amortized
+/// growth of the builder's vectors. Explicit names share one buffer,
+/// and `build` writes every name, auto names included, into another.
+/// The duplicate check is free while each task's out-edges arrive in
+/// increasing target order, as every generator in [`crate::generate`]
+/// adds them: a new edge then either passes its source's latest target
+/// or repeats it. The first edge that arrives out of that order indexes
+/// every edge by `(from, to)`, and the rest are looked up there, in
+/// O(log E) each.
 #[derive(Debug, Default, Clone)]
 pub struct TaskGraphBuilder {
     loads: Vec<Work>,
-    names: Vec<String>,
+    /// The explicit names, back to back.
+    names: String,
+    /// `(task, end)` per explicitly named task, ascending by task: its
+    /// name ends at byte `end` of `names`.
+    named: Vec<(u32, u32)>,
     edges: Vec<(TaskId, TaskId, Work)>,
-    seen: BTreeSet<(u32, u32)>,
+    /// Per task, 1 + the position in `edges` of its latest out-edge (0:
+    /// none yet). Unused once `index` is built.
+    latest: Vec<u32>,
+    /// Every edge's position in `edges`, by `(from, to)`; built by the
+    /// first edge that arrives out of order for its source.
+    index: Option<BTreeMap<(u32, u32), u32>>,
 }
 
 impl TaskGraphBuilder {
@@ -31,25 +51,26 @@ impl TaskGraphBuilder {
     pub fn with_capacity(tasks: usize, edges: usize) -> Self {
         Self {
             loads: Vec::with_capacity(tasks),
-            names: Vec::with_capacity(tasks),
+            latest: Vec::with_capacity(tasks),
             edges: Vec::with_capacity(edges),
-            seen: BTreeSet::new(),
+            ..Self::default()
         }
     }
 
     /// Adds a task with CPU load `r_i` (nanoseconds) and an auto-generated
-    /// name; returns its id.
+    /// name (`t<id>`); returns its id.
     pub fn add_task(&mut self, load: Work) -> TaskId {
         let id = TaskId::from_index(self.loads.len());
         self.loads.push(load);
-        self.names.push(format!("t{}", id.raw()));
+        self.latest.push(0);
         id
     }
 
     /// Adds a task with an explicit name.
-    pub fn add_named_task(&mut self, load: Work, name: impl Into<String>) -> TaskId {
+    pub fn add_named_task(&mut self, load: Work, name: impl AsRef<str>) -> TaskId {
         let id = self.add_task(load);
-        self.names[id.index()] = name.into();
+        self.names.push_str(name.as_ref());
+        self.named.push((id.raw(), self.names.len() as u32));
         id
     }
 
@@ -66,20 +87,11 @@ impl TaskGraphBuilder {
     /// Adds precedence edge `from <* to` with communication weight
     /// `w_ij` (nanoseconds).
     pub fn add_edge(&mut self, from: TaskId, to: TaskId, weight: Work) -> Result<(), GraphError> {
-        let n = self.loads.len() as u32;
-        if from.raw() >= n {
-            return Err(GraphError::UnknownTask(from));
-        }
-        if to.raw() >= n {
-            return Err(GraphError::UnknownTask(to));
-        }
-        if from == to {
-            return Err(GraphError::SelfLoop(from));
-        }
-        if !self.seen.insert((from.raw(), to.raw())) {
+        self.check_endpoints(from, to)?;
+        if self.position(from, to).is_some() {
             return Err(GraphError::DuplicateEdge(from, to));
         }
-        self.edges.push((from, to, weight));
+        self.push_edge(from, to, weight);
         Ok(())
     }
 
@@ -92,23 +104,61 @@ impl TaskGraphBuilder {
         to: TaskId,
         weight: Work,
     ) -> Result<(), GraphError> {
-        match self.add_edge(from, to, weight) {
-            Err(GraphError::DuplicateEdge(..)) => {
-                // Linear scan is fine: merging is a construction-time
-                // convenience, never on a hot path.
-                #[expect(
-                    clippy::expect_used,
-                    reason = "guarded by the DuplicateEdge arm: the edge is present"
-                )]
-                let e = self
-                    .edges
-                    .iter_mut()
-                    .find(|(f, t, _)| *f == from && *t == to)
-                    .expect("duplicate edge must exist");
-                e.2 += weight;
-                Ok(())
+        self.check_endpoints(from, to)?;
+        match self.position(from, to) {
+            Some(i) => self.edges[i].2 += weight,
+            None => self.push_edge(from, to, weight),
+        }
+        Ok(())
+    }
+
+    /// Rejects unknown endpoints and self-loops.
+    fn check_endpoints(&self, from: TaskId, to: TaskId) -> Result<(), GraphError> {
+        let n = self.loads.len() as u32;
+        if from.raw() >= n {
+            return Err(GraphError::UnknownTask(from));
+        }
+        if to.raw() >= n {
+            return Err(GraphError::UnknownTask(to));
+        }
+        if from == to {
+            return Err(GraphError::SelfLoop(from));
+        }
+        Ok(())
+    }
+
+    /// The position of edge `from -> to` in `edges`, if it was added.
+    fn position(&mut self, from: TaskId, to: TaskId) -> Option<usize> {
+        if self.index.is_none() {
+            let latest = self.latest[from.index()] as usize;
+            if latest == 0 || self.edges[latest - 1].1 < to {
+                return None;
             }
-            other => other,
+            if self.edges[latest - 1].1 == to {
+                return Some(latest - 1);
+            }
+            // `to` falls below the source's latest target: only an
+            // index can tell whether it was added before.
+            self.index = Some(
+                self.edges
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(f, t, _))| ((f.raw(), t.raw()), i as u32))
+                    .collect(),
+            );
+        }
+        let index = self.index.as_ref()?;
+        index.get(&(from.raw(), to.raw())).map(|&i| i as usize)
+    }
+
+    fn push_edge(&mut self, from: TaskId, to: TaskId, weight: Work) {
+        let i = self.edges.len() as u32;
+        self.edges.push((from, to, weight));
+        match &mut self.index {
+            Some(index) => {
+                index.insert((from.raw(), to.raw()), i);
+            }
+            None => self.latest[from.index()] = i + 1,
         }
     }
 
@@ -131,82 +181,87 @@ impl TaskGraphBuilder {
             pred_off[i + 1] += pred_off[i];
         }
 
+        // Adjacency slices sorted by the other endpoint's id, so
+        // schedulers and tests iterate deterministically: a two-pass
+        // counting sort. Bucket the edges by target (in insertion
+        // order), walk the targets in id order to fill the successor
+        // rows, then walk the sources in id order to refill the
+        // predecessor rows.
         let placeholder = Edge {
             target: TaskId::from_index(0),
             weight: 0,
         };
         let mut succ_adj = vec![placeholder; self.edges.len()];
         let mut pred_adj = vec![placeholder; self.edges.len()];
-        let mut succ_cursor = succ_off.clone();
-        let mut pred_cursor = pred_off.clone();
-        // Insert in (from, to) sorted order so adjacency slices are sorted
-        // by target id — deterministic iteration for schedulers and tests.
-        let mut sorted = self.edges.clone();
-        sorted.sort_unstable_by_key(|&(f, t, _)| (f, t));
-        for &(f, t, w) in &sorted {
-            let sc = &mut succ_cursor[f.index()];
-            succ_adj[*sc as usize] = Edge {
-                target: t,
-                weight: w,
-            };
-            *sc += 1;
-        }
-        let mut sorted_by_to = sorted;
-        sorted_by_to.sort_unstable_by_key(|&(f, t, _)| (t, f));
-        for &(f, t, w) in &sorted_by_to {
-            let pc = &mut pred_cursor[t.index()];
-            pred_adj[*pc as usize] = Edge {
+        let mut cursor = pred_off.clone();
+        for &(f, t, w) in &self.edges {
+            let c = &mut cursor[t.index()];
+            pred_adj[*c as usize] = Edge {
                 target: f,
                 weight: w,
             };
-            *pc += 1;
+            *c += 1;
+        }
+        cursor.copy_from_slice(&succ_off);
+        for t in 0..n {
+            for e in &pred_adj[pred_off[t] as usize..pred_off[t + 1] as usize] {
+                let c = &mut cursor[e.target.index()];
+                succ_adj[*c as usize] = Edge {
+                    target: TaskId::from_index(t),
+                    weight: e.weight,
+                };
+                *c += 1;
+            }
+        }
+        cursor.copy_from_slice(&pred_off);
+        for f in 0..n {
+            for e in &succ_adj[succ_off[f] as usize..succ_off[f + 1] as usize] {
+                let c = &mut cursor[e.target.index()];
+                pred_adj[*c as usize] = Edge {
+                    target: TaskId::from_index(f),
+                    weight: e.weight,
+                };
+                *c += 1;
+            }
         }
 
-        // Kahn topological sort; deterministic (BinaryHeap keyed on
-        // Reverse(id) would be O(E log V); a simple FIFO over a sorted
-        // ready set is enough and we keep smallest-id-first via a
-        // min-heap).
-        let mut indeg: Vec<u32> = (0..n).map(|i| pred_off[i + 1] - pred_off[i]).collect();
-        let mut heap = std::collections::BinaryHeap::new();
-        for (i, &d) in indeg.iter().enumerate() {
-            if d == 0 {
-                heap.push(std::cmp::Reverse(i as u32));
-            }
-        }
-        let mut topo = Vec::with_capacity(n);
-        let mut topo_pos = vec![0u32; n];
-        while let Some(std::cmp::Reverse(i)) = heap.pop() {
-            let t = TaskId(i);
-            topo_pos[t.index()] = topo.len() as u32;
-            topo.push(t);
-            let lo = succ_off[t.index()] as usize;
-            let hi = succ_off[t.index() + 1] as usize;
-            for e in &succ_adj[lo..hi] {
-                let d = &mut indeg[e.target.index()];
-                *d -= 1;
-                if *d == 0 {
-                    heap.push(std::cmp::Reverse(e.target.raw()));
+        // Smallest-id-first Kahn order. When every edge runs from a lower
+        // id to a higher one, as most generators' edges do, that order
+        // is the id order itself (each task's predecessors all precede
+        // it) and no cycle is possible.
+        let (topo, topo_pos) = if self.edges.iter().all(|&(f, t, _)| f < t) {
+            (
+                (0..n).map(TaskId::from_index).collect(),
+                (0..n as u32).collect(),
+            )
+        } else {
+            kahn_order(&succ_off, &succ_adj, &pred_off)?
+        };
+
+        // Every name, in id order, into one buffer.
+        let mut names = String::with_capacity(self.names.len() + 4 * (n - self.named.len()));
+        let mut name_off = Vec::with_capacity(n + 1);
+        name_off.push(0u32);
+        let mut named = self.named.iter().peekable();
+        let mut start = 0;
+        for i in 0..n {
+            match named.next_if(|&&(task, _)| task as usize == i) {
+                Some(&(_, end)) => {
+                    names.push_str(&self.names[start..end as usize]);
+                    start = end as usize;
+                }
+                None => {
+                    let _ = write!(names, "t{i}");
                 }
             }
-        }
-        if topo.len() != n {
-            // Some task is on a cycle: any with nonzero in-degree left.
-            #[expect(
-                clippy::expect_used,
-                reason = "topo.len() != n means a cycle, so some in-degree stays positive"
-            )]
-            let culprit = indeg
-                .iter()
-                .position(|&d| d > 0)
-                .map(TaskId::from_index)
-                .expect("cycle implies leftover in-degree");
-            return Err(GraphError::Cycle(culprit));
+            name_off.push(names.len() as u32);
         }
 
         let total_work = self.loads.iter().sum();
         Ok(TaskGraph {
             loads: self.loads,
-            names: self.names,
+            names,
+            name_off,
             succ_off,
             succ_adj,
             pred_off,
@@ -216,6 +271,54 @@ impl TaskGraphBuilder {
             total_work,
         })
     }
+}
+
+/// Kahn's topological order, smallest ready id first (a min-heap over
+/// the ready tasks), with each task's position in it; a cycle is an
+/// error naming the first task whose in-degree never reached zero.
+fn kahn_order(
+    succ_off: &[u32],
+    succ_adj: &[Edge],
+    pred_off: &[u32],
+) -> Result<(Vec<TaskId>, Vec<u32>), GraphError> {
+    let n = succ_off.len() - 1;
+    let mut indeg: Vec<u32> = pred_off.windows(2).map(|w| w[1] - w[0]).collect();
+    let mut heap = std::collections::BinaryHeap::new();
+    for (i, &d) in indeg.iter().enumerate() {
+        if d == 0 {
+            heap.push(std::cmp::Reverse(i as u32));
+        }
+    }
+    let mut topo = Vec::with_capacity(n);
+    let mut topo_pos = vec![0u32; n];
+    while let Some(std::cmp::Reverse(i)) = heap.pop() {
+        let t = TaskId(i);
+        topo_pos[t.index()] = topo.len() as u32;
+        topo.push(t);
+        let lo = succ_off[t.index()] as usize;
+        let hi = succ_off[t.index() + 1] as usize;
+        for e in &succ_adj[lo..hi] {
+            let d = &mut indeg[e.target.index()];
+            *d -= 1;
+            if *d == 0 {
+                heap.push(std::cmp::Reverse(e.target.raw()));
+            }
+        }
+    }
+    if topo.len() != n {
+        // Some task is on a cycle: any with nonzero in-degree left.
+        #[expect(
+            clippy::expect_used,
+            reason = "topo.len() != n means a cycle, so some in-degree stays positive"
+        )]
+        let culprit = indeg
+            .iter()
+            .position(|&d| d > 0)
+            .map(TaskId::from_index)
+            .expect("cycle implies leftover in-degree");
+        return Err(GraphError::Cycle(culprit));
+    }
+    Ok((topo, topo_pos))
 }
 
 #[cfg(test)]

@@ -22,7 +22,10 @@ pub struct Edge {
 #[derive(Debug, Clone)]
 pub struct TaskGraph {
     pub(crate) loads: Vec<Work>,
-    pub(crate) names: Vec<String>,
+    /// Every task's name, back to back; task `i`'s is
+    /// `names[name_off[i]..name_off[i + 1]]`.
+    pub(crate) names: String,
+    pub(crate) name_off: Vec<u32>,
     pub(crate) succ_off: Vec<u32>,
     pub(crate) succ_adj: Vec<Edge>,
     pub(crate) pred_off: Vec<u32>,
@@ -60,7 +63,8 @@ impl TaskGraph {
     /// The task's name. Auto-generated (`"t<i>"`) unless set at build time.
     #[inline]
     pub fn name(&self, t: TaskId) -> &str {
-        &self.names[t.index()]
+        let i = t.index();
+        &self.names[self.name_off[i] as usize..self.name_off[i + 1] as usize]
     }
 
     /// Sum of all task loads, `T_1` (sequential execution time).

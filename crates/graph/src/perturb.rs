@@ -109,7 +109,7 @@ impl DagEdit {
     pub fn build(&self) -> TaskGraph {
         let mut b = TaskGraphBuilder::with_capacity(self.loads.len(), self.edges.len());
         for (load, name) in self.loads.iter().zip(&self.names) {
-            b.add_named_task(*load, name.clone());
+            b.add_named_task(*load, name);
         }
         for &(f, t, w) in &self.edges {
             b.add_edge(f, t, w)

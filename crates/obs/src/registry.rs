@@ -241,6 +241,22 @@ impl MetricsRegistry {
         }
     }
 
+    /// Merges `h` into the histogram under `key`, as if each of its
+    /// observations had been made there: a caller that observes many
+    /// values under one key folds them locally and writes the key once.
+    pub fn merge_histogram(&mut self, key: &str, h: &Histogram) {
+        match self.metrics.get_mut(key) {
+            Some(MetricValue::Histogram(mine)) => mine.merge(h),
+            Some(other) => {
+                debug_assert!(false, "`{key}` is a {}, not a histogram", other.kind());
+            }
+            None => {
+                self.metrics
+                    .insert(key.to_string(), MetricValue::Histogram(Box::new(h.clone())));
+            }
+        }
+    }
+
     /// Merges `other` into `self`. Associative and commutative: any
     /// grouping and order of merges over the same underlying events
     /// yields the same registry, which is what makes per-shard metrics
@@ -522,6 +538,23 @@ mod tests {
         assert_eq!(ab.counter("n"), 3);
         assert_eq!(ab.gauge("g"), 9);
         assert_eq!(ab.histogram("h").unwrap().count(), 2);
+    }
+
+    #[test]
+    fn merged_histograms_equal_their_observations() {
+        let values = [0, 7, 7, u64::MAX, 1 << 20, 3];
+        let mut observed = MetricsRegistry::new();
+        let mut merged = MetricsRegistry::new();
+        for half in values.chunks(3) {
+            let mut h = Histogram::default();
+            for &v in half {
+                h.observe(v);
+                observed.observe("h", v);
+            }
+            merged.merge_histogram("h", &h);
+        }
+        assert_eq!(merged, observed);
+        assert_eq!(merged.to_json(), observed.to_json());
     }
 
     #[test]

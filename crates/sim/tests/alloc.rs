@@ -21,6 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use anneal_core::list::{ListScheduler, PriorityPolicy};
 use anneal_core::{SaConfig, SaLane, SaScheduler};
 use anneal_graph::generate::{layered_random, LayeredConfig, Range};
 use anneal_graph::units::us;
@@ -334,6 +335,52 @@ fn turbo_sa_lane_steady_state_allocates_nothing() {
         delta, 0,
         "warm turbo SA lane must not allocate ({delta} allocations in 40 runs)"
     );
+}
+
+#[test]
+fn warm_list_scheduler_epochs_allocate_nothing() {
+    // Every list-scheduling rule ranks the ready tasks, and every rule
+    // but in-order placement tracks the free processors, in buffers the
+    // scheduler keeps: once a scheduler is warm on its instance (its
+    // priorities computed, its buffers grown), re-simulating allocates
+    // nothing.
+    let g = sample_graph(19);
+    let topo = hypercube(3);
+    let params = CommParams::paper();
+    let cfg = SimConfig::default();
+    let mut scratch = SimScratch::new();
+    let policies = [
+        PriorityPolicy::HighestLevelFirst,
+        PriorityPolicy::HighestLevelFirstComm,
+        PriorityPolicy::LongestTaskFirst,
+        PriorityPolicy::ShortestTaskFirst,
+        PriorityPolicy::Fifo,
+        PriorityPolicy::Random(5),
+    ];
+    let mut schedulers: Vec<ListScheduler> = policies.into_iter().map(ListScheduler::new).collect();
+    schedulers.extend([
+        ListScheduler::mct(),
+        ListScheduler::heft(),
+        ListScheduler::cpop(),
+    ]);
+    for s in &mut schedulers {
+        let mut expect = 0;
+        for _ in 0..3 {
+            expect = simulate_makespan(&g, &topo, &params, s, &cfg, &mut scratch).unwrap();
+        }
+        let before = allocations();
+        for _ in 0..20 {
+            let m = simulate_makespan(&g, &topo, &params, s, &cfg, &mut scratch).unwrap();
+            assert_eq!(m, expect);
+        }
+        let delta = allocations() - before;
+        assert_eq!(
+            delta,
+            0,
+            "warm {} epochs must not allocate ({delta} allocations in 20 runs)",
+            s.name()
+        );
+    }
 }
 
 #[test]

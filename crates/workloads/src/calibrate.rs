@@ -21,7 +21,7 @@ pub fn scale(g: &TaskGraph, f: f64, h: f64) -> TaskGraph {
     assert!(f >= 0.0 && h >= 0.0, "negative scale factor");
     let mut b = TaskGraphBuilder::with_capacity(g.num_tasks(), g.num_edges());
     for t in g.tasks() {
-        b.add_named_task(scale_one(g.load(t), f), g.name(t).to_string());
+        b.add_named_task(scale_one(g.load(t), f), g.name(t));
     }
     for (from, to, w) in g.edges() {
         b.add_edge(from, to, scale_one(w, h)).unwrap();
